@@ -6,7 +6,9 @@
 
 Input files use the corpus entry format (pd: / seifert: / matrix: blocks) or
 bare matrix text (first line n, then n rows).  Exit status is nonzero when a
-verification fails, for CI gating.
+verification fails, for CI gating; a missing file or malformed input gives a
+one-line "singdet: <message>" on stderr and exit status 2.  Verify suites
+print their wall times on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import time
 
 from . import corpus as corpus_mod
 from .corpus import CorpusEntry, load_corpus, parse_entry
@@ -22,6 +25,7 @@ from .evaluate import (
     HALFPOWER,
     Cyclo24,
     alexander_poly,
+    jones_at_zeta6_knot,
     jones_special_values,
     jones_zeta6_closed_form,
     jones_zeta6_via_delta3,
@@ -37,14 +41,13 @@ from .exactlinalg import (
     random_unimodular,
     smith_cokernel,
 )
-from .linkform import LinkingFormPresentation, delta_from_wall, wall_decompose
+from .linkform import LinkingFormPresentation, b_total, delta_from_wall, wall_decompose
 from .numtheory import is_prime
 from .obstruct import (
     improved_bound,
     lickorish_check,
     signed_obstruction,
     stoimenow_check,
-    wendt_bound,
 )
 from .seifert import (
     SeifertData,
@@ -112,19 +115,25 @@ def cmd_invariants(args) -> int:
         primes = args.primes
         if entry.seifert is not None:
             pairs.append(("alexander", alexander_poly(entry.seifert)))
-        pairs.append(("det", abs(det_exact(M.entries))))
+        det = abs(det_exact(M.entries))
+        pairs.append(("det", det))
         from .seifert import signature, d_p_of
 
         pairs.append(("signature", signature(M)))
-        pairs.append(("mu", mu_of(M)))
+        mu = mu_of(M)
+        pairs.append(("mu", mu))
+        dims = {}
         for p in primes:
-            pairs.append((f"d_{p}", d_p_of(M, p)))
+            dims[p] = d_p_of(M, p)
+            pairs.append((f"d_{p}", dims[p]))
             pairs.append((f"delta_{p}", f"{delta_p(M, p):+d}"))
-        if det_exact(M.entries) % 2 != 0:
+        if det % 2 != 0:
             w = wall_decompose(LinkingFormPresentation(M))
             pairs.append(("wall", "; ".join(f"{p} {k} {t}" for p, k, t in w.summands) or "trivial"))
-        if mu_of(M) == 1:
-            pairs.append(("V(zeta6)[closed form]", jones_zeta6_closed_form(M)))
+            # mu = 1 (a knot) means M is invertible mod 2, so det is odd
+            if mu == 1:
+                d3 = dims[3] if 3 in dims else d_p_of(M, 3)
+                pairs.append(("V(zeta6)[closed form]", jones_at_zeta6_knot(det, d3, b_total(w, 3))))
         pairs.append(("Q(golden)[delta_5 route]", q_at_golden_link(M)))
     _emit(pairs, args.format)
     return 0
@@ -141,11 +150,10 @@ def cmd_obstruct(args) -> int:
     pairs = [("input", entry.name)]
     primes = [args.prime] if args.prime else args.primes
     for p in primes:
-        w = wendt_bound(M, p)
-        imp = improved_bound(M, p)
         con = signed_obstruction(M, p)
+        w = con.base_bound
         pairs.append((f"wendt_{p}", f"u >= {w}"))
-        pairs.append((f"improved_{p}", f"u >= {imp}"))
+        pairs.append((f"improved_{p}", f"u >= {con.improved_bound()}"))
         splits = [
             f"(u+={up},u-={w - up})"
             for up in range(max(w, 0) + 1)
@@ -153,11 +161,10 @@ def cmd_obstruct(args) -> int:
         ]
         pairs.append((f"signed_{p}", f"delta={con.delta:+d} rule={con.parity_rule} "
                                      f"admissible at bound: {' '.join(splits) or 'none'}"))
-    if mu_of(M) == 1 and det_exact(M.entries) != 0:
+    if mu_of(M) == 1 and (det := det_exact(M.entries)) != 0:
         rep = lickorish_check(M)
         zs = ",".join(f"{z:+d}" for z in rep.admissible_zeta) or "none"
         pairs.append(("lickorish", f"admissible zeta: {zs}"))
-        det = det_exact(M.entries)
         ck = smith_cokernel(M.entries)
         if ck.is_cyclic() and det % 5 == 0 and det % 2 != 0:
             srep = stoimenow_check(M)
@@ -313,7 +320,10 @@ def cmd_verify(args) -> int:
     all_ok = True
     for name in names:
         print(f"== suite {name} (seed {args.seed})")
+        t0 = time.perf_counter()
         all_ok &= SUITES[name](args.seed)
+        # stderr, so that stdout stays identical from run to run
+        print(f"suite {name}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     print("VERIFY", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
@@ -371,7 +381,11 @@ def main(argv=None) -> int:
             ap.error(f"{p} is not an odd prime")
         if p not in args.primes:
             args.primes = args.primes + [p]
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # unreadable or malformed input
+        print(f"singdet: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

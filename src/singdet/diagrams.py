@@ -186,7 +186,10 @@ def parse_pd(text: str) -> LinkDiagram:
     """
     free = len(re.findall(r"\bO\b", text))
     tuples = []
-    for m in re.finditer(r"X[\(\[]\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*[\)\]]", text):
+    for tok in re.findall(r"X[\(\[][^\)\]]*[\)\]]", text):
+        m = re.fullmatch(r"X[\(\[]\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*[\)\]]", tok)
+        if m is None:
+            raise DiagramError(f"malformed PD crossing {tok!r}: expected four integer labels")
         tuples.append(tuple(int(g) for g in m.groups()))
     rest = re.sub(r"X[\(\[][^\)\]]*[\)\]]|\bO\b", " ", text)
     if rest.strip():

@@ -1,8 +1,11 @@
 """Exact integer and rational symmetric linear algebra.
 
 Determinants (fraction-free), Smith-normal-form cokernels, symmetric
-congruence reduction mod p, and the p-adic diagonal normal forms that feed
-the linking-form classifier.  All arithmetic is arbitrary precision (int and
+congruence reduction mod p, and the p-adic Jordan kernel (`padic_jordan`)
+that feeds the linking-form classifier.  The Fraction-based normal forms
+`rational_normalize` and `inverse_ord_normalize` are the older, slower route
+to the same classification; they stay as the reference the tests compare
+the kernel against.  All arithmetic is arbitrary precision (int and
 Fraction); there is no floating point anywhere in this package's math.
 """
 
@@ -475,7 +478,72 @@ def mod_p_block_reduce(
     return UnimodularTransform(t), N, d_p
 
 
-# ---------------------------------------------------------------- p-adic normal forms
+# ---------------------------------------------------------------- p-adic Jordan kernel
+
+def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
+    """Non-unit pivots (e, u mod p) of a p-adic diagonalization of M.
+
+    Symmetric elimination over Z/p^(alpha+1), alpha = ord_p(det M) (Conway-
+    Sloane, SPLAG ch. 15 sec. 7).  Each step pivots on an active entry of
+    least valuation, preferring the diagonal; an off-diagonal minimum a_ij
+    is first moved onto the diagonal by one shear, a_ii + 2a_ij + a_jj,
+    which keeps valuation e because p is odd.  The pivot's row and column
+    are then cleared by shears reduced mod p^(alpha+1).  Each pivot is
+    p^e * u with u a unit; only pivots with e >= 1 are returned, and they
+    give the Jordan constituents of the p-part of coker(M): the summand
+    Z/p^e carries the form 1/(p^e u), of Legendre class (u|p).
+
+    Valuations never fall from one pivot to the next, so the scan for the
+    least one resumes at the previous level.  Working mod p^(alpha+1) is
+    exact here: the error p^(alpha+1)E perturbs each pivot p^e u only by a
+    multiple of p^(e+1).  Raises AssertionError unless the returned
+    exponents sum to alpha.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
+    mod = p ** (alpha + 1)
+    a = [[x % mod for x in row] for row in entries]
+    pivots = []
+    e, pe = 0, 1  # current valuation level and p^e
+    while a:
+        m = len(a)
+        step = pe * p
+        i = next((i for i in range(m) if a[i][i] % step), None)
+        if i is None:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j] % step), None)
+            if ij is None:
+                e, pe = e + 1, step
+                if e > alpha:
+                    raise AssertionError(f"active block vanishes mod {p}^{alpha + 1}")
+                continue
+            i, j = ij
+            a[i] = [(x + y) % mod for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] = (row[i] + row[j]) % mod
+        if i:
+            a[0], a[i] = a[i], a[0]
+            for row in a:
+                row[0], row[i] = row[i], row[0]
+        top = a[0]
+        u = top[0] // pe
+        if e:
+            pivots.append((e, u % p))
+        uinv = pow(u, -1, mod)
+        rest = top[1:]
+        below = []
+        for row in a[1:]:
+            if row[0]:
+                c = -(row[0] // pe) * uinv % mod
+                below.append([(x + c * y) % mod for x, y in zip(row[1:], rest)])
+            else:
+                below.append(row[1:])
+        a = below
+    if sum(k for k, _ in pivots) != alpha:
+        raise AssertionError(f"Jordan exponents {pivots} do not sum to ord_{p}(det) = {alpha}")
+    return pivots
+
+
+# ---------------------------------------------------------------- p-adic normal forms (reference route)
 
 def _ordv(x: Fraction, p: int) -> PAdicValuation:
     return ord_p(x, p)
@@ -540,6 +608,10 @@ def rational_normalize(N: RationalSymmetricMatrix, p: int, rho: int) -> Unimodul
     target precision.  Since clearing precision interacts with the not yet
     known diagonal valuations, the whole pass runs under an escalating
     precision until the checked contract holds.
+
+    Reference route: the linking-form classifier uses `padic_jordan`, and
+    the tests rebuild the Wall decomposition from this normal form (through
+    `inverse_ord_normalize`) to check the kernel against it.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
@@ -648,6 +720,11 @@ def inverse_ord_normalize(M: IntegerSymmetricMatrix, p: int) -> UnimodularTransf
     The k_i are the ascending p-exponents of coker(M); off-diagonal entries
     of the inverse become p-integral.  Built from rational_normalize applied
     to M^{-1} with floor 0: T = (S^{-1})^t.
+
+    Reference route for the Wall decomposition: reading the diagonal of
+    (T M T^t)^{-1} gives the same summands as `padic_jordan`, by Fraction
+    inverses and retries instead of one elimination; the tests compare the
+    two.
     """
     if det_exact(M.entries) == 0:
         raise ValueError("matrix must be nonsingular")

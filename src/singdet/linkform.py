@@ -10,26 +10,29 @@ A+A = B+B, so the mod-2 counts r_{p,k} of A-summands classify the form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactlinalg import (
     IntegerSymmetricMatrix,
     det_exact,
-    inverse_ord_normalize,
     mat_inverse_q,
     mat_vec,
+    padic_jordan,
 )
-from .numtheory import legendre_fraction, ord_int, prime_factors
+from .numtheory import legendre, ord_int, prime_factors
 
 
 @dataclass(frozen=True)
 class LinkingFormPresentation:
     M: IntegerSymmetricMatrix
+    det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if det_exact(self.M.entries) == 0:
+        det = det_exact(self.M.entries)
+        if det == 0:
             raise ValueError("presentation matrix must be nonsingular")
+        object.__setattr__(self, "det", det)
 
     @property
     def n(self) -> int:
@@ -84,34 +87,29 @@ def eval_form(pres: LinkingFormPresentation, x: list[int], y: list[int]) -> Frac
     return val - (val // 1)
 
 
+def _summands_at(M: IntegerSymmetricMatrix, p: int, alpha: int) -> list[tuple[int, int, str]]:
+    """Wall summands at p from the non-unit pivots p^e * u of the p-adic
+    Jordan kernel: Z/p^e with value 1/(p^e u), type A iff (u|p) = 1."""
+    return [(p, e, "A" if legendre(u, p) == 1 else "B")
+            for e, u in padic_jordan(M.entries, p, alpha)]
+
+
 def wall_decompose(pres: LinkingFormPresentation) -> WallDecomposition:
     """Orthogonal A/B decomposition of the linking form presented by M.
 
-    Requires odd |det M|.  Per prime p | det M: conjugate so the inverse has
-    sorted p-power diagonal; the residue class of p^{k_i} times the i-th
-    diagonal entry of the inverse decides A versus B for each Z/p^{k_i}
-    summand.
+    Requires odd |det M|.  Per prime p | det M, the p-adic Jordan kernel
+    (exactlinalg.padic_jordan) diagonalizes M over Z/p^(alpha+1) with
+    alpha = ord_p(det M); each pivot p^e * u with e >= 1 is one Z/p^e
+    summand, of type A when (u|p) = 1 and B otherwise.  Unit pivots are
+    never read, so this route shares nothing with the mod-p unit block of
+    the definition route.
     """
-    M = pres.M
-    det = det_exact(M.entries)
+    det = pres.det
     if det % 2 == 0:
         raise ValueError("only odd-order forms are classified here")
     summands = []
     for p in prime_factors(det):
-        T = inverse_ord_normalize(M, p)
-        W = M.congruence(T)
-        winv = mat_inverse_q(W.entries)
-        for i in range(M.n):
-            x = winv[i][i]
-            if x == 0:
-                raise AssertionError("inverse diagonal vanished after normalization")
-            k = ord_int(x.denominator, p) - ord_int(x.numerator, p)
-            if k < 0:
-                raise AssertionError("inverse diagonal has positive valuation")
-            if k == 0:
-                continue
-            cls = legendre_fraction(p**k * x, p)
-            summands.append((p, k, "A" if cls == 1 else "B"))
+        summands += _summands_at(pres.M, p, ord_int(det, p))
     return WallDecomposition(summands)
 
 
@@ -146,10 +144,10 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
 
     Derived from the definition by the Jacobi minor identity applied to the
     p-adically normalized presentation; computed here entirely through the
-    linking-form decomposition, independently of the mod-p reduction used by
-    the definition route.
+    linking-form decomposition at p alone, independently of the mod-p
+    reduction used by the definition route.
     """
-    from .numtheory import legendre, p_part
+    from .numtheory import p_part
     from .exactlinalg import corank_mod_p
 
     det = det_exact(M.entries)
@@ -157,7 +155,7 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
         raise ValueError("requires odd nonzero determinant")
     alpha, q = p_part(abs(det), p)
     m = corank_mod_p(M.entries, p)
-    w = wall_decompose(LinkingFormPresentation(M))
+    w = WallDecomposition(_summands_at(M, p, alpha))
     sign = legendre(q, p) * (-1) ** b_total(w, p)
     e = ((p - 1) // 2) * (alpha + m + (q - 1) // 2)
     return sign * (-1) ** (e % 2)

@@ -63,6 +63,19 @@ class SignedUnknottingConstraint:
             return self.delta == (-1) ** ((u_plus + u_minus) % 2)
         return self.delta == (-1) ** (u_plus % 2)
 
+    def improved_bound(self) -> int:
+        """The sign rule excludes the bound itself for p = 1 (mod 4) half the time.
+
+        For p = 1 (mod 8) the bound requires delta = +1; for p = 5 (mod 8) it
+        requires delta = (-1)^bound.  When violated, the bound improves by one.
+        """
+        w = self.base_bound
+        if self.p % 8 == 1 and self.delta == -1:
+            return w + 1
+        if self.p % 8 == 5 and self.delta != (-1) ** (w % 2):
+            return w + 1
+        return w
+
 
 @dataclass(frozen=True)
 class LickorishReport:
@@ -112,18 +125,9 @@ def signed_obstruction(M: IntegerSymmetricMatrix, p: int) -> SignedUnknottingCon
 
 
 def improved_bound(M: IntegerSymmetricMatrix, p: int) -> int:
-    """The sign rule excludes the bound itself for p = 1 (mod 4) half the time.
-
-    For p = 1 (mod 8) the bound requires delta = +1; for p = 5 (mod 8) it
-    requires delta = (-1)^bound.  When violated, the bound improves by one.
-    """
-    w = wendt_bound(M, p)
-    d = delta_p(M, p)
-    if p % 8 == 1 and d == -1:
-        return w + 1
-    if p % 8 == 5 and d != (-1) ** (w % 2):
-        return w + 1
-    return w
+    """Wendt's bound, raised by one where the sign rule excludes it
+    (SignedUnknottingConstraint.improved_bound)."""
+    return signed_obstruction(M, p).improved_bound()
 
 
 def _generator_form_value(M: IntegerSymmetricMatrix) -> tuple[int, int]:
