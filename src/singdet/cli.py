@@ -1,8 +1,12 @@
 """Command-line front end.
 
-    singdet invariants <path>            full invariant report for a file
-    singdet obstruct <path> --prime p    unknotting obstructions
-    singdet verify <suite> --seed s      run a verification suite
+    singdet invariants <path> [--format F] [--prime p] [--primes p,q,...]
+                              [--budget n] [--q-budget n]
+                                         full invariant report for a file
+    singdet obstruct <path> [--format F] [--prime p] [--primes p,q,...]
+                                         unknotting obstructions
+    singdet verify <suite> [--seed s] [--corpus dir]
+                                         run a verification suite
 
 Input files use the corpus entry format (pd: / seifert: / matrix: blocks) or
 bare matrix text (first line n, then n rows).  Exit status is nonzero when a
@@ -161,12 +165,13 @@ def cmd_obstruct(args) -> int:
         ]
         pairs.append((f"signed_{p}", f"delta={con.delta:+d} rule={con.parity_rule} "
                                      f"admissible at bound: {' '.join(splits) or 'none'}"))
-    if mu_of(M) == 1 and (det := det_exact(M.entries)) != 0:
+    # mu = 1 (a knot) means M is invertible mod 2, so det is odd and nonzero
+    if mu_of(M) == 1:
         rep = lickorish_check(M)
         zs = ",".join(f"{z:+d}" for z in rep.admissible_zeta) or "none"
         pairs.append(("lickorish", f"admissible zeta: {zs}"))
-        ck = smith_cokernel(M.entries)
-        if ck.is_cyclic() and det % 5 == 0 and det % 2 != 0:
+        # Stoimenow needs 5 | det and cyclic H_1, i.e. d_p <= 1 at every p | det
+        if 5 in rep.per_prime and all(dp <= 1 for dp, _, _ in rep.per_prime.values()):
             srep = stoimenow_check(M)
             pairs.append(("stoimenow", srep.text()))
     _emit(pairs, args.format)
@@ -180,19 +185,25 @@ def _suite_examples(report) -> bool:
     under its mathematically consistent value; see the acceptance tests)."""
     ok = True
     c = load_corpus()
+
+    def entry(name):
+        if name not in c:
+            raise ValueError(f"corpus has no entry {name!r}")
+        return c[name]
+
     m777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
     from .seifert import d_p_of
 
     ok &= report("d_7(P(7,-7,7)) == 2", d_p_of(m777, 7) == 2)
     ok &= report("delta_7(P(7,-7,7)) == -1 (erratum: stated +1)", delta_p(m777, 7) == -1)
-    m17 = c["example_d17"].matrix
+    m17 = entry("example_d17").matrix
     ok &= report("d_17 == 3", d_p_of(m17, 17) == 3)
     ok &= report("delta_17 == -1", delta_p(m17, 17) == -1)
     ok &= report("improved bound u >= 4", improved_bound(m17, 17) == 4)
-    m553 = c["m12n553"].matrix
+    m553 = entry("m12n553").matrix
     ok &= report("12n553 cokernel exponents (0,1,1,2)",
                  smith_cokernel(m553.entries).exponents(3) == (0, 1, 1, 2))
-    m195 = c["p5_17_5"].seifert.M
+    m195 = entry("p5_17_5").seifert.M
     ok &= report("det(P(5,17,5)) == 195", det_exact(m195.entries) == 195)
     ok &= report("delta_5 == -1", delta_p(m195, 5) == -1)
     ok &= report("delta_13 == +1", delta_p(m195, 13) == 1)
@@ -200,11 +211,11 @@ def _suite_examples(report) -> bool:
     ok &= report("no admissible Lickorish generator", lickorish_check(m195).admissible_zeta == ())
     ok &= report("Stoimenow counterexample", not stoimenow_check(m195).agrees)
     for name, vm1, vz6 in (("hopf_plus", "-2*i", "-i"), ("hopf_minus", "2*i", "i")):
-        v = jones_via_bracket(c[name].diagram)
+        v = jones_via_bracket(entry(name).diagram)
         ok &= report(f"V_{name}(-1) == {vm1}", str(v.eval_root_of_unity(HALFPOWER["-1"])) == vm1)
         ok &= report(f"V_{name}(zeta6) == {vz6}", str(v.eval_root_of_unity(HALFPOWER["zeta6"])) == vz6)
-    vt = jones_via_bracket(c["t2_4"].diagram).eval_root_of_unity(HALFPOWER["i"])
-    vs = jones_via_bracket(c["t2_4_rev"].diagram).eval_root_of_unity(HALFPOWER["i"])
+    vt = jones_via_bracket(entry("t2_4").diagram).eval_root_of_unity(HALFPOWER["i"])
+    vs = jones_via_bracket(entry("t2_4_rev").diagram).eval_root_of_unity(HALFPOWER["i"])
     ok &= report("V_T(2,4)(i) and reversed split +-sqrt2",
                  {str(vt), str(vs)} == {"sqrt2", "-sqrt2"})
     return ok
@@ -294,49 +305,44 @@ def _suite_endtoend(report, seed: int = 0) -> bool:
 
 
 SUITES = {
-    "examples": lambda seed: _run_suite(_suite_examples, None),
-    "prop35": lambda seed: _run_suite(_suite_prop35, seed),
-    "jacobi": lambda seed: _run_suite(_suite_jacobi, seed),
-    "invariance": lambda seed: _run_suite(_suite_invariance, seed),
-    "endtoend": lambda seed: _run_suite(_suite_endtoend, seed),
+    "examples": lambda report, seed: _suite_examples(report),
+    "prop35": _suite_prop35,
+    "jacobi": _suite_jacobi,
+    "invariance": _suite_invariance,
+    "endtoend": _suite_endtoend,
 }
-
-
-def _run_suite(fn, seed):
-    results = []
-
-    def report(name, passed):
-        results.append((name, bool(passed)))
-        return bool(passed)
-
-    ok = fn(report) if seed is None else fn(report, seed)
-    for name, passed in results:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    return bool(ok)
 
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        print(f"== suite {name} (seed {args.seed})")
+        results = []
+
+        def report(check, passed):
+            results.append((check, bool(passed)))
+            return bool(passed)
+
         t0 = time.perf_counter()
-        all_ok &= SUITES[name](args.seed)
+        ok = SUITES[name](report, args.seed)
+        # printed once the suite has run, so that bad input leaves stdout empty
+        print(f"== suite {name} (seed {args.seed})")
+        for check, passed in results:
+            print(f"{'PASS' if passed else 'FAIL'}  {check}")
+        all_ok &= bool(ok)
         # stderr, so that stdout stays identical from run to run
         print(f"suite {name}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     print("VERIFY", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
 
-def _add_common(sp):
+def _add_report_options(sp):
+    """The options of the two report commands."""
+    sp.add_argument("path")
     sp.add_argument("--format", choices=("text", "machine"), default="text")
     sp.add_argument("--prime", type=int, default=None)
     sp.add_argument("--primes", type=_primes_arg, default=DEFAULT_PRIMES,
                     help="comma separated odd primes (default 3,5,7,11,13)")
-    sp.add_argument("--budget", dest="budget", type=int, default=16,
-                    help="crossing budget for the bracket")
-    sp.add_argument("--q-budget", dest="q_budget", type=int, default=12)
-    sp.add_argument("--corpus", default=None, help="override corpus directory")
 
 
 def _primes_arg(text: str):
@@ -355,19 +361,20 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("invariants", help="invariant report for a link file")
-    sp.add_argument("path")
-    _add_common(sp)
+    _add_report_options(sp)
+    sp.add_argument("--budget", dest="budget", type=int, default=16,
+                    help="crossing budget for the bracket")
+    sp.add_argument("--q-budget", dest="q_budget", type=int, default=12)
     sp.set_defaults(fn=cmd_invariants)
 
     sp = sub.add_parser("obstruct", help="unknotting obstruction report")
-    sp.add_argument("path")
-    _add_common(sp)
+    _add_report_options(sp)
     sp.set_defaults(fn=cmd_obstruct)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
+    sp.add_argument("--corpus", default=None, help="override corpus directory")
     sp.set_defaults(fn=cmd_verify)
 
     args = ap.parse_args(argv)

@@ -115,9 +115,6 @@ class LinkDiagram:
     def arcs(self) -> list[int]:
         return sorted(self._occ)
 
-    def is_incoming(self, ci: int, slot: int) -> bool:
-        return self._is_in[(ci, slot)]
-
     def sign(self, ci: int) -> int:
         """+1 when the over strand runs d -> b, else -1."""
         return 1 if self._is_in[(ci, 3)] else -1

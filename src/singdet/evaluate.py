@@ -149,11 +149,6 @@ class Cyclo24:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
-    def as_int(self) -> int | None:
-        if all(a == 0 for a in self.coords[1:]):
-            return self.coords[0]
-        return None
-
     def to_complex(self) -> complex:
         from cmath import exp, pi
 
@@ -320,10 +315,6 @@ class LaurentPolynomial:
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, e2: int, c: int = 1) -> "LaurentPolynomial":
-        return cls({e2: c})
-
     def __add__(self, o: "LaurentPolynomial") -> "LaurentPolynomial":
         d = dict(self.coeffs)
         for e, c in o.coeffs:
@@ -398,15 +389,6 @@ class JonesSpecialValues:
     at_zeta3: Cyclo24
     at_i: Cyclo24
     at_zeta6: Cyclo24
-
-    def as_dict(self) -> dict[str, Cyclo24]:
-        return {
-            "1": self.at_1,
-            "-1": self.at_minus1,
-            "zeta3": self.at_zeta3,
-            "i": self.at_i,
-            "zeta6": self.at_zeta6,
-        }
 
 
 def jones_at_zeta6_knot(det: int, dim_f3: int, wall_parity: int) -> Cyclo24:

@@ -11,16 +11,13 @@ from fractions import Fraction
 from math import gcd
 
 from .evaluate import Cyclo24, Root5, q_at_golden_link
-from .exactlinalg import (
-    IntegerSymmetricMatrix,
-    cyclic_generator,
-    det_exact,
-    smith_cokernel,
-)
+from .exactlinalg import IntegerSymmetricMatrix, cyclic_generator, det_exact
 from .linkform import LinkingFormPresentation, eval_form
 from .numtheory import prime_factors
 from .seifert import d_p_of, delta_p, mu_of
 
+# Largest |det| that lickorish_generator_search enumerates.  The search is the
+# tests' oracle for Prop. 3.6; no production path runs it.
 GENERATOR_SEARCH_CUTOFF = 10**7
 
 
@@ -54,27 +51,22 @@ class SignedUnknottingConstraint:
         """
         if u_plus < 0 or u_minus < 0 or u_plus + u_minus != self.base_bound:
             return False
-        rule = self.p % 8
-        if rule == 1:
-            return self.delta == 1
-        if rule == 3:
-            return self.delta == (-1) ** (u_minus % 2)
-        if rule == 5:
-            return self.delta == (-1) ** ((u_plus + u_minus) % 2)
-        return self.delta == (-1) ** (u_plus % 2)
+        return self._sign_rule_holds(u_plus, u_minus)
+
+    def _sign_rule_holds(self, u_plus: int, u_minus: int) -> bool:
+        """delta = (-1)^k with k read from p mod 8 (the rule in the class doc)."""
+        k = {1: 0, 3: u_minus, 5: u_plus + u_minus, 7: u_plus}[self.p % 8]
+        return self.delta == (-1) ** (k % 2)
 
     def improved_bound(self) -> int:
         """The sign rule excludes the bound itself for p = 1 (mod 4) half the time.
 
         For p = 1 (mod 8) the bound requires delta = +1; for p = 5 (mod 8) it
-        requires delta = (-1)^bound.  When violated, the bound improves by one.
+        requires delta = (-1)^bound.  Neither rule depends on how the bound
+        splits into u+ and u-, so when it is violated the bound improves by one.
         """
         w = self.base_bound
-        if self.p % 8 == 1 and self.delta == -1:
-            return w + 1
-        if self.p % 8 == 5 and self.delta != (-1) ** (w % 2):
-            return w + 1
-        return w
+        return w + 1 if self.p % 4 == 1 and not self._sign_rule_holds(w, 0) else w
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,9 @@ def lickorish_generator_search(M: IntegerSymmetricMatrix, targets: list[Fraction
     """Brute force: does some generator h have lambda(h,h) in targets?
 
     Iterates multiples b*h' of a fixed generator over b coprime to det.
-    O(det); guarded by a documented cutoff.
+    O(det); guarded by GENERATOR_SEARCH_CUTOFF.  This is the oracle the tests
+    compare lickorish_check and stoimenow_check against (Prop. 3.6); the CLI
+    never runs it.
     """
     det = abs(det_exact(M.entries))
     if det > GENERATOR_SEARCH_CUTOFF:
@@ -164,10 +158,12 @@ def lickorish_generator_search(M: IntegerSymmetricMatrix, targets: list[Fraction
 def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
     """Which crossing-change signs zeta admit unknotting number one.
 
-    For each zeta, admissibility means: for every prime p | det, d_p = 1 and
-    the mod-8 sign pattern holds (p=1: delta=+1; p=3: delta=zeta;
+    For each zeta, admissibility means: for every prime p | det, the signed
+    constraint at p admits one crossing change of sign zeta, that is d_p = 1
+    and the mod-8 sign pattern holds (p=1: delta=+1; p=3: delta=zeta;
     p=5: delta=-1; p=7: delta=-zeta).  Equivalent to the existence of a
-    generator h with lambda(h,h) = 2*zeta*(-1)^((det-1)/2)/det.
+    generator h with lambda(h,h) = 2*zeta*(-1)^((det-1)/2)/det (Prop. 3.6).
+    When |det| = 1 no prime divides it and both signs are admissible.
     """
     if mu_of(M) != 1:
         raise ValueError("defined for knots only (mu = 1)")
@@ -175,28 +171,13 @@ def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
     if det == 0:
         raise ValueError("knot determinant cannot vanish")
     per = {}
-    admissible = {1: True, -1: True}
     for p in prime_factors(det):
         dp = d_p_of(M, p)
         dl = delta_p(M, p)
-        ok = {}
-        for zeta in (1, -1):
-            r = p % 8
-            if r == 1:
-                good = dl == 1
-            elif r == 3:
-                good = dl == zeta
-            elif r == 5:
-                good = dl == -1
-            else:
-                good = dl == -zeta
-            ok[zeta] = dp == 1 and good
-            admissible[zeta] = admissible[zeta] and ok[zeta]
-        per[p] = (dp, dl, ok)
-    if abs(det) == 1:
-        # trivial group: the generator condition is empty
-        return LickorishReport((1, -1), {})
-    zs = tuple(z for z in (1, -1) if admissible[z])
+        # mu = 1, so the bound is d_p; consistent() requires it to be 1
+        con = SignedUnknottingConstraint(p, dp, SignedUnknottingConstraint.RULES[p % 8], dl)
+        per[p] = (dp, dl, {z: con.consistent(int(z == 1), int(z == -1)) for z in (1, -1)})
+    zs = tuple(z for z in (1, -1) if all(ok[z] for _, _, ok in per.values()))
     return LickorishReport(zs, per)
 
 
@@ -213,18 +194,21 @@ def lickorish_direct(M: IntegerSymmetricMatrix, zeta: int) -> bool:
 def stoimenow_check(M: IntegerSymmetricMatrix) -> StoimenowReport:
     """Compare the Q value at the golden reciprocal with the conjectured rule
     "-sqrt5 iff some h has lambda(h,h) = +-2/det" on cyclic odd H_1 with
-    5 | det."""
-    det = det_exact(M.entries)
-    ck = smith_cokernel(M.entries)
-    if not ck.is_cyclic() or ck.order_or_zero == 0:
-        raise ValueError("requires finite cyclic first homology")
-    if det % 5 != 0:
+    5 | det.
+
+    The generator is decided by Prop. 3.6: over zeta = +-1 the Lickorish
+    targets 2*zeta*(-1)^((det-1)/2)/det are exactly +-2/det, so some h
+    attains one iff lickorish_check admits some zeta.  H_1 is cyclic iff
+    d_p <= 1 at every prime p | det (an odd det has d_2 = 0).  An even det
+    means mu > 1, which lickorish_check rejects with ValueError.
+    """
+    rep = lickorish_check(M)
+    if 5 not in rep.per_prime:
         raise ValueError("requires determinant divisible by 5")
-    adet = abs(det)
+    if any(dp > 1 for dp, _, _ in rep.per_prime.values()):
+        raise ValueError("requires finite cyclic first homology")
     qval = q_at_golden_link(M)
-    exists = lickorish_generator_search(
-        M, [Fraction(2, adet), Fraction(-2, adet)]
-    )
+    exists = bool(rep.admissible_zeta)
     conj = Root5(0, -1) if exists else Root5(0, 1)
     return StoimenowReport(qval, exists, conj, qval == conj)
 

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from singdet.cli import main
+from singdet.corpus import ENV_CORPUS
 from singdet.diagrams import DiagramError, parse_pd
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
@@ -54,3 +55,10 @@ def test_cli_verify_prints_durations_on_stderr(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("suite examples: ") and lines[0].endswith(" s")
     assert "suite examples:" not in captured.out
+
+
+def test_cli_verify_names_a_missing_corpus_entry(tmp_path, capsys, monkeypatch):
+    # main exports --corpus to the environment; monkeypatch restores it
+    monkeypatch.setenv(ENV_CORPUS, str(tmp_path))
+    (tmp_path / "only.txt").write_text("name: only\npd: O\n")
+    assert "'example_d17'" in one_line_error(capsys, "verify", "examples", "--corpus", str(tmp_path))
