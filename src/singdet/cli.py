@@ -18,6 +18,7 @@ print their wall times on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -124,20 +125,17 @@ def cmd_invariants(args) -> int:
         from .seifert import signature, d_p_of
 
         pairs.append(("signature", signature(M)))
-        mu = mu_of(M)
-        pairs.append(("mu", mu))
-        dims = {}
+        pairs.append(("mu", mu_of(M)))
         for p in primes:
-            dims[p] = d_p_of(M, p)
-            pairs.append((f"d_{p}", dims[p]))
+            pairs.append((f"d_{p}", d_p_of(M, p)))
             pairs.append((f"delta_{p}", f"{delta_p(M, p):+d}"))
         if det % 2 != 0:
             w = wall_decompose(LinkingFormPresentation(M))
             pairs.append(("wall", "; ".join(f"{p} {k} {t}" for p, k, t in w.summands) or "trivial"))
             # mu = 1 (a knot) means M is invertible mod 2, so det is odd
-            if mu == 1:
-                d3 = dims[3] if 3 in dims else d_p_of(M, 3)
-                pairs.append(("V(zeta6)[closed form]", jones_at_zeta6_knot(det, d3, b_total(w, 3))))
+            if mu_of(M) == 1:
+                pairs.append(("V(zeta6)[closed form]",
+                              jones_at_zeta6_knot(det, d_p_of(M, 3), b_total(w, 3))))
         pairs.append(("Q(golden)[delta_5 route]", q_at_golden_link(M)))
     _emit(pairs, args.format)
     return 0
@@ -355,7 +353,14 @@ def _primes_arg(text: str):
     return out
 
 
-def main(argv=None) -> int:
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     ap = argparse.ArgumentParser(prog="singdet", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -365,34 +370,44 @@ def main(argv=None) -> int:
     sp.add_argument("--budget", dest="budget", type=int, default=16,
                     help="crossing budget for the bracket")
     sp.add_argument("--q-budget", dest="q_budget", type=int, default=12)
-    sp.set_defaults(fn=cmd_invariants)
 
     sp = sub.add_parser("obstruct", help="unknotting obstruction report")
     _add_report_options(sp)
-    sp.set_defaults(fn=cmd_obstruct)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--corpus", default=None, help="override corpus directory")
-    sp.set_defaults(fn=cmd_verify)
+    _PARSER = ap
+    return ap
 
+
+def main(argv=None) -> int:
+    ap = _parser()
     args = ap.parse_args(argv)
-    if getattr(args, "corpus", None):
-        import os
-
-        os.environ[corpus_mod.ENV_CORPUS] = args.corpus
     if getattr(args, "prime", None) is not None:
         p = args.prime
         if p < 3 or not is_prime(p):
             ap.error(f"{p} is not an odd prime")
         if p not in args.primes:
             args.primes = args.primes + [p]
+    # --corpus holds for this call only: the previous value comes back after
+    saved = os.environ.get(corpus_mod.ENV_CORPUS)
+    if getattr(args, "corpus", None):
+        os.environ[corpus_mod.ENV_CORPUS] = args.corpus
+    # looked up on each call rather than kept in the parser, so that a
+    # rebinding of a command function at module level takes effect
+    fn = {"invariants": cmd_invariants, "obstruct": cmd_obstruct, "verify": cmd_verify}[args.cmd]
     try:
-        return args.fn(args)
+        return fn(args)
     except (OSError, ValueError) as exc:  # unreadable or malformed input
         print(f"singdet: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved is None:
+            os.environ.pop(corpus_mod.ENV_CORPUS, None)
+        else:
+            os.environ[corpus_mod.ENV_CORPUS] = saved
 
 
 if __name__ == "__main__":

@@ -551,18 +551,18 @@ def _seifert_matrix_braided(d: LinkDiagram, struct, data) -> SeifertData:
 
 # ----------------------------------------------------------------- Vogel move
 
-def _arc_face_incidences(d: LinkDiagram):
+def _face_of_quadrant(crossings) -> dict[End, int]:
+    """Quadrant (crossing, slot) -> index of its face in `face_orbits`."""
+    return {e: fi for fi, orbit in enumerate(face_orbits(crossings)) for e in orbit}
+
+
+def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
     """For each arc: the two flanking faces with traversal senses.
 
     The face walking the arc along its link orientation is the orbit of the
     dart one slot clockwise of the arc's tail; the opposite side is the
     orbit one slot clockwise of its head.
     """
-    faces = face_orbits(d.crossings)
-    face_of_quadrant: dict[End, int] = {}
-    for fi, orbit in enumerate(faces):
-        for e in orbit:
-            face_of_quadrant[e] = fi
     incidences: dict[int, list[tuple[int, int]]] = {}
     for lab, ends in d._occ.items():
         tail = next(e for e in ends if not d._is_in[e])
@@ -576,7 +576,7 @@ def _arc_face_incidences(d: LinkDiagram):
 def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
     """One untangling move: an oriented R2 across a face bordered by two
     different Seifert circles with equal boundary sense."""
-    inc = _arc_face_incidences(d)
+    inc = _arc_face_incidences(d, _face_of_quadrant(d.crossings))
     by_face: dict[int, list[tuple[int, int, int]]] = {}
     for lab in sorted(inc):
         for face, sense in inc[lab]:
@@ -588,42 +588,8 @@ def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
                 l1, s1, c1 = items[i]
                 l2, s2, c2 = items[j]
                 if c1 != c2 and s1 == s2 and l1 != l2:
-                    return _apply_vogel_r2(d, l1, l2)
+                    return r2_slide(d, l1, l2)
     raise AssertionError("no untangling move available on a non-braided diagram")
-
-
-def _apply_vogel_r2(d: LinkDiagram, alpha: int, beta: int) -> LinkDiagram:
-    """Slide arc alpha across the shared face over arc beta (oriented R2).
-
-    The two candidate chiralities differ by which crossing comes first along
-    beta; exactly one of them closes up into a planar diagram, which the
-    Euler count detects.
-    """
-    fresh = max(d.arcs) + 1
-    a1, a2, a3 = alpha, fresh, fresh + 1
-    b1, b2, b3 = beta, fresh + 2, fresh + 3
-
-    def rewire(old: int, repl_tail: int, repl_head: int, crossings):
-        out = []
-        for ci, tup in enumerate(crossings):
-            row = list(tup)
-            for s in range(4):
-                if row[s] == old:
-                    row[s] = repl_head if d._is_in[(ci, s)] else repl_tail
-            out.append(tuple(row))
-        return out
-
-    base = rewire(alpha, a1, a3, d.crossings)
-    base = rewire(beta, b1, b3, base)
-
-    for flip in (1, -1):
-        x1 = make_crossing(b2, b3, a1, a2, flip)
-        x2 = make_crossing(b1, b2, a2, a3, -flip)
-        crossings = tuple(base) + (x1, x2)
-        if euler_ok(crossings):
-            out = LinkDiagram(crossings, d.free_loops)
-            return out
-    raise AssertionError("neither R2 chirality is planar")
 
 
 # ------------------------------------------------------------------- Goeritz
@@ -634,17 +600,9 @@ def checkerboard_colors(d: LinkDiagram) -> dict[End, int]:
     Faces adjacent across an arc get different colors; at every crossing the
     four quadrant colors alternate.
     """
-    faces = face_orbits(d.crossings)
-    fq: dict[End, int] = {}
-    for fi, orbit in enumerate(faces):
-        for e in orbit:
-            fq[e] = fi
+    fq = _face_of_quadrant(d.crossings)
     adj: dict[int, set[int]] = {}
-    for lab, ends in d._occ.items():
-        tail = next(e for e in ends if not d._is_in[e])
-        head = next(e for e in ends if d._is_in[e])
-        f1 = fq[(tail[0], (tail[1] - 1) % 4)]
-        f2 = fq[(head[0], (head[1] - 1) % 4)]
+    for (f1, _), (f2, _) in _arc_face_incidences(d, fq).values():
         adj.setdefault(f1, set()).add(f2)
         adj.setdefault(f2, set()).add(f1)
     color = {0: 0}
@@ -657,9 +615,7 @@ def checkerboard_colors(d: LinkDiagram) -> dict[End, int]:
                 stack.append(g)
             elif color[g] == color[f]:
                 raise DiagramError("diagram is not checkerboard colorable")
-    for fi in range(len(faces)):
-        color.setdefault(fi, 0)
-    out = {e: color[fq[e]] for e in fq}
+    out = {e: color.get(fq[e], 0) for e in fq}
     for ci in range(d.n):
         cs = [out[(ci, s)] for s in range(4)]
         if cs[0] != cs[2] or cs[1] != cs[3] or cs[0] == cs[1]:
@@ -683,11 +639,7 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
     if d.n == 0:
         raise DiagramError("need at least one crossing for a Goeritz matrix")
     colors = checkerboard_colors(d)
-    faces = face_orbits(d.crossings)
-    fq: dict[End, int] = {}
-    for fi, orbit in enumerate(faces):
-        for e in orbit:
-            fq[e] = fi
+    fq = _face_of_quadrant(d.crossings)
     shaded = sorted({fq[e] for e in fq if colors[e] == shade})
     findex = {f: i for i, f in enumerate(shaded)}
     m = len(shaded)
@@ -822,22 +774,48 @@ class _ShadowWalker:
         return comps
 
 
-def _q_canonical_key(crossings, free: int):
-    if not crossings:
-        return ("unlink", free)
-    walker = _ShadowWalker(crossings)
-    events = []
-    for comp in walker.components():
-        events.extend(comp)
+def _q_canonical_key(crossings, free: int, comps):
+    """Memo key: the crossings relabelled in the order the shadow walk
+    `comps` first meets their arcs, sorted, with the free loop count."""
     rename: dict[int, int] = {}
-    seq = []
-    for ci, s in events:
-        lab = crossings[ci][s]
-        if lab not in rename:
-            rename[lab] = len(rename)
-    for t in crossings:
-        seq.append(tuple(rename[lab] for lab in t))
-    return (tuple(sorted(seq)), free)
+    for comp in comps:
+        for ci, s in comp:
+            rename.setdefault(crossings[ci][s], len(rename))
+    return (tuple(sorted(tuple(rename[lab] for lab in t) for t in crossings)), free)
+
+
+_Z = LaurentPolynomial({2: 1})
+
+
+def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomial:
+    """Q of the diagram (crossings, free loops), one shadow walk per node."""
+    if not crossings:
+        key = ("unlink", free)
+        if key not in memo:
+            memo[key] = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
+        return memo[key]
+    comps = _ShadowWalker(crossings).components()
+    key = _q_canonical_key(crossings, free, comps)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    first: dict[int, int] = {}  # crossing -> entry slot of its first visit
+    for comp in comps:
+        for c, s in comp:
+            first.setdefault(c, s)
+    # the first crossing first walked into on its under strand (slot 0 or 2)
+    ci = next((c for c, s in first.items() if s in (0, 2)), None)
+    if ci is None:
+        val = _q_unknot_power(len(comps) + free - 1)
+    else:
+        switched = list(crossings)
+        a, b, c, cc = switched[ci]
+        switched[ci] = (b, c, cc, a)
+        s0, f0 = _smooth_unoriented(crossings, free, ci, 0)
+        s1, f1 = _smooth_unoriented(crossings, free, ci, 1)
+        val = _Z * (_q_affine(s0, f0, memo) + _q_affine(s1, f1, memo)) - _q_affine(switched, free, memo)
+    memo[key] = val
+    return val
 
 
 def q_via_skein(d: LinkDiagram, budget: int = _UNORIENTED_BUDGET) -> LaurentPolynomial:
@@ -847,52 +825,14 @@ def q_via_skein(d: LinkDiagram, budget: int = _UNORIENTED_BUDGET) -> LaurentPoly
     the shadow; the first crossing whose over strand differs from the
     first-visit-on-top template is switched (distance to descending drops by
     one) or smoothed both ways (crossing count drops), so the recursion
-    terminates; descending stacked diagrams are unlinks.
+    terminates; descending stacked diagrams are unlinks.  Each node of the
+    recursion walks its shadow once, for its memo key, the crossing to
+    change and its component count.  The memo is local to the call and is
+    freed by reference counting when it returns.
     """
     if d.n > budget:
         raise DiagramError(f"crossing budget exceeded: {d.n} > {budget}")
-    z = LaurentPolynomial({2: 1})
-    memo: dict = {}
-
-    def affine(crossings: list[tuple], free: int) -> LaurentPolynomial:
-        key = _q_canonical_key(tuple(crossings), free)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not crossings:
-            val = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
-            memo[key] = val
-            return val
-        walker = _ShadowWalker(crossings)
-        seen: set[int] = set()
-        mismatch = None
-        for comp in walker.components():
-            for ci, s in comp:
-                if ci in seen:
-                    continue
-                seen.add(ci)
-                if s in (1, 3):  # walked in on the over strand: already on top
-                    continue
-                mismatch = ci
-                break
-            if mismatch is not None:
-                break
-        ncomp = len(walker.components()) + free
-        if mismatch is None:
-            val = _q_unknot_power(ncomp - 1)
-            memo[key] = val
-            return val
-        ci = mismatch
-        switched = list(crossings)
-        a, b, c, cc = switched[ci]
-        switched[ci] = (b, c, cc, a)
-        s0, f0 = _smooth_unoriented(crossings, free, ci, 0)
-        s1, f1 = _smooth_unoriented(crossings, free, ci, 1)
-        val = z * (affine(s0, f0) + affine(s1, f1)) - affine(switched, free)
-        memo[key] = val
-        return val
-
-    return affine(list(d.crossings), d.free_loops)
+    return _q_affine(list(d.crossings), d.free_loops, {})
 
 
 def pd_text(d: LinkDiagram) -> str:
@@ -1071,8 +1011,9 @@ def r1_kink(d: LinkDiagram, arc: int, positive: bool) -> LinkDiagram:
 def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
     """Insert a second Reidemeister pair sliding arc_over across arc_under.
 
-    Valid diagram only when the arcs cobound a face; the planar chirality is
-    picked by the Euler check exactly as in the untangling move.
+    Valid diagram only when the arcs cobound a face.  The two chiralities
+    differ by which new crossing comes first along arc_under; the Euler
+    count picks the planar one.  Vogel untangling inserts its moves here.
     """
     if arc_over == arc_under:
         raise DiagramError("need two distinct arcs")
@@ -1092,8 +1033,8 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
 
     base = rewire(arc_over, a1, a3, d.crossings)
     base = rewire(arc_under, b1, b3, base)
-    for flip in (1, -1):
-        for border in ((b2, b3, b1, b2), (b1, b2, b2, b3)):
+    for border in ((b2, b3, b1, b2), (b1, b2, b2, b3)):
+        for flip in (1, -1):
             u1_in, u1_out, u2_in, u2_out = border
             x1 = make_crossing(u1_in, u1_out, a1, a2, flip)
             x2 = make_crossing(u2_in, u2_out, a2, a3, -flip)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numtheory import PAdicValuation, factorize, is_prime, ord_p
+from .numtheory import factorize, is_prime, ord_p
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -544,10 +544,6 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------- p-adic normal forms (reference route)
-
-def _ordv(x: Fraction, p: int) -> PAdicValuation:
-    return ord_p(x, p)
-
 
 def _clear_coeff(target: Fraction, pivot: Fraction, p: int, upto: int) -> int:
     """Integer c with ord_p(target + c*pivot) >= upto, given ord(target) >= ord(pivot).

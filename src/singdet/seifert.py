@@ -9,20 +9,19 @@ for matrices with odd diagonal entries via the oddity correction.
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import (
     IntegerSymmetricMatrix,
-    UnimodularTransform,
     corank_mod_p,
     det_exact,
     mod_p_block_reduce,
     transpose,
 )
 from .numtheory import is_prime, legendre
-
-import random
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,23 @@ class LinkInvariantBundle:
     arf_sign: int | None
 
 
+def _memo_on_matrix(fn):
+    """Cache fn(M, *args) in the instance dict of M, keyed by the function's
+    name and args, so that each fact about a matrix is computed once and the
+    cache lives exactly as long as the matrix."""
+
+    @functools.wraps(fn)
+    def wrapper(M, *args):
+        memo = M.__dict__.setdefault("_memo", {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(M, *args)
+        return memo[key]
+
+    return wrapper
+
+
+@_memo_on_matrix
 def mu_of(M: IntegerSymmetricMatrix) -> int:
     """Corank of M over F_2 plus one; equals the link's component count."""
     if not M.has_even_diagonal():
@@ -85,18 +101,18 @@ def mu_of(M: IntegerSymmetricMatrix) -> int:
     return corank_mod_p(M.entries, 2) + 1
 
 
-def _delta_from_block(n: int, mu: int, d_p: int, detN: int, p: int, oddity8: int = 0) -> int:
+def _delta_from_block(n: int, mu: int, d_p: int, cls: int, p: int, oddity8: int = 0) -> int:
+    """delta_p from the corank d_p and the Legendre class cls of the unit
+    block's determinant: cls * (-1|p)^e with e = d_p + (n + mu - 1 - o)/2."""
     e2 = n + mu - 1 - oddity8
     if e2 % 2 != 0:
         raise ValueError("exponent (n + mu - 1 - o)/2 is not an integer")
-    e = d_p + e2 // 2
-    sign = -1 if e % 2 else 1
-    val = legendre(sign * detN, p)
-    if val == 0:
+    if cls == 0:
         raise AssertionError("unit block determinant divisible by p")
-    return val
+    return cls * legendre(-1, p) ** ((d_p + e2 // 2) % 2)
 
 
+@_memo_on_matrix
 def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int]:
     """(d_p, Legendre class of the unit block's determinant) over F_p only.
 
@@ -157,16 +173,18 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
         raise ValueError(f"p = {p} is not an odd prime")
     if rng is None:
         d, cls = _unit_block_class_mod_p(M, p)
-        e2 = M.n + mu_of(M) - 1
-        e = d + e2 // 2
-        return cls * legendre(-1, p) ** (e % 2)
-    _, N, d = mod_p_block_reduce(M, p, rng=rng)
-    return _delta_from_block(M.n, mu_of(M), d, det_exact(N.entries), p)
+    else:
+        _, N, d = mod_p_block_reduce(M, p, rng=rng)
+        cls = legendre(det_exact(N.entries), p)
+    return _delta_from_block(M.n, mu_of(M), d, cls, p)
 
 
 def d_p_of(M: IntegerSymmetricMatrix, p: int) -> int:
-    """Corank of M over F_p (the F_p-dimension of the relevant homology)."""
-    return corank_mod_p(M.entries, p)
+    """Corank of M over F_p at an odd prime p (the F_p-dimension of the
+    relevant homology), read from the elimination that delta_p runs."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
+    return _unit_block_class_mod_p(M, p)[0]
 
 
 def characteristic_vector(R: IntegerSymmetricMatrix) -> list[int]:
@@ -222,7 +240,7 @@ def delta_p_gl(S: SpanningSurfaceData, p: int) -> int:
     """
     R = S.R
     _, N, d = mod_p_block_reduce(R, p)
-    return _delta_from_block(R.n, S.mu, d, det_exact(N.entries), p, oddity8=oddity(R))
+    return _delta_from_block(R.n, S.mu, d, legendre(det_exact(N.entries), p), p, oddity8=oddity(R))
 
 
 def gl_stabilize(S: SpanningSurfaceData, block: int) -> SpanningSurfaceData:

@@ -62,3 +62,9 @@ def test_cli_verify_names_a_missing_corpus_entry(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(ENV_CORPUS, str(tmp_path))
     (tmp_path / "only.txt").write_text("name: only\npd: O\n")
     assert "'example_d17'" in one_line_error(capsys, "verify", "examples", "--corpus", str(tmp_path))
+
+
+def test_cli_corpus_option_leaves_the_environment_unchanged(tmp_path, capsys):
+    before = dict(os.environ)
+    one_line_error(capsys, "verify", "examples", "--corpus", str(tmp_path))
+    assert dict(os.environ) == before
