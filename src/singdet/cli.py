@@ -24,16 +24,12 @@ import sys
 import time
 
 from . import corpus as corpus_mod
-from .corpus import CorpusEntry, load_corpus, parse_entry
+from .corpus import CorpusEntry, corpus_knots, load_corpus, parse_entry
 from .diagrams import jones_via_bracket, q_via_skein, seifert_matrix_from_diagram
 from .evaluate import (
     HALFPOWER,
-    Cyclo24,
     alexander_poly,
-    jones_at_zeta6_knot,
-    jones_special_values,
     jones_zeta6_closed_form,
-    jones_zeta6_via_delta3,
     q_at_golden_link,
     q_golden_closed_form,
 )
@@ -41,12 +37,13 @@ from .exactlinalg import (
     IntegerSymmetricMatrix,
     RationalSymmetricMatrix,
     det_exact,
+    det_of,
     jacobi_minor_identity,
     parse_matrix,
     random_unimodular,
     smith_cokernel,
 )
-from .linkform import LinkingFormPresentation, b_total, delta_from_wall, wall_decompose
+from .linkform import delta_from_wall, wall_of
 from .numtheory import is_prime
 from .obstruct import (
     improved_bound,
@@ -54,13 +51,7 @@ from .obstruct import (
     signed_obstruction,
     stoimenow_check,
 )
-from .seifert import (
-    SeifertData,
-    classical_invariants,
-    delta_p,
-    mu_of,
-    stabilize,
-)
+from .seifert import SeifertData, d_p_of, delta_p, mu_of, signature, stabilize
 
 DEFAULT_PRIMES = [3, 5, 7, 11, 13]
 
@@ -86,6 +77,15 @@ def _matrix_from_diagram(d) -> IntegerSymmetricMatrix | None:
     return seifert_matrix_from_diagram(d).M
 
 
+def _presentation(entry: CorpusEntry) -> IntegerSymmetricMatrix | None:
+    """The matrix the per-prime layer reads: the entry's own matrix or
+    symmetrized Seifert matrix, else one derived from its diagram."""
+    M = entry.symmetrized
+    if M is None and entry.diagram is not None:
+        M = _matrix_from_diagram(entry.diagram)
+    return M
+
+
 def _emit(pairs, fmt: str):
     if fmt == "machine":
         for k, v in pairs:
@@ -99,7 +99,6 @@ def _emit(pairs, fmt: str):
 def cmd_invariants(args) -> int:
     entry = _load_input(args.path)
     pairs = [("input", entry.name)]
-    M = entry.symmetrized
     if entry.diagram is not None:
         d = entry.diagram
         pairs.append(("components", d.component_count))
@@ -114,28 +113,23 @@ def cmd_invariants(args) -> int:
             q = q_via_skein(d, budget=args.q_budget)
             pairs.append(("q_poly", q.to_str("z")))
             pairs.append(("Q(golden)", q.eval_golden_reciprocal()))
-        if M is None:
-            M = _matrix_from_diagram(d)
+    M = _presentation(entry)
     if M is not None:
-        primes = args.primes
         if entry.seifert is not None:
             pairs.append(("alexander", alexander_poly(entry.seifert)))
-        det = abs(det_exact(M.entries))
+        det = abs(det_of(M))
         pairs.append(("det", det))
-        from .seifert import signature, d_p_of
-
         pairs.append(("signature", signature(M)))
         pairs.append(("mu", mu_of(M)))
-        for p in primes:
+        for p in args.primes:
             pairs.append((f"d_{p}", d_p_of(M, p)))
             pairs.append((f"delta_{p}", f"{delta_p(M, p):+d}"))
         if det % 2 != 0:
-            w = wall_decompose(LinkingFormPresentation(M))
+            w = wall_of(M)
             pairs.append(("wall", "; ".join(f"{p} {k} {t}" for p, k, t in w.summands) or "trivial"))
             # mu = 1 (a knot) means M is invertible mod 2, so det is odd
             if mu_of(M) == 1:
-                pairs.append(("V(zeta6)[closed form]",
-                              jones_at_zeta6_knot(det, d_p_of(M, 3), b_total(w, 3))))
+                pairs.append(("V(zeta6)[closed form]", jones_zeta6_closed_form(M)))
         pairs.append(("Q(golden)[delta_5 route]", q_at_golden_link(M)))
     _emit(pairs, args.format)
     return 0
@@ -143,12 +137,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_obstruct(args) -> int:
     entry = _load_input(args.path)
-    M = entry.symmetrized
+    M = _presentation(entry)
     if M is None:
-        if entry.diagram is None:
-            print("no matrix data", file=sys.stderr)
-            return 2
-        M = _matrix_from_diagram(entry.diagram)
+        raise ValueError("no matrix data: the diagram is split")
     pairs = [("input", entry.name)]
     primes = [args.prime] if args.prime else args.primes
     for p in primes:
@@ -170,7 +161,7 @@ def cmd_obstruct(args) -> int:
         pairs.append(("lickorish", f"admissible zeta: {zs}"))
         # Stoimenow needs 5 | det and cyclic H_1, i.e. d_p <= 1 at every p | det
         if 5 in rep.per_prime and all(dp <= 1 for dp, _, _ in rep.per_prime.values()):
-            srep = stoimenow_check(M)
+            srep = stoimenow_check(M, rep)
             pairs.append(("stoimenow", srep.text()))
     _emit(pairs, args.format)
     return 0
@@ -190,8 +181,6 @@ def _suite_examples(report) -> bool:
         return c[name]
 
     m777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
-    from .seifert import d_p_of
-
     ok &= report("d_7(P(7,-7,7)) == 2", d_p_of(m777, 7) == 2)
     ok &= report("delta_7(P(7,-7,7)) == -1 (erratum: stated +1)", delta_p(m777, 7) == -1)
     m17 = entry("example_d17").matrix
@@ -206,8 +195,9 @@ def _suite_examples(report) -> bool:
     ok &= report("delta_5 == -1", delta_p(m195, 5) == -1)
     ok &= report("delta_13 == +1", delta_p(m195, 13) == 1)
     ok &= report("Q(golden) == -sqrt5", str(q_at_golden_link(m195)) == "-sqrt5")
-    ok &= report("no admissible Lickorish generator", lickorish_check(m195).admissible_zeta == ())
-    ok &= report("Stoimenow counterexample", not stoimenow_check(m195).agrees)
+    rep = lickorish_check(m195)
+    ok &= report("no admissible Lickorish generator", rep.admissible_zeta == ())
+    ok &= report("Stoimenow counterexample", not stoimenow_check(m195, rep).agrees)
     for name, vm1, vz6 in (("hopf_plus", "-2*i", "-i"), ("hopf_minus", "2*i", "i")):
         v = jones_via_bracket(entry(name).diagram)
         ok &= report(f"V_{name}(-1) == {vm1}", str(v.eval_root_of_unity(HALFPOWER["-1"])) == vm1)
@@ -281,8 +271,6 @@ def _suite_invariance(report, seed: int, count: int = 1000) -> bool:
 
 
 def _suite_endtoend(report, seed: int = 0) -> bool:
-    from .corpus import corpus_knots
-
     ok = True
     for name, e in sorted(corpus_knots(9).items()):
         d = e.diagram

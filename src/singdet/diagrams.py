@@ -30,6 +30,40 @@ class DiagramError(ValueError):
     pass
 
 
+def _arc_ends(crossings):
+    """(occ, partner): occ maps each arc label to its ends (crossing, slot)
+    in crossing order; partner maps an end to the other end of its arc."""
+    occ: dict[int, list[End]] = {}
+    for ci, tup in enumerate(crossings):
+        for s, lab in enumerate(tup):
+            occ.setdefault(lab, []).append((ci, s))
+
+    def partner(e: End) -> End:
+        a, b = occ[crossings[e[0]][e[1]]]
+        return b if e == a else a
+
+    return occ, partner
+
+
+def _piece_count(n: int, groups) -> int:
+    """Connected pieces of a 4-valent map on n crossings, from groups of ends
+    (crossing, slot) that each lie in one piece and that together join every
+    arc's two ends: the arcs' end pairs, or the faces' darts."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in groups:
+        root = find(group[0][0])
+        for ci, _ in group[1:]:
+            parent[find(ci)] = root
+    return len({find(ci) for ci in range(n)})
+
+
 @dataclass(frozen=True)
 class LinkDiagram:
     """A validated oriented link diagram."""
@@ -38,24 +72,19 @@ class LinkDiagram:
     free_loops: int = 0
 
     def __post_init__(self):
-        occ: dict[int, list[End]] = {}
         for ci, tup in enumerate(self.crossings):
             if len(tup) != 4:
                 raise DiagramError(f"crossing {ci} is not a 4-tuple")
-            for s, lab in enumerate(tup):
-                occ.setdefault(lab, []).append((ci, s))
+        occ, partner = _arc_ends(self.crossings)
         for lab, ends in occ.items():
             if len(ends) != 2:
                 raise DiagramError(f"arc {lab} appears {len(ends)} times, expected 2")
         object.__setattr__(self, "_occ", occ)
+        object.__setattr__(self, "_partner", partner)
         object.__setattr__(self, "_is_in", self._orient())
         object.__setattr__(self, "_components", self._trace_components())
 
     # -- construction helpers ------------------------------------------------
-
-    def _partner(self, e: End) -> End:
-        a, b = self._occ[self.crossings[e[0]][e[1]]]
-        return b if e == a else a
 
     def _orient(self) -> dict[End, bool]:
         is_in: dict[End, bool] = {}
@@ -144,20 +173,7 @@ class LinkDiagram:
     def is_connected(self) -> bool:
         if self.free_loops:
             return self.n == 0 and self.free_loops == 1
-        if self.n == 0:
-            return True
-        parent = {ci: ci for ci in range(self.n)}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ends in self._occ.values():
-            a, b = find(ends[0][0]), find(ends[1][0])
-            parent[a] = b
-        return len({find(ci) for ci in range(self.n)}) == 1
+        return self.n == 0 or _piece_count(self.n, self._occ.values()) == 1
 
     def is_proper(self) -> bool:
         """Every component has even total linking with the rest."""
@@ -193,7 +209,10 @@ def parse_pd(text: str) -> LinkDiagram:
         raise DiagramError(f"unparsed PD tokens: {rest.strip()!r}")
     if not tuples and not free:
         raise DiagramError("empty diagram")
-    return LinkDiagram(tuple(tuples), free)
+    d = LinkDiagram(tuple(tuples), free)
+    if not euler_ok(d.crossings):
+        raise DiagramError("PD code is not planar: V - E + F != 2 on some connected piece")
+    return d
 
 
 def make_crossing(under_in: int, under_out: int, over_in: int, over_out: int, sign: int):
@@ -213,24 +232,17 @@ def face_orbits(crossings) -> list[list[End]]:
     The orbit of dart (ci, s) walks the face containing the corner between
     slots s and s+1 of crossing ci.
     """
-    occ: dict[int, list[End]] = {}
-    for ci, tup in enumerate(crossings):
-        for s, lab in enumerate(tup):
-            occ.setdefault(lab, []).append((ci, s))
-
-    def partner(e: End) -> End:
-        a, b = occ[crossings[e[0]][e[1]]]
-        return b if e == a else a
-
-    darts = {(ci, s) for ci in range(len(crossings)) for s in range(4)}
+    partner = _arc_ends(crossings)[1]
+    seen: set[End] = set()
     faces = []
-    while darts:
-        start = min(darts)
+    for start in ((ci, s) for ci in range(len(crossings)) for s in range(4)):
+        if start in seen:  # faces come out in the order of their least dart
+            continue
         orbit = []
         e = start
         while True:
             orbit.append(e)
-            darts.discard(e)
+            seen.add(e)
             ci, s = e
             e = partner((ci, (s + 1) % 4))
             if e == start:
@@ -240,12 +252,15 @@ def face_orbits(crossings) -> list[list[End]]:
 
 
 def euler_ok(crossings) -> bool:
-    """V - E + F == 2 per connected planar component... for our use the
-    diagrams are connected, so exactly 2."""
+    """V - E + F == 2 on every connected piece of the 4-valent map (E = 2V),
+    that is, the code describes a planar diagram.  Each piece has
+    V - E + F <= 2, so the sum over the pieces decides it.  Consecutive darts
+    of a face are the two ends of an arc, so the faces also give the pieces."""
     n = len(crossings)
     if n == 0:
         return True
-    return n - 2 * n + len(face_orbits(crossings)) == 2
+    faces = face_orbits(crossings)
+    return n - 2 * n + len(faces) == 2 * _piece_count(n, faces)
 
 
 # ------------------------------------------------------------------- bracket
@@ -624,15 +639,19 @@ def checkerboard_colors(d: LinkDiagram) -> dict[End, int]:
 
 
 def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
-    """Goeritz matrix of the checkerboard surface of the given shade.
+    """Goeritz matrix of the checkerboard surface of the given shade, as a
+    presentation that drops in wherever a symmetrized Seifert matrix does.
 
     The matrix is indexed by the shaded faces minus one dropped face; the
     crossing sign eta is +1 when the shaded quadrant pair is the one split
     off by rotating the under strand onto the over strand counterclockwise
     (slots (0,2) of the PD tuple), -1 for the other pair.  The convention is
-    pinned by the singular-determinant agreement with the Seifert route,
-    which the tests check for both shades.  mu is the component count
-    correction: link components minus surface components plus one.
+    pinned by agreement with the Seifert route (delta_p, signature, Wall
+    summands and the CLI output), which the tests check for both shades.
+    mu is the link's component count (the surface of a connected diagram is
+    connected, as its Tait graph is).  The Gordon-Litherland correction e
+    is the sum of eta over the crossings whose eta equals their sign, so
+    that the signature is sign(R) - e.
     """
     if not d.is_connected():
         raise DiagramError("diagram must be connected")
@@ -640,18 +659,11 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
         raise DiagramError("need at least one crossing for a Goeritz matrix")
     colors = checkerboard_colors(d)
     fq = _face_of_quadrant(d.crossings)
-    shaded = sorted({fq[e] for e in fq if colors[e] == shade})
+    shaded = sorted({fq[q] for q in fq if colors[q] == shade})
     findex = {f: i for i, f in enumerate(shaded)}
     m = len(shaded)
     full = [[0] * m for _ in range(m)]
-    surf_parent = {f: f for f in shaded}
-
-    def sfind(x):
-        while surf_parent[x] != x:
-            surf_parent[x] = surf_parent[surf_parent[x]]
-            x = surf_parent[x]
-        return x
-
+    e = 0
     for ci in range(d.n):
         if colors[(ci, 0)] == shade:
             quads = ((ci, 0), (ci, 2))
@@ -659,21 +671,18 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
         else:
             quads = ((ci, 1), (ci, 3))
             eta = -1
-        f1, f2 = fq[quads[0]], fq[quads[1]]
-        surf_parent[sfind(f1)] = sfind(f2)
-        i, j = findex[f1], findex[f2]
+        if eta == d.sign(ci):
+            e += eta
+        i, j = findex[fq[quads[0]]], findex[fq[quads[1]]]
         if i != j:
             full[i][j] -= eta
             full[j][i] -= eta
             full[i][i] += eta
             full[j][j] += eta
         # a crossing joining a shaded face to itself contributes nothing
-    comps = len({sfind(f) for f in shaded})
-    mu = d.component_count - comps + 1
-    drop = 0
-    keep = [i for i in range(m) if i != drop]
-    R = IntegerSymmetricMatrix([[full[i][j] for j in keep] for i in keep])
-    return SpanningSurfaceData(R, mu)
+    # drop the first shaded face's row and column
+    R = IntegerSymmetricMatrix([row[1:] for row in full[1:]])
+    return SpanningSurfaceData(R, d.component_count, e)
 
 
 # ------------------------------------------------------------------ Q by skein
@@ -730,14 +739,7 @@ class _ShadowWalker:
 
     def __init__(self, crossings):
         self.crossings = crossings
-        self.occ: dict[int, list[End]] = {}
-        for ci, t in enumerate(crossings):
-            for s, lab in enumerate(t):
-                self.occ.setdefault(lab, []).append((ci, s))
-
-    def partner(self, e: End) -> End:
-        a, b = self.occ[self.crossings[e[0]][e[1]]]
-        return b if e == a else a
+        self.occ, self.partner = _arc_ends(crossings)
 
     def _walk_from(self, arc: int, entry: End):
         """Events (crossing, entry slot) walking from one end of the arc."""
@@ -759,16 +761,20 @@ class _ShadowWalker:
 
     def components(self):
         """Components as lists of (crossing, entry slot) events, in the
-        direction giving the lexicographically smaller arc sequence."""
+        direction giving the lexicographically smaller arc sequence.
+
+        One walk per component: walking from the arc's other end meets the
+        same arcs in reverse after the first, and enters each crossing on
+        the opposite slot, two away.
+        """
         comps = []
         seen: set[int] = set()
         for start in sorted(self.occ):
             if start in seen:
                 continue
-            e1, e2 = self.occ[start]
-            ev1, arcs1 = self._walk_from(start, e1)
-            ev2, arcs2 = self._walk_from(start, e2)
-            events, arcs = (ev1, arcs1) if arcs1 <= arcs2 else (ev2, arcs2)
+            events, arcs = self._walk_from(start, self.occ[start][0])
+            if arcs[:0:-1] < arcs[1:]:
+                events = [(ci, (s + 2) % 4) for ci, s in reversed(events)]
             seen.update(arcs)
             comps.append(events)
         return comps
@@ -852,17 +858,10 @@ def normalize_pd(tuples: list[tuple[int, int, int, int]]) -> LinkDiagram:
     deterministically), then each tuple is rotated by two if slot 0 came out
     as the outgoing under end.
     """
-    occ: dict[int, list[End]] = {}
-    for ci, t in enumerate(tuples):
-        for s, lab in enumerate(t):
-            occ.setdefault(lab, []).append((ci, s))
+    occ, partner = _arc_ends(tuples)
     for lab, ends in occ.items():
         if len(ends) != 2:
             raise DiagramError(f"arc {lab} appears {len(ends)} times")
-
-    def partner(e: End) -> End:
-        a, b = occ[tuples[e[0]][e[1]]]
-        return b if e == a else a
 
     is_in: dict[End, bool] = {}
     all_ends = [(ci, s) for ci in range(len(tuples)) for s in range(4)]
@@ -983,10 +982,16 @@ def reverse_component(d: LinkDiagram, comp_index: int) -> LinkDiagram:
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
-    """Mirror image: every crossing switched (tuple rotated by one)."""
+    """Mirror image: every crossing switched, orientations kept.
+
+    The tuple rotates so that slot 0 is again the incoming under end: the
+    new under strand is the old over strand, which enters at slot 1 of a
+    negative crossing and at slot 3 of a positive one.  So a negative
+    (a, b, c, d) becomes (b, c, d, a), a positive one (d, a, b, c).
+    """
     out = []
-    for a, b, c, cc in d.crossings:
-        out.append((b, c, cc, a))
+    for ci, (a, b, c, cc) in enumerate(d.crossings):
+        out.append((b, c, cc, a) if d.sign(ci) == -1 else (cc, a, b, c))
     return LinkDiagram(tuple(out), d.free_loops)
 
 

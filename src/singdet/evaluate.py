@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import IntegerSymmetricMatrix, det_exact, minor, transpose
-from .linkform import LinkingFormPresentation, r_total, wall_decompose
+from .exactlinalg import IntegerSymmetricMatrix, det_exact, det_of, minor, transpose
+from .linkform import b_total, wall_of
 from .numtheory import legendre, nu, p_part
-from .seifert import SeifertData, LinkInvariantBundle, d_p_of, delta_p
+from .seifert import SeifertData, LinkInvariantBundle, d_p_of, delta_p, mu_of
 
 # zeta^8 = zeta^4 - 1; powers of zeta as coordinate vectors
 _DIM = 8
@@ -410,21 +410,12 @@ def jones_at_zeta6_knot(det: int, dim_f3: int, wall_parity: int) -> Cyclo24:
 
 def jones_zeta6_closed_form(M: IntegerSymmetricMatrix) -> Cyclo24:
     """Knot route: determinant, F_3-dimension and Wall parities from M."""
-    from .linkform import b_total
-
-    det = abs(det_exact(M.entries))
-    d3 = d_p_of(M, 3)
-    b3 = b_total(wall_decompose(LinkingFormPresentation(M)), 3)
-    return jones_at_zeta6_knot(det, d3, b3)
+    return jones_at_zeta6_knot(abs(det_of(M)), d_p_of(M, 3), b_total(wall_of(M), 3))
 
 
-def jones_zeta6_via_delta3(M: IntegerSymmetricMatrix, c: int | None = None) -> Cyclo24:
-    """Link route: delta_3 * i^(c-1) * (i*sqrt3)^(d_3)."""
-    from .seifert import mu_of
-
-    cc = mu_of(M) if c is None else c
-    d3 = d_p_of(M, 3)
-    return Cyclo24.i_pow(cc - 1) * Cyclo24.i_sqrt3() ** d3 * delta_p(M, 3)
+def jones_zeta6_via_delta3(M: IntegerSymmetricMatrix) -> Cyclo24:
+    """Link route: delta_3 * i^(c-1) * (i*sqrt3)^(d_3) with c = mu_of(M)."""
+    return Cyclo24.i_pow(mu_of(M) - 1) * Cyclo24.i_sqrt3() ** d_p_of(M, 3) * delta_p(M, 3)
 
 
 def jones_special_values(
@@ -465,12 +456,7 @@ def q_at_golden(det: int, d5: int, wall_parity: int) -> Root5:
 
 def q_golden_closed_form(M: IntegerSymmetricMatrix) -> Root5:
     """Knot route via the Wall invariants at p = 5."""
-    from .linkform import b_total
-
-    det = abs(det_exact(M.entries))
-    d5 = d_p_of(M, 5)
-    b5 = b_total(wall_decompose(LinkingFormPresentation(M)), 5)
-    return q_at_golden(det, d5, b5)
+    return q_at_golden(abs(det_of(M)), d_p_of(M, 5), b_total(wall_of(M), 5))
 
 
 def q_at_golden_link(M: IntegerSymmetricMatrix) -> Root5:

@@ -11,6 +11,7 @@ Fraction); there is no floating point anywhere in this package's math.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -200,6 +201,28 @@ def det_exact(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _memo_on_matrix(fn):
+    """Cache fn(M, *args) in the instance dict of M, keyed by the function's
+    name and args, so that each fact about a matrix is computed once and the
+    cache lives exactly as long as the matrix."""
+
+    @functools.wraps(fn)
+    def wrapper(M, *args):
+        memo = M.__dict__.setdefault("_memo", {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(M, *args)
+        return memo[key]
+
+    return wrapper
+
+
+@_memo_on_matrix
+def det_of(M: IntegerSymmetricMatrix) -> int:
+    """det M, computed once per matrix object."""
+    return det_exact(M.entries)
 
 
 def det_q(rows) -> Fraction:

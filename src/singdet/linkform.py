@@ -10,33 +10,31 @@ A+A = B+B, so the mod-2 counts r_{p,k} of A-summands classify the form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import (
     IntegerSymmetricMatrix,
+    _memo_on_matrix,
+    corank_mod_p,
     det_exact,
+    det_of,
     mat_inverse_q,
     mat_vec,
     padic_jordan,
 )
-from .numtheory import legendre, ord_int, prime_factors
+from .numtheory import legendre, ord_int, p_part, prime_factors
 
 
 @dataclass(frozen=True)
 class LinkingFormPresentation:
+    """The form a symmetrized Seifert or Goeritz matrix M presents."""
+
     M: IntegerSymmetricMatrix
-    det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        det = det_exact(self.M.entries)
-        if det == 0:
+        if det_of(self.M) == 0:
             raise ValueError("presentation matrix must be nonsingular")
-        object.__setattr__(self, "det", det)
-
-    @property
-    def n(self) -> int:
-        return self.M.n
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class WallDecomposition:
 
 def eval_form(pres: LinkingFormPresentation, x: list[int], y: list[int]) -> Fraction:
     """lambda([x],[y]) = x^t M^{-1} y as an exact rational reduced into [0, 1)."""
-    n = pres.n
+    n = pres.M.n
     if len(x) != n or len(y) != n:
         raise ValueError("vector size mismatch")
     inv = mat_inverse_q(pres.M.entries)
@@ -104,13 +102,19 @@ def wall_decompose(pres: LinkingFormPresentation) -> WallDecomposition:
     never read, so this route shares nothing with the mod-p unit block of
     the definition route.
     """
-    det = pres.det
+    det = det_of(pres.M)
     if det % 2 == 0:
         raise ValueError("only odd-order forms are classified here")
     summands = []
     for p in prime_factors(det):
         summands += _summands_at(pres.M, p, ord_int(det, p))
     return WallDecomposition(summands)
+
+
+@_memo_on_matrix
+def wall_of(M: IntegerSymmetricMatrix) -> WallDecomposition:
+    """wall_decompose of the form M presents, computed once per matrix."""
+    return wall_decompose(LinkingFormPresentation(M))
 
 
 def r_pk(W: WallDecomposition, p: int, k: int) -> int:
@@ -147,9 +151,6 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
     linking-form decomposition at p alone, independently of the mod-p
     reduction used by the definition route.
     """
-    from .numtheory import p_part
-    from .exactlinalg import corank_mod_p
-
     det = det_exact(M.entries)
     if det == 0 or det % 2 == 0:
         raise ValueError("requires odd nonzero determinant")

@@ -178,8 +178,18 @@ def is_qr_mod(a: int, q: int) -> bool:
     return True
 
 
+# Largest trial divisor of prime_factors: every |n| < TRIAL_DIVISION_LIMIT**2
+# factors exactly, and no call runs more than about half a million divisions.
+TRIAL_DIVISION_LIMIT = 10**6
+
+
 def prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime factors of |n|, n != 0."""
+    """Sorted distinct prime factors of |n|, n != 0.
+
+    Trial division stops at TRIAL_DIVISION_LIMIT; a cofactor left above its
+    square may be composite, and then ValueError names n.
+    """
+    orig = n
     n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -191,6 +201,9 @@ def prime_factors(n: int) -> list[int]:
                 n //= p
     f = 5
     while f <= isqrt(n):
+        if f > TRIAL_DIVISION_LIMIT:
+            raise ValueError(f"cannot factor {orig}: cofactor {n} has no prime factor "
+                             f"up to {TRIAL_DIVISION_LIMIT} and may be composite")
         if n % f == 0:
             out.append(f)
             while n % f == 0:

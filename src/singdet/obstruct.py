@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .evaluate import Cyclo24, Root5, q_at_golden_link
-from .exactlinalg import IntegerSymmetricMatrix, cyclic_generator, det_exact
+from .exactlinalg import IntegerSymmetricMatrix, cyclic_generator, det_of
 from .linkform import LinkingFormPresentation, eval_form
 from .numtheory import prime_factors
 from .seifert import d_p_of, delta_p, mu_of
@@ -124,7 +124,7 @@ def improved_bound(M: IntegerSymmetricMatrix, p: int) -> int:
 
 def _generator_form_value(M: IntegerSymmetricMatrix) -> tuple[int, int]:
     """(a, det) with lambda(h', h') = a/det for a fixed generator h'."""
-    det = abs(det_exact(M.entries))
+    det = abs(det_of(M))
     h = cyclic_generator(M.entries)
     pres = LinkingFormPresentation(M)
     val = eval_form(pres, h, h)
@@ -142,7 +142,7 @@ def lickorish_generator_search(M: IntegerSymmetricMatrix, targets: list[Fraction
     compare lickorish_check and stoimenow_check against (Prop. 3.6); the CLI
     never runs it.
     """
-    det = abs(det_exact(M.entries))
+    det = abs(det_of(M))
     if det > GENERATOR_SEARCH_CUTOFF:
         raise ValueError(f"determinant {det} exceeds search cutoff")
     a, det = _generator_form_value(M)
@@ -167,7 +167,7 @@ def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
     """
     if mu_of(M) != 1:
         raise ValueError("defined for knots only (mu = 1)")
-    det = det_exact(M.entries)
+    det = det_of(M)
     if det == 0:
         raise ValueError("knot determinant cannot vanish")
     per = {}
@@ -184,14 +184,14 @@ def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
 def lickorish_direct(M: IntegerSymmetricMatrix, zeta: int) -> bool:
     """Condition (i) verbatim: a generator h with
     lambda(h,h) = 2*zeta*(-1)^((det-1)/2)/det, found by exhaustive search."""
-    det = abs(det_exact(M.entries))
+    det = abs(det_of(M))
     if det == 1:
         return True
     target = Fraction(2 * zeta * (-1) ** (((det - 1) // 2) % 2), det)
     return lickorish_generator_search(M, [target])
 
 
-def stoimenow_check(M: IntegerSymmetricMatrix) -> StoimenowReport:
+def stoimenow_check(M: IntegerSymmetricMatrix, rep: LickorishReport | None = None) -> StoimenowReport:
     """Compare the Q value at the golden reciprocal with the conjectured rule
     "-sqrt5 iff some h has lambda(h,h) = +-2/det" on cyclic odd H_1 with
     5 | det.
@@ -200,9 +200,11 @@ def stoimenow_check(M: IntegerSymmetricMatrix) -> StoimenowReport:
     targets 2*zeta*(-1)^((det-1)/2)/det are exactly +-2/det, so some h
     attains one iff lickorish_check admits some zeta.  H_1 is cyclic iff
     d_p <= 1 at every prime p | det (an odd det has d_2 = 0).  An even det
-    means mu > 1, which lickorish_check rejects with ValueError.
+    means mu > 1, which lickorish_check rejects with ValueError.  rep is
+    lickorish_check(M) when the caller has it already.
     """
-    rep = lickorish_check(M)
+    if rep is None:
+        rep = lickorish_check(M)
     if 5 not in rep.per_prime:
         raise ValueError("requires determinant divisible by 5")
     if any(dp > 1 for dp, _, _ in rep.per_prime.values()):

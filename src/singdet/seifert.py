@@ -3,19 +3,21 @@
 A symmetrized Seifert matrix M = A + A^t is symmetric with even diagonal;
 delta_p(M) is the Legendre class of the nondegenerate block of M mod p with
 a parity correction, invariant under unimodular congruence and hyperbolic
-stabilization, hence a link invariant.  The spanning-surface variant works
-for matrices with odd diagonal entries via the oddity correction.
+stabilization, hence a link invariant.  A spanning-surface presentation
+(`SpanningSurfaceData`, for example a Goeritz matrix) may have odd diagonal
+entries; it carries its component count and Gordon-Litherland correction,
+and every per-prime function here takes it in place of M.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import (
     IntegerSymmetricMatrix,
+    _memo_on_matrix,
     corank_mod_p,
     det_exact,
     mod_p_block_reduce,
@@ -52,19 +54,30 @@ class SeifertData:
 
 
 @dataclass(frozen=True)
-class SpanningSurfaceData:
-    """Gordon-Litherland style data: symmetric matrix R plus the surface count mu.
-
-    mu cannot be inferred from R alone (it depends on how many components the
-    spanning surface has), so the caller supplies it.
+class SpanningSurfaceData(IntegerSymmetricMatrix):
+    """A spanning surface's form R (the object itself; `.R` names it), which
+    presents the double branched cover's linking pairing but may have odd
+    diagonal entries, with what R alone does not determine: the link's
+    component count mu and the Gordon-Litherland correction e.  The
+    signature is sign(R) - e, and e mod 8 enters delta_p.  A symmetrized
+    Seifert matrix M is the case mu = mu_of(M), e = 0; the per-prime
+    functions take either.  Built by hand, e defaults to oddity(R), which is
+    exact only for odd det R; `goeritz_from_diagram` gives the exact e.
     """
 
-    R: IntegerSymmetricMatrix
     mu: int
+    e: int
 
-    def __post_init__(self):
-        if self.mu < 1:
+    def __init__(self, R: IntegerSymmetricMatrix, mu: int, e: int | None = None):
+        super().__init__(R.entries)
+        if mu < 1:
             raise ValueError("mu must be >= 1")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "e", oddity(self) if e is None else e)
+
+    @property
+    def R(self) -> "SpanningSurfaceData":
+        return self
 
 
 @dataclass(frozen=True)
@@ -77,39 +90,20 @@ class LinkInvariantBundle:
     arf_sign: int | None
 
 
-def _memo_on_matrix(fn):
-    """Cache fn(M, *args) in the instance dict of M, keyed by the function's
-    name and args, so that each fact about a matrix is computed once and the
-    cache lives exactly as long as the matrix."""
-
-    @functools.wraps(fn)
-    def wrapper(M, *args):
-        memo = M.__dict__.setdefault("_memo", {})
-        key = (fn.__name__, *args)
-        if key not in memo:
-            memo[key] = fn(M, *args)
-        return memo[key]
-
-    return wrapper
-
-
 @_memo_on_matrix
 def mu_of(M: IntegerSymmetricMatrix) -> int:
-    """Corank of M over F_2 plus one; equals the link's component count."""
+    """The link's component count: carried by a spanning-surface
+    presentation, else the corank of the even-diagonal M over F_2 plus one."""
+    if isinstance(M, SpanningSurfaceData):
+        return M.mu
     if not M.has_even_diagonal():
         raise ValueError("matrix must have even diagonal entries")
     return corank_mod_p(M.entries, 2) + 1
 
 
-def _delta_from_block(n: int, mu: int, d_p: int, cls: int, p: int, oddity8: int = 0) -> int:
-    """delta_p from the corank d_p and the Legendre class cls of the unit
-    block's determinant: cls * (-1|p)^e with e = d_p + (n + mu - 1 - o)/2."""
-    e2 = n + mu - 1 - oddity8
-    if e2 % 2 != 0:
-        raise ValueError("exponent (n + mu - 1 - o)/2 is not an integer")
-    if cls == 0:
-        raise AssertionError("unit block determinant divisible by p")
-    return cls * legendre(-1, p) ** ((d_p + e2 // 2) % 2)
+def _correction(M: IntegerSymmetricMatrix) -> int:
+    """The Gordon-Litherland correction e; 0 for a symmetrized Seifert matrix."""
+    return M.e if isinstance(M, SpanningSurfaceData) else 0
 
 
 @_memo_on_matrix
@@ -118,7 +112,8 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
 
     Symmetric elimination carried out entirely mod p; equivalent to the
     integer-lifted reduction but immune to coefficient growth, which matters
-    for the large matrices produced by diagram untangling.
+    for the large matrices produced by diagram untangling.  Valid for odd
+    diagonal entries too, since p is odd.
     """
     n = M.n
     w = [[x % p for x in row] for row in M.entries]
@@ -159,16 +154,16 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
 
 
 def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None) -> int:
-    """Singular determinant of an even-diagonal symmetric matrix at odd prime p.
+    """Singular determinant at an odd prime p of an even-diagonal symmetric
+    M or of a spanning-surface presentation.
 
     Independent of the reduction path; unchanged by unimodular congruence
     and by hyperbolic stabilization.  Defined for singular M as well.
     The default path works over F_p; passing an rng exercises the
-    integer-lifted reduction with randomized pivots instead (used by the
-    path-independence suites).
+    integer-lifted reduction with randomized pivots instead (the
+    path-independence oracle, and the only caller of mod_p_block_reduce).
     """
-    if not M.has_even_diagonal():
-        raise ValueError("matrix must have even diagonal entries")
+    mu = mu_of(M)  # rejects an odd diagonal without a carried correction
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
     if rng is None:
@@ -176,7 +171,13 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
     else:
         _, N, d = mod_p_block_reduce(M, p, rng=rng)
         cls = legendre(det_exact(N.entries), p)
-    return _delta_from_block(M.n, mu_of(M), d, cls, p)
+    # cls, the unit block's Legendre class, times (-1|p)^(d + (n + mu - 1 - e)/2)
+    e2 = M.n + mu - 1 - _correction(M)
+    if e2 % 2 != 0:
+        raise ValueError("exponent (n + mu - 1 - e)/2 is not an integer")
+    if cls == 0:
+        raise AssertionError("unit block determinant divisible by p")
+    return cls * legendre(-1, p) ** ((d + e2 // 2) % 2)
 
 
 def d_p_of(M: IntegerSymmetricMatrix, p: int) -> int:
@@ -223,7 +224,9 @@ def oddity(R: IntegerSymmetricMatrix) -> int:
 
     Well-defined over all characteristic vectors when det(R) is odd (the
     mod-2 class of v is then unique); a fixed deterministic solution is used
-    in general.
+    in general.  It is the default Gordon-Litherland correction of a
+    hand-built SpanningSurfaceData and is exact only for odd det R; a
+    Goeritz matrix carries the diagram's correction instead.
     """
     v = characteristic_vector(R)
     total = sum(v[i] * R.entries[i][j] * v[j] for i in range(R.n) for j in range(R.n))
@@ -231,28 +234,28 @@ def oddity(R: IntegerSymmetricMatrix) -> int:
 
 
 def delta_p_gl(S: SpanningSurfaceData, p: int) -> int:
-    """Singular determinant from spanning-surface data (odd diagonals allowed).
+    """delta_p(S, p), under the name the spanning-surface API has had.
 
-    Agrees with delta_p when R has even diagonal and mu matches; invariant
-    under appending (+1), (-1) diagonal blocks, and under appending (0) with
-    mu raised by one (the zero stabilization adds a hyperbolic-free kernel
-    direction, matching how mu behaves for symmetrized Seifert matrices).
+    Agrees with the Seifert route when S is a Goeritz matrix of the same
+    link; invariant under gl_stabilize with a (+1), (-1) or (0) block.
     """
-    R = S.R
-    _, N, d = mod_p_block_reduce(R, p)
-    return _delta_from_block(R.n, S.mu, d, legendre(det_exact(N.entries), p), p, oddity8=oddity(R))
+    return delta_p(S, p)
 
 
 def gl_stabilize(S: SpanningSurfaceData, block: int) -> SpanningSurfaceData:
-    """Append a (+1), (-1) or (0) diagonal block; (0) also increments mu."""
+    """Append a (+1), (-1) or (0) diagonal block; (0) also increments mu,
+    and the correction e moves by the block."""
     if block not in (1, -1, 0):
         raise ValueError("block must be +1, -1 or 0")
-    R = S.R.block_sum(IntegerSymmetricMatrix([[block]]))
-    return SpanningSurfaceData(R, S.mu + (1 if block == 0 else 0))
+    R = S.block_sum(IntegerSymmetricMatrix([[block]]))
+    return SpanningSurfaceData(R, S.mu + (1 if block == 0 else 0), S.e + block)
 
 
 def signature(M: IntegerSymmetricMatrix) -> int:
-    """Exact signature via symmetric congruent diagonalization over Q."""
+    """sign(M) - e: the matrix signature less the Gordon-Litherland
+    correction of a spanning-surface presentation (e = 0 for any other
+    matrix), which is the signature of the link M presents.  sign(M) comes
+    from an exact symmetric congruent diagonalization over Q."""
     n = M.n
     a = [[Fraction(x) for x in row] for row in M.entries]
 
@@ -281,7 +284,7 @@ def signature(M: IntegerSymmetricMatrix) -> int:
         for i in range(k + 1, n):
             if a[i][k] != 0:
                 shear(k, i, -a[i][k] / piv)
-    return sig
+    return sig - _correction(M)
 
 
 def stabilize(M: IntegerSymmetricMatrix) -> IntegerSymmetricMatrix:
