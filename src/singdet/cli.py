@@ -337,6 +337,8 @@ def _primes_arg(text: str):
         p = int(tok)
         if p < 3 or not is_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not an odd prime")
+        if p in out:
+            raise argparse.ArgumentTypeError(f"{p} is listed twice")
         out.append(p)
     return out
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .evaluate import LaurentPolynomial
 from .exactlinalg import IntegerSymmetricMatrix

@@ -17,9 +17,8 @@ Equality is coordinatewise and exact; a float shadow exists only in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactlinalg import IntegerSymmetricMatrix, det_exact, det_of, minor, transpose
+from .exactlinalg import IntegerSymmetricMatrix, det_exact, det_of, transpose
 from .linkform import b_total, wall_of
 from .numtheory import legendre, nu, p_part
 from .seifert import SeifertData, LinkInvariantBundle, d_p_of, delta_p, mu_of
@@ -363,12 +362,11 @@ class LaurentPolynomial:
             return "0"
         terms = []
         for e2, c in self.coeffs:
-            exp = Fraction(e2, 2)
-            if exp == 0:
+            if e2 == 0:
                 t = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                estr = str(exp) if exp.denominator == 1 else f"({exp})"
+                estr = str(e2 // 2) if e2 % 2 == 0 else f"({e2}/2)"
                 t = f"{mag}{var}^{estr}"
             terms.append(("- " if c < 0 else "+ ") + t)
         first = terms[0].replace("+ ", "").replace("- ", "-")
@@ -467,44 +465,42 @@ def q_at_golden_link(M: IntegerSymmetricMatrix) -> Root5:
 def alexander_poly(A: SeifertData) -> LaurentPolynomial:
     """Conway-normalized Alexander polynomial det(-t^(1/2) A + t^(-1/2) A^t).
 
-    Computed as x^(-n) P(x^2) for P(y) = det(A^t - y A), with P found by
-    evaluation at n+1 integers and exact Lagrange interpolation.
+    Computed as x^(-n) P(x^2) for P(y) = det(A^t - y A): P is evaluated at
+    y = 0..n by the integer determinant and rebuilt by integer Newton
+    interpolation (`_interpolate_int`).
     """
     n = A.n
     if n == 0:
         return LaurentPolynomial.one()
     at = transpose(A.A)
-    pts = []
-    for y in range(n + 1):
-        m = [[at[i][j] - y * A.A[i][j] for j in range(n)] for i in range(n)]
-        pts.append((y, det_exact(m)))
-    coeffs = _interpolate_int(pts)
+    values = [det_exact([[at[i][j] - y * A.A[i][j] for j in range(n)] for i in range(n)])
+              for y in range(n + 1)]
+    coeffs = _interpolate_int(values)
     return LaurentPolynomial({2 * j - n: c for j, c in enumerate(coeffs) if c})
 
 
-def _interpolate_int(pts: list[tuple[int, int]]) -> list[int]:
-    """Exact Lagrange interpolation; result must be integral."""
-    n = len(pts)
-    coeffs = [Fraction(0)] * n
-    for k, (xk, yk) in enumerate(pts):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == k:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xj
-                new[d + 1] += c
-            basis = new
-            denom *= xk - xj
-        for d, c in enumerate(basis):
-            coeffs[d] += c * yk / denom
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+def _interpolate_int(values: list[int]) -> list[int]:
+    """Coefficients, lowest first, of the integer polynomial P of degree
+    below len(values) with P(y) = values[y] at y = 0, 1, 2, ...
+
+    The forward differences give Delta^k P(0) = k! * c_k, where the c_k are
+    P's coefficients in the falling-factorial basis y(y-1)...(y-k+1), which
+    are integers because P's are; Horner's rule in that basis expands P.
+    Raises AssertionError when k! does not divide a difference (no integer
+    polynomial takes these values).
+    """
+    c, diffs, fact = [], list(values), 1
+    for k in range(len(values)):
+        fact *= max(k, 1)
+        q, r = divmod(diffs[0], fact)
+        if r:
             raise AssertionError("interpolation of an integer polynomial failed")
-        out.append(int(c))
+        c.append(q)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    out: list[int] = []
+    for k in reversed(range(len(c))):  # out = out * (y - k) + c_k
+        out = [hi - k * lo for hi, lo in zip([0] + out, out + [0])]
+        out[0] += c[k]
     return out
 
 

@@ -5,8 +5,11 @@ congruence reduction mod p, and the p-adic Jordan kernel (`padic_jordan`)
 that feeds the linking-form classifier.  The Fraction-based normal forms
 `rational_normalize` and `inverse_ord_normalize` are the older, slower route
 to the same classification; they stay as the reference the tests compare
-the kernel against.  All arithmetic is arbitrary precision (int and
-Fraction); there is no floating point anywhere in this package's math.
+the kernel against.  Fraction appears only in such reference and oracle
+routes (with `det_q`, `mat_inverse_q` and `jacobi_minor_identity`); what
+`singdet invariants` and `singdet obstruct` run is integer-only.  All
+arithmetic is arbitrary precision; there is no floating point anywhere in
+this package's math.
 """
 
 from __future__ import annotations
@@ -131,10 +134,10 @@ class UnimodularTransform:
 class CokernelDecomposition:
     """coker(M) = Z^free_rank + sum over primes p of Z/p^k summands.
 
-    prime_parts maps p to the full ascending exponent list (zeros included),
-    one entry per invariant factor, so its length equals the matrix size
-    minus free_rank copies... precisely: length == number of invariant
-    factors == matrix size when free_rank is counted separately.
+    prime_parts maps p to the ascending list of p-exponents of the invariant
+    factors, zeros included: one entry per invariant factor, so its length
+    is the matrix size.  A zero invariant factor (a free Z summand, counted
+    by free_rank) gets exponent 0 there.
     """
 
     prime_parts: dict[int, tuple[int, ...]]
@@ -269,25 +272,22 @@ def mat_inverse_q(rows):
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p by Gaussian elimination."""
+    """Rank over F_p by forward Gaussian elimination (pivot rows are
+    neither normalized nor cleared above: the rank needs neither)."""
     n = len(rows)
-    if n == 0:
-        return 0
-    m = len(rows[0])
     a = [[x % p for x in row] for row in rows]
     rank = 0
-    col = 0
-    for col in range(m):
-        piv = next((i for i in range(rank, n) if a[i][col] % p != 0), None)
+    for col in range(len(a[0]) if n else 0):
+        piv = next((i for i in range(rank, n) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(n):
-            if i != rank and a[i][col] % p != 0:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, n):
+            f = a[i][col] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
         if rank == n:
             break
@@ -792,6 +792,8 @@ def parse_matrix(text: str) -> list[list[int]]:
     if not toks:
         raise ValueError("empty matrix text")
     n = int(toks[0])
+    if n < 0:
+        raise ValueError(f"matrix size {n} is negative")
     if len(toks) != 1 + n * n:
         raise ValueError(f"expected {n * n} entries, got {len(toks) - 1}")
     vals = [int(t) for t in toks[1:]]

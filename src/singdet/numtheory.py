@@ -24,8 +24,8 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0 or n % 3 == 0:
         return False
-    f = 5
-    while f <= isqrt(n):
+    f, r = 5, isqrt(n)
+    while f <= r:
         if n % f == 0 or n % (f + 2) == 0:
             return False
         f += 6
@@ -199,8 +199,8 @@ def prime_factors(n: int) -> list[int]:
             out.append(p)
             while n % p == 0:
                 n //= p
-    f = 5
-    while f <= isqrt(n):
+    f, r = 5, isqrt(n)
+    while f <= r:
         if f > TRIAL_DIVISION_LIMIT:
             raise ValueError(f"cannot factor {orig}: cofactor {n} has no prime factor "
                              f"up to {TRIAL_DIVISION_LIMIT} and may be composite")
@@ -208,6 +208,7 @@ def prime_factors(n: int) -> list[int]:
             out.append(f)
             while n % f == 0:
                 n //= f
+            r = isqrt(n)
         f += 2
     if n > 1:
         out.append(n)

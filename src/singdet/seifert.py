@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlinalg import (
     IntegerSymmetricMatrix,
@@ -113,11 +112,12 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
     Symmetric elimination carried out entirely mod p; equivalent to the
     integer-lifted reduction but immune to coefficient growth, which matters
     for the large matrices produced by diagram untangling.  Valid for odd
-    diagonal entries too, since p is odd.
+    diagonal entries too, since p is odd.  The pivots are multiplied mod p
+    and the Legendre symbol, being multiplicative, is taken once.
     """
     n = M.n
     w = [[x % p for x in row] for row in M.entries]
-    cls = 1
+    unit_det = 1
     k = 0
     while k < n:
         piv = next((i for i in range(k, n) if w[i][i] % p), None)
@@ -140,7 +140,7 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
             for t in range(n):
                 w[t][k], w[t][piv] = w[t][piv], w[t][k]
         a = w[k][k]
-        cls = cls * legendre(a, p)
+        unit_det = unit_det * a % p
         inv = pow(a, -1, p)
         for i in range(k + 1, n):
             c = (-w[i][k] * inv) % p
@@ -150,7 +150,7 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
                 for t in range(n):
                     w[t][i] = (w[t][i] + c * w[t][k]) % p
         k += 1
-    return n - k, cls
+    return n - k, legendre(unit_det, p)
 
 
 def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None) -> int:
@@ -254,36 +254,35 @@ def gl_stabilize(S: SpanningSurfaceData, block: int) -> SpanningSurfaceData:
 def signature(M: IntegerSymmetricMatrix) -> int:
     """sign(M) - e: the matrix signature less the Gordon-Litherland
     correction of a spanning-surface presentation (e = 0 for any other
-    matrix), which is the signature of the link M presents.  sign(M) comes
-    from an exact symmetric congruent diagonalization over Q."""
-    n = M.n
-    a = [[Fraction(x) for x in row] for row in M.entries]
+    matrix), which is the signature of the link M presents.
 
-    def shear(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        for r in a:
-            r[dst] += c * r[src]
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    sig = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-            if j is None:
-                continue  # zero row: kernel direction, contributes nothing
-            if a[j][j] != 0:
-                swap(k, j)
-            else:
-                shear(j, k, 1)  # a[k][k] becomes 2*a[k][j] != 0
-        piv = a[k][k]
-        sig += 1 if piv > 0 else -1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                shear(k, i, -a[i][k] / piv)
+    sign(M) comes from a fraction-free symmetric (Bareiss) elimination by
+    congruence moves only.  A nonzero active diagonal entry is the pivot;
+    if the whole active diagonal is zero, row/column j is first added to
+    row/column i, so that the diagonal picks up 2*a_ij; an all-zero active
+    block ends the loop.  Each pivot D_k is then a leading principal minor
+    of the moved matrix, so every division is exact (Sylvester's identity),
+    and sign(M) is the sum of sign(D_k * D_(k-1)) with D_0 = 1.
+    """
+    a = [list(row) for row in M.entries]
+    sig, prev = 0, 1
+    while a:
+        m = len(a)
+        i = next((i for i in range(m) if a[i][i]), None)
+        if i is None:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if ij is None:
+                break  # zero active block: kernel directions, contribute nothing
+            i, j = ij
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        top = a.pop(i)
+        piv = top.pop(i)
+        sig += 1 if (piv > 0) == (prev > 0) else -1
+        col = [row.pop(i) for row in a]
+        a = [[(piv * x - c * y) // prev for x, y in zip(row, top)] for row, c in zip(a, col)]
+        prev = piv
     return sig - _correction(M)
 
 

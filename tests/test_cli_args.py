@@ -1,0 +1,48 @@
+"""A negative matrix size and a repeated prime are rejected, not read as
+something else."""
+
+import os
+
+import pytest
+
+from singdet.cli import main
+from singdet.exactlinalg import parse_matrix
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
+TREFOIL = os.path.join(CORPUS_DIR, "3_1.txt")
+
+
+def test_parse_matrix_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="-1"):
+        parse_matrix("-1\n5\n")
+    assert parse_matrix("0\n") == []
+
+
+@pytest.mark.parametrize("cmd", ["invariants", "obstruct"])
+@pytest.mark.parametrize("block", ["seifert", "matrix"])
+def test_cli_rejects_a_negative_matrix_size(tmp_path, capsys, cmd, block):
+    path = tmp_path / "neg.txt"
+    path.write_text(f"name: neg\n{block}:\n-1\n5\n")
+    assert main([cmd, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("singdet: ") and "-1" in lines[0]
+
+
+@pytest.mark.parametrize("cmd,primes", [("invariants", "3,3"), ("obstruct", "7,7"),
+                                        ("invariants", "3,5,3")])
+def test_cli_rejects_a_repeated_prime(capsys, cmd, primes):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, TREFOIL, "--primes", primes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "listed twice" in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["invariants", "obstruct"])
+def test_cli_prints_each_prime_once(capsys, cmd):
+    assert main([cmd, TREFOIL, "--format", "machine", "--primes", "3,7", "--prime", "7"]) == 0
+    keys = [line.split("=")[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(keys) == len(set(keys))
