@@ -252,14 +252,30 @@ def face_orbits(crossings) -> list[list[End]]:
 
 def euler_ok(crossings) -> bool:
     """V - E + F == 2 on every connected piece of the 4-valent map (E = 2V),
-    that is, the code describes a planar diagram.  Each piece has
-    V - E + F <= 2, so the sum over the pieces decides it.  Consecutive darts
-    of a face are the two ends of an arc, so the faces also give the pieces."""
-    n = len(crossings)
-    if n == 0:
-        return True
-    faces = face_orbits(crossings)
+    that is, the code describes a planar diagram."""
+    return _euler_ok_faces(len(crossings), face_orbits(crossings)) if crossings else True
+
+
+def _euler_ok_faces(n: int, faces) -> bool:
+    """The Euler test of `euler_ok` on n crossings with these faces.  Each
+    piece has V - E + F <= 2, so the sum over the pieces decides it.
+    Consecutive darts of a face are the two ends of an arc, so the faces
+    also give the pieces."""
     return n - 2 * n + len(faces) == 2 * _piece_count(n, faces)
+
+
+def _faces_of(d: LinkDiagram) -> list[list[End]]:
+    """face_orbits(d.crossings), walked once per diagram object."""
+    if "_faces" not in d.__dict__:
+        object.__setattr__(d, "_faces", face_orbits(d.crossings))
+    return d._faces
+
+
+def _is_planar(d: LinkDiagram) -> bool:
+    """euler_ok(d.crossings), from d's one face walk and decided once."""
+    if "_planar" not in d.__dict__:
+        object.__setattr__(d, "_planar", not d.n or _euler_ok_faces(d.n, _faces_of(d)))
+    return d._planar
 
 
 # ------------------------------------------------------------------- bracket
@@ -565,9 +581,9 @@ def _seifert_matrix_braided(d: LinkDiagram, struct, data) -> SeifertData:
 
 # ----------------------------------------------------------------- Vogel move
 
-def _face_of_quadrant(crossings) -> dict[End, int]:
+def _face_of_quadrant(d: LinkDiagram) -> dict[End, int]:
     """Quadrant (crossing, slot) -> index of its face in `face_orbits`."""
-    return {e: fi for fi, orbit in enumerate(face_orbits(crossings)) for e in orbit}
+    return {e: fi for fi, orbit in enumerate(_faces_of(d)) for e in orbit}
 
 
 def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
@@ -590,7 +606,7 @@ def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
 def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
     """One untangling move: an oriented R2 across a face bordered by two
     different Seifert circles with equal boundary sense."""
-    inc = _arc_face_incidences(d, _face_of_quadrant(d.crossings))
+    inc = _arc_face_incidences(d, _face_of_quadrant(d))
     by_face: dict[int, list[tuple[int, int, int]]] = {}
     for lab in sorted(inc):
         for face, sense in inc[lab]:
@@ -614,7 +630,7 @@ def checkerboard_colors(d: LinkDiagram) -> dict[End, int]:
     Faces adjacent across an arc get different colors; at every crossing the
     four quadrant colors alternate.
     """
-    fq = _face_of_quadrant(d.crossings)
+    fq = _face_of_quadrant(d)
     adj: dict[int, set[int]] = {}
     for (f1, _), (f2, _) in _arc_face_incidences(d, fq).values():
         adj.setdefault(f1, set()).add(f2)
@@ -657,7 +673,7 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
     if d.n == 0:
         raise DiagramError("need at least one crossing for a Goeritz matrix")
     colors = checkerboard_colors(d)
-    fq = _face_of_quadrant(d.crossings)
+    fq = _face_of_quadrant(d)
     shaded = sorted({fq[q] for q in fq if colors[q] == shade})
     findex = {f: i for i, f in enumerate(shaded)}
     m = len(shaded)
@@ -1018,9 +1034,17 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
     Valid diagram only when the arcs cobound a face.  The two chiralities
     differ by which new crossing comes first along arc_under; the Euler
     count picks the planar one.  Vogel untangling inserts its moves here.
+
+    When d is planar and the arcs flank a common face, d's faces decide
+    the count without a walk of the whole candidate (`_slid_faces`): the
+    candidate has the same pieces, so it is planar iff it has two more
+    faces.  Only the accepted candidate is built, and it keeps its faces
+    for the next move.
     """
     if arc_over == arc_under:
         raise DiagramError("need two distinct arcs")
+    if arc_over not in d._occ or arc_under not in d._occ:
+        raise DiagramError("arcs do not cobound a face")
     fresh = max(d.arcs) + 1
     a1, a2, a3 = arc_over, fresh, fresh + 1
     b1, b2, b3 = arc_under, fresh + 2, fresh + 3
@@ -1037,16 +1061,83 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
 
     base = rewire(arc_over, a1, a3, d.crossings)
     base = rewire(arc_under, b1, b3, base)
+    cut = d._occ[arc_over] + d._occ[arc_under]
+    faces = _faces_of(d) if _is_planar(d) else None
+    if faces is not None:
+        over, under = _faces_flanking(d, arc_over), _faces_flanking(d, arc_under)
+        if not over & under:
+            faces = None
     for border in ((b2, b3, b1, b2), (b1, b2, b2, b3)):
         for flip in (1, -1):
             u1_in, u1_out, u2_in, u2_out = border
             x1 = make_crossing(u1_in, u1_out, a1, a2, flip)
             x2 = make_crossing(u2_in, u2_out, a2, a3, -flip)
             crossings = tuple(base) + (x1, x2)
+            if faces is not None:
+                slid = _slid_faces(d, faces, over | under, cut, crossings)
+                planar = len(slid) == len(faces) + 2
+            else:
+                slid = face_orbits(crossings)
+                planar = _euler_ok_faces(len(crossings), slid)
+            if not planar:
+                continue
             try:
                 cand = LinkDiagram(crossings, d.free_loops)
             except DiagramError:
                 continue
-            if euler_ok(crossings):
-                return cand
+            object.__setattr__(cand, "_faces", slid)
+            object.__setattr__(cand, "_planar", True)
+            return cand
     raise DiagramError("arcs do not cobound a face")
+
+
+def _faces_flanking(d: LinkDiagram, arc: int) -> set[End]:
+    """The faces of d on the two sides of an arc, by least dart: the orbits
+    whose walk steps onto one of the arc's ends."""
+    flanking = set()
+    for end in d._occ[arc]:
+        e = start = (end[0], (end[1] - 1) % 4)
+        least = e
+        while True:
+            e = d._partner((e[0], (e[1] + 1) % 4))
+            if e == start:
+                break
+            least = min(least, e)
+        flanking.add(least)
+    return flanking
+
+
+def _slid_faces(d: LinkDiagram, faces, touched: set[End], cut, crossings) -> list[list[End]]:
+    """face_orbits(crossings) for an R2 candidate of `r2_slide`, from the
+    faces of d: the candidate differs from d only at its two appended
+    crossings and at the `cut` ends of the arcs they split, so the faces of
+    d that flank those arcs (`touched`, by least dart) are replaced by the
+    orbits through the new crossings, and the other faces stay as they
+    are.  Each orbit starts at its least dart, and the faces are listed in
+    the order of their least darts, as `face_orbits` lists them."""
+    n = d.n
+    new_darts = [(ci, s) for ci in (n, n + 1) for s in range(4)]
+    by_label: dict[int, list[End]] = {}
+    for ci, s in cut + new_darts:
+        by_label.setdefault(crossings[ci][s], []).append((ci, s))
+    local = {}
+    for e, f in by_label.values():
+        local[e], local[f] = f, e
+    seen: set[End] = set()
+    slid = [f for f in faces if f[0] not in touched]
+    for start in new_darts:
+        if start in seen:
+            continue
+        orbit = [start]
+        e = start
+        while True:
+            r = (e[0], (e[1] + 1) % 4)
+            e = local.get(r) or d._partner(r)
+            if e == start:
+                break
+            orbit.append(e)
+        seen.update(orbit)
+        k = orbit.index(min(orbit))
+        slid.append(orbit[k:] + orbit[:k])
+    slid.sort()
+    return slid

@@ -10,6 +10,18 @@ routes (with `det_q`, `mat_inverse_q` and `jacobi_minor_identity`); what
 `singdet invariants` and `singdet obstruct` run is integer-only.  All
 arithmetic is arbitrary precision; there is no floating point anywhere in
 this package's math.
+
+The exact kernels on the per-prime layer's hot path (`det_exact` here,
+`signature` and the F_p elimination in `seifert`) take a sparse matrix,
+most of whose entries are zero, through a front end that eliminates on
+unit pivots first: each step picks a pivot of least Markowitz cost
+(r - 1)(c - 1), r and c the nonzero counts of its row and column
+(Markowitz, Management Science 3 (1957)), and its exact Schur update
+touches only the pivot row's and column's supports.  Whatever no unit
+pivot reaches, and every dense matrix, goes to the dense fraction-free
+loop (`_bareiss_det`, and the symmetric Bareiss loop in `signature`).
+Vogel-untangled Seifert matrices are about 98% zeros and almost all
+unimodular, so the dense remainder is a few rows at most.
 """
 
 from __future__ import annotations
@@ -24,8 +36,19 @@ from .numtheory import factorize, is_prime, ord_p
 Rows = tuple[tuple[int, ...], ...]
 
 
+def _int_entry(x) -> int:
+    """x as an int; a ValueError, not a silent truncation, when x is not
+    integral (an integral Fraction is accepted)."""
+    if type(x) is int:
+        return x
+    i = int(x)
+    if i != x:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return i
+
+
 def _freeze(entries) -> Rows:
-    return tuple(tuple(int(x) for x in row) for row in entries)
+    return tuple(tuple(x if type(x) is int else _int_entry(x) for x in row) for row in entries)
 
 
 def _freeze_q(entries) -> tuple[tuple[Fraction, ...], ...]:
@@ -182,11 +205,121 @@ def mat_vec(a, v):
 
 
 def det_exact(rows) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    n = _check_square(rows)
+    """Exact determinant of a square integer matrix, symmetric or not.
+
+    On a sparse matrix, `_unit_pivot_eliminate` first takes out every +-1
+    pivot it can reach, with division-free integer Schur updates and the
+    cofactor sign of the pivots' positions; Bareiss elimination
+    (`_bareiss_det`) finishes the remainder, or the whole of a dense
+    matrix.  Entries may be ints or integral numbers of another type; a
+    non-integral entry is a ValueError.
+    """
+    _check_square(rows)
+    if not _is_sparse(rows):
+        return _bareiss_det([[x if type(x) is int else _int_entry(x) for x in row] for row in rows])
+    sparse = [{j: _int_entry(x) for j, x in enumerate(row) if x} for row in rows]
+    sign, rest = _unit_pivot_eliminate(sparse)
+    return sign * _bareiss_det(rest)
+
+
+def _is_sparse(rows) -> bool:
+    """Most entries are zero.  Only then do the unit-pivot front ends pay:
+    on a dense matrix a pivot's Schur update touches about as many entries
+    as a Bareiss step does, and building the sparse rows costs more than
+    the small dense matrices it would save on."""
+    return 2 * sum([row.count(0) for row in rows]) > len(rows) ** 2
+
+
+def _unit_pivot_eliminate(rows: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
+    """Gaussian elimination on +-1 pivots of a sparse square matrix.
+
+    rows[i] maps column to nonzero entry and is consumed.  Each step takes
+    the +-1 entry of least Markowitz cost (r - 1)(c - 1), r and c the
+    nonzero counts of its row and column (costs are refreshed lazily, when
+    an entry reaches the top of the heap), and subtracts a_kj * piv times
+    the pivot row from each row k of the pivot column: no division, and
+    only the supports of the pivot row and column are touched.  Returns
+    (s, rest) with det = s * det(rest): rest is the dense block of the rows
+    and columns no unit pivot reached, in their original order, and s is
+    the product of the pivots times the sign of the permutation that maps
+    each pivot's row to its column and the rest in order.
+    """
+    from heapq import heapify, heappop, heappush  # on first use, not at package load
+
+    n = len(rows)
+    cols: list[set[int] | None] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in enumerate(rows) for j, x in row.items() if x == 1 or x == -1]
+    heapify(heap)
+    sign = 1
+    perm = [-1] * n  # row -> column of its pivot
+    while heap:
+        cost, i, j = heappop(heap)
+        top = rows[i]
+        piv = top.get(j) if top is not None else None
+        if piv != 1 and piv != -1:
+            continue  # the entry was eliminated or changed value
+        col = cols[j]
+        now = (len(top) - 1) * (len(col) - 1)
+        if now > cost:
+            heappush(heap, (now, i, j))
+            continue
+        rows[i] = cols[j] = None
+        perm[i] = j
+        if piv < 0:
+            sign = -sign
+        col.discard(i)
+        del top[j]
+        for c in top:
+            cols[c].discard(i)
+        for k in col:
+            row = rows[k]
+            f = row.pop(j) * piv
+            for c, x in top.items():
+                y = row.get(c)
+                if y is None:
+                    row[c] = -f * x
+                    cols[c].add(k)
+                elif y == f * x:
+                    del row[c]
+                    cols[c].discard(k)
+                else:
+                    row[c] = y - f * x
+            rk = len(row) - 1
+            for c, x in row.items():
+                if x == 1 or x == -1:
+                    heappush(heap, (rk * (len(cols[c]) - 1), k, c))
+    left_rows = [i for i in range(n) if rows[i] is not None]
+    left_cols = [j for j in range(n) if cols[j] is not None]
+    for i, j in zip(left_rows, left_cols):
+        perm[i] = j
+    return sign * _perm_sign(perm), [[rows[i].get(j, 0) for j in left_cols] for i in left_rows]
+
+
+def _perm_sign(perm: list[int]) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        i = perm[start]
+        while i != start:  # each step past the first flips the sign
+            seen[i] = True
+            i = perm[i]
+            sign = -sign
+    return sign
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Determinant of a dense integer matrix (consumed) by fraction-free
+    Bareiss elimination: every division is exact by Sylvester's identity."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -198,11 +331,14 @@ def det_exact(rows) -> int:
                     break
             else:
                 return 0
+        top = a[k]
+        piv = top[k]
         for i in range(k + 1, n):
+            row = a[i]
+            c = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j] = (row[j] * piv - c * top[j]) // prev
+        prev = piv
     return sign * a[n - 1][n - 1]
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .exactlinalg import (
     IntegerSymmetricMatrix,
+    _is_sparse,
     _memo_on_matrix,
     corank_mod_p,
     det_exact,
@@ -109,48 +110,68 @@ def _correction(M: IntegerSymmetricMatrix) -> int:
 def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int]:
     """(d_p, Legendre class of the unit block's determinant) over F_p only.
 
-    Symmetric elimination carried out entirely mod p; equivalent to the
-    integer-lifted reduction but immune to coefficient growth, which matters
-    for the large matrices produced by diagram untangling.  Valid for odd
-    diagonal entries too, since p is odd.  The pivots are multiplied mod p
-    and the Legendre symbol, being multiplicative, is taken once.
+    Symmetric elimination carried out entirely mod p, on rows held as
+    sparse maps from column to nonzero residue; equivalent to the
+    integer-lifted reduction but immune to coefficient growth, which
+    matters for the large matrices produced by diagram untangling.  The
+    pivot is the nonzero diagonal entry whose row has the fewest nonzeros
+    (counts refreshed lazily), and its Schur update touches only that
+    row's support.  If the whole active diagonal is zero, row/column j is
+    added to row/column i for the first nonzero a_ij, so that the diagonal
+    picks up 2*a_ij, a unit since p is odd; for the same reason odd
+    diagonal entries are valid too.  The pivots are multiplied mod p and
+    the Legendre symbol, being multiplicative, is taken once.
     """
+    from heapq import heapify, heappop, heappush  # on first use, not at package load
+
     n = M.n
-    w = [[x % p for x in row] for row in M.entries]
-    unit_det = 1
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if w[i][i] % p), None)
-        if piv is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if w[i][j] % p),
-                None,
-            )
-            if off is None:
+    rows = [{j: y for j, x in enumerate(row) if (y := x % p)} for row in M.entries]
+    heap = [(len(row), i) for i, row in enumerate(rows) if i in row]
+    heapify(heap)
+    rank, unit_det = 0, 1
+    while True:
+        while heap:
+            size, i = heappop(heap)
+            row = rows[i]
+            if row is not None and i in row:
+                if len(row) > size:
+                    heappush(heap, (len(row), i))
+                    continue
                 break
-            i, j = off
-            for t in range(n):  # add row/col j into i: diagonal picks up 2*w[i][j]
-                w[i][t] = (w[i][t] + w[j][t]) % p
-            for t in range(n):
-                w[t][i] = (w[t][i] + w[t][j]) % p
-            piv = i
-        if piv != k:
-            for t in range(n):
-                w[k][t], w[piv][t] = w[piv][t], w[k][t]
-            for t in range(n):
-                w[t][k], w[t][piv] = w[t][piv], w[t][k]
-        a = w[k][k]
+        else:
+            i = next((i for i, row in enumerate(rows) if row), None)
+            if i is None:
+                break  # zero active block: its size is the corank d_p
+            j = min(rows[i])
+            ri, rj = rows[i], rows[j]
+            row = {i: 2 * ri[j] % p}  # add row/col j into i: a_ii becomes 2*a_ij
+            for l in ri.keys() | rj.keys():
+                if l != i:
+                    y = (ri.get(l, 0) + rj.get(l, 0)) % p
+                    if y:
+                        row[l] = rows[l][i] = y
+                    else:
+                        rows[l].pop(i, None)
+            rows[i] = row
+        rows[i] = None
+        rank += 1
+        a = row.pop(i)
         unit_det = unit_det * a % p
         inv = pow(a, -1, p)
-        for i in range(k + 1, n):
-            c = (-w[i][k] * inv) % p
-            if c:
-                for t in range(n):
-                    w[i][t] = (w[i][t] + c * w[k][t]) % p
-                for t in range(n):
-                    w[t][i] = (w[t][i] + c * w[t][k]) % p
-        k += 1
-    return n - k, legendre(unit_det, p)
+        for k in row:
+            rows[k].pop(i)
+        for k, x in row.items():
+            c = x * inv % p
+            rk = rows[k]
+            for l, y in row.items():
+                z = (rk.get(l, 0) - c * y) % p
+                if z:
+                    rk[l] = z
+                else:
+                    rk.pop(l, None)
+            if k in rk:
+                heappush(heap, (len(rk), k))
+    return n - rank, legendre(unit_det, p)
 
 
 def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None) -> int:
@@ -256,19 +277,26 @@ def signature(M: IntegerSymmetricMatrix) -> int:
     correction of a spanning-surface presentation (e = 0 for any other
     matrix), which is the signature of the link M presents.
 
-    sign(M) comes from a fraction-free symmetric (Bareiss) elimination by
-    congruence moves only.  A nonzero active diagonal entry is the pivot;
-    if the whole active diagonal is zero, row/column j is first added to
-    row/column i, so that the diagonal picks up 2*a_ij; an all-zero active
-    block ends the loop.  Each pivot D_k is then a leading principal minor
-    of the moved matrix, so every division is exact (Sylvester's identity),
-    and sign(M) is the sum of sign(D_k * D_(k-1)) with D_0 = 1.
+    sign(M) is computed by integer congruence moves only.  On a sparse M
+    (most entries zero), `_split_unimodular_blocks` first splits off
+    unimodular 1x1 and 2x2 blocks and counts their signs.  Then a
+    fraction-free symmetric (Bareiss) elimination runs on the remaining
+    block, or on all of a dense M: a nonzero active diagonal
+    entry is the pivot; if the whole active diagonal is zero, row/column j
+    is first added to row/column i, so that the diagonal picks up 2*a_ij;
+    an all-zero active block ends the loop.  Each pivot D_k is then a
+    leading principal minor of the moved matrix, so every division is
+    exact (Sylvester's identity), and the block's signature is the sum of
+    sign(D_k * D_(k-1)) with D_0 = 1.
     """
-    a = [list(row) for row in M.entries]
-    sig, prev = 0, 1
+    if _is_sparse(M.entries):
+        sig, a = _split_unimodular_blocks(M.entries)
+    else:
+        sig, a = 0, [list(row) for row in M.entries]
+    prev = 1
     while a:
         m = len(a)
-        i = next((i for i in range(m) if a[i][i]), None)
+        i = 0 if a[0][0] else next((i for i in range(m) if a[i][i]), None)
         if i is None:
             ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if ij is None:
@@ -284,6 +312,81 @@ def signature(M: IntegerSymmetricMatrix) -> int:
         a = [[(piv * x - c * y) // prev for x, y in zip(row, top)] for row, c in zip(a, col)]
         prev = piv
     return sig - _correction(M)
+
+
+def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
+    """Congruence M = B_1 + ... + B_k + R over Z with unimodular blocks B.
+
+    The pivots are a diagonal a_ii = +-1 (sign a_ii), or a pair (i, j) with
+    a_ij = +-1 and D = a_ii a_jj - 1 = +-1 (sign 0 when D = -1, the block
+    being indefinite, and 2 sign(a_ii) when D = +1).  Each is eliminated by
+    the integral inverse adj(B) * D of its block, touching only the union
+    of the two rows' supports; the next pivot is the one of least Markowitz
+    cost (r_i - 1)(r_j - 1), refreshed lazily as in `det_exact`.  Returns
+    (the blocks' total signature, R dense in the original index order).
+    """
+    from heapq import heappop, heappush  # on first use, not at package load
+
+    n = len(entries)
+    rows: list[dict[int, int] | None] = [
+        {j: x for j, x in enumerate(row) if x} for row in entries]
+    heap = []
+
+    def offer(i):
+        row = rows[i]
+        ri = len(row) - 1
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                heappush(heap, (ri * (len(rows[j]) - 1), min(i, j), max(i, j)))
+
+    for i in range(n):
+        offer(i)
+    sig = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        ri, rj = rows[i], rows[j]
+        if ri is None or rj is None or ri.get(j) not in (1, -1):
+            continue
+        if i == j:
+            now = (len(ri) - 1) ** 2
+        else:
+            p, q, r = ri.get(i, 0), ri[j], rj.get(j, 0)
+            det = p * r - 1  # q * q = 1
+            if det != 1 and det != -1:
+                continue
+            now = (len(ri) - 1) * (len(rj) - 1)
+        if now > cost:
+            heappush(heap, (now, i, j))
+            continue
+        rows[i] = rows[j] = None
+        if i == j:  # a_kl -= a_ki * d * a_il, since 1/d = d
+            d = ri.pop(i)
+            sig += d
+            rj = {}
+            vec = {k: (d * x, 0) for k, x in ri.items()}
+        else:  # a_kl -= x_k B^-1 x_l^t, x_k = (a_ki, a_kj), B^-1 = D * [[r, -q], [-q, p]]
+            sig += 0 if det == -1 else 2 if p > 0 else -2
+            for row in (ri, rj):
+                row.pop(i, None)
+                row.pop(j, None)
+            vec = {k: (det * (r * ri.get(k, 0) - q * rj.get(k, 0)),
+                       det * (p * rj.get(k, 0) - q * ri.get(k, 0))) for k in ri.keys() | rj.keys()}
+        for k in vec:
+            row = rows[k]
+            row.pop(i, None)
+            row.pop(j, None)
+        for k, (u, v) in vec.items():
+            row = rows[k]
+            for l in vec:
+                y = row.get(l, 0) - u * ri.get(l, 0) - v * rj.get(l, 0)
+                if y:
+                    row[l] = y
+                else:
+                    row.pop(l, None)
+        for k in vec:
+            offer(k)
+    left_idx = [i for i in range(n) if rows[i] is not None]
+    return sig, [[rows[i].get(j, 0) for j in left_idx] for i in left_idx]
 
 
 def stabilize(M: IntegerSymmetricMatrix) -> IntegerSymmetricMatrix:

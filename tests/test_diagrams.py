@@ -410,3 +410,29 @@ def _arf_from_bracket(v, c):
     if at_i == -base:
         return -1
     return 1
+
+
+def test_r2_slide_keeps_the_faces_a_fresh_walk_finds(monkeypatch):
+    """Vogel moves read each diagram's faces from the one before; along
+    every move of these untanglings they equal a walk of the new diagram."""
+    import singdet.diagrams as diagrams
+
+    moves = []
+    slide = diagrams.r2_slide
+
+    def checked(d, arc_over, arc_under):
+        out = slide(d, arc_over, arc_under)
+        assert out._faces == face_orbits(out.crossings)
+        assert euler_ok(out.crossings)
+        moves.append(out)
+        return out
+
+    monkeypatch.setattr(diagrams, "r2_slide", checked)
+    rng = random.Random(1957)
+    twists = [(3, -3, 3), (-5, -3, 3)] + [
+        tuple(rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(3)) for _ in range(8)]
+    corpus = [e.diagram for e in load_corpus().values()
+              if e.diagram is not None and 0 < e.diagram.n <= 16 and e.diagram.is_connected()]
+    for d in [pretzel_pd(*tw) for tw in twists] + corpus:
+        seifert_matrix_from_diagram(d)
+    assert len(moves) >= 30
