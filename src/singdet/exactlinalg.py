@@ -1,15 +1,19 @@
 """Exact integer and rational symmetric linear algebra.
 
-Determinants (fraction-free), Smith-normal-form cokernels, symmetric
-congruence reduction mod p, and the p-adic Jordan kernel (`padic_jordan`)
-that feeds the linking-form classifier.  The Fraction-based normal forms
-`rational_normalize` and `inverse_ord_normalize` are the older, slower route
-to the same classification; they stay as the reference the tests compare
-the kernel against.  Fraction appears only in such reference and oracle
-routes (with `det_q`, `mat_inverse_q` and `jacobi_minor_identity`); what
-`singdet invariants` and `singdet obstruct` run is integer-only.  All
-arithmetic is arbitrary precision; there is no floating point anywhere in
-this package's math.
+Determinants (fraction-free), adjugates, Smith-normal-form cokernels,
+symmetric congruence reduction mod p, and the p-adic Jordan kernel
+(`padic_jordan`) that feeds the linking-form classifier.  The p-adic normal
+forms `rational_normalize` and `inverse_ord_normalize` are a second route
+to the same classification, which the tests compare the kernel against.
+They clear denominators once and run one integer elimination, whose
+clearing precision is fixed in advance by the Jordan bound: no pivot of a
+nonsingular block B of size r and least entry valuation w exceeds
+v_p(det B) - (r - 1) w.  Fraction appears only at the API boundary, where
+a rational value is the answer: `mat_inverse_q`, `det_q`,
+`jacobi_minor_identity`, `RationalSymmetricMatrix` and `linkform.eval_form`;
+each computes on integers and builds its Fractions last.  All arithmetic
+is arbitrary precision; there is no floating point anywhere in this
+package's math.
 
 The exact kernels on the per-prime layer's hot path (`det_exact` here,
 `signature` and the F_p elimination in `seifert`) take a sparse matrix,
@@ -30,8 +34,9 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-from .numtheory import factorize, is_prime, ord_p
+from .numtheory import factorize, is_prime, ord_int
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -146,8 +151,8 @@ class UnimodularTransform:
         return cls(identity(n))
 
     def inverse(self) -> "UnimodularTransform":
-        inv = mat_inverse_q(self.entries)
-        return UnimodularTransform([[int(x) for x in row] for row in inv])
+        D, d = adjugate(self.entries)  # d = +-1
+        return UnimodularTransform([[d * x for x in row] for row in D])
 
     def transposed(self) -> "UnimodularTransform":
         return UnimodularTransform(transpose(self.entries))
@@ -364,47 +369,54 @@ def det_of(M: IntegerSymmetricMatrix) -> int:
     return det_exact(M.entries)
 
 
-def det_q(rows) -> Fraction:
-    """Exact determinant of a rational matrix (Gaussian elimination over Q)."""
-    n = _check_square(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+def _clear_denominators(rows) -> tuple[list[list[int]], int]:
+    """(B, L) with B = L * rows an integer matrix, L the least common
+    denominator of the entries."""
+    q = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
+    L = lcm(*(x.denominator for row in q for x in row))
+    return [[x.numerator * (L // x.denominator) for x in row] for row in q], L
 
 
-def mat_inverse_q(rows):
-    """Exact inverse over Q (Gauss-Jordan); raises on singular input."""
+def adjugate(rows) -> tuple[list[list[int]], int]:
+    """(D, d) with D = d * M^{-1}, for a nonsingular integer matrix M.
+
+    Fraction-free Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp.
+    22 (1968)): every division by the previous pivot is exact, the left
+    half ends as d * I and the right half as d * M^{-1}, with d = +-det M
+    (the sign of the row swaps).  Raises ZeroDivisionError on singular input.
+    """
     n = _check_square(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
+    a = [[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(_freeze(rows))]
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
+        r = next((i for i in range(k, n) if a[i][k]), None)
+        if r is None:
             raise ZeroDivisionError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
+        a[k], a[r] = a[r], a[k]
+        top = a[k]
+        piv = top[k]
+        for i, row in enumerate(a):
+            if i != k:  # columns left of k are never read again
+                c = row[k]
+                row[k:] = [(piv * x - c * y) // prev for x, y in zip(row[k:], top[k:])]
+        prev = piv
+    return [row[n:] for row in a], prev
+
+
+def det_q(rows) -> Fraction:
+    """Exact determinant of a rational matrix: det_exact of the matrix
+    cleared of its common denominator L, over L^n."""
+    n = _check_square(rows)
+    b, L = _clear_denominators(rows)
+    return Fraction(det_exact(b), L**n)
+
+
+def mat_inverse_q(rows) -> list[list[Fraction]]:
+    """Exact inverse over Q, from the adjugate of the matrix cleared of its
+    common denominator; raises ZeroDivisionError on singular input."""
+    b, L = _clear_denominators(rows)
+    D, d = adjugate(b)
+    return [[Fraction(L * x, d) for x in row] for row in D]
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -704,47 +716,20 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------- p-adic normal forms (reference route)
 
-def _clear_coeff(target: Fraction, pivot: Fraction, p: int, upto: int) -> int:
-    """Integer c with ord_p(target + c*pivot) >= upto, given ord(target) >= ord(pivot).
+def _kernel_split(rows) -> tuple[list[list[int]], int]:
+    """Unimodular base whose first rows span ker(C) over Z, exactly zeroed.
 
-    c is the p-adic approximation of -target/pivot to precision p^k.
-    """
-    x = target / pivot  # ord >= 0
-    k = upto - int(ord_p(pivot, p))
-    if k <= 0:
-        return 0
-    mod = p**k
-    num, den = x.numerator, x.denominator
-    c = (-num * pow(den % mod, -1, mod)) % mod
-    if c > mod // 2:
-        c -= mod
-    return c
-
-
-def _rational_kernel_split(entries) -> tuple[list[list[int]], int]:
-    """Unimodular base whose first rows span ker(N) over Z, exactly zeroed.
-
-    Because N is symmetric, kernel basis vectors pair to exact zeros with
+    Because C is symmetric, kernel basis vectors pair to exact zeros with
     everything, so conjugating by this base puts the infinite valuations up
     front where the sorted-diagonal contract wants them.  The kernel columns
     of the SNF right transform are part of a Z-basis, so reordering the
     columns of V gives the completion for free.
     """
-    from math import gcd
-
-    m = len(entries)
-    lcm = 1
-    for row in entries:
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    zrows = [[int(x * lcm) for x in row] for row in entries]
-    d, _, v = smith_normal_form(zrows)
+    m = len(rows)
+    d, _, v = smith_normal_form(rows)
     zero = [j for j in range(m) if d[j][j] == 0]
-    if not zero:
-        return identity(m), 0
     nonzero = [j for j in range(m) if d[j][j] != 0]
-    base = [[v[i][j] for i in range(m)] for j in zero + nonzero]
-    return base, len(zero)
+    return [[v[i][j] for i in range(m)] for j in zero + nonzero], len(zero)
 
 
 def rational_normalize(N: RationalSymmetricMatrix, p: int, rho: int) -> UnimodularTransform:
@@ -757,55 +742,66 @@ def rational_normalize(N: RationalSymmetricMatrix, p: int, rho: int) -> Unimodul
         and satisfy the strict bound),
       * rho <= v(N'[i][j]) for i != j.
 
-    The construction places the minimum-valuation entry of the active block
-    on its last diagonal slot (moving an off-diagonal minimum onto the
-    diagonal by one shear; p odd makes 2 a unit) and clears its row to a
-    target precision.  Since clearing precision interacts with the not yet
-    known diagonal valuations, the whole pass runs under an escalating
-    precision until the checked contract holds.
-
-    Reference route: the linking-form classifier uses `padic_jordan`, and
-    the tests rebuild the Wall decomposition from this normal form (through
-    `inverse_ord_normalize`) to check the kernel against it.
+    N is cleared of its common denominator L once, which shifts every
+    valuation, rho included, by ord_p(L); the rest is `_integer_normalize`,
+    one pass on ints.  Reference route: the linking-form classifier uses
+    `padic_jordan`, and the tests rebuild the Wall decomposition from this
+    normal form (through `inverse_ord_normalize`) to check the kernel
+    against it.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
-    m = N.m
-    if m == 0:
-        return UnimodularTransform.identity(0)
+    b, L = _clear_denominators(N.entries)
+    return UnimodularTransform(_integer_normalize(b, p, rho + ord_int(L, p)))
 
-    base, kdim = _rational_kernel_split(N.entries)
-    core = mat_mul(mat_mul(base, [list(r) for r in N.entries]), transpose(base))
-    for i in range(kdim):
-        if any(core[i][j] != 0 for j in range(m)):
+
+def _integer_normalize(rows: list[list[int]], p: int, rho: int) -> list[list[int]]:
+    """Unimodular S so that S C S^t meets the `rational_normalize` contract
+    at floor rho, for a symmetric integer matrix C.
+
+    The kernel of C is split off first (`_kernel_split`).  On the
+    nonsingular block B, of size r and least entry valuation w, the
+    p-exponents of the elementary divisors are each at least w and sum to
+    v_p(det B), so the largest, s, is at most v_p(det B) - (r - 1) w
+    (Conway-Sloane, SPLAG ch. 15 sec. 7).  No pivot exceeds s while the
+    finished rows are cleared to a valuation tau > s: a row vanishing mod
+    p^(s+1) would contradict p^s B^{-1} being p-integral.  So the clearing
+    precision tau = max(rho, v_p(det B) - (r - 1) w + 1) is fixed before
+    the pass (`_normalize_pass`), which runs once.  The contract is checked
+    on the exact result; a failure is an AssertionError.
+    """
+    m = len(rows)
+    core = [list(row) for row in rows]
+    det = det_exact(rows)
+    kdim = 0
+    if not det:
+        base, kdim = _kernel_split(rows)
+        core = mat_mul(mat_mul(base, rows), transpose(base))
+        if any(any(row) for row in core[:kdim]):
             raise AssertionError("kernel split failed")
-
-    finite_vals = [int(ord_p(x, p)) for row in core for x in row if x != 0]
-    tau = max([rho, 0] + [abs(v) for v in finite_vals]) + 4 if finite_vals else max(rho, 0) + 4
-
-    rng = random.Random(0x5EED)
-    pre = identity(m)
-    for attempt in range(12):
-        work = core if attempt == 0 else mat_mul(mat_mul(pre, core), transpose(pre))
-        s_core, ok = _normalize_pass(work, kdim, p, rho, tau)
-        if ok:
-            full = mat_mul(mat_mul(s_core, pre), base)
-            return UnimodularTransform(full)
-        tau = 2 * tau + 8
-        if attempt >= 2:
-            # exact degeneracies are broken by a kernel-preserving shuffle
-            shuf = random_unimodular(m - kdim, rng, steps=6).entries
-            pre = identity(m)
-            for i in range(m - kdim):
-                for j in range(m - kdim):
-                    pre[kdim + i][kdim + j] = shuf[i][j]
-    raise AssertionError("p-adic normalization did not converge")
+        det = det_exact([row[kdim:] for row in core[kdim:]])
+    s = identity(m)
+    if kdim < m:
+        w = ord_int(gcd(*(x for row in core[kdim:] for x in row)), p)
+        tau = max(rho, ord_int(det, p) - (m - kdim - 1) * w + 1)
+        s = _normalize_pass(core, kdim, p, tau)
+    _check_normal_contract(core, p, rho)
+    return mat_mul(s, base) if kdim else s
 
 
-def _normalize_pass(core, kdim, p, rho, tau):
-    """One sweep with clearing precision tau; returns (S, contract_ok)."""
-    m = len(core)
-    a = [[Fraction(x) for x in row] for row in core]
+def _normalize_pass(a: list[list[int]], kdim: int, p: int, tau: int) -> list[list[int]]:
+    """Symmetric elimination of a (in place) from its last slot down to
+    slot kdim; returns the transform S, so that a ends as S a S^t.
+
+    Each step places an active entry of least valuation on the last active
+    diagonal slot, moving an off-diagonal minimum a_ij onto the diagonal
+    by one shear, a_ii + 2a_ij + a_jj (p odd keeps its valuation e), then
+    clears the rest of that row to valuation tau by shears whose integer
+    coefficient is -a_ij / a_ii mod p^(tau - e).  Valuations never fall
+    from one pivot to the next, so the scan for the least one resumes at
+    the previous level.
+    """
+    m = len(a)
     s = identity(m)
 
     def swap(i, j):
@@ -815,76 +811,75 @@ def _normalize_pass(core, kdim, p, rho, tau):
         s[i], s[j] = s[j], s[i]
 
     def shear(src, dst, c):
+        # row/col dst += c * row/col src
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         for r in a:
             r[dst] += c * r[src]
         s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
 
-    # active block indices kdim..last, shrinking from the right
+    e, pe = 0, 1  # current valuation level and p^e
     for last in range(m - 1, kdim - 1, -1):
         block = range(kdim, last + 1)
-        entries = [(i, j) for i in block for j in block if a[i][j] != 0]
-        if not entries:
-            break
-        omega = min(int(ord_p(a[i][j], p)) for i, j in entries)
-        diag = [i for i in block if a[i][i] != 0 and int(ord_p(a[i][i], p)) == omega]
-        if diag:
-            i = diag[0]
-        else:
-            i, j = next(
-                (i, j) for i in block for j in block
-                if i != j and a[i][j] != 0 and int(ord_p(a[i][j], p)) == omega
-            )
-            shear(i, j, 1)  # diagonal (j,j) picks up 2*a[i][j]: valuation omega
-            i = j
+        while True:
+            step = pe * p
+            i = next((i for i in block if a[i][i] % step), None)
+            if i is not None:
+                break
+            ij = next(((i, j) for i in block for j in range(i + 1, last + 1) if a[i][j] % step), None)
+            if ij is not None:
+                i, j = ij
+                shear(j, i, 1)  # a_ii picks up 2 a_ij: valuation e
+                break
+            e, pe = e + 1, step
+            if e >= tau:
+                raise AssertionError(f"active block vanishes mod {p}^{tau}")
         if i != last:
             swap(i, last)
-        target = max(tau, rho)
-        for j in range(m):
-            if j != last and a[last][j] != 0:
-                c = _clear_coeff(a[last][j], a[last][last], p, target)
-                if c:
-                    shear(last, j, c)
-
-    ok = _check_normal_contract(a, p, rho)
-    return (s, ok) if ok else (s, False)
+        mod = p ** (tau - e)
+        uinv = pow(a[last][last] // pe, -1, mod)
+        for j in range(kdim, last):
+            c = -(a[last][j] // pe) * uinv % mod
+            if c:
+                shear(last, j, c - mod if c > mod // 2 else c)
+    return s
 
 
-def _check_normal_contract(a, p, rho) -> bool:
-    m = len(a)
-    vals = [[ord_p(x, p) for x in row] for row in a]
-    for i in range(m):
-        for j in range(i):
-            # i >= j: v_ii <= v_jj
-            if not vals[i][i] <= vals[j][j]:
-                return False
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if not vals[i][j] >= rho:
-                return False
-            if not (vals[i][j].is_infinite or vals[i][i] < vals[i][j]):
-                return False
-    return True
+def _check_normal_contract(a: list[list[int]], p: int, rho: int) -> None:
+    """Raise AssertionError unless the integer matrix a meets the
+    `rational_normalize` contract at floor rho; a zero has infinite
+    valuation."""
+    diag = [ord_int(row[i], p) if row[i] else None for i, row in enumerate(a)]
+    finite = [v for v in diag if v is not None]
+    if diag != [None] * (len(a) - len(finite)) + sorted(finite, reverse=True):
+        raise AssertionError(f"diagonal valuations {diag} are not sorted")
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if j != i and x:
+                v = ord_int(x, p)
+                if v < rho or diag[i] is None or diag[i] >= v:
+                    raise AssertionError(f"entry ({i},{j}) of valuation {v} breaks the contract")
 
 
 def inverse_ord_normalize(M: IntegerSymmetricMatrix, p: int) -> UnimodularTransform:
     """Unimodular T so that (T M T^t)^{-1} has diagonal valuations -k_i.
 
     The k_i are the ascending p-exponents of coker(M); off-diagonal entries
-    of the inverse become p-integral.  Built from rational_normalize applied
-    to M^{-1} with floor 0: T = (S^{-1})^t.
+    of the inverse become p-integral.  With (D, d) = adjugate(M), so that
+    D = d M^{-1}, the normal form of M^{-1} at floor 0 is that of the
+    integer matrix D at floor ord_p(d): S = `_integer_normalize`(D), and
+    T = (S^{-1})^t.  Integer arithmetic throughout.
 
     Reference route for the Wall decomposition: reading the diagonal of
-    (T M T^t)^{-1} gives the same summands as `padic_jordan`, by Fraction
-    inverses and retries instead of one elimination; the tests compare the
-    two.
+    (T M T^t)^{-1} gives the same summands as `padic_jordan`; the tests
+    compare the two.
     """
-    if det_exact(M.entries) == 0:
-        raise ValueError("matrix must be nonsingular")
-    inv = RationalSymmetricMatrix(mat_inverse_q(M.entries))
-    S = rational_normalize(inv, p, 0)
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
+    try:
+        D, d = adjugate(M.entries)
+    except ZeroDivisionError:
+        raise ValueError("matrix must be nonsingular") from None
+    S = UnimodularTransform(_integer_normalize(D, p, ord_int(d, p)))
     return S.inverse().transposed()
 
 

@@ -16,8 +16,6 @@ from fractions import Fraction
 from .exactlinalg import (
     IntegerSymmetricMatrix,
     _memo_on_matrix,
-    corank_mod_p,
-    det_exact,
     det_of,
     mat_inverse_q,
     mat_vec,
@@ -141,7 +139,8 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
     """Singular determinant from the Wall invariants (the dual route).
 
     For even-diagonal symmetric M with odd nonzero determinant |det| =
-    p^alpha * q and m the corank of M over F_p:
+    p^alpha * q and m the corank of M over F_p, which is the number of
+    Jordan constituents at p (one per Z/p^e summand, e >= 1):
 
         delta_p = legendre(q, p) * (-1)^(#B summands at p)
                   * (-1)^(((p-1)/2) * (alpha + m + (q-1)/2)).
@@ -151,14 +150,13 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
     linking-form decomposition at p alone, independently of the mod-p
     reduction used by the definition route.
     """
-    det = det_exact(M.entries)
+    det = det_of(M)
     if det == 0 or det % 2 == 0:
         raise ValueError("requires odd nonzero determinant")
     alpha, q = p_part(abs(det), p)
-    m = corank_mod_p(M.entries, p)
-    w = WallDecomposition(_summands_at(M, p, alpha))
-    sign = legendre(q, p) * (-1) ** b_total(w, p)
-    e = ((p - 1) // 2) * (alpha + m + (q - 1) // 2)
+    summands = _summands_at(M, p, alpha)
+    sign = legendre(q, p) * (-1) ** b_total(WallDecomposition(summands), p)
+    e = ((p - 1) // 2) * (alpha + len(summands) + (q - 1) // 2)
     return sign * (-1) ** (e % 2)
 
 

@@ -12,45 +12,42 @@ and every per-prime function here takes it in place of M.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactlinalg import (
     IntegerSymmetricMatrix,
+    _freeze,
     _is_sparse,
     _memo_on_matrix,
     corank_mod_p,
     det_exact,
     mod_p_block_reduce,
-    transpose,
 )
 from .numtheory import is_prime, legendre
 
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Unsymmetrized Seifert matrix A with derived symmetrization M = A + A^t."""
+    """Unsymmetrized Seifert matrix A with its symmetrization M = A + A^t,
+    built once; a non-integral entry of A is a ValueError."""
 
     A: tuple[tuple[int, ...], ...]
+    M: IntegerSymmetricMatrix = field(init=False, repr=False, compare=False)
 
     def __init__(self, A):
-        rows = tuple(tuple(int(x) for x in row) for row in A)
+        rows = _freeze(A)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("Seifert matrix must be square")
         object.__setattr__(self, "A", rows)
-        if not self.M.has_even_diagonal():
+        M = IntegerSymmetricMatrix([[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))])
+        if not M.has_even_diagonal():
             raise AssertionError("A + A^t always has even diagonal")
+        object.__setattr__(self, "M", M)
 
     @property
     def n(self) -> int:
         return len(self.A)
-
-    @property
-    def M(self) -> IntegerSymmetricMatrix:
-        at = transpose(self.A)
-        return IntegerSymmetricMatrix(
-            [[self.A[i][j] + at[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import singdet.seifert as seifert
 from singdet.cli import main
 from singdet.diagrams import pretzel_pd, q_via_skein, seifert_matrix_from_diagram
 from singdet.exactlinalg import IntegerSymmetricMatrix, corank_mod_p, random_unimodular
-from singdet.seifert import d_p_of, delta_p, mu_of
+from singdet.seifert import SeifertData, d_p_of, delta_p, mu_of
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
 PRIMES = (3, 5, 7, 11, 13)
@@ -105,6 +105,13 @@ def test_memo_lives_on_the_matrix_object(monkeypatch):
     twin = IntegerSymmetricMatrix(rows)
     assert twin == M and mu_of(twin) == first[0]
     assert len(calls) == 2
+
+
+def test_seifert_data_builds_its_symmetrization_once():
+    S = SeifertData([[-1, 1], [0, -1]])
+    assert S.M is S.M
+    assert S.M.entries == ((-2, 1), (1, -2))
+    assert S == SeifertData([[-1, 1], [0, -1]])
 
 
 def test_q_skein_frees_its_memo_on_return():

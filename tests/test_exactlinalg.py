@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
     RationalSymmetricMatrix,
     UnimodularTransform,
+    adjugate,
     corank_mod_p,
     cyclic_generator,
     det_exact,
     det_q,
     format_matrix,
+    identity,
     inverse_ord_normalize,
     jacobi_minor_identity,
     load_symmetric_matrix,
@@ -275,6 +278,71 @@ def test_inverse_ord_normalize_random():
             for j in range(n):
                 if i != j:
                     assert ord_p(inv[i][j], p) >= 0
+
+
+def test_inverse_ord_normalize_runs_no_fraction_code():
+    rng = random.Random(15)
+    cases = [IntegerSymmetricMatrix(M12N553)]
+    while len(cases) < 40:
+        M = IntegerSymmetricMatrix(rand_sym(rng, rng.randrange(1, 7), 3))
+        if det_exact(M.entries) != 0:
+            cases.append(M)
+    frames = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        for M in cases:
+            for p in (3, 5, 7):
+                inverse_ord_normalize(M, p)
+    finally:
+        sys.setprofile(None)
+    assert frames == []
+
+
+def test_adjugate_and_inverse_on_seeded_matrices():
+    rng = random.Random(16)
+    done = 0
+    while done < 150:
+        n = rng.randrange(0, 7)
+        m = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
+        if det_exact(m) == 0:
+            continue
+        done += 1
+        D, d = adjugate(m)
+        assert abs(d) == abs(det_exact(m))
+        assert mat_mul(m, D) == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+        assert mat_mul(m, mat_inverse_q(m)) == identity(n)
+    done = 0
+    while done < 150:
+        n = rng.randrange(1, 6)
+        raw = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)) for _ in range(n)] for _ in range(n)]
+        N = RationalSymmetricMatrix([[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)])
+        if det_q(N.entries) == 0:
+            continue
+        done += 1
+        assert mat_mul(N.entries, mat_inverse_q(N.entries)) == identity(n)
+        assert det_q(N.entries) * det_q(mat_inverse_q(N.entries)) == 1
+
+
+def test_adjugate_and_inverse_reject_singular_input():
+    for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0, 0], [0, 1, 2], [0, 2, 1]]):
+        with pytest.raises(ZeroDivisionError):
+            adjugate(rows)
+        with pytest.raises(ZeroDivisionError):
+            mat_inverse_q([[Fraction(x, 3) for x in row] for row in rows])
+
+
+def test_unimodular_inverse_round_trips():
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        T = random_unimodular(n, rng, steps=3 * n)
+        assert mat_mul(T.entries, T.inverse().entries) == identity(n)
+        assert T.inverse().inverse() == T
 
 
 def test_jacobi_trivial_cases():

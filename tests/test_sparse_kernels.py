@@ -26,7 +26,7 @@ from singdet.exactlinalg import (
     _unit_pivot_eliminate,
     det_exact,
 )
-from singdet.seifert import _split_unimodular_blocks, _unit_block_class_mod_p, signature
+from singdet.seifert import SeifertData, _split_unimodular_blocks, _unit_block_class_mod_p, signature
 
 PRIMES = (3, 5, 7, 11, 13, 999_999_999_959)
 
@@ -262,6 +262,8 @@ def test_non_integral_entries_are_rejected_not_truncated(rows):
     symmetric = [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
     with pytest.raises(ValueError, match="not an integer"):
         IntegerSymmetricMatrix(symmetric)
+    with pytest.raises(ValueError, match="not an integer"):
+        SeifertData(rows)
 
 
 def test_integral_entries_of_other_types_are_accepted():
