@@ -154,9 +154,6 @@ class UnimodularTransform:
         D, d = adjugate(self.entries)  # d = +-1
         return UnimodularTransform([[d * x for x in row] for row in D])
 
-    def transposed(self) -> "UnimodularTransform":
-        return UnimodularTransform(transpose(self.entries))
-
 
 @dataclass(frozen=True)
 class CokernelDecomposition:
@@ -752,12 +749,16 @@ def rational_normalize(N: RationalSymmetricMatrix, p: int, rho: int) -> Unimodul
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
     b, L = _clear_denominators(N.entries)
-    return UnimodularTransform(_integer_normalize(b, p, rho + ord_int(L, p)))
+    return UnimodularTransform(_integer_normalize(b, p, rho + ord_int(L, p))[0])
 
 
-def _integer_normalize(rows: list[list[int]], p: int, rho: int) -> list[list[int]]:
-    """Unimodular S so that S C S^t meets the `rational_normalize` contract
-    at floor rho, for a symmetric integer matrix C.
+def _integer_normalize(
+    rows: list[list[int]], p: int, rho: int
+) -> tuple[list[list[int]], list[list[int]] | None]:
+    """(S, S^{-1}) for a unimodular S so that S C S^t meets the
+    `rational_normalize` contract at floor rho, for a symmetric integer
+    matrix C.  S^{-1} is None when a kernel was split off: only
+    `rational_normalize` meets singular C, and it needs S alone.
 
     The kernel of C is split off first (`_kernel_split`).  On the
     nonsingular block B, of size r and least entry valuation w, the
@@ -780,18 +781,21 @@ def _integer_normalize(rows: list[list[int]], p: int, rho: int) -> list[list[int
         if any(any(row) for row in core[:kdim]):
             raise AssertionError("kernel split failed")
         det = det_exact([row[kdim:] for row in core[kdim:]])
-    s = identity(m)
+    s, s_inv = identity(m), identity(m)
     if kdim < m:
         w = ord_int(gcd(*(x for row in core[kdim:] for x in row)), p)
         tau = max(rho, ord_int(det, p) - (m - kdim - 1) * w + 1)
-        s = _normalize_pass(core, kdim, p, tau)
+        s, s_inv = _normalize_pass(core, kdim, p, tau)
     _check_normal_contract(core, p, rho)
-    return mat_mul(s, base) if kdim else s
+    return (mat_mul(s, base), None) if kdim else (s, s_inv)
 
 
-def _normalize_pass(a: list[list[int]], kdim: int, p: int, tau: int) -> list[list[int]]:
+def _normalize_pass(
+    a: list[list[int]], kdim: int, p: int, tau: int
+) -> tuple[list[list[int]], list[list[int]]]:
     """Symmetric elimination of a (in place) from its last slot down to
-    slot kdim; returns the transform S, so that a ends as S a S^t.
+    slot kdim; returns the transform S, so that a ends as S a S^t, and
+    S^{-1}, carried by the inverse column moves.
 
     Each step places an active entry of least valuation on the last active
     diagonal slot, moving an off-diagonal minimum a_ij onto the diagonal
@@ -802,20 +806,24 @@ def _normalize_pass(a: list[list[int]], kdim: int, p: int, tau: int) -> list[lis
     the previous level.
     """
     m = len(a)
-    s = identity(m)
+    s, s_inv = identity(m), identity(m)
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
         for r in a:
             r[i], r[j] = r[j], r[i]
         s[i], s[j] = s[j], s[i]
+        for r in s_inv:
+            r[i], r[j] = r[j], r[i]
 
     def shear(src, dst, c):
-        # row/col dst += c * row/col src
+        # row/col dst += c * row/col src; in S^{-1}, column src -= c * column dst
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         for r in a:
             r[dst] += c * r[src]
         s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
+        for r in s_inv:
+            r[src] -= c * r[dst]
 
     e, pe = 0, 1  # current valuation level and p^e
     for last in range(m - 1, kdim - 1, -1):
@@ -841,7 +849,7 @@ def _normalize_pass(a: list[list[int]], kdim: int, p: int, tau: int) -> list[lis
             c = -(a[last][j] // pe) * uinv % mod
             if c:
                 shear(last, j, c - mod if c > mod // 2 else c)
-    return s
+    return s, s_inv
 
 
 def _check_normal_contract(a: list[list[int]], p: int, rho: int) -> None:
@@ -853,11 +861,11 @@ def _check_normal_contract(a: list[list[int]], p: int, rho: int) -> None:
     if diag != [None] * (len(a) - len(finite)) + sorted(finite, reverse=True):
         raise AssertionError(f"diagonal valuations {diag} are not sorted")
     for i, row in enumerate(a):
+        # off the diagonal, each nonzero entry must vanish mod p^bound
+        bound = None if diag[i] is None else p ** max(rho, diag[i] + 1)
         for j, x in enumerate(row):
-            if j != i and x:
-                v = ord_int(x, p)
-                if v < rho or diag[i] is None or diag[i] >= v:
-                    raise AssertionError(f"entry ({i},{j}) of valuation {v} breaks the contract")
+            if j != i and x and (bound is None or x % bound):
+                raise AssertionError(f"entry ({i},{j}) of valuation {ord_int(x, p)} breaks the contract")
 
 
 def inverse_ord_normalize(M: IntegerSymmetricMatrix, p: int) -> UnimodularTransform:
@@ -867,7 +875,9 @@ def inverse_ord_normalize(M: IntegerSymmetricMatrix, p: int) -> UnimodularTransf
     of the inverse become p-integral.  With (D, d) = adjugate(M), so that
     D = d M^{-1}, the normal form of M^{-1} at floor 0 is that of the
     integer matrix D at floor ord_p(d): S = `_integer_normalize`(D), and
-    T = (S^{-1})^t.  Integer arithmetic throughout.
+    T = (S^{-1})^t, with S^{-1} carried through the pass rather than
+    inverted afterwards (S can grow far larger than S^{-1}).  Integer
+    arithmetic throughout.
 
     Reference route for the Wall decomposition: reading the diagonal of
     (T M T^t)^{-1} gives the same summands as `padic_jordan`; the tests
@@ -879,8 +889,8 @@ def inverse_ord_normalize(M: IntegerSymmetricMatrix, p: int) -> UnimodularTransf
         D, d = adjugate(M.entries)
     except ZeroDivisionError:
         raise ValueError("matrix must be nonsingular") from None
-    S = UnimodularTransform(_integer_normalize(D, p, ord_int(d, p)))
-    return S.inverse().transposed()
+    _, s_inv = _integer_normalize(D, p, ord_int(d, p))
+    return UnimodularTransform(transpose(s_inv))
 
 
 def jacobi_minor_identity(

@@ -1,0 +1,260 @@
+"""The tangle-contraction Kauffman bracket against two independent oracles.
+
+`kauffman_bracket` contracts the diagram one crossing at a time over planar
+matchings of the open arc ends.  Up to 14 crossings it is checked against
+the 2^n state sum it replaced, kept here as the oracle: on the corpus,
+seeded braid closures and pretzels, Reidemeister-scrambled diagrams (whose
+kinks put both ends of an arc on one crossing), mirrors, split diagrams and
+diagrams with free loops.  Beyond the state sum's reach, the Jones
+polynomial of a torus knot has a closed form, and V(zeta6) is fixed by the
+linking form of the double branched cover (`jones_zeta6_closed_form`).
+"""
+
+import random
+from math import comb, gcd
+
+import pytest
+
+from singdet import diagrams
+from singdet.corpus import load_corpus
+from singdet.diagrams import (
+    DiagramError,
+    LinkDiagram,
+    braid_closure_pd,
+    goeritz_from_diagram,
+    jones_via_bracket,
+    kauffman_bracket,
+    mirror,
+    pretzel_pd,
+    r1_kink,
+    r2_slide,
+)
+from singdet.evaluate import HALFPOWER, LaurentPolynomial, jones_zeta6_closed_form
+
+
+def _delta_powers(nmax):
+    out = [{0: 1}]
+    for _ in range(nmax):
+        cur = {}
+        for e1, c1 in out[-1].items():
+            for e2, c2 in {2: -1, -2: -1}.items():
+                cur[e1 + e2] = cur.get(e1 + e2, 0) + c1 * c2
+        out.append(cur)
+    return out
+
+
+def state_sum_bracket(diagram):
+    """The bracket as a sum over all 2^n smoothings: union-find on the 4n
+    crossing ends counts each state's loops."""
+    n = diagram.n
+    if n == 0:
+        return dict(_delta_powers(diagram.free_loops)[diagram.free_loops - 1])
+    ends = [(ci, s) for ci in range(n) for s in range(4)]
+    idx = {e: i for i, e in enumerate(ends)}
+    arc_pairs = [(idx[a], idx[b]) for a, b in diagram._occ.values()]
+    deltas = _delta_powers(2 * n + diagram.free_loops + 2)
+    total = {}
+    for state in range(1 << n):
+        parent = list(range(4 * n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(a, b):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                return 1
+            return 0
+
+        merges = sum(union(a, b) for a, b in arc_pairs)
+        exp = 0
+        for ci in range(n):
+            base = 4 * ci
+            if (state >> ci) & 1:  # A-smoothing
+                exp += 1
+                merges += union(base + 0, base + 1) + union(base + 2, base + 3)
+            else:
+                exp -= 1
+                merges += union(base + 0, base + 3) + union(base + 1, base + 2)
+        # the glue graph on 4n ends is 2-regular: every component is a circle
+        loops = 4 * n - merges + diagram.free_loops
+        for e, c in deltas[loops - 1].items():
+            total[e + exp] = total.get(e + exp, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def assert_brackets_agree(d, label):
+    assert kauffman_bracket(d) == state_sum_bracket(d), label
+
+
+def seeded_braid_word(rng, strands, length):
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+        if {abs(k) for k in word} == set(range(1, strands)):
+            return word
+
+
+def disjoint_union(d1, d2, free_loops=0):
+    shift = max(d1.arcs, default=0)
+    moved = tuple(tuple(lab + shift for lab in t) for t in d2.crossings)
+    return LinkDiagram(d1.crossings + moved, d1.free_loops + d2.free_loops + free_loops)
+
+
+def test_corpus_diagrams_and_their_mirrors_match_the_state_sum():
+    corpus = {name: e.diagram for name, e in sorted(load_corpus().items())
+              if e.diagram is not None and e.diagram.n <= 14}
+    # every diagram but p777m and p5_17_5 (21, 27 crossings), which the
+    # zeta6 test below covers
+    assert len(corpus) == sum(1 for e in load_corpus().values() if e.diagram is not None) - 2
+    for name, d in corpus.items():
+        assert_brackets_agree(d, name)
+        if d.n:
+            assert_brackets_agree(mirror(d), f"mirror of {name}")
+
+
+def test_seeded_braid_closures_match_the_state_sum():
+    rng = random.Random(1201)
+    for _ in range(24):
+        strands = rng.randint(2, 5)
+        length = rng.randint(strands - 1, 14 if rng.random() < 0.1 else 10)
+        word = seeded_braid_word(rng, strands, length)
+        assert_brackets_agree(braid_closure_pd(word, strands), (word, strands))
+
+
+def test_seeded_pretzels_match_the_state_sum():
+    rng = random.Random(1202)
+    kinds = set()
+    for _ in range(20):
+        while True:
+            twists = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+            if sum(abs(a) for a in twists) <= 12:
+                break
+        d = pretzel_pd(*twists)
+        kinds.add(d.component_count > 1)
+        kinds.add(("even", any(a % 2 == 0 for a in twists)))
+        assert_brackets_agree(d, twists)
+    assert kinds >= {True, False, ("even", True)}  # links and even twists drawn
+
+
+def test_reidemeister_scrambled_diagrams_match_the_state_sum():
+    rng = random.Random(1203)
+    corpus = load_corpus()
+    kinked = 0
+    for name in ("3_1", "4_1", "5_2", "hopf_plus", "t2_4", "granny"):
+        d = corpus[name].diagram
+        for _ in range(4):
+            if rng.random() < 0.5 or d.n > 10:
+                d = r1_kink(d, rng.choice(d.arcs), rng.random() < 0.5)
+            else:
+                arcs = d.arcs
+                rng.shuffle(arcs)
+                for a, b in ((a, b) for a in arcs for b in arcs if a != b):
+                    try:
+                        d = r2_slide(d, a, b)
+                        break
+                    except DiagramError:
+                        continue
+            kinked += any(len(set(t)) < 4 for t in d.crossings)
+            assert_brackets_agree(d, name)
+    assert kinked  # an arc with both ends on one crossing was contracted
+
+
+def test_split_diagrams_and_free_loops_match_the_state_sum():
+    corpus = load_corpus()
+    trefoil, hopf, fig8 = (corpus[k].diagram for k in ("3_1", "hopf_minus", "4_1"))
+    cases = [
+        disjoint_union(trefoil, hopf),
+        disjoint_union(fig8, mirror(trefoil), free_loops=1),
+        disjoint_union(disjoint_union(hopf, hopf), trefoil),
+        LinkDiagram(trefoil.crossings, 2),
+        LinkDiagram(r1_kink(hopf, 1, True).crossings, 3),
+        LinkDiagram((), 3),
+    ]
+    for d in cases:
+        assert_brackets_agree(d, (d.crossings, d.free_loops))
+        if d.n:
+            assert_brackets_agree(mirror(d), ("mirror", d.crossings, d.free_loops))
+
+
+def test_contraction_keeps_one_canonical_key_per_planar_matching(monkeypatch):
+    """Each step's states are keyed by sorted tuples of ordered end pairs,
+    all on the same open ends, so there are at most Catalan(k) of them on
+    a frontier of 2k ends."""
+    place = diagrams._place_crossing
+    widest = []
+
+    def checked(states, ci, glue):
+        out = place(states, ci, glue)
+        frontiers = {tuple(sorted(e for pair in key for e in pair)) for key in out}
+        assert len(frontiers) == 1
+        k = len(next(iter(frontiers))) // 2
+        for key in out:
+            assert all(a < b for a, b in key) and list(key) == sorted(key), key
+        assert len(out) <= comb(2 * k, k) // (k + 1)
+        widest.append(k)
+        return out
+
+    monkeypatch.setattr(diagrams, "_place_crossing", checked)
+    rng = random.Random(1204)
+    for d in (braid_closure_pd(seeded_braid_word(rng, 4, 24), 4),
+              braid_closure_pd(seeded_braid_word(rng, 5, 30), 5),
+              pretzel_pd(5, -3, 7),
+              r1_kink(load_corpus()["8_10"].diagram, 3, False)):
+        kauffman_bracket(d)
+    assert max(widest) >= 3
+
+
+def torus_knot_jones(p, q):
+    """V(T(p,q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2),
+    keyed by exponents of t^(1/2)."""
+    num = [0] * (p + q + 1)
+    for e, c in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+        num[e] += c
+    quo = [0] * (p + q - 1)  # num / (1 - t^2), from the lowest term up
+    for k in range(p + q - 1):
+        quo[k] = num[k] + (quo[k - 2] if k >= 2 else 0)
+    assert all(num[k] + quo[k - 2] == 0 for k in (p + q - 1, p + q))  # exact
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPolynomial({2 * (k + shift): c for k, c in enumerate(quo) if c})
+
+
+@pytest.mark.parametrize("p,qs", [(2, range(3, 52, 2)),
+                                  (3, [q for q in range(2, 41) if gcd(3, q) == 1])])
+def test_positive_torus_knots_match_the_closed_form(p, qs):
+    for q in qs:
+        d = braid_closure_pd(list(range(1, p)) * q, p)
+        assert d.n == (p - 1) * q
+        assert jones_via_bracket(d, budget=d.n) == torus_knot_jones(p, q), (p, q)
+
+
+def test_torus_closed_form_on_the_trefoil():
+    assert torus_knot_jones(2, 3) == LaurentPolynomial({2: 1, 6: 1, 8: -1})  # t + t^3 - t^4
+
+
+def test_zeta6_beyond_sixteen_crossings_on_the_corpus_pretzels():
+    corpus = load_corpus()
+    for name in ("p777m", "p5_17_5"):
+        d = corpus[name].diagram
+        assert d.n > 16
+        lhs = jones_via_bracket(d, budget=d.n).eval_root_of_unity(HALFPOWER["zeta6"])
+        assert lhs == jones_zeta6_closed_form(corpus[name].seifert.M), name
+
+
+def test_zeta6_on_seeded_large_odd_twist_pretzels():
+    rng = random.Random(1205)
+    sizes = []
+    for _ in range(6):
+        while True:
+            twists = [rng.choice((1, -1)) * rng.randrange(3, 26, 2) for _ in range(3)]
+            if 30 <= sum(abs(a) for a in twists) <= 63:
+                break
+        d = pretzel_pd(*twists)
+        assert d.component_count == 1
+        lhs = jones_via_bracket(d, budget=d.n).eval_root_of_unity(HALFPOWER["zeta6"])
+        assert lhs == jones_zeta6_closed_form(goeritz_from_diagram(d, 0)), twists
+        sizes.append(d.n)
+    assert max(sizes) > 45

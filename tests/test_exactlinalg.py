@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from singdet.diagrams import pretzel_pd, seifert_matrix_from_diagram
 from singdet.exactlinalg import (
     CokernelDecomposition,
     IntegerSymmetricMatrix,
     RationalSymmetricMatrix,
     UnimodularTransform,
+    _integer_normalize,
     adjugate,
     corank_mod_p,
     cyclic_generator,
@@ -30,7 +32,7 @@ from singdet.exactlinalg import (
     smith_normal_form,
     transpose,
 )
-from singdet.numtheory import legendre, ord_p
+from singdet.numtheory import legendre, ord_int, ord_p
 
 M12N553 = [[-2, 0, -1, 0], [0, -6, 9, 3], [-1, 9, -8, -3], [0, 3, -3, 0]]
 
@@ -395,3 +397,23 @@ def test_matrix_text_roundtrip():
         parse_matrix("2\n1 2 3\n")
     with pytest.raises(ValueError):
         load_symmetric_matrix("2\n0 1\n2 0\n")
+
+
+def test_normal_form_pass_carries_the_inverse_transform():
+    """S^{-1} comes out of the pass by the inverse column moves: S S^{-1} = I
+    on seeded nonsingular adjugates and on the n = 42 Vogel matrix of
+    P(-5,-3,3), and `inverse_ord_normalize` returns (S^{-1})^t."""
+    rng = random.Random(16)
+    cases = [(seifert_matrix_from_diagram(pretzel_pd(-5, -3, 3)).M, 3)]
+    while len(cases) < 60:
+        M = IntegerSymmetricMatrix(rand_sym(rng, rng.randrange(1, 8), 4))
+        if det_exact(M.entries):
+            cases.append((M, rng.choice([3, 5, 7, 11, 13])))
+    for M, p in cases:
+        D, d = adjugate(M.entries)
+        S, S_inv = _integer_normalize(D, p, ord_int(d, p))
+        assert mat_mul(S, S_inv) == identity(M.n)
+        assert inverse_ord_normalize(M, p).entries == tuple(map(tuple, transpose(S_inv)))
+    # a singular matrix has its kernel split off, and no inverse is carried
+    S, S_inv = _integer_normalize([[0, 0, 0], [0, 1, 2], [0, 2, 1]], 5, 0)
+    assert S_inv is None and abs(det_exact(S)) == 1
