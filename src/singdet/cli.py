@@ -54,6 +54,7 @@ from .obstruct import (
 from .seifert import SeifertData, d_p_of, delta_p, mu_of, signature, stabilize
 
 DEFAULT_PRIMES = [3, 5, 7, 11, 13]
+Q_BUDGET = 12  # crossing budget of the Q skein: `invariants` default, `verify endtoend`
 
 
 def _load_input(path: str) -> CorpusEntry:
@@ -280,13 +281,13 @@ def _suite_endtoend(report, seed: int = 0) -> bool:
             ok &= report(f"zeta6 closed form mismatch on {name}", False)
     ok &= report("bracket at zeta6 == closed form on all bundled knots <= 9 crossings", ok)
     done = True
-    for name, e in sorted(corpus_knots(8).items()):
+    for name, e in sorted(corpus_knots(Q_BUDGET).items()):
         d = e.diagram
         M = seifert_matrix_from_diagram(d).M
-        q = q_via_skein(d).eval_golden_reciprocal()
+        q = q_via_skein(d, budget=Q_BUDGET).eval_golden_reciprocal()
         if q != q_golden_closed_form(M):
             done &= report(f"golden Q mismatch on {name}", False)
-    ok &= report("Q at golden == closed form on all bundled knots <= 8 crossings", done)
+    ok &= report(f"Q at golden == closed form on all bundled knots <= {Q_BUDGET} crossings", done)
     return ok
 
 
@@ -359,7 +360,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_report_options(sp)
     sp.add_argument("--budget", dest="budget", type=int, default=16,
                     help="crossing budget for the bracket")
-    sp.add_argument("--q-budget", dest="q_budget", type=int, default=12)
+    sp.add_argument("--q-budget", dest="q_budget", type=int, default=Q_BUDGET)
 
     sp = sub.add_parser("obstruct", help="unknotting obstruction report")
     _add_report_options(sp)

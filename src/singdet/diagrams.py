@@ -8,6 +8,13 @@ matching of the open arc ends.  Its cost follows the number of matchings
 on the widest frontier, so braid closures and pretzels of a hundred
 crossings take milliseconds.
 
+The Q polynomial is a skein recursion toward descending diagrams, and each
+node first removes every kink and every second Reidemeister bigon (one
+strand over at both crossings).  Q = F(1, z) is an invariant of ambient
+isotopy, so these moves are exact, and they cut away the kinks and bigons
+that the skein's own smoothings create: a 12-crossing braid closure takes
+milliseconds instead of seconds.
+
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
 strand runs a -> c.  With the over strand oriented d -> b the crossing is
@@ -806,34 +813,74 @@ def _q_unknot_power(k: int) -> LaurentPolynomial:
     return out
 
 
-def _smooth_unoriented(crossings: list[tuple], free: int, ci: int, mode: int):
-    """Remove crossing ci, joining ends (0,1),(2,3) for mode 0 else (0,3),(1,2).
+def _join_labels(crossings: list[tuple], removed, joins, free: int):
+    """Delete the crossings at indices `removed` and join the label pairs
+    `joins`, the strand ends the deleted crossings connected.
 
-    Arcs fused at the crossing are merged by union-find on labels; a join
-    whose two labels already lie in one class closes a free circle (this
-    covers kinks, where a label appears twice in the removed tuple).
+    Arcs fused this way are merged by union-find on labels; a join whose two
+    labels already lie in one class closes a free loop (this covers kinks,
+    where a label appears twice in a removed tuple).
     """
-    tup = crossings[ci]
-    joins = [(0, 1), (2, 3)] if mode == 0 else [(0, 3), (1, 2)]
-    rest = [t for k, t in enumerate(crossings) if k != ci]
     parent: dict[int, int] = {}
 
     def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while x in parent:
             x = parent[x]
         return x
 
     closed = 0
-    for s1, s2 in joins:
-        r1, r2 = find(tup[s1]), find(tup[s2])
-        if r1 == r2:
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra == rb:
             closed += 1
         else:
-            parent[r1] = r2
-    out = [tuple(find(lab) for lab in t) for t in rest]
+            parent[ra] = rb
+    out = [tuple(find(lab) for lab in t) for k, t in enumerate(crossings) if k not in removed]
     return out, free + closed
+
+
+def _smooth_unoriented(crossings: list[tuple], free: int, ci: int, mode: int):
+    """Remove crossing ci, joining ends (0,1),(2,3) for mode 0 else (0,3),(1,2)."""
+    a, b, c, d = crossings[ci]
+    joins = ((a, b), (c, d)) if mode == 0 else ((a, d), (b, c))
+    return _join_labels(crossings, (ci,), joins, free)
+
+
+def _reducing_move(crossings: list[tuple]):
+    """(removed crossings, label joins) of the first R1 or R2 reduction met
+    in one face walk, or None.
+
+    A monogon face (ci, s) is a kink, t[s] == t[s+1]: the strand through
+    slots s+2 and s+3 is what is left.  A bigon face (c1, s1), (c2, s2)
+    with c1 != c2 has edge t1[s1+1] == t2[s2] and edge t1[s1] == t2[s2+1];
+    slots 1 and 3 are over, so one strand is over at both crossings iff
+    s1+1 and s2 have one parity.  Only then is it a second Reidemeister
+    pair, whose strands run on to t1[s1+3], t2[s2+2] and t1[s1+2],
+    t2[s2+3]; a clasp is kept.
+    """
+    for face in face_orbits(crossings):
+        if len(face) == 1:
+            ci, s = face[0]
+            t = crossings[ci]
+            return (ci,), ((t[(s + 2) % 4], t[(s + 3) % 4]),)
+        if len(face) == 2:
+            (c1, s1), (c2, s2) = face
+            if c1 != c2 and (s1 + 1) % 2 == s2 % 2:
+                t1, t2 = crossings[c1], crossings[c2]
+                return (c1, c2), ((t1[(s1 + 3) % 4], t2[(s2 + 2) % 4]),
+                                  (t1[(s1 + 2) % 4], t2[(s2 + 3) % 4]))
+    return None
+
+
+def _reidemeister_reduce(crossings: list[tuple], free: int):
+    """(crossings, free) with kinks and second Reidemeister bigons removed
+    until none is left, one move per face walk."""
+    while crossings:
+        move = _reducing_move(crossings)
+        if move is None:
+            break
+        crossings, free = _join_labels(crossings, *move, free)
+    return crossings, free
 
 
 class _ShadowWalker:
@@ -902,6 +949,7 @@ _Z = LaurentPolynomial({2: 1})
 
 def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomial:
     """Q of the diagram (crossings, free loops), one shadow walk per node."""
+    crossings, free = _reidemeister_reduce(crossings, free)
     if not crossings:
         key = ("unlink", free)
         if key not in memo:
@@ -937,11 +985,20 @@ def q_via_skein(d: LinkDiagram, budget: int = _UNORIENTED_BUDGET) -> LaurentPoly
     Q(L+) + Q(L-) = z (Q(L0) + Q(Loo)) with Q(unknot) = 1.  Recursion: walk
     the shadow; the first crossing whose over strand differs from the
     first-visit-on-top template is switched (distance to descending drops by
-    one) or smoothed both ways (crossing count drops), so the recursion
-    terminates; descending stacked diagrams are unlinks.  Each node of the
-    recursion walks its shadow once, for its memo key, the crossing to
-    change and its component count.  The memo is local to the call and is
-    freed by reference counting when it returns.
+    one) or smoothed both ways (crossing count drops); descending stacked
+    diagrams are unlinks.
+
+    Each node first removes kinks and second Reidemeister bigons until none
+    is left (`_reidemeister_reduce`).  Q is the Kauffman polynomial F(a, z)
+    at a = 1, and F = a^(-writhe) times a regular isotopy invariant that
+    takes a factor a^(+-1) per kink, so at a = 1 a kink costs nothing.  A
+    bigon is a second Reidemeister pair only when one strand runs over at
+    both its crossings; a clasp (over at one, under at the other) is kept.
+    The reduction only removes crossings, so the measure (crossings,
+    distance to descending) still drops at every step and the recursion
+    terminates.  Each node then walks its shadow once, for its memo key,
+    the crossing to change and its component count.  The memo is local to
+    the call and is freed by reference counting when it returns.
     """
     if d.n > budget:
         raise DiagramError(f"crossing budget exceeded: {d.n} > {budget}")
