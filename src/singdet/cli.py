@@ -25,7 +25,7 @@ import time
 
 from . import corpus as corpus_mod
 from .corpus import CorpusEntry, corpus_knots, load_corpus, parse_entry
-from .diagrams import jones_via_bracket, q_via_skein, seifert_matrix_from_diagram
+from .diagrams import BRACKET_BUDGET, Q_BUDGET, jones_via_bracket, q_via_skein, seifert_matrix_from_diagram
 from .evaluate import (
     HALFPOWER,
     alexander_poly,
@@ -54,7 +54,6 @@ from .obstruct import (
 from .seifert import SeifertData, d_p_of, delta_p, mu_of, signature, stabilize
 
 DEFAULT_PRIMES = [3, 5, 7, 11, 13]
-Q_BUDGET = 12  # crossing budget of the Q skein: `invariants` default, `verify endtoend`
 
 
 def _load_input(path: str) -> CorpusEntry:
@@ -273,19 +272,21 @@ def _suite_invariance(report, seed: int, count: int = 1000) -> bool:
 
 def _suite_endtoend(report, seed: int = 0) -> bool:
     ok = True
-    for name, e in sorted(corpus_knots(9).items()):
-        d = e.diagram
-        M = seifert_matrix_from_diagram(d).M
-        v = jones_via_bracket(d).eval_root_of_unity(HALFPOWER["zeta6"])
-        if v.coords != jones_zeta6_closed_form(M).coords:
+    knots = sorted(corpus_knots(max(9, Q_BUDGET)).items())
+    matrices = {name: seifert_matrix_from_diagram(e.diagram).M for name, e in knots}
+    for name, e in knots:
+        if e.diagram.n > 9:
+            continue
+        v = jones_via_bracket(e.diagram).eval_root_of_unity(HALFPOWER["zeta6"])
+        if v.coords != jones_zeta6_closed_form(matrices[name]).coords:
             ok &= report(f"zeta6 closed form mismatch on {name}", False)
     ok &= report("bracket at zeta6 == closed form on all bundled knots <= 9 crossings", ok)
     done = True
-    for name, e in sorted(corpus_knots(Q_BUDGET).items()):
-        d = e.diagram
-        M = seifert_matrix_from_diagram(d).M
-        q = q_via_skein(d, budget=Q_BUDGET).eval_golden_reciprocal()
-        if q != q_golden_closed_form(M):
+    for name, e in knots:
+        if e.diagram.n > Q_BUDGET:
+            continue
+        q = q_via_skein(e.diagram, budget=Q_BUDGET).eval_golden_reciprocal()
+        if q != q_golden_closed_form(matrices[name]):
             done &= report(f"golden Q mismatch on {name}", False)
     ok &= report(f"Q at golden == closed form on all bundled knots <= {Q_BUDGET} crossings", done)
     return ok
@@ -358,7 +359,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invariants", help="invariant report for a link file")
     _add_report_options(sp)
-    sp.add_argument("--budget", dest="budget", type=int, default=16,
+    sp.add_argument("--budget", dest="budget", type=int, default=BRACKET_BUDGET,
                     help="crossing budget for the bracket")
     sp.add_argument("--q-budget", dest="q_budget", type=int, default=Q_BUDGET)
 

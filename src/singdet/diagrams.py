@@ -294,6 +294,9 @@ def _is_planar(d: LinkDiagram) -> bool:
 
 # ------------------------------------------------------------------- bracket
 
+BRACKET_BUDGET = 16  # default crossing budget of the Jones polynomial
+
+
 def _add_product(acc: dict[int, int], p: dict[int, int], q: dict[int, int], shift: int = 0) -> None:
     """acc += p * q * A^shift, on dicts A-exponent -> coefficient."""
     for e1, c1 in p.items():
@@ -450,7 +453,7 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     return _over_delta(total)
 
 
-def jones_via_bracket(diagram: LinkDiagram, budget: int = 16) -> LaurentPolynomial:
+def jones_via_bracket(diagram: LinkDiagram, budget: int = BRACKET_BUDGET) -> LaurentPolynomial:
     """Jones polynomial (value 1 on the unknot, paper-standard skein signs)
     via the normalized bracket, substituting A = t^(-1/4)."""
     if diagram.n > budget:
@@ -801,7 +804,7 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
 
 # ------------------------------------------------------------------ Q by skein
 
-_UNORIENTED_BUDGET = 12
+Q_BUDGET = 12  # default crossing budget of the Q skein
 
 
 def _q_unknot_power(k: int) -> LaurentPolynomial:
@@ -979,7 +982,7 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomia
     return val
 
 
-def q_via_skein(d: LinkDiagram, budget: int = _UNORIENTED_BUDGET) -> LaurentPolynomial:
+def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     """Q polynomial by four-term skein recursion toward descending diagrams.
 
     Q(L+) + Q(L-) = z (Q(L0) + Q(Loo)) with Q(unknot) = 1.  Recursion: walk

@@ -15,17 +15,20 @@ each computes on integers and builds its Fractions last.  All arithmetic
 is arbitrary precision; there is no floating point anywhere in this
 package's math.
 
-The exact kernels on the per-prime layer's hot path (`det_exact` here,
-`signature` and the F_p elimination in `seifert`) take a sparse matrix,
-most of whose entries are zero, through a front end that eliminates on
-unit pivots first: each step picks a pivot of least Markowitz cost
-(r - 1)(c - 1), r and c the nonzero counts of its row and column
-(Markowitz, Management Science 3 (1957)), and its exact Schur update
-touches only the pivot row's and column's supports.  Whatever no unit
-pivot reaches, and every dense matrix, goes to the dense fraction-free
-loop (`_bareiss_det`, and the symmetric Bareiss loop in `signature`).
+The per-prime layer reads each symmetric matrix M through one memoized
+congruence core (`congruence_core`).  On a sparse M, most of whose entries
+are zero, `_split_unimodular_blocks` splits M over Z as B + R, B an
+orthogonal sum of unimodular 1x1 and 2x2 blocks: each step picks the unit
+pivot of least Markowitz cost (Markowitz, Management Science 3 (1957)),
+and its exact Schur update touches only the pivot rows' supports.  A dense
+M is all residue, R = M.  One fraction-free symmetric Bareiss pass on R
+gives sign M and det M.  B is unimodular, so R presents the linking form
+of M: det, the signature, mu, d_p, delta_p and the Wall summands all read
+the core, and only R reaches `corank_mod_p`, the F_p elimination and
+`padic_jordan`.
 Vogel-untangled Seifert matrices are about 98% zeros and almost all
-unimodular, so the dense remainder is a few rows at most.
+unimodular, so R has a few rows at most.  `det_exact` runs the same split
+on sparse symmetric rows and Bareiss elimination on any other matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .numtheory import factorize, is_prime, ord_int
 
@@ -209,111 +213,24 @@ def mat_vec(a, v):
 def det_exact(rows) -> int:
     """Exact determinant of a square integer matrix, symmetric or not.
 
-    On a sparse matrix, `_unit_pivot_eliminate` first takes out every +-1
-    pivot it can reach, with division-free integer Schur updates and the
-    cofactor sign of the pivots' positions; Bareiss elimination
-    (`_bareiss_det`) finishes the remainder, or the whole of a dense
-    matrix.  Entries may be ints or integral numbers of another type; a
-    non-integral entry is a ValueError.
+    A sparse symmetric matrix goes through the unimodular split of
+    `_congruence_split` (det = det B * det R); any other matrix through
+    Bareiss elimination (`_bareiss_det`).  Entries may be ints or integral
+    numbers of another type; a non-integral entry is a ValueError.
     """
     _check_square(rows)
-    if not _is_sparse(rows):
-        return _bareiss_det([[x if type(x) is int else _int_entry(x) for x in row] for row in rows])
-    sparse = [{j: _int_entry(x) for j, x in enumerate(row) if x} for row in rows]
-    sign, rest = _unit_pivot_eliminate(sparse)
-    return sign * _bareiss_det(rest)
+    a = [[x if type(x) is int else _int_entry(x) for x in row] for row in rows]
+    if _is_sparse(a) and a == [list(col) for col in zip(*a)]:
+        return _congruence_split(a).det
+    return _bareiss_det(a)
 
 
 def _is_sparse(rows) -> bool:
-    """Most entries are zero.  Only then do the unit-pivot front ends pay:
-    on a dense matrix a pivot's Schur update touches about as many entries
-    as a Bareiss step does, and building the sparse rows costs more than
-    the small dense matrices it would save on."""
+    """Most entries are zero.  Only then does the unimodular split pay: on
+    a dense matrix a pivot's Schur update touches about as many entries as
+    a Bareiss step does, and building the sparse rows costs more than the
+    small dense matrices it would save on."""
     return 2 * sum([row.count(0) for row in rows]) > len(rows) ** 2
-
-
-def _unit_pivot_eliminate(rows: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
-    """Gaussian elimination on +-1 pivots of a sparse square matrix.
-
-    rows[i] maps column to nonzero entry and is consumed.  Each step takes
-    the +-1 entry of least Markowitz cost (r - 1)(c - 1), r and c the
-    nonzero counts of its row and column (costs are refreshed lazily, when
-    an entry reaches the top of the heap), and subtracts a_kj * piv times
-    the pivot row from each row k of the pivot column: no division, and
-    only the supports of the pivot row and column are touched.  Returns
-    (s, rest) with det = s * det(rest): rest is the dense block of the rows
-    and columns no unit pivot reached, in their original order, and s is
-    the product of the pivots times the sign of the permutation that maps
-    each pivot's row to its column and the rest in order.
-    """
-    from heapq import heapify, heappop, heappush  # on first use, not at package load
-
-    n = len(rows)
-    cols: list[set[int] | None] = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
-            for i, row in enumerate(rows) for j, x in row.items() if x == 1 or x == -1]
-    heapify(heap)
-    sign = 1
-    perm = [-1] * n  # row -> column of its pivot
-    while heap:
-        cost, i, j = heappop(heap)
-        top = rows[i]
-        piv = top.get(j) if top is not None else None
-        if piv != 1 and piv != -1:
-            continue  # the entry was eliminated or changed value
-        col = cols[j]
-        now = (len(top) - 1) * (len(col) - 1)
-        if now > cost:
-            heappush(heap, (now, i, j))
-            continue
-        rows[i] = cols[j] = None
-        perm[i] = j
-        if piv < 0:
-            sign = -sign
-        col.discard(i)
-        del top[j]
-        for c in top:
-            cols[c].discard(i)
-        for k in col:
-            row = rows[k]
-            f = row.pop(j) * piv
-            for c, x in top.items():
-                y = row.get(c)
-                if y is None:
-                    row[c] = -f * x
-                    cols[c].add(k)
-                elif y == f * x:
-                    del row[c]
-                    cols[c].discard(k)
-                else:
-                    row[c] = y - f * x
-            rk = len(row) - 1
-            for c, x in row.items():
-                if x == 1 or x == -1:
-                    heappush(heap, (rk * (len(cols[c]) - 1), k, c))
-    left_rows = [i for i in range(n) if rows[i] is not None]
-    left_cols = [j for j in range(n) if cols[j] is not None]
-    for i, j in zip(left_rows, left_cols):
-        perm[i] = j
-    return sign * _perm_sign(perm), [[rows[i].get(j, 0) for j in left_cols] for i in left_rows]
-
-
-def _perm_sign(perm: list[int]) -> int:
-    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        i = perm[start]
-        while i != start:  # each step past the first flips the sign
-            seen[i] = True
-            i = perm[i]
-            sign = -sign
-    return sign
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -360,10 +277,157 @@ def _memo_on_matrix(fn):
     return wrapper
 
 
+class CongruenceCore(NamedTuple):
+    """What one integral congruence M = B + R, B unimodular, tells of a
+    symmetric integer matrix M (`_congruence_split`)."""
+
+    sign: int  # signature of M
+    det: int  # det M = det B * det R
+    R: Rows  # the residual block: it presents the linking form of M
+    det_B: int  # +-1
+
+
+def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
+    """Congruence M = B_1 + ... + B_k + R over Z with unimodular blocks B.
+
+    The pivots are a diagonal a_ii = +-1 (sign a_ii), or a pair (i, j) with
+    a_ij = +-1 and D = a_ii a_jj - 1 = +-1 (sign 0 when D = -1, the block
+    being indefinite, and 2 sign(a_ii) when D = +1).  Each is eliminated by
+    the integral inverse adj(B) * D of its block, touching only the union
+    of the two rows' supports; the next pivot is the one of least Markowitz
+    cost (r_i - 1)(r_j - 1), r the nonzero count of a row, with costs
+    refreshed lazily when an entry reaches the top of the heap.  Returns
+    (the blocks' total signature, R dense in the original index order).
+    """
+    from heapq import heappop, heappush  # on first use, not at package load
+
+    n = len(entries)
+    rows: list[dict[int, int] | None] = [
+        {j: x for j, x in enumerate(row) if x} for row in entries]
+    heap = []
+
+    def offer(i):
+        row = rows[i]
+        ri = len(row) - 1
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                heappush(heap, (ri * (len(rows[j]) - 1), min(i, j), max(i, j)))
+
+    for i in range(n):
+        offer(i)
+    sig = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        ri, rj = rows[i], rows[j]
+        if ri is None or rj is None or ri.get(j) not in (1, -1):
+            continue
+        if i == j:
+            now = (len(ri) - 1) ** 2
+        else:
+            p, q, r = ri.get(i, 0), ri[j], rj.get(j, 0)
+            det = p * r - 1  # q * q = 1
+            if det != 1 and det != -1:
+                continue
+            now = (len(ri) - 1) * (len(rj) - 1)
+        if now > cost:
+            heappush(heap, (now, i, j))
+            continue
+        rows[i] = rows[j] = None
+        if i == j:  # a_kl -= a_ki * d * a_il, since 1/d = d
+            d = ri.pop(i)
+            sig += d
+            rj = {}
+            vec = {k: (d * x, 0) for k, x in ri.items()}
+        else:  # a_kl -= x_k B^-1 x_l^t, x_k = (a_ki, a_kj), B^-1 = D * [[r, -q], [-q, p]]
+            sig += 0 if det == -1 else 2 if p > 0 else -2
+            for row in (ri, rj):
+                row.pop(i, None)
+                row.pop(j, None)
+            vec = {k: (det * (r * ri.get(k, 0) - q * rj.get(k, 0)),
+                       det * (p * rj.get(k, 0) - q * ri.get(k, 0))) for k in ri.keys() | rj.keys()}
+        for k in vec:
+            row = rows[k]
+            row.pop(i, None)
+            row.pop(j, None)
+        for k, (u, v) in vec.items():
+            row = rows[k]
+            for l in vec:
+                y = row.get(l, 0) - u * ri.get(l, 0) - v * rj.get(l, 0)
+                if y:
+                    row[l] = y
+                else:
+                    row.pop(l, None)
+        for k in vec:
+            offer(k)
+    left_idx = [i for i in range(n) if rows[i] is not None]
+    return sig, [[rows[i].get(j, 0) for j in left_idx] for i in left_idx]
+
+
+def _symmetric_bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """(sign, det) of a symmetric integer matrix a (consumed), by integer
+    congruence moves only.
+
+    A nonzero active diagonal entry is the pivot; if the whole active
+    diagonal is zero, row/column j is first added to row/column i, so that
+    the diagonal picks up 2*a_ij.  Each pivot D_k is then a leading
+    principal minor of the moved matrix, so every division is exact
+    (Sylvester's identity), the signature is the sum of sign(D_k * D_(k-1))
+    with D_0 = 1, and det is the last pivot.  An all-zero active block
+    (kernel directions, which add nothing to the signature) ends the loop
+    with det 0.
+    """
+    sig, prev = 0, 1
+    while a:
+        m = len(a)
+        i = 0 if a[0][0] else next((i for i in range(m) if a[i][i]), None)
+        if i is None:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if ij is None:
+                return sig, 0
+            i, j = ij
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        top = a.pop(i)
+        piv = top.pop(i)
+        sig += 1 if (piv > 0) == (prev > 0) else -1
+        col = [row.pop(i) for row in a]
+        a = [[(piv * x - c * y) // prev for x, y in zip(row, top)] for row, c in zip(a, col)]
+        prev = piv
+    return sig, prev
+
+
+def _congruence_split(rows) -> CongruenceCore:
+    """The congruence core of the symmetric integer matrix rows.
+
+    A sparse M goes through `_split_unimodular_blocks`; a dense M is all
+    residue (R = M, B empty).  Each block of B has determinant +-1, so its
+    determinant is (-1)^(its negative eigenvalues), and det B =
+    (-1)^((n - r - sign B)/2), r the size of R.  One `_symmetric_bareiss` pass on R gives sign R and
+    det R.
+    """
+    if _is_sparse(rows):
+        sig_b, a = _split_unimodular_blocks(rows)
+    else:
+        sig_b, a = 0, [list(row) for row in rows]
+    det_b = (-1) ** ((len(rows) - len(a) - sig_b) // 2)
+    R = tuple(map(tuple, a))
+    sig_r, det_r = _symmetric_bareiss(a)
+    return CongruenceCore(sig_b + sig_r, det_b * det_r, R, det_b)
+
+
 @_memo_on_matrix
+def congruence_core(M: IntegerSymmetricMatrix) -> CongruenceCore:
+    """The congruence core of M, computed once per matrix object.  B is
+    unimodular, so R presents the same linking form as M and has the same
+    corank over every F_p (Wall, Topology 2 (1963); Conway-Sloane, SPLAG
+    ch. 15): every per-prime fact reads R."""
+    return _congruence_split(M.entries)
+
+
 def det_of(M: IntegerSymmetricMatrix) -> int:
-    """det M, computed once per matrix object."""
-    return det_exact(M.entries)
+    """det M, from the congruence core of M."""
+    return congruence_core(M).det
 
 
 def _clear_denominators(rows) -> tuple[list[list[int]], int]:

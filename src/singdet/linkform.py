@@ -16,6 +16,7 @@ from fractions import Fraction
 from .exactlinalg import (
     IntegerSymmetricMatrix,
     _memo_on_matrix,
+    congruence_core,
     det_of,
     mat_inverse_q,
     mat_vec,
@@ -85,20 +86,23 @@ def eval_form(pres: LinkingFormPresentation, x: list[int], y: list[int]) -> Frac
 
 def _summands_at(M: IntegerSymmetricMatrix, p: int, alpha: int) -> list[tuple[int, int, str]]:
     """Wall summands at p from the non-unit pivots p^e * u of the p-adic
-    Jordan kernel: Z/p^e with value 1/(p^e u), type A iff (u|p) = 1."""
+    Jordan kernel: Z/p^e with value 1/(p^e u), type A iff (u|p) = 1.  The
+    kernel runs on the residual block R of the congruence core of M, which
+    presents the same form (det R = +-det M, so alpha is the same)."""
     return [(p, e, "A" if legendre(u, p) == 1 else "B")
-            for e, u in padic_jordan(M.entries, p, alpha)]
+            for e, u in padic_jordan(congruence_core(M).R, p, alpha)]
 
 
 def wall_decompose(pres: LinkingFormPresentation) -> WallDecomposition:
     """Orthogonal A/B decomposition of the linking form presented by M.
 
     Requires odd |det M|.  Per prime p | det M, the p-adic Jordan kernel
-    (exactlinalg.padic_jordan) diagonalizes M over Z/p^(alpha+1) with
-    alpha = ord_p(det M); each pivot p^e * u with e >= 1 is one Z/p^e
-    summand, of type A when (u|p) = 1 and B otherwise.  Unit pivots are
-    never read, so this route shares nothing with the mod-p unit block of
-    the definition route.
+    (exactlinalg.padic_jordan) diagonalizes the residual block R of the
+    congruence core of M over Z/p^(alpha+1), alpha = ord_p(det M); each
+    pivot p^e * u with e >= 1 is one Z/p^e summand, of type A when
+    (u|p) = 1 and B otherwise.  Unit pivots are never read, and R is an
+    integer presentation of the form, not the mod-p unit block, so this
+    route shares no elimination with the definition route.
     """
     det = det_of(pres.M)
     if det % 2 == 0:

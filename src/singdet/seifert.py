@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from .exactlinalg import (
     IntegerSymmetricMatrix,
     _freeze,
-    _is_sparse,
     _memo_on_matrix,
+    congruence_core,
     corank_mod_p,
     det_exact,
+    det_of,
     mod_p_block_reduce,
 )
 from .numtheory import is_prime, legendre
@@ -90,12 +91,13 @@ class LinkInvariantBundle:
 @_memo_on_matrix
 def mu_of(M: IntegerSymmetricMatrix) -> int:
     """The link's component count: carried by a spanning-surface
-    presentation, else the corank of the even-diagonal M over F_2 plus one."""
+    presentation, else the corank of the even-diagonal M over F_2 plus one,
+    read from the residual block R of its congruence core."""
     if isinstance(M, SpanningSurfaceData):
         return M.mu
     if not M.has_even_diagonal():
         raise ValueError("matrix must have even diagonal entries")
-    return corank_mod_p(M.entries, 2) + 1
+    return corank_mod_p(congruence_core(M).R, 2) + 1
 
 
 def _correction(M: IntegerSymmetricMatrix) -> int:
@@ -107,22 +109,35 @@ def _correction(M: IntegerSymmetricMatrix) -> int:
 def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int]:
     """(d_p, Legendre class of the unit block's determinant) over F_p only.
 
+    M = B + R with B unimodular (`congruence_core`), so the unit block of
+    M mod p is B plus that of R: d_p is the corank of R, and the unit
+    determinant is det B times the product of the pivots that
+    `_eliminate_mod_p` takes on R.  The Legendre symbol, being
+    multiplicative, is taken once.
+    """
+    core = congruence_core(M)
+    d, unit_det = _eliminate_mod_p(core.R, p)
+    return d, legendre(core.det_B * unit_det, p)
+
+
+def _eliminate_mod_p(entries, p: int) -> tuple[int, int]:
+    """(corank, product of the pivots mod p) of a symmetric integer matrix
+    over F_p, at an odd prime p.
+
     Symmetric elimination carried out entirely mod p, on rows held as
     sparse maps from column to nonzero residue; equivalent to the
-    integer-lifted reduction but immune to coefficient growth, which
-    matters for the large matrices produced by diagram untangling.  The
-    pivot is the nonzero diagonal entry whose row has the fewest nonzeros
+    integer-lifted reduction but immune to coefficient growth.  The pivot
+    is the nonzero diagonal entry whose row has the fewest nonzeros
     (counts refreshed lazily), and its Schur update touches only that
     row's support.  If the whole active diagonal is zero, row/column j is
     added to row/column i for the first nonzero a_ij, so that the diagonal
     picks up 2*a_ij, a unit since p is odd; for the same reason odd
-    diagonal entries are valid too.  The pivots are multiplied mod p and
-    the Legendre symbol, being multiplicative, is taken once.
+    diagonal entries are valid too.
     """
     from heapq import heapify, heappop, heappush  # on first use, not at package load
 
-    n = M.n
-    rows = [{j: y for j, x in enumerate(row) if (y := x % p)} for row in M.entries]
+    n = len(entries)
+    rows = [{j: y for j, x in enumerate(row) if (y := x % p)} for row in entries]
     heap = [(len(row), i) for i, row in enumerate(rows) if i in row]
     heapify(heap)
     rank, unit_det = 0, 1
@@ -168,7 +183,7 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
                     rk.pop(l, None)
             if k in rk:
                 heappush(heap, (len(rk), k))
-    return n - rank, legendre(unit_det, p)
+    return n - rank, unit_det
 
 
 def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None) -> int:
@@ -177,9 +192,12 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
 
     Independent of the reduction path; unchanged by unimodular congruence
     and by hyperbolic stabilization.  Defined for singular M as well.
-    The default path works over F_p; passing an rng exercises the
-    integer-lifted reduction with randomized pivots instead (the
-    path-independence oracle, and the only caller of mod_p_block_reduce).
+    The default path works over F_p on the residual block R of the
+    congruence core of M, with the unit determinant starting at det B
+    (`_unit_block_class_mod_p`); passing an rng exercises the
+    integer-lifted reduction of all of M with randomized pivots instead
+    (the path-independence oracle, and the only caller of
+    mod_p_block_reduce).
     """
     mu = mu_of(M)  # rejects an odd diagonal without a carried correction
     if p == 2 or not is_prime(p):
@@ -274,116 +292,11 @@ def signature(M: IntegerSymmetricMatrix) -> int:
     correction of a spanning-surface presentation (e = 0 for any other
     matrix), which is the signature of the link M presents.
 
-    sign(M) is computed by integer congruence moves only.  On a sparse M
-    (most entries zero), `_split_unimodular_blocks` first splits off
-    unimodular 1x1 and 2x2 blocks and counts their signs.  Then a
-    fraction-free symmetric (Bareiss) elimination runs on the remaining
-    block, or on all of a dense M: a nonzero active diagonal
-    entry is the pivot; if the whole active diagonal is zero, row/column j
-    is first added to row/column i, so that the diagonal picks up 2*a_ij;
-    an all-zero active block ends the loop.  Each pivot D_k is then a
-    leading principal minor of the moved matrix, so every division is
-    exact (Sylvester's identity), and the block's signature is the sum of
-    sign(D_k * D_(k-1)) with D_0 = 1.
+    sign(M) is the signature of its congruence core: that of the
+    unimodular blocks split off a sparse M plus that of the residual block,
+    from integer congruence moves only.
     """
-    if _is_sparse(M.entries):
-        sig, a = _split_unimodular_blocks(M.entries)
-    else:
-        sig, a = 0, [list(row) for row in M.entries]
-    prev = 1
-    while a:
-        m = len(a)
-        i = 0 if a[0][0] else next((i for i in range(m) if a[i][i]), None)
-        if i is None:
-            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if ij is None:
-                break  # zero active block: kernel directions, contribute nothing
-            i, j = ij
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-        top = a.pop(i)
-        piv = top.pop(i)
-        sig += 1 if (piv > 0) == (prev > 0) else -1
-        col = [row.pop(i) for row in a]
-        a = [[(piv * x - c * y) // prev for x, y in zip(row, top)] for row, c in zip(a, col)]
-        prev = piv
-    return sig - _correction(M)
-
-
-def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
-    """Congruence M = B_1 + ... + B_k + R over Z with unimodular blocks B.
-
-    The pivots are a diagonal a_ii = +-1 (sign a_ii), or a pair (i, j) with
-    a_ij = +-1 and D = a_ii a_jj - 1 = +-1 (sign 0 when D = -1, the block
-    being indefinite, and 2 sign(a_ii) when D = +1).  Each is eliminated by
-    the integral inverse adj(B) * D of its block, touching only the union
-    of the two rows' supports; the next pivot is the one of least Markowitz
-    cost (r_i - 1)(r_j - 1), refreshed lazily as in `det_exact`.  Returns
-    (the blocks' total signature, R dense in the original index order).
-    """
-    from heapq import heappop, heappush  # on first use, not at package load
-
-    n = len(entries)
-    rows: list[dict[int, int] | None] = [
-        {j: x for j, x in enumerate(row) if x} for row in entries]
-    heap = []
-
-    def offer(i):
-        row = rows[i]
-        ri = len(row) - 1
-        for j, x in row.items():
-            if x == 1 or x == -1:
-                heappush(heap, (ri * (len(rows[j]) - 1), min(i, j), max(i, j)))
-
-    for i in range(n):
-        offer(i)
-    sig = 0
-    while heap:
-        cost, i, j = heappop(heap)
-        ri, rj = rows[i], rows[j]
-        if ri is None or rj is None or ri.get(j) not in (1, -1):
-            continue
-        if i == j:
-            now = (len(ri) - 1) ** 2
-        else:
-            p, q, r = ri.get(i, 0), ri[j], rj.get(j, 0)
-            det = p * r - 1  # q * q = 1
-            if det != 1 and det != -1:
-                continue
-            now = (len(ri) - 1) * (len(rj) - 1)
-        if now > cost:
-            heappush(heap, (now, i, j))
-            continue
-        rows[i] = rows[j] = None
-        if i == j:  # a_kl -= a_ki * d * a_il, since 1/d = d
-            d = ri.pop(i)
-            sig += d
-            rj = {}
-            vec = {k: (d * x, 0) for k, x in ri.items()}
-        else:  # a_kl -= x_k B^-1 x_l^t, x_k = (a_ki, a_kj), B^-1 = D * [[r, -q], [-q, p]]
-            sig += 0 if det == -1 else 2 if p > 0 else -2
-            for row in (ri, rj):
-                row.pop(i, None)
-                row.pop(j, None)
-            vec = {k: (det * (r * ri.get(k, 0) - q * rj.get(k, 0)),
-                       det * (p * rj.get(k, 0) - q * ri.get(k, 0))) for k in ri.keys() | rj.keys()}
-        for k in vec:
-            row = rows[k]
-            row.pop(i, None)
-            row.pop(j, None)
-        for k, (u, v) in vec.items():
-            row = rows[k]
-            for l in vec:
-                y = row.get(l, 0) - u * ri.get(l, 0) - v * rj.get(l, 0)
-                if y:
-                    row[l] = y
-                else:
-                    row.pop(l, None)
-        for k in vec:
-            offer(k)
-    left_idx = [i for i in range(n) if rows[i] is not None]
-    return sig, [[rows[i].get(j, 0) for j in left_idx] for i in left_idx]
+    return congruence_core(M).sign - _correction(M)
 
 
 def stabilize(M: IntegerSymmetricMatrix) -> IntegerSymmetricMatrix:
@@ -429,7 +342,7 @@ def classical_invariants(A: SeifertData, primes: list[int]) -> LinkInvariantBund
     """Component count, determinant, signature, d_p and delta_p per odd prime."""
     M = A.M
     c = mu_of(M)
-    det = abs(det_exact(M.entries))
+    det = abs(det_of(M))
     sig = signature(M)
     dps = {p: d_p_of(M, p) for p in primes}
     deltas = {p: delta_p(M, p) for p in primes}

@@ -19,6 +19,7 @@ import pytest
 import singdet.cli as cli
 import singdet.exactlinalg as exactlinalg
 import singdet.obstruct as obstruct
+import singdet.seifert as seifert
 from singdet.corpus import load_corpus
 from singdet.diagrams import (
     braid_closure_pd,
@@ -27,7 +28,7 @@ from singdet.diagrams import (
     pretzel_pd,
     seifert_matrix_from_diagram,
 )
-from singdet.exactlinalg import format_matrix
+from singdet.exactlinalg import congruence_core, format_matrix
 from singdet.seifert import SpanningSurfaceData, delta_p, delta_p_gl, signature
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
@@ -188,8 +189,29 @@ def test_each_command_computes_the_presentation_det_once(monkeypatch, tmp_path, 
         with open(path, "w") as fh:
             fh.write(f"pd: {pd_text(diagrams()[stem])}\n")
         M = vogel_matrix(stem)
-    dets = _count_calls(monkeypatch, exactlinalg, "det_exact", keep=lambda rows: rows == M.entries)
+    # det M comes from the one split-and-eliminate pass of its congruence core
+    dets = _count_calls(monkeypatch, exactlinalg, "_congruence_split", keep=lambda rows: rows == M.entries)
     lickorish = _count_calls(monkeypatch, obstruct, "lickorish_check")
     run(command, path)
     assert len(dets) == 1
     assert len(lickorish) == (command == "obstruct")
+
+
+@pytest.mark.parametrize("twists,n", [((3, -3, 3), 26), ((-5, -3, 3), 42)])
+def test_no_inflated_matrix_reaches_the_per_prime_kernels(monkeypatch, tmp_path, twists, n):
+    """Both commands on a PD-only pretzel hand the per-prime kernels the
+    residual block R of the Vogel matrix's congruence core, never the
+    matrix itself."""
+    d = pretzel_pd(*twists)
+    M = seifert_matrix_from_diagram(d).M
+    r = len(congruence_core(M).R)
+    assert M.n == n and r == 2
+    path = tmp_path / "pd.txt"
+    path.write_text(f"pd: {pd_text(d)}\n")
+    kernels = {name: _count_calls(monkeypatch, module, name) for module, name in (
+        (exactlinalg, "padic_jordan"), (exactlinalg, "corank_mod_p"), (seifert, "_eliminate_mod_p"))}
+    run("invariants", str(path))
+    run("obstruct", str(path))
+    for name, calls in kernels.items():
+        assert calls, name
+        assert max(len(args[0]) for args in calls) <= r, name

@@ -1,13 +1,15 @@
-"""The sparse unit-pivot front ends of the three exact kernels.
+"""The unimodular split and the sparse kernels that read it.
 
 `det_exact`, `signature` and the F_p elimination behind `delta_p` and
-`d_p_of` first eliminate on unit pivots in sparse form and leave the rest
-to a dense loop.  The dense routines they replaced live on here as oracles
-(`_dense_det`, `_dense_sign`, `_dense_unit_block_class_mod_p`), and every
-kernel is compared with its oracle on seeded families, on Vogel matrices
-and on both Goeritz shades of the corpus diagrams.  The front ends are
-also called directly on dense inputs, which the kernels themselves send
-straight to the dense loop.
+`d_p_of` read one congruence M = B + R, B unimodular, split off a sparse M
+on unit pivots; a dense loop finishes R.  The dense routines they replaced
+live on here as oracles (`_dense_det`, `_dense_sign`,
+`_dense_unit_block_class_mod_p`), and every kernel is compared with its
+oracle on seeded families, on Vogel matrices and on both Goeritz shades of
+the corpus diagrams.  On the seeded family, mu and the Wall summands read
+from R are also compared with the same kernels run on the whole of M.  The
+split is also called directly on dense inputs, which the kernels
+themselves send straight to the dense loop.
 """
 
 import functools
@@ -21,12 +23,16 @@ from singdet.corpus import load_corpus
 from singdet.diagrams import LinkDiagram, goeritz_from_diagram, seifert_matrix_from_diagram
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
-    _bareiss_det,
     _is_sparse,
-    _unit_pivot_eliminate,
+    _split_unimodular_blocks,
+    corank_mod_p,
     det_exact,
+    padic_jordan,
+    random_unimodular,
 )
-from singdet.seifert import SeifertData, _split_unimodular_blocks, _unit_block_class_mod_p, signature
+from singdet.linkform import WallDecomposition, wall_of
+from singdet.numtheory import legendre, ord_int, prime_factors
+from singdet.seifert import SeifertData, _unit_block_class_mod_p, mu_of, signature
 
 PRIMES = (3, 5, 7, 11, 13, 999_999_999_959)
 
@@ -124,11 +130,6 @@ def _dense_unit_block_class_mod_p(rows, p: int) -> tuple[int, int]:
     return n - k, 1 if r == 1 else -1
 
 
-def _front_end_det(rows) -> int:
-    sign, rest = _unit_pivot_eliminate([{j: x for j, x in enumerate(row) if x} for row in rows])
-    return sign * _bareiss_det(rest)
-
-
 def _front_end_sign(rows) -> int:
     sig, rest = _split_unimodular_blocks(rows)
     return sig + _dense_sign(rest)
@@ -167,10 +168,36 @@ def _seeded_square(rng, symmetric: bool):
     return a
 
 
+# Unimodular pairs the split can take: definite (D = a_ii a_jj - 1 = +1)
+# and indefinite (D = -1, even diagonal).
+DEFINITE = (((2, 1), (1, 1)), ((-1, -1), (-1, -2)))
+INDEFINITE = (((0, 1), (1, 0)), ((0, -1), (-1, 2)), ((2, 1), (1, 0)))
+
+
+def _hidden_pairs(rng, even: bool):
+    """T (P_1 + ... + P_k + C) T^t for unimodular pairs P, a sparse block C
+    and a short `random_unimodular` T, which hides the pairs; with even
+    set, only indefinite pairs and an even diagonal."""
+    c = rng.randint(1, 5)
+    C = [[0] * c for _ in range(c)]
+    for i in range(c):
+        C[i][i] = rng.choice((-4, -2, 0, 2, 4) if even else (-3, -2, 0, 2, 3))
+        for j in range(i + 1, c):
+            if rng.random() < 0.4:
+                C[i][j] = C[j][i] = rng.choice((-3, -2, 2, 3))
+    M = IntegerSymmetricMatrix(C)
+    for _ in range(rng.randint(1, 3)):
+        M = IntegerSymmetricMatrix(rng.choice(INDEFINITE if even else INDEFINITE + DEFINITE)).block_sum(M)
+    return M.congruence(random_unimodular(M.n, rng, steps=rng.randint(1, 4))).entries
+
+
 @functools.lru_cache(maxsize=None)
 def _family(symmetric: bool, count: int = 600, seed: int = 1957):
     rng = random.Random(f"{seed}:{symmetric}")
-    return [_seeded_square(rng, symmetric) for _ in range(count)]
+    family = [_seeded_square(rng, symmetric) for _ in range(count)]
+    if symmetric:
+        family += [_hidden_pairs(rng, even) for even in (True, False) for _ in range(count // 8)]
+    return family
 
 
 def test_the_seeded_families_cover_the_cases():
@@ -185,6 +212,11 @@ def test_the_seeded_families_cover_the_cases():
         assert sum(all(a[i][i] % 2 for i in range(len(a))) for a in family) >= 100
     assert sum(any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i))
                for a in _family(False)) >= 400
+    # the hidden pairs mostly stay sparse, so the split runs and takes them
+    hidden = _family(True)[600:]
+    assert sum(_is_sparse(a) and len(_split_unimodular_blocks(a)[1]) < len(a) for a in hidden) >= 120
+    assert sum(all(a[i][i] % 2 == 0 for i in range(len(a))) for a in hidden) >= 75
+    assert sum(_dense_det(a) % 2 for a in _family(True)) >= 120
 
 
 def test_det_exact_equals_the_dense_oracle_on_seeded_matrices():
@@ -192,14 +224,22 @@ def test_det_exact_equals_the_dense_oracle_on_seeded_matrices():
         for a in _family(symmetric):
             want = _dense_det(a)
             assert det_exact(a) == want, a
-            assert _front_end_det(a) == want, a
 
 
 def test_signature_equals_the_dense_oracle_on_seeded_matrices():
     for a in _family(True):
+        M = IntegerSymmetricMatrix(a)
         want = _dense_sign(a)
-        assert signature(IntegerSymmetricMatrix(a)) == want, a
+        assert signature(M) == want, a
         assert _front_end_sign(a) == want, a
+        # mu and the Wall summands read R; the same kernels on all of M agree
+        if M.has_even_diagonal():
+            assert mu_of(M) == corank_mod_p(M.entries, 2) + 1, a
+        det = _dense_det(a)
+        if det % 2 and abs(det) <= 10**12:  # prime_factors factors every such det
+            full = [(p, e, "A" if legendre(u, p) == 1 else "B") for p in prime_factors(det)
+                    for e, u in padic_jordan(M.entries, p, ord_int(det, p))]
+            assert wall_of(M) == WallDecomposition(full), a
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -245,7 +285,6 @@ def test_the_kernels_equal_the_dense_oracles_on_both_goeritz_shades():
             R = goeritz_from_diagram(d, shade)
             rows = R.entries
             assert det_exact(rows) == _dense_det(rows), (name, shade)
-            assert _front_end_det(rows) == _dense_det(rows), (name, shade)
             assert signature(R) == _dense_sign(rows) - R.e, (name, shade)
             assert _front_end_sign(rows) == _dense_sign(rows), (name, shade)
             for p in PRIMES[:-1]:
