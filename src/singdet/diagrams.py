@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .evaluate import LaurentPolynomial
 from .exactlinalg import IntegerSymmetricMatrix
@@ -88,16 +89,27 @@ class LinkDiagram:
         for ci, tup in enumerate(self.crossings):
             if len(tup) != 4:
                 raise DiagramError(f"crossing {ci} is not a 4-tuple")
-        occ, partner = _arc_ends(self.crossings)
+        occ = _arc_ends(self.crossings)[0]
         for lab, ends in occ.items():
             if len(ends) != 2:
                 raise DiagramError(f"arc {lab} appears {len(ends)} times, expected 2")
         object.__setattr__(self, "_occ", occ)
-        object.__setattr__(self, "_partner", partner)
         object.__setattr__(self, "_is_in", self._orient())
-        object.__setattr__(self, "_components", self._trace_components())
+
+    @classmethod
+    def _derived(cls, crossings, free_loops: int, occ, is_in) -> LinkDiagram:
+        """A diagram whose arc ends and orientation the caller derived from
+        a validated one (`r2_slide`); nothing is checked here."""
+        d = object.__new__(cls)
+        d.__dict__.update(crossings=crossings, free_loops=free_loops, _occ=occ, _is_in=is_in)
+        return d
 
     # -- construction helpers ------------------------------------------------
+
+    def _partner(self, e: End) -> End:
+        """The other end of the arc at end e."""
+        a, b = self._occ[self.crossings[e[0]][e[1]]]
+        return b if e == a else a
 
     def _orient(self) -> dict[End, bool]:
         is_in: dict[End, bool] = {}
@@ -126,12 +138,10 @@ class LinkDiagram:
 
     def _trace_components(self) -> tuple[tuple[int, ...], ...]:
         heads = {}
-        for lab, ends in self._occ.items():
-            ins = [e for e in ends if self._is_in[e]]
-            outs = [e for e in ends if not self._is_in[e]]
-            if len(ins) != 1 or len(outs) != 1:
+        for lab, (e, f) in self._occ.items():
+            if self._is_in[e] == self._is_in[f]:
                 raise DiagramError(f"arc {lab} is not consistently directed")
-            heads[lab] = ins[0]
+            heads[lab] = e if self._is_in[e] else f
         comps = []
         seen: set[int] = set()
         for lab in sorted(heads):
@@ -169,16 +179,17 @@ class LinkDiagram:
     def writhe(self) -> int:
         return sum(self.signs)
 
-    @property
+    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        return self._components
+        """Arcs per component in traversal order, traced on first use."""
+        return self._trace_components()
 
     @property
     def component_count(self) -> int:
-        return len(self._components) + self.free_loops
+        return len(self.components) + self.free_loops
 
     def component_of_arc(self, arc: int) -> int:
-        for k, comp in enumerate(self._components):
+        for k, comp in enumerate(self.components):
             if arc in comp:
                 return k
         raise KeyError(arc)
@@ -190,7 +201,7 @@ class LinkDiagram:
 
     def is_proper(self) -> bool:
         """Every component has even total linking with the rest."""
-        c = len(self._components)
+        c = len(self.components)
         lk = [[0] * c for _ in range(c)]
         for ci in range(self.n):
             cu = self.component_of_arc(self.crossings[ci][0])
@@ -483,18 +494,19 @@ class _SeifertStructure:
 
 def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
     """Trace the oriented smoothing of every crossing into Seifert circles."""
+    signs = d.signs
     # smoothing partners: positive joins (0,1),(3,2); negative (0,3),(1,2)
     out_slot: dict[End, int] = {}
     for ci in range(d.n):
-        if d.sign(ci) == 1:
+        if signs[ci] == 1:
             out_slot[(ci, 0)] = 1
             out_slot[(ci, 3)] = 2
         else:
             out_slot[(ci, 0)] = 3
             out_slot[(ci, 1)] = 2
     heads = {}
-    for lab, ends in d._occ.items():
-        heads[lab] = next(e for e in ends if d._is_in[e])
+    for lab, (e, f) in d._occ.items():
+        heads[lab] = e if d._is_in[e] else f
     circles: list[list[int]] = []
     corner: list[list[int]] = []
     circle_of: dict[int, int] = {}
@@ -517,7 +529,7 @@ def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
         u = circle_of[d.crossings[ci][0]]
         v = circle_of[d.crossings[ci][out_slot[(ci, 0)]]]
         # circle through the other smoothing strand
-        other_in = 3 if d.sign(ci) == 1 else 1
+        other_in = 3 if signs[ci] == 1 else 1
         w = circle_of[d.crossings[ci][other_in]]
         if u != v:
             raise AssertionError("smoothing strand changed circles")
@@ -596,7 +608,11 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
     Requires a connected diagram.  If the Seifert circles are not already a
     coherently nested chain, the diagram is first rewired by untangling
     moves (each one an oriented second Reidemeister move across a face whose
-    two circles run incoherently), which preserve the link type.
+    two circles run incoherently), which preserve the link type.  Each move
+    derives its diagram from the previous one (`r2_slide`); the last one is
+    built once more through the validating `LinkDiagram` constructor, and
+    its arc ends and orientation must equal the derived ones before the
+    matrix is read.
 
     In nested form the surface is a stack of discs joined by half-twisted
     ribbons, one per crossing; loops pair consecutive ribbons of an annulus.
@@ -614,6 +630,11 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
         struct = seifert_structure(work)
         data = _braided_data(work, struct)
         if data is not None:
+            if work is not d:
+                checked = LinkDiagram(work.crossings, work.free_loops)
+                if (checked._occ, checked._is_in) != (work._occ, work._is_in):
+                    raise AssertionError("untangled diagram differs from its validated build")
+                del checked  # not held while the n x n matrix is built
             return _seifert_matrix_braided(work, struct, data)
         work = _vogel_move(work, struct)
     raise AssertionError("untangling did not reach braided form")
@@ -678,6 +699,8 @@ def _seifert_matrix_braided(d: LinkDiagram, struct, data) -> SeifertData:
                 raise AssertionError("non-integral linking count")
             V[r][t] = (cc + c2) // 2
             V[t][r] = (-cc + c2) // 2
+    for r in range(nb):  # frozen in place, so SeifertData keeps the rows without a copy
+        V[r] = tuple(V[r])
     return SeifertData(V)
 
 
@@ -707,19 +730,28 @@ def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
 
 def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
     """One untangling move: an oriented R2 across a face bordered by two
-    different Seifert circles with equal boundary sense."""
-    inc = _arc_face_incidences(d, _face_of_quadrant(d))
-    by_face: dict[int, list[tuple[int, int, int]]] = {}
-    for lab in sorted(inc):
-        for face, sense in inc[lab]:
-            by_face.setdefault(face, []).append((lab, sense, struct.circle_of_arc[lab]))
-    for face in sorted(by_face):
-        items = by_face[face]
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                l1, s1, c1 = items[i]
-                l2, s2, c2 = items[j]
-                if c1 != c2 and s1 == s2 and l1 != l2:
+    different Seifert circles with equal boundary sense.
+
+    The faces come from d's one face walk (`_faces_of`), in its order.  Dart
+    (ci, s) of a face borders the arc at slot s+1, which the face walks
+    along its orientation (sense +1) when that end is the arc's tail.  The
+    first face where one sense meets two circles is slid, at the first
+    such pair with its arcs listed by (label, +1 before -1): the move that
+    a search over every arc's `_arc_face_incidences` picks.
+    """
+    circle_of = struct.circle_of_arc
+    for face in _faces_of(d):
+        items = []
+        for ci, s in face:
+            s = (s + 1) % 4
+            lab = d.crossings[ci][s]
+            items.append((lab, -1 if d._is_in[(ci, s)] else 1, circle_of[lab]))
+        if all(len({c for _, t, c in items if t == sense}) < 2 for sense in (1, -1)):
+            continue
+        items.sort(key=lambda t: (t[0], -t[1]))
+        for i, (l1, s1, c1) in enumerate(items):
+            for l2, s2, c2 in items[i + 1:]:
+                if s1 == s2 and c1 != c2:
                     return r2_slide(d, l1, l2)
     raise AssertionError("no untangling move available on a non-braided diagram")
 
@@ -1187,8 +1219,13 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
     differ by which new crossing comes first along arc_under; the Euler
     count picks the planar one.  Vogel untangling inserts its moves here.
 
-    When d is planar and the arcs flank a common face, d's faces decide
-    the count without a walk of the whole candidate (`_slid_faces`): the
+    The result is derived from d without a validating build: each arc is
+    split at its head end (found through d._occ), which gets a fresh label,
+    two crossings are appended, and d's arc ends and orientation are copied
+    with only those ends patched; old ends keep their direction and new
+    ones follow `make_crossing`, as `LinkDiagram` would orient them.  When
+    d is planar and the arcs flank a common face, d's faces decide the
+    Euler count without a walk of the whole candidate (`_slid_faces`): the
     candidate has the same pieces, so it is planar iff it has two more
     faces.  Only the accepted candidate is built, and it keeps its faces
     for the next move.
@@ -1197,22 +1234,18 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
         raise DiagramError("need two distinct arcs")
     if arc_over not in d._occ or arc_under not in d._occ:
         raise DiagramError("arcs do not cobound a face")
-    fresh = max(d.arcs) + 1
+    fresh = max(d._occ) + 1
     a1, a2, a3 = arc_over, fresh, fresh + 1
     b1, b2, b3 = arc_under, fresh + 2, fresh + 3
-
-    def rewire(old, repl_tail, repl_head, crossings):
-        out = []
-        for ci, tup in enumerate(crossings):
-            row = list(tup)
-            for s in range(4):
-                if row[s] == old:
-                    row[s] = repl_head if d._is_in[(ci, s)] else repl_tail
-            out.append(tuple(row))
-        return out
-
-    base = rewire(arc_over, a1, a3, d.crossings)
-    base = rewire(arc_under, b1, b3, base)
+    base = list(d.crossings)
+    occ = dict(d._occ)
+    for old, new in ((a1, a3), (b1, b3)):
+        tail, head = d._occ[old]
+        if d._is_in[tail]:
+            tail, head = head, tail
+        ci, s = head
+        base[ci] = base[ci][:s] + (new,) + base[ci][s + 1:]
+        occ[old], occ[new] = [tail], [head]
     cut = d._occ[arc_over] + d._occ[arc_under]
     faces = _faces_of(d) if _is_planar(d) else None
     if faces is not None:
@@ -1233,12 +1266,13 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
                 planar = _euler_ok_faces(len(crossings), slid)
             if not planar:
                 continue
-            try:
-                cand = LinkDiagram(crossings, d.free_loops)
-            except DiagramError:
-                continue
-            object.__setattr__(cand, "_faces", slid)
-            object.__setattr__(cand, "_planar", True)
+            is_in = dict(d._is_in)
+            for ci, x, sign in ((d.n, x1, flip), (d.n + 1, x2, -flip)):
+                for s, lab in enumerate(x):
+                    occ.setdefault(lab, []).append((ci, s))
+                is_in.update({(ci, 0): True, (ci, 1): sign < 0, (ci, 2): False, (ci, 3): sign > 0})
+            cand = LinkDiagram._derived(crossings, d.free_loops, occ, is_in)
+            cand.__dict__.update(_faces=slid, _planar=True)
             return cand
     raise DiagramError("arcs do not cobound a face")
 

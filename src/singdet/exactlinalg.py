@@ -57,7 +57,9 @@ def _int_entry(x) -> int:
 
 
 def _freeze(entries) -> Rows:
-    return tuple(tuple(x if type(x) is int else _int_entry(x) for x in row) for row in entries)
+    """entries as a tuple of int tuples; a row that is one already is kept."""
+    return tuple(row if type(row) is tuple and all(type(x) is int for x in row)
+                 else tuple(x if type(x) is int else _int_entry(x) for x in row) for row in entries)
 
 
 def _freeze_q(entries) -> tuple[tuple[Fraction, ...], ...]:

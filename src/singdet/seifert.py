@@ -41,7 +41,7 @@ class SeifertData:
         if any(len(r) != n for r in rows):
             raise ValueError("Seifert matrix must be square")
         object.__setattr__(self, "A", rows)
-        M = IntegerSymmetricMatrix([[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))])
+        M = IntegerSymmetricMatrix([tuple(x + y for x, y in zip(row, col)) for row, col in zip(rows, zip(*rows))])
         if not M.has_even_diagonal():
             raise AssertionError("A + A^t always has even diagonal")
         object.__setattr__(self, "M", M)

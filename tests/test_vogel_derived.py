@@ -1,0 +1,157 @@
+"""Vogel untangling on derived diagrams against full rebuilds.
+
+Each untangling move derives its diagram from the previous one
+(`r2_slide` patches the arc ends and the orientation at the two split arcs
+and the two new crossings) and picks its move from the previous diagram's
+face walk (`_vogel_move`).  Here every move is checked against the slow
+path: the returned diagram against a validating `LinkDiagram` build of its
+crossings, and the chosen arcs against the move search that reads every
+arc's two flanking faces from the quadrant map (`_face_of_quadrant`,
+`_arc_face_incidences`), kept below as the oracle.  Inputs: every connected
+corpus diagram, seeded pretzels and Reidemeister-scrambled diagrams.
+"""
+
+import random
+
+from singdet import diagrams
+from singdet.corpus import load_corpus
+from singdet.diagrams import (
+    DiagramError,
+    LinkDiagram,
+    _arc_face_incidences,
+    _face_of_quadrant,
+    face_orbits,
+    parse_pd,
+    pd_text,
+    pretzel_pd,
+    r1_kink,
+    r2_slide,
+    seifert_matrix_from_diagram,
+    seifert_structure,
+)
+
+
+def oracle_move(d):
+    """The arcs of the first untangling move, found from each arc's two
+    flanking faces: faces in walk order, a face's arcs by label with the
+    face along the arc's orientation first."""
+    circle_of = seifert_structure(d).circle_of_arc
+    inc = _arc_face_incidences(d, _face_of_quadrant(d))
+    by_face = {}
+    for lab in sorted(inc):
+        for face, sense in inc[lab]:
+            by_face.setdefault(face, []).append((lab, sense, circle_of[lab]))
+    for face in sorted(by_face):
+        items = by_face[face]
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                l1, s1, c1 = items[i]
+                l2, s2, c2 = items[j]
+                if c1 != c2 and s1 == s2 and l1 != l2:
+                    return l1, l2
+    return None
+
+
+def assert_equals_rebuild(cand, label):
+    built = LinkDiagram(cand.crossings, cand.free_loops)
+    assert cand._occ.keys() == built._occ.keys(), label
+    assert all(set(ends) == set(built._occ[lab]) for lab, ends in cand._occ.items()), label
+    assert cand._is_in == built._is_in, label
+    assert cand.signs == built.signs, label
+    assert cand.components == built.components, label
+
+
+def untangle_checked(d, label, monkeypatch):
+    """seifert_matrix_from_diagram(d) with every move checked; the number of
+    moves."""
+    moves = []
+
+    def checked_slide(work, arc_over, arc_under):
+        assert (arc_over, arc_under) == oracle_move(work), (label, len(moves))
+        cand = r2_slide(work, arc_over, arc_under)
+        assert_equals_rebuild(cand, (label, len(moves)))
+        moves.append((arc_over, arc_under))
+        return cand
+
+    with monkeypatch.context() as m:
+        m.setattr(diagrams, "r2_slide", checked_slide)
+        seifert_matrix_from_diagram(d)
+    return len(moves)
+
+
+def scrambled(d, rng, moves):
+    """d after random kinks and R2 slides, each derived slide checked
+    against its rebuild."""
+    for _ in range(moves):
+        if rng.random() < 0.4:
+            d = r1_kink(d, rng.choice(d.arcs), rng.random() < 0.5)
+            continue
+        face = rng.choice([f for f in face_orbits(d.crossings) if len(f) >= 2])
+        a, b = rng.sample(sorted({d.crossings[ci][(s + 1) % 4] for ci, s in face}), 2)
+        d = r2_slide(d, a, b)
+        assert_equals_rebuild(d, "scramble")
+    return d
+
+
+def test_corpus_moves_equal_rebuilds_and_the_oracle_search(monkeypatch):
+    moved = 0
+    for name, e in sorted(load_corpus().items()):
+        d = e.diagram
+        if d is not None and d.is_connected():
+            moved += untangle_checked(parse_pd(pd_text(d)), name, monkeypatch) > 0
+    assert moved >= 8  # the other corpus diagrams are braided as drawn
+
+
+def test_seeded_pretzel_moves_equal_rebuilds_and_the_oracle_search(monkeypatch):
+    rng = random.Random(1501)
+    total = 0
+    for _ in range(40):
+        twists = [rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(rng.randint(2, 4))]
+        total += untangle_checked(pretzel_pd(*twists), twists, monkeypatch)
+    assert total >= 300
+
+
+def test_scrambled_diagram_moves_equal_rebuilds_and_the_oracle_search(monkeypatch):
+    rng = random.Random(1502)
+    corpus = load_corpus()
+    total = 0
+    for name in ("3_1", "4_1", "5_2", "6_3", "hopf_plus", "t2_4", "granny"):
+        for _ in range(3):
+            d = scrambled(corpus[name].diagram, rng, 5)
+            total += untangle_checked(d, name, monkeypatch)
+    assert total >= 40
+
+
+def test_slides_off_a_common_face_are_derived_or_refused():
+    d = load_corpus()["5_2"].diagram
+    derived = refused = 0
+    for a in d.arcs:
+        for b in d.arcs:
+            if a == b:
+                continue
+            try:
+                slid = r2_slide(d, a, b)
+            except DiagramError:
+                refused += 1
+                continue
+            assert_equals_rebuild(slid, (a, b))
+            derived += 1
+    assert derived and refused
+
+
+def test_p5_17_5_orients_twice_and_reads_no_arc_face_incidences(monkeypatch):
+    counts = {"orient": 0, "incidences": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    text = pd_text(load_corpus()["p5_17_5"].diagram)
+    monkeypatch.setattr(LinkDiagram, "_orient", counted("orient", LinkDiagram._orient))
+    monkeypatch.setattr(diagrams, "_arc_face_incidences",
+                        counted("incidences", diagrams._arc_face_incidences))
+    assert seifert_matrix_from_diagram(parse_pd(text)).A is not None
+    # once at parse and once for the validated build of the braided diagram
+    assert counts == {"orient": 2, "incidences": 0}
