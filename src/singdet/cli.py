@@ -44,7 +44,7 @@ from .exactlinalg import (
     smith_cokernel,
 )
 from .linkform import delta_from_wall, wall_of
-from .numtheory import is_prime
+from .numtheory import check_odd_prime
 from .obstruct import (
     improved_bound,
     lickorish_check,
@@ -328,17 +328,24 @@ def _add_report_options(sp):
     """The options of the two report commands."""
     sp.add_argument("path")
     sp.add_argument("--format", choices=("text", "machine"), default="text")
-    sp.add_argument("--prime", type=int, default=None)
+    sp.add_argument("--prime", type=_odd_prime, default=None)
     sp.add_argument("--primes", type=_primes_arg, default=DEFAULT_PRIMES,
                     help="comma separated odd primes (default 3,5,7,11,13)")
+
+
+def _odd_prime(text: str) -> int:
+    p = int(text)
+    try:
+        check_odd_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return p
 
 
 def _primes_arg(text: str):
     out = []
     for tok in text.split(","):
-        p = int(tok)
-        if p < 3 or not is_prime(p):
-            raise argparse.ArgumentTypeError(f"{p} is not an odd prime")
+        p = _odd_prime(tok)
         if p in out:
             raise argparse.ArgumentTypeError(f"{p} is listed twice")
         out.append(p)
@@ -377,12 +384,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-    if getattr(args, "prime", None) is not None:
-        p = args.prime
-        if p < 3 or not is_prime(p):
-            ap.error(f"{p} is not an odd prime")
-        if p not in args.primes:
-            args.primes = args.primes + [p]
+    if getattr(args, "prime", None) is not None and args.prime not in args.primes:
+        args.primes = args.primes + [args.prime]
     # --corpus holds for this call only: the previous value comes back after
     saved = os.environ.get(corpus_mod.ENV_CORPUS)
     if getattr(args, "corpus", None):

@@ -184,6 +184,16 @@ class LinkDiagram:
         """Arcs per component in traversal order, traced on first use."""
         return self._trace_components()
 
+    @cached_property
+    def _faces(self) -> list[list[End]]:
+        """face_orbits(self.crossings), walked once per diagram object."""
+        return face_orbits(self.crossings)
+
+    @cached_property
+    def _planar(self) -> bool:
+        """euler_ok(self.crossings), from the one face walk and decided once."""
+        return not self.n or _euler_ok_faces(self.n, self._faces)
+
     @property
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
@@ -287,20 +297,6 @@ def _euler_ok_faces(n: int, faces) -> bool:
     Consecutive darts of a face are the two ends of an arc, so the faces
     also give the pieces."""
     return n - 2 * n + len(faces) == 2 * _piece_count(n, faces)
-
-
-def _faces_of(d: LinkDiagram) -> list[list[End]]:
-    """face_orbits(d.crossings), walked once per diagram object."""
-    if "_faces" not in d.__dict__:
-        object.__setattr__(d, "_faces", face_orbits(d.crossings))
-    return d._faces
-
-
-def _is_planar(d: LinkDiagram) -> bool:
-    """euler_ok(d.crossings), from d's one face walk and decided once."""
-    if "_planar" not in d.__dict__:
-        object.__setattr__(d, "_planar", not d.n or _euler_ok_faces(d.n, _faces_of(d)))
-    return d._planar
 
 
 # ------------------------------------------------------------------- bracket
@@ -708,7 +704,7 @@ def _seifert_matrix_braided(d: LinkDiagram, struct, data) -> SeifertData:
 
 def _face_of_quadrant(d: LinkDiagram) -> dict[End, int]:
     """Quadrant (crossing, slot) -> index of its face in `face_orbits`."""
-    return {e: fi for fi, orbit in enumerate(_faces_of(d)) for e in orbit}
+    return {e: fi for fi, orbit in enumerate(d._faces) for e in orbit}
 
 
 def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
@@ -732,7 +728,7 @@ def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
     """One untangling move: an oriented R2 across a face bordered by two
     different Seifert circles with equal boundary sense.
 
-    The faces come from d's one face walk (`_faces_of`), in its order.  Dart
+    The faces come from d's one face walk, in its order.  Dart
     (ci, s) of a face borders the arc at slot s+1, which the face walks
     along its orientation (sense +1) when that end is the arc's tail.  The
     first face where one sense meets two circles is slid, at the first
@@ -740,7 +736,7 @@ def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
     a search over every arc's `_arc_face_incidences` picks.
     """
     circle_of = struct.circle_of_arc
-    for face in _faces_of(d):
+    for face in d._faces:
         items = []
         for ci, s in face:
             s = (s + 1) % 4
@@ -1152,19 +1148,8 @@ def braid_closure_pd(word: list[int], strands: int) -> LinkDiagram:
         else:
             crossings.append(make_crossing(lj, ni, li, nj, -1))
         current[i], current[j] = ni, nj
-    # closure: fuse each final arc with the initial arc at its position
-    rename = {}
-
-    def find(x):
-        while x in rename:
-            x = rename[x]
-        return x
-
-    for pos in range(strands):
-        a, b = find(current[pos]), find(first[pos])
-        if a != b:
-            rename[a] = b
-    fused = [tuple(find(x) for x in t) for t in crossings]
+    # closure: fuse each final arc into the initial arc at its position
+    fused, _ = _join_labels(crossings, (), zip(current, first), 0)
     return LinkDiagram(tuple(fused))
 
 
@@ -1247,7 +1232,7 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
         base[ci] = base[ci][:s] + (new,) + base[ci][s + 1:]
         occ[old], occ[new] = [tail], [head]
     cut = d._occ[arc_over] + d._occ[arc_under]
-    faces = _faces_of(d) if _is_planar(d) else None
+    faces = d._faces if d._planar else None
     if faces is not None:
         over, under = _faces_flanking(d, arc_over), _faces_flanking(d, arc_under)
         if not over & under:

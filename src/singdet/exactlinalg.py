@@ -21,14 +21,14 @@ are zero, `_split_unimodular_blocks` splits M over Z as B + R, B an
 orthogonal sum of unimodular 1x1 and 2x2 blocks: each step picks the unit
 pivot of least Markowitz cost (Markowitz, Management Science 3 (1957)),
 and its exact Schur update touches only the pivot rows' supports.  A dense
-M is all residue, R = M.  One fraction-free symmetric Bareiss pass on R
-gives sign M and det M.  B is unimodular, so R presents the linking form
+M is all residue, R = M.  B is unimodular, so R presents the linking form
 of M: det, the signature, mu, d_p, delta_p and the Wall summands all read
-the core, and only R reaches `corank_mod_p`, the F_p elimination and
-`padic_jordan`.
-Vogel-untangled Seifert matrices are about 98% zeros and almost all
-unimodular, so R has a few rows at most.  `det_exact` runs the same split
-on sparse symmetric rows and Bareiss elimination on any other matrix.
+the core.  Vogel-untangled Seifert matrices are about 98% zeros and almost
+all unimodular, so R has a few rows at most, and every kernel that reads R
+is one dense loop over its rows: the fraction-free symmetric Bareiss pass
+that gives sign M and det M, `corank_mod_p`, the F_p elimination of
+`seifert` and `padic_jordan`.  `det_exact` runs the same split on sparse
+symmetric rows and Bareiss elimination on any other matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .numtheory import factorize, is_prime, ord_int
+from .numtheory import check_odd_prime, factorize, ord_int
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -664,8 +664,7 @@ def mod_p_block_reduce(
 
     Returns (T, N, d_p) with N of size n - d_p, d_p = corank of M over F_p.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    check_odd_prime(p)
     n = M.n
     w = [list(row) for row in M.entries]
     t = identity(n)
@@ -733,8 +732,7 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
     multiple of p^(e+1).  Raises AssertionError unless the returned
     exponents sum to alpha.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    check_odd_prime(p)
     mod = p ** (alpha + 1)
     a = [[x % mod for x in row] for row in entries]
     pivots = []
@@ -812,8 +810,7 @@ def rational_normalize(N: RationalSymmetricMatrix, p: int, rho: int) -> Unimodul
     normal form (through `inverse_ord_normalize`) to check the kernel
     against it.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    check_odd_prime(p)
     b, L = _clear_denominators(N.entries)
     return UnimodularTransform(_integer_normalize(b, p, rho + ord_int(L, p))[0])
 
@@ -949,8 +946,7 @@ def inverse_ord_normalize(M: IntegerSymmetricMatrix, p: int) -> UnimodularTransf
     (T M T^t)^{-1} gives the same summands as `padic_jordan`; the tests
     compare the two.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    check_odd_prime(p)
     try:
         D, d = adjugate(M.entries)
     except ZeroDivisionError:

@@ -32,7 +32,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_odd_prime(p: int) -> None:
+def check_odd_prime(p: int) -> None:
+    """ValueError "p = ... is not an odd prime" unless p is one."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
 
@@ -43,7 +44,7 @@ def legendre(a: int, p: int) -> int:
     0 iff p | a; +1 iff a is a nonzero quadratic residue mod p; -1 otherwise.
     Computed by Euler's criterion, a^((p-1)/2) mod p.
     """
-    _check_odd_prime(p)
+    check_odd_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     if r == 0:
         return 0

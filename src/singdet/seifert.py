@@ -24,7 +24,7 @@ from .exactlinalg import (
     det_of,
     mod_p_block_reduce,
 )
-from .numtheory import is_prime, legendre
+from .numtheory import check_odd_prime, legendre
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,9 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
 
     M = B + R with B unimodular (`congruence_core`), so the unit block of
     M mod p is B plus that of R: d_p is the corank of R, and the unit
-    determinant is det B times the product of the pivots that
-    `_eliminate_mod_p` takes on R.  The Legendre symbol, being
-    multiplicative, is taken once.
+    determinant is det B times the product of the pivots that the dense
+    elimination `_eliminate_mod_p` takes on R, a few rows at most.  The
+    Legendre symbol, being multiplicative, is taken once.
     """
     core = congruence_core(M)
     d, unit_det = _eliminate_mod_p(core.R, p)
@@ -121,69 +121,39 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
 
 
 def _eliminate_mod_p(entries, p: int) -> tuple[int, int]:
-    """(corank, product of the pivots mod p) of a symmetric integer matrix
-    over F_p, at an odd prime p.
+    """(corank, product of the pivots mod p) over F_p of a symmetric integer
+    matrix, at an odd prime p: one dense symmetric elimination shaped like
+    `_symmetric_bareiss`, run on a residual block R of a few rows.
 
-    Symmetric elimination carried out entirely mod p, on rows held as
-    sparse maps from column to nonzero residue; equivalent to the
-    integer-lifted reduction but immune to coefficient growth.  The pivot
-    is the nonzero diagonal entry whose row has the fewest nonzeros
-    (counts refreshed lazily), and its Schur update touches only that
-    row's support.  If the whole active diagonal is zero, row/column j is
-    added to row/column i for the first nonzero a_ij, so that the diagonal
-    picks up 2*a_ij, a unit since p is odd; for the same reason odd
-    diagonal entries are valid too.
+    A nonzero active diagonal entry is the pivot; if the whole active
+    diagonal is zero, row/column j is first added to row/column i for the
+    first nonzero a_ij, so that the diagonal picks up 2*a_ij, a unit since
+    p is odd (odd diagonal entries are valid for the same reason).  The
+    other rows are Schur-updated mod p; the all-zero block left at the end
+    has the corank as its size.
     """
-    from heapq import heapify, heappop, heappush  # on first use, not at package load
-
-    n = len(entries)
-    rows = [{j: y for j, x in enumerate(row) if (y := x % p)} for row in entries]
-    heap = [(len(row), i) for i, row in enumerate(rows) if i in row]
-    heapify(heap)
-    rank, unit_det = 0, 1
-    while True:
-        while heap:
-            size, i = heappop(heap)
-            row = rows[i]
-            if row is not None and i in row:
-                if len(row) > size:
-                    heappush(heap, (len(row), i))
-                    continue
-                break
-        else:
-            i = next((i for i, row in enumerate(rows) if row), None)
-            if i is None:
+    a = [[x % p for x in row] for row in entries]
+    unit_det = 1
+    while a:
+        m = len(a)
+        i = next((i for i in range(m) if a[i][i]), None)
+        if i is None:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if ij is None:
                 break  # zero active block: its size is the corank d_p
-            j = min(rows[i])
-            ri, rj = rows[i], rows[j]
-            row = {i: 2 * ri[j] % p}  # add row/col j into i: a_ii becomes 2*a_ij
-            for l in ri.keys() | rj.keys():
-                if l != i:
-                    y = (ri.get(l, 0) + rj.get(l, 0)) % p
-                    if y:
-                        row[l] = rows[l][i] = y
-                    else:
-                        rows[l].pop(i, None)
-            rows[i] = row
-        rows[i] = None
-        rank += 1
-        a = row.pop(i)
-        unit_det = unit_det * a % p
-        inv = pow(a, -1, p)
-        for k in row:
-            rows[k].pop(i)
-        for k, x in row.items():
-            c = x * inv % p
-            rk = rows[k]
-            for l, y in row.items():
-                z = (rk.get(l, 0) - c * y) % p
-                if z:
-                    rk[l] = z
-                else:
-                    rk.pop(l, None)
-            if k in rk:
-                heappush(heap, (len(rk), k))
-    return n - rank, unit_det
+            i, j = ij
+            a[i] = [(x + y) % p for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] = (row[i] + row[j]) % p
+        top = a.pop(i)
+        piv = top.pop(i)
+        unit_det = unit_det * piv % p
+        inv = pow(piv, -1, p)
+        for row in a:
+            c = row.pop(i) * inv % p
+            if c:
+                row[:] = [(x - c * y) % p for x, y in zip(row, top)]
+    return len(a), unit_det
 
 
 def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None) -> int:
@@ -200,8 +170,7 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
     mod_p_block_reduce).
     """
     mu = mu_of(M)  # rejects an odd diagonal without a carried correction
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    check_odd_prime(p)
     if rng is None:
         d, cls = _unit_block_class_mod_p(M, p)
     else:
@@ -219,8 +188,7 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
 def d_p_of(M: IntegerSymmetricMatrix, p: int) -> int:
     """Corank of M over F_p at an odd prime p (the F_p-dimension of the
     relevant homology), read from the elimination that delta_p runs."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    check_odd_prime(p)
     return _unit_block_class_mod_p(M, p)[0]
 
 
