@@ -16,9 +16,10 @@ Equality is coordinatewise and exact; a float shadow exists only in tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .exactlinalg import IntegerSymmetricMatrix, det_exact, det_of, transpose
+from .exactlinalg import IntegerSymmetricMatrix, _int_entry, det_exact, det_of, transpose
 from .linkform import b_total, wall_of
 from .numtheory import legendre, nu, p_part
 from .seifert import SeifertData, LinkInvariantBundle, d_p_of, delta_p, mu_of
@@ -50,7 +51,7 @@ class Cyclo24:
     coords: tuple[int, ...]
 
     def __init__(self, coords):
-        c = tuple(int(x) for x in coords)
+        c = tuple(x if type(x) is int else _int_entry(x) for x in coords)
         if len(c) != _DIM:
             raise ValueError("Cyclo24 needs 8 coordinates")
         object.__setattr__(self, "coords", c)
@@ -158,18 +159,11 @@ class Cyclo24:
         """Decompose as m * i^a * sqrt3^b * sqrt2^c with a,b,c in {0,1}."""
         if self.is_zero():
             return (0, 0, 0, 0)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    basis = Cyclo24.i_pow(a) * Cyclo24.sqrt3() ** b * Cyclo24.sqrt2() ** c
-                    ref = next(x for x in basis.coords if x != 0)
-                    idx = basis.coords.index(ref)
-                    num = self.coords[idx]
-                    if num % ref != 0:
-                        continue
-                    m = num // ref
-                    if basis * m == self:
-                        return (m, a, b, c)
+        coords = self.coords
+        for a, b, c, basis, idx in _monomial_basis():
+            m, r = divmod(coords[idx], basis[idx])
+            if not r and all(x == m * y for x, y in zip(coords, basis)):
+                return (m, a, b, c)
         return None
 
     def __str__(self) -> str:
@@ -189,6 +183,19 @@ class Cyclo24:
         if c:
             parts.append("sqrt2")
         return ("-" if m < 0 else "") + "*".join(parts)
+
+
+@functools.cache
+def _monomial_basis() -> tuple[tuple[int, int, int, tuple[int, ...], int], ...]:
+    """(a, b, c, coords, index of the first nonzero coordinate) of each
+    i^a * sqrt3^b * sqrt2^c, a, b, c in {0, 1}, built on first use."""
+    table = []
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                coords = (Cyclo24.i_pow(a) * Cyclo24.sqrt3() ** b * Cyclo24.sqrt2() ** c).coords
+                table.append((a, b, c, coords, next(k for k, x in enumerate(coords) if x)))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -301,7 +308,8 @@ class LaurentPolynomial:
         d: dict[int, int] = {}
         for e2, c in items:
             if c:
-                d[int(e2)] = d.get(int(e2), 0) + int(c)
+                e2 = e2 if type(e2) is int else _int_entry(e2)
+                d[e2] = d.get(e2, 0) + (c if type(c) is int else _int_entry(c))
         object.__setattr__(
             self, "coeffs", tuple(sorted((e, c) for e, c in d.items() if c))
         )

@@ -52,7 +52,7 @@ def _int_entry(x) -> int:
         return x
     i = int(x)
     if i != x:
-        raise ValueError(f"matrix entry {x!r} is not an integer")
+        raise ValueError(f"entry {x!r} is not an integer")
     return i
 
 
@@ -523,7 +523,7 @@ def smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list
     sizes used here.
     """
     n = _check_square(rows)
-    a = [[int(x) for x in row] for row in rows]
+    a = [[x if type(x) is int else _int_entry(x) for x in row] for row in rows]
     U = identity(n)
     V = identity(n)
 

@@ -7,6 +7,11 @@ stabilization, hence a link invariant.  A spanning-surface presentation
 (`SpanningSurfaceData`, for example a Goeritz matrix) may have odd diagonal
 entries; it carries its component count and Gordon-Litherland correction,
 and every per-prime function here takes it in place of M.
+
+The per-prime layer reads det M first: at an odd prime p that does not
+divide it, M is nondegenerate over F_p, so d_p = 0 and delta_p is one
+Legendre symbol of det M.  Only at a prime dividing det M does the dense
+F_p elimination run, on the residual block of the congruence core.
 """
 
 from __future__ import annotations
@@ -109,13 +114,18 @@ def _correction(M: IntegerSymmetricMatrix) -> int:
 def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int]:
     """(d_p, Legendre class of the unit block's determinant) over F_p only.
 
-    M = B + R with B unimodular (`congruence_core`), so the unit block of
-    M mod p is B plus that of R: d_p is the corank of R, and the unit
-    determinant is det B times the product of the pivots that the dense
-    elimination `_eliminate_mod_p` takes on R, a few rows at most.  The
+    Det first: M is singular over F_p exactly when p divides det M, so at
+    a prime that does not, the unit block is all of M, d_p = 0 and the
+    class is (det M | p), with no elimination.  Otherwise M = B + R with B
+    unimodular (`congruence_core`), so the unit block of M mod p is B plus
+    that of R: d_p is the corank of R, and the unit determinant is det B
+    times the product of the pivots that the dense elimination
+    `_eliminate_mod_p` takes on R, a few rows at most.  Either way the
     Legendre symbol, being multiplicative, is taken once.
     """
     core = congruence_core(M)
+    if core.det % p:
+        return 0, legendre(core.det, p)
     d, unit_det = _eliminate_mod_p(core.R, p)
     return d, legendre(core.det_B * unit_det, p)
 
@@ -162,12 +172,12 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
 
     Independent of the reduction path; unchanged by unimodular congruence
     and by hyperbolic stabilization.  Defined for singular M as well.
-    The default path works over F_p on the residual block R of the
-    congruence core of M, with the unit determinant starting at det B
-    (`_unit_block_class_mod_p`); passing an rng exercises the
-    integer-lifted reduction of all of M with randomized pivots instead
-    (the path-independence oracle, and the only caller of
-    mod_p_block_reduce).
+    The default path (`_unit_block_class_mod_p`) takes the class of det M
+    when p does not divide it, and otherwise works over F_p on the residual
+    block R of the congruence core of M, with the unit determinant starting
+    at det B; passing an rng exercises the integer-lifted reduction of all
+    of M with randomized pivots instead (the path-independence oracle, and
+    the only caller of mod_p_block_reduce).
     """
     mu = mu_of(M)  # rejects an odd diagonal without a carried correction
     check_odd_prime(p)
@@ -187,7 +197,8 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
 
 def d_p_of(M: IntegerSymmetricMatrix, p: int) -> int:
     """Corank of M over F_p at an odd prime p (the F_p-dimension of the
-    relevant homology), read from the elimination that delta_p runs."""
+    relevant homology): 0 when p does not divide det M, else read from the
+    elimination that delta_p runs."""
     check_odd_prime(p)
     return _unit_block_class_mod_p(M, p)[0]
 
