@@ -334,7 +334,10 @@ def _add_report_options(sp):
 
 
 def _odd_prime(text: str) -> int:
-    p = int(text)
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     try:
         check_odd_prime(p)
     except ValueError as exc:

@@ -4,16 +4,16 @@ matrices, and the Q polynomial by skein recursion.
 The Kauffman bracket is a tangle contraction, not a sum over the 2^n
 states: crossings are placed one at a time, each next the one with the most
 arcs into those already placed, and the running sum is kept per planar
-matching of the open arc ends.  Its cost follows the number of matchings
-on the widest frontier, so braid closures and pretzels of a hundred
-crossings take milliseconds.
+matching of the open arcs, the arc labels with one end placed.  Its cost
+follows the number of matchings on the widest frontier, so braid closures
+and pretzels of a hundred crossings take milliseconds.
 
 The Q polynomial is a skein recursion toward descending diagrams, and each
 node first removes every kink and every second Reidemeister bigon (one
 strand over at both crossings).  Q = F(1, z) is an invariant of ambient
 isotopy, so these moves are exact, and they cut away the kinks and bigons
-that the skein's own smoothings create: a 12-crossing braid closure takes
-milliseconds instead of seconds.
+that the skein's own smoothings create.  A move costs one face walk, while
+each crossing left in place would branch the recursion again.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -63,19 +63,9 @@ def _piece_count(n: int, groups) -> int:
     """Connected pieces of a 4-valent map on n crossings, from groups of ends
     (crossing, slot) that each lie in one piece and that together join every
     arc's two ends: the arcs' end pairs, or the faces' darts."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for group in groups:
-        root = find(group[0][0])
-        for ci, _ in group[1:]:
-            parent[find(ci)] = root
-    return len({find(ci) for ci in range(n)})
+    joins = ((ci, group[0][0]) for group in groups for ci, _ in group[1:])
+    roots, _ = _join_labels([tuple(range(n))], (), joins, 0)
+    return len(set(roots[0]))
 
 
 @dataclass(frozen=True)
@@ -324,7 +314,7 @@ def _bracket_delta_powers(nmax: int) -> list[dict[int, int]]:
 # A-smoothing joins slots (0,1),(2,3) with A-exponent +1; B joins (0,3),(1,2) with -1.
 _SMOOTHINGS = (((0, 1), (2, 3), 1), ((0, 3), (1, 2), -1))
 # delta^k for the k loops that placing one crossing closes; each runs through
-# one of the at most four arcs glued at that crossing
+# one of the crossing's at most four arcs
 _LOOP_FACTORS = _bracket_delta_powers(4)
 
 
@@ -346,35 +336,6 @@ def _contraction_order(d: LinkDiagram) -> list[int]:
     return order
 
 
-def _close_strands(mate: dict[End, End], glue: dict[End, End]) -> tuple[list[tuple[End, End]], int]:
-    """Glue strands along arcs.  mate pairs the two ends of each strand;
-    glue pairs the two ends of each arc that joins strand ends.  Returns the
-    end pairs of the joined strands whose ends are not glued, each pair
-    ordered, and the number of closed loops."""
-    pairs = []
-    seen = set()
-    for e in mate:
-        if e in glue or e in seen:
-            continue
-        x = mate[e]
-        while x in glue:
-            y = glue[x]
-            seen.update((x, y))
-            x = mate[y]
-        seen.add(x)
-        pairs.append((e, x) if e < x else (x, e))
-    loops = 0
-    for e in glue:  # glued ends on no open strand lie on closed loops
-        if e not in seen:
-            loops += 1
-            x = e
-            while x not in seen:
-                y = mate[x]
-                seen.update((x, y))
-                x = glue[y]
-    return pairs, loops
-
-
 def _over_delta(poly: dict[int, int]) -> dict[int, int]:
     """poly / (-A^2 - A^-2), which must be exact: poly / (1 + A^4) from the
     lowest term up, times -A^2."""
@@ -390,30 +351,47 @@ def _over_delta(poly: dict[int, int]) -> dict[int, int]:
     return q
 
 
-def _place_crossing(
-    states: dict[tuple, dict[int, int]], ci: int, glue: dict[End, End]
-) -> dict[tuple, dict[int, int]]:
-    """One contraction step: the states after crossing ci is placed.
+def _place_crossing(states: dict[tuple, dict[int, int]], labels: tuple) -> dict[tuple, dict[int, int]]:
+    """One contraction step: the states after the crossing with these four
+    arc labels is placed.
 
-    glue pairs each slot of ci whose arc partner is placed (ci itself
-    included) with that partner, both ways.  Each state branches on the two
-    smoothings of ci; equal matchings merge and zero terms drop.
+    A key's pairs that meet the crossing and the smoothing's two label joins
+    are merged by union-find on labels; a join inside one class closes a
+    loop, and the labels met once, the new open arcs, are paired by class.
+    Pairs that miss the crossing are kept.  Each state branches on the two
+    smoothings; equal matchings merge and zero terms drop.  The union-find
+    is written out here rather than shared with `_join_labels`: a call per
+    smoothing made the bracket about 20% slower.
     """
+    once_here = {lab for lab in labels if labels.count(lab) == 1}
     nxt: dict[tuple, dict[int, int]] = {}
     for key, poly in states.items():
-        kept = []
-        touched = {}
-        for a, b in key:
-            if a in glue or b in glue:
-                touched[a] = b
-                touched[b] = a
+        kept, touched = [], []
+        for pair in key:
+            if pair[0] in labels or pair[1] in labels:
+                touched.append(pair)
             else:
-                kept.append((a, b))
+                kept.append(pair)
+        once = once_here.symmetric_difference(lab for pair in touched for lab in pair)
         for (s1, t1), (s2, t2), x in _SMOOTHINGS:
-            mate = dict(touched)
-            mate[(ci, s1)], mate[(ci, t1)] = (ci, t1), (ci, s1)
-            mate[(ci, s2)], mate[(ci, t2)] = (ci, t2), (ci, s2)
-            pairs, loops = _close_strands(mate, glue)
+            parent = {}
+            loops = 0
+            for a, b in touched + [(labels[s1], labels[t1]), (labels[s2], labels[t2])]:
+                while a in parent:
+                    a = parent[a]
+                while b in parent:
+                    b = parent[b]
+                if a == b:
+                    loops += 1
+                else:
+                    parent[a] = b
+            ends = {}
+            for lab in once:
+                root = lab
+                while root in parent:
+                    root = parent[root]
+                ends.setdefault(root, []).append(lab)
+            pairs = [(a, b) if a < b else (b, a) for a, b in ends.values()]
             _add_product(nxt.setdefault(tuple(sorted(kept + pairs)), {}), poly, _LOOP_FACTORS[loops], x)
     out = {}
     for key, poly in nxt.items():
@@ -428,16 +406,16 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     one-loop diagram normalized to 1, by contracting the diagram one
     crossing at a time (Bar-Natan, JKTR 16 (2007)).
 
-    Crossings are placed in `_contraction_order`.  The state maps each
-    planar matching of the open ends, the (crossing, slot) ends whose arc
-    partner is not placed yet, to its Laurent polynomial; a matching is
-    keyed as the sorted tuple of its end pairs.  Placing a crossing
-    (`_place_crossing`) branches on its two smoothings, glues each of its
-    slots to the arc partner if that is placed, and multiplies by
-    delta = -A^2 - A^-2 for every loop that closes.  When every crossing is
-    placed, the free loops are folded in and the sum is divided by delta
-    once.  The cost follows the number of matchings on the widest frontier
-    (Burton, arXiv:1712.05776), not 2^n.
+    Crossings are placed in `_contraction_order`.  An open arc is an arc
+    label with one end placed; the open arcs are the frontier.  The state
+    maps each planar matching of the open arcs, keyed as the sorted tuple
+    of its label pairs (a, b) with a < b, to its Laurent polynomial.
+    Placing a crossing (`_place_crossing`) branches on its two smoothings,
+    joins the strands through it, and multiplies by delta = -A^2 - A^-2 for
+    every loop that closes.  When every crossing is placed, the free loops
+    are folded in and the sum is divided by delta once.  The cost follows
+    the number of matchings on the widest frontier (Burton,
+    arXiv:1712.05776), not 2^n.
     """
     n = diagram.n
     if n == 0:
@@ -445,16 +423,8 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
             raise DiagramError("empty diagram")
         return dict(_bracket_delta_powers(diagram.free_loops)[diagram.free_loops - 1])
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    placed = set()
     for ci in _contraction_order(diagram):
-        placed.add(ci)
-        glue = {}
-        for s in range(4):
-            other = diagram._partner((ci, s))
-            if other[0] in placed:
-                glue[(ci, s)] = other
-                glue[other] = (ci, s)
-        states = _place_crossing(states, ci, glue)
+        states = _place_crossing(states, diagram.crossings[ci])
     total: dict[int, int] = {}
     _add_product(total, states[()], _bracket_delta_powers(diagram.free_loops)[-1])
     return _over_delta(total)
@@ -856,6 +826,7 @@ def _join_labels(crossings: list[tuple], removed, joins, free: int):
 
     def find(x):
         while x in parent:
+            parent[x] = parent.get(parent[x], parent[x])  # path halving
             x = parent[x]
         return x
 

@@ -96,9 +96,6 @@ class IntegerSymmetricMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
@@ -151,10 +148,6 @@ class UnimodularTransform:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "UnimodularTransform":
-        return cls(identity(n))
 
     def inverse(self) -> "UnimodularTransform":
         D, d = adjugate(self.entries)  # d = +-1

@@ -181,16 +181,20 @@ def test_split_diagrams_and_free_loops_match_the_state_sum():
 
 
 def test_contraction_keeps_one_canonical_key_per_planar_matching(monkeypatch):
-    """Each step's states are keyed by sorted tuples of ordered end pairs,
-    all on the same open ends, so there are at most Catalan(k) of them on
-    a frontier of 2k ends."""
+    """Each step's states are keyed by sorted tuples of ordered label pairs,
+    all on the same open arcs, the labels with one end placed, so there are
+    at most Catalan(k) of them on a frontier of 2k arcs."""
     place = diagrams._place_crossing
     widest = []
+    open_arcs = set()
 
-    def checked(states, ci, glue):
-        out = place(states, ci, glue)
+    def checked(states, labels):
+        out = place(states, labels)
+        for lab in labels:  # a kink's label toggles twice
+            open_arcs.symmetric_difference_update((lab,))
         frontiers = {tuple(sorted(e for pair in key for e in pair)) for key in out}
         assert len(frontiers) == 1
+        assert set(next(iter(frontiers))) == open_arcs
         k = len(next(iter(frontiers))) // 2
         for key in out:
             assert all(a < b for a, b in key) and list(key) == sorted(key), key
@@ -204,6 +208,7 @@ def test_contraction_keeps_one_canonical_key_per_planar_matching(monkeypatch):
               braid_closure_pd(seeded_braid_word(rng, 5, 30), 5),
               pretzel_pd(5, -3, 7),
               r1_kink(load_corpus()["8_10"].diagram, 3, False)):
+        open_arcs.clear()
         kauffman_bracket(d)
     assert max(widest) >= 3
 

@@ -1,5 +1,5 @@
-"""A negative matrix size and a repeated prime are rejected, not read as
-something else."""
+"""A negative matrix size, a repeated prime and a prime that is not an
+integer are rejected, not read as something else."""
 
 import os
 
@@ -39,6 +39,19 @@ def test_cli_rejects_a_repeated_prime(capsys, cmd, primes):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "listed twice" in captured.err
+
+
+@pytest.mark.parametrize("flag,value,token", [("--prime", "x", "'x'"), ("--primes", "3,,5", "''"),
+                                              ("--primes", "3,x", "'x'")])
+def test_cli_names_a_prime_that_is_not_an_integer(capsys, flag, value, token):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", TREFOIL, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if token in line]
+    assert len(lines) == 1 and "is not an integer" in lines[0], captured.err
+    assert "_odd_prime" not in lines[0] and "_primes_arg" not in lines[0]
 
 
 @pytest.mark.parametrize("cmd", ["invariants", "obstruct"])
