@@ -371,7 +371,8 @@ def _parser() -> argparse.ArgumentParser:
     _add_report_options(sp)
     sp.add_argument("--budget", dest="budget", type=int, default=BRACKET_BUDGET,
                     help="crossing budget for the bracket")
-    sp.add_argument("--q-budget", dest="q_budget", type=int, default=Q_BUDGET)
+    sp.add_argument("--q-budget", dest="q_budget", type=int, default=Q_BUDGET,
+                    help="crossing budget for the Q skein")
 
     sp = sub.add_parser("obstruct", help="unknotting obstruction report")
     _add_report_options(sp)

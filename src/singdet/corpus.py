@@ -51,25 +51,28 @@ def parse_entry(text: str, fallback_name: str = "") -> CorpusEntry:
     pd_line = None
     blocks: dict[str, list[str]] = {}
     current: list[str] | None = None
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("name:"):
-            name = line.split(":", 1)[1].strip()
+        key, colon, value = line.partition(":")
+        if colon and key in ("name", "pd", "seifert", "matrix"):
+            if key in seen:
+                raise ValueError(f"corpus entry {name!r} repeats the '{key}:' key")
+            seen.add(key)
             current = None
-        elif line.startswith("pd:"):
-            pd_line = line.split(":", 1)[1].strip()
-            current = None
-        elif line.startswith("seifert:"):
-            current = blocks.setdefault("seifert", [])
-        elif line.startswith("matrix:"):
-            current = blocks.setdefault("matrix", [])
+            if key == "name":
+                name = value.strip()
+            elif key == "pd":
+                pd_line = value.strip()
+            else:
+                current = blocks[key] = []
         elif current is not None:
             current.append(line)
         else:
             raise ValueError(f"unparsed corpus line: {line!r}")
-    diagram = parse_pd(pd_line) if pd_line else None
+    diagram = parse_pd(pd_line) if pd_line is not None else None
     seifert = SeifertData(parse_matrix("\n".join(blocks["seifert"]))) if "seifert" in blocks else None
     matrix = (
         IntegerSymmetricMatrix(parse_matrix("\n".join(blocks["matrix"])))

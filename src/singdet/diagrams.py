@@ -126,12 +126,14 @@ class LinkDiagram:
                 pending.append(((ci, 4 - s), not val))
         return is_in
 
+    @cached_property
+    def _heads(self) -> dict[int, End]:
+        """Arc label -> the end its orientation enters.  `_orient` gives the
+        two ends of every arc opposite values, so there is exactly one."""
+        return {lab: e if self._is_in[e] else f for lab, (e, f) in self._occ.items()}
+
     def _trace_components(self) -> tuple[tuple[int, ...], ...]:
-        heads = {}
-        for lab, (e, f) in self._occ.items():
-            if self._is_in[e] == self._is_in[f]:
-                raise DiagramError(f"arc {lab} is not consistently directed")
-            heads[lab] = e if self._is_in[e] else f
+        heads = self._heads
         comps = []
         seen: set[int] = set()
         for lab in sorted(heads):
@@ -180,32 +182,34 @@ class LinkDiagram:
         return face_orbits(self.crossings)
 
     @cached_property
+    def _pieces(self) -> int:
+        """Connected pieces of the crossing map, counted once per diagram
+        object from the arcs' end pairs.  `r2_slide` does not copy it onto
+        the diagrams it derives, since a slide across two pieces joins them."""
+        return _piece_count(self.n, self._occ.values())
+
+    @cached_property
     def _planar(self) -> bool:
         """euler_ok(self.crossings), from the one face walk and decided once."""
-        return not self.n or _euler_ok_faces(self.n, self._faces)
+        return not self.n or _euler_ok_faces(self.n, self._faces, self._pieces)
 
     @property
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
 
-    def component_of_arc(self, arc: int) -> int:
-        for k, comp in enumerate(self.components):
-            if arc in comp:
-                return k
-        raise KeyError(arc)
-
     def is_connected(self) -> bool:
         if self.free_loops:
             return self.n == 0 and self.free_loops == 1
-        return self.n == 0 or _piece_count(self.n, self._occ.values()) == 1
+        return self.n == 0 or self._pieces == 1
 
     def is_proper(self) -> bool:
         """Every component has even total linking with the rest."""
         c = len(self.components)
+        comp_of = {arc: k for k, comp in enumerate(self.components) for arc in comp}
         lk = [[0] * c for _ in range(c)]
         for ci in range(self.n):
-            cu = self.component_of_arc(self.crossings[ci][0])
-            co = self.component_of_arc(self.crossings[ci][1])
+            cu = comp_of[self.crossings[ci][0]]
+            co = comp_of[self.crossings[ci][1]]
             if cu != co:
                 lk[cu][co] += self.sign(ci)
         for i in range(c):
@@ -218,8 +222,13 @@ class LinkDiagram:
 def parse_pd(text: str) -> LinkDiagram:
     """Parse PD text like ``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)``.
 
-    ``X[...]`` brackets work as well; each ``O`` token adds a crossingless
-    unknot component.
+    ``X[...]`` brackets work as well, and a crossing's two brackets must
+    match; each ``O`` token adds a crossingless unknot component.
+
+    Planarity is checked with a face walk that is not kept on the diagram.
+    Kept faces would stay on every parsed diagram, and would more than
+    double what the loaded corpus holds, while only Vogel untangling and
+    the Goeritz route read them; those walk the faces again on first use.
     """
     free = len(re.findall(r"\bO\b", text))
     tuples = []
@@ -227,6 +236,8 @@ def parse_pd(text: str) -> LinkDiagram:
         m = re.fullmatch(r"X[\(\[]\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*[\)\]]", tok)
         if m is None:
             raise DiagramError(f"malformed PD crossing {tok!r}: expected four integer labels")
+        if tok[1] + tok[-1] not in ("()", "[]"):
+            raise DiagramError(f"malformed PD crossing {tok!r}: mismatched brackets")
         tuples.append(tuple(int(g) for g in m.groups()))
     rest = re.sub(r"X[\(\[][^\)\]]*[\)\]]|\bO\b", " ", text)
     if rest.strip():
@@ -234,7 +245,7 @@ def parse_pd(text: str) -> LinkDiagram:
     if not tuples and not free:
         raise DiagramError("empty diagram")
     d = LinkDiagram(tuple(tuples), free)
-    if not euler_ok(d.crossings):
+    if d.n and not _euler_ok_faces(d.n, face_orbits(d.crossings), d._pieces):
         raise DiagramError("PD code is not planar: V - E + F != 2 on some connected piece")
     return d
 
@@ -277,16 +288,18 @@ def face_orbits(crossings) -> list[list[End]]:
 
 def euler_ok(crossings) -> bool:
     """V - E + F == 2 on every connected piece of the 4-valent map (E = 2V),
-    that is, the code describes a planar diagram."""
-    return _euler_ok_faces(len(crossings), face_orbits(crossings)) if crossings else True
+    that is, the code describes a planar diagram.  The pieces are counted
+    from the faces: consecutive darts of a face are the two ends of an arc."""
+    faces = face_orbits(crossings)
+    return not crossings or _euler_ok_faces(len(crossings), faces, _piece_count(len(crossings), faces))
 
 
-def _euler_ok_faces(n: int, faces) -> bool:
-    """The Euler test of `euler_ok` on n crossings with these faces.  Each
-    piece has V - E + F <= 2, so the sum over the pieces decides it.
-    Consecutive darts of a face are the two ends of an arc, so the faces
-    also give the pieces."""
-    return n - 2 * n + len(faces) == 2 * _piece_count(n, faces)
+def _euler_ok_faces(n: int, faces, pieces: int) -> bool:
+    """The Euler test of `euler_ok` on n crossings with these faces, forming
+    this many connected pieces.  Each piece has V - E + F <= 2, so the sum
+    over the pieces decides it.  A `LinkDiagram` passes its `_pieces`; a
+    code without one counts the pieces of its faces."""
+    return n - 2 * n + len(faces) == 2 * pieces
 
 
 # ------------------------------------------------------------------- bracket
@@ -470,9 +483,7 @@ def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
         else:
             out_slot[(ci, 0)] = 3
             out_slot[(ci, 1)] = 2
-    heads = {}
-    for lab, (e, f) in d._occ.items():
-        heads[lab] = e if d._is_in[e] else f
+    heads = d._heads
     circles: list[list[int]] = []
     corner: list[list[int]] = []
     circle_of: dict[int, int] = {}
@@ -531,18 +542,6 @@ def _chain_order(struct: _SeifertStructure) -> list[int] | None:
     return order if len(order) == s else None
 
 
-def _cyclic_equal(a: list, b: list) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    n = len(a)
-    for shift in range(n):
-        if all(a[(i + shift) % n] == b[i] for i in range(n)):
-            return True
-    return False
-
-
 def _braided_data(d: LinkDiagram, struct: _SeifertStructure):
     """Per-annulus linear band lists plus per-circle cyclic corner positions,
     or None when the diagram is not in coherently nested (braided) form."""
@@ -555,17 +554,17 @@ def _braided_data(d: LinkDiagram, struct: _SeifertStructure):
     annuli = []
     for t in range(len(chain) - 1):
         u, v = chain[t], chain[t + 1]
-        upper_sub = [ci for ci in struct.corner_order[u] if _joins(struct, ci, u, v)]
-        lower_sub = [ci for ci in struct.corner_order[v] if _joins(struct, ci, u, v)]
-        if not upper_sub or not _cyclic_equal(upper_sub, lower_sub):
+        upper_sub = [ci for ci in struct.corner_order[u] if struct.edges[ci] in ((u, v), (v, u))]
+        if not upper_sub:
+            return None
+        # a crossing meets each circle once, so both lists hold the same
+        # bands once each: rotate the lower one to the upper one's first
+        lower_sub = [ci for ci in struct.corner_order[v] if struct.edges[ci] in ((u, v), (v, u))]
+        k = lower_sub.index(upper_sub[0])
+        if lower_sub[k:] + lower_sub[:k] != upper_sub:
             return None
         annuli.append(upper_sub)
     return chain, annuli, pos_in_circle
-
-
-def _joins(struct: _SeifertStructure, ci: int, u: int, v: int) -> bool:
-    e = struct.edges[ci]
-    return e in ((u, v), (v, u))
 
 
 def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
@@ -686,8 +685,8 @@ def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
     """
     incidences: dict[int, list[tuple[int, int]]] = {}
     for lab, ends in d._occ.items():
-        tail = next(e for e in ends if not d._is_in[e])
-        head = next(e for e in ends if d._is_in[e])
+        head = d._heads[lab]
+        tail = ends[1] if ends[0] == head else ends[0]
         with_face = face_of_quadrant[(tail[0], (tail[1] - 1) % 4)]
         against_face = face_of_quadrant[(head[0], (head[1] - 1) % 4)]
         incidences[lab] = [(with_face, 1), (against_face, -1)]
@@ -1020,31 +1019,22 @@ def normalize_pd(tuples: list[tuple[int, int, int, int]]) -> LinkDiagram:
     """Build a diagram from shadow tuples whose under strand sits on slots
     (0, 2) but whose slot 0 need not be the incoming end.
 
-    Orientations are solved by parity propagation (free choices are made
-    deterministically), then each tuple is rotated by two if slot 0 came out
-    as the outgoing under end.
+    Each component is oriented by one straight-through shadow walk
+    (`_ShadowWalker._walk_from`) that enters at the least (crossing, slot)
+    end not yet walked; the walk enters every crossing it meets at one slot
+    and leaves at the opposite one.  Each tuple is then rotated by two if
+    its walk left through slot 0.
     """
-    occ, partner = _arc_ends(tuples)
-    for lab, ends in occ.items():
+    walker = _ShadowWalker(tuples)
+    for lab, ends in walker.occ.items():
         if len(ends) != 2:
             raise DiagramError(f"arc {lab} appears {len(ends)} times")
 
     is_in: dict[End, bool] = {}
-    all_ends = [(ci, s) for ci in range(len(tuples)) for s in range(4)]
-    for start in all_ends:
-        if start in is_in:
-            continue
-        pending = [(start, True)]
-        while pending:
-            e, val = pending.pop()
-            if e in is_in:
-                if is_in[e] != val:
-                    raise DiagramError("shadow orientations are inconsistent")
-                continue
-            is_in[e] = val
-            ci, s = e
-            pending.append((partner(e), not val))
-            pending.append(((ci, (s + 2) % 4), not val))
+    for start in ((ci, s) for ci in range(len(tuples)) for s in range(4)):
+        if start not in is_in:
+            for ci, s in walker._walk_from(tuples[start[0]][start[1]], start)[0]:
+                is_in[(ci, s)], is_in[(ci, (s + 2) % 4)] = True, False
     out = []
     for ci, t in enumerate(tuples):
         out.append(t if is_in[(ci, 0)] else (t[2], t[3], t[0], t[1]))
@@ -1219,7 +1209,7 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
                 planar = len(slid) == len(faces) + 2
             else:
                 slid = face_orbits(crossings)
-                planar = _euler_ok_faces(len(crossings), slid)
+                planar = _euler_ok_faces(len(crossings), slid, _piece_count(len(crossings), slid))
             if not planar:
                 continue
             is_in = dict(d._is_in)

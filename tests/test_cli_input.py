@@ -68,3 +68,36 @@ def test_cli_corpus_option_leaves_the_environment_unchanged(tmp_path, capsys):
     before = dict(os.environ)
     one_line_error(capsys, "verify", "examples", "--corpus", str(tmp_path))
     assert dict(os.environ) == before
+
+
+def test_cli_rejects_a_repeated_pd_line(tmp_path, capsys):
+    path = tmp_path / "two_pd.txt"
+    path.write_text(f"name: two\npd: {TREFOIL_PD}\npd: X(1,1,2,2)\n")
+    assert "'pd:'" in one_line_error(capsys, "invariants", str(path))
+
+
+def test_cli_rejects_a_repeated_name_line(tmp_path, capsys):
+    path = tmp_path / "two_names.txt"
+    path.write_text(f"name: first\nname: second\npd: {TREFOIL_PD}\n")
+    assert "'name:'" in one_line_error(capsys, "obstruct", str(path))
+
+
+def test_cli_rejects_a_repeated_seifert_block(tmp_path, capsys):
+    path = tmp_path / "two_seifert.txt"
+    path.write_text("name: two\nseifert:\n1\n-1\nseifert:\n1\n1\n")
+    line = one_line_error(capsys, "invariants", str(path))
+    assert "'seifert:'" in line and "entries" not in line
+
+
+def test_cli_rejects_mismatched_pd_brackets(tmp_path, capsys):
+    with pytest.raises(DiagramError, match=r"X\(1,4,2,5\]"):
+        parse_pd("X(1,4,2,5] X(3,6,4,1) X(5,2,6,3)")
+    path = tmp_path / "brackets.txt"
+    path.write_text("name: bad\npd: X(1,4,2,5) X[3,6,4,1) X(5,2,6,3)\n")
+    assert "X[3,6,4,1)" in one_line_error(capsys, "invariants", str(path))
+
+
+def test_cli_rejects_an_empty_pd_line(tmp_path, capsys):
+    path = tmp_path / "empty_pd.txt"
+    path.write_text("name: empty\npd:\nseifert:\n1\n-1\n")
+    assert "empty diagram" in one_line_error(capsys, "invariants", str(path))

@@ -4,7 +4,9 @@ Every module-level private function or class, and every private
 non-dunder method, must be referenced by name somewhere in the package
 outside its own definition: as a name, an attribute or an imported alias.
 A helper that only calls itself, or is only called from helpers that are
-themselves unreferenced, counts as unreferenced.
+themselves unreferenced, counts as unreferenced.  Public functions,
+classes and methods are held to the same rule, where references from the
+tests and the benchmark count too: public contracts that tests use stay.
 """
 
 import ast
@@ -37,15 +39,29 @@ def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
     """'module: name (line n)' for each private helper in sources (module
     name -> text) that no code outside its own definition names, where
     code found dead does not count as a reference either."""
+    return unreferenced(sources, [], _is_private)
+
+
+def unreferenced_public(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The same for each public function, class or method in sources,
+    where the code in readers (the tests and the benchmark) refers too."""
+    return unreferenced(sources, readers, lambda name: not name.startswith("_"))
+
+
+def unreferenced(sources: dict[str, str], readers: list[str], checked) -> list[str]:
+    """'module: name (line n)' for each definition in sources whose name
+    passes `checked` and that no code in sources or readers names outside
+    its own definition; code found dead does not count."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    refs = sum((_references(ast.parse(text)) for text in readers), Counter())
+    refs += sum((_references(tree) for tree in trees.values()), Counter())
     helpers = {}
     for module, tree in trees.items():
         nodes = [node for node in tree.body if isinstance(node, DEFS)]
         nodes += [item for node in tree.body if isinstance(node, ast.ClassDef)
                   for item in node.body if isinstance(item, DEFS)]
         helpers.update({f"{module}: {node.name} (line {node.lineno})": node
-                        for node in nodes if _is_private(node.name)})
+                        for node in nodes if checked(node.name)})
     dead: dict[str, ast.AST] = {}
     while True:
         live = refs - sum((_references(node) for node in dead.values()), Counter())
@@ -76,3 +92,30 @@ def test_every_private_helper_is_referenced():
             with open(os.path.join(SRC, name)) as fh:
                 sources[name[:-3]] = fh.read()
     assert unreferenced_helpers(sources) == []
+
+
+def test_the_check_sees_an_unreferenced_public_name():
+    planted = {
+        "a": "def dead():\n    pass\n\ndef tested():\n    pass\n\ndef used():\n    return 1\n\n"
+             "class Kept:\n    def gone(self):\n        pass\n    def __init__(self):\n        used()\n\n"
+             "def only_from_dead():\n    pass\n\ndef dead_caller():\n    only_from_dead()\n",
+        "b": "from .a import Kept\n",
+    }
+    assert unreferenced_public(planted, ["from a import tested\n"]) == [
+        "a: dead (line 1)", "a: dead_caller (line 19)", "a: gone (line 11)", "a: only_from_dead (line 16)"]
+
+
+def read_modules(folder: str) -> dict[str, str]:
+    out = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name)) as fh:
+                out[name[:-3]] = fh.read()
+    return out
+
+
+def test_every_public_name_is_referenced():
+    root = os.path.join(SRC, "..", "..")
+    readers = [text for folder in ("tests", "perfbench")
+               for text in read_modules(os.path.join(root, folder)).values()]
+    assert unreferenced_public(read_modules(SRC), readers) == []
