@@ -345,6 +345,17 @@ def _odd_prime(text: str) -> int:
     return p
 
 
+def _budget(text: str) -> int:
+    """A crossing budget: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return n
+
+
 def _primes_arg(text: str):
     out = []
     for tok in text.split(","):
@@ -369,9 +380,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invariants", help="invariant report for a link file")
     _add_report_options(sp)
-    sp.add_argument("--budget", dest="budget", type=int, default=BRACKET_BUDGET,
+    sp.add_argument("--budget", dest="budget", type=_budget, default=BRACKET_BUDGET,
                     help="crossing budget for the bracket")
-    sp.add_argument("--q-budget", dest="q_budget", type=int, default=Q_BUDGET,
+    sp.add_argument("--q-budget", dest="q_budget", type=_budget, default=Q_BUDGET,
                     help="crossing budget for the Q skein")
 
     sp = sub.add_parser("obstruct", help="unknotting obstruction report")

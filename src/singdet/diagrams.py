@@ -19,9 +19,9 @@ PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
 strand runs a -> c.  With the over strand oriented d -> b the crossing is
 positive, with b -> d negative.  Orientations are not stored in the code;
-they are recovered by constraint propagation (slot 0 is incoming, slot 2
-outgoing, slots 1/3 are opposite ends of the over strand) and components
-that never pass under anything get an arbitrary direction.
+each strand is walked straight through its crossings from a slot 0, which
+is incoming, and a component that never passes under anything is walked
+from its least over end.
 
 Crossingless split unknots cannot be expressed by crossing tuples; the
 token ``O`` in PD text adds one.
@@ -68,6 +68,30 @@ def _piece_count(n: int, groups) -> int:
     return len(set(roots[0]))
 
 
+def _trace(d: LinkDiagram, exits):
+    """(cycles, corners, cycle_of): the cycles that follow each arc of d
+    along its orientation, from its head (ci, s) on to the arc at slot
+    exits[ci][s] of crossing ci.  A cycle lists its arcs and the crossings
+    it enters, from its least arc; cycle_of maps each arc to its cycle."""
+    heads = d._heads
+    cycles: list[list[int]] = []
+    corners: list[list[int]] = []
+    cycle_of: dict[int, int] = {}
+    for lab in sorted(heads):
+        if lab in cycle_of:
+            continue
+        arcs, at = [], []
+        while lab not in cycle_of:
+            cycle_of[lab] = len(cycles)
+            arcs.append(lab)
+            ci, s = heads[lab]
+            at.append(ci)
+            lab = d.crossings[ci][exits[ci][s]]
+        cycles.append(arcs)
+        corners.append(at)
+    return cycles, corners, cycle_of
+
+
 @dataclass(frozen=True)
 class LinkDiagram:
     """A validated oriented link diagram."""
@@ -102,28 +126,26 @@ class LinkDiagram:
         return b if e == a else a
 
     def _orient(self) -> dict[End, bool]:
+        """End -> whether the link's orientation enters the crossing there.
+
+        One walk per strand, straight through each crossing it meets: from
+        every end (ci, 0) not yet walked, in order, since slot 0 is the
+        incoming under end, and then from the least over end (slot 1 or 3)
+        of each component that never passes under, whose direction is free.
+        A walk that enters an under strand at slot 2 finds the code
+        inconsistent.
+        """
+        n = len(self.crossings)
         is_in: dict[End, bool] = {}
-        pending = []
-        for ci, tup in enumerate(self.crossings):
-            pending.append(((ci, 0), True))
-            pending.append(((ci, 2), False))
-        unassigned = {(ci, s) for ci in range(len(self.crossings)) for s in (1, 3)}
-        while pending or unassigned:
-            if not pending:
-                e0 = min(unassigned)  # always-over component: direction is free
-                unassigned.discard(e0)
-                pending.append((e0, True))
-            e, val = pending.pop()
-            if e in is_in:
-                if is_in[e] != val:
+        for start in [(ci, 0) for ci in range(n)] + [(ci, s) for ci in range(n) for s in (1, 3)]:
+            e = start
+            while e not in is_in:
+                ci, s = e
+                if s == 2:
                     raise DiagramError("inconsistent strand orientations")
-                continue
-            is_in[e] = val
-            unassigned.discard(e)
-            pending.append((self._partner(e), not val))
-            ci, s = e
-            if s in (1, 3):
-                pending.append(((ci, 4 - s), not val))
+                out = (ci, s ^ 2)
+                is_in[e], is_in[out] = True, False
+                e = self._partner(out)
         return is_in
 
     @cached_property
@@ -133,21 +155,7 @@ class LinkDiagram:
         return {lab: e if self._is_in[e] else f for lab, (e, f) in self._occ.items()}
 
     def _trace_components(self) -> tuple[tuple[int, ...], ...]:
-        heads = self._heads
-        comps = []
-        seen: set[int] = set()
-        for lab in sorted(heads):
-            if lab in seen:
-                continue
-            comp = []
-            cur = lab
-            while cur not in seen:
-                seen.add(cur)
-                comp.append(cur)
-                ci, s = heads[cur]
-                cur = self.crossings[ci][(s + 2) % 4]
-            comps.append(tuple(comp))
-        return tuple(comps)
+        return tuple(map(tuple, _trace(self, [(2, 3, 0, 1)] * self.n)[0]))
 
     # -- public derived data ---------------------------------------------------
 
@@ -472,61 +480,36 @@ class _SeifertStructure:
 
 
 def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
-    """Trace the oriented smoothing of every crossing into Seifert circles."""
+    """Trace the oriented smoothing of every crossing into Seifert circles.
+
+    A positive crossing's incoming ends, slots 0 and 3, exit at slots 1
+    and 2, so its exit row is (1, 0, 3, 2); a negative crossing's, slots 0
+    and 1, exit at 3 and 2, row (3, 2, 1, 0).  The circle through slots 0
+    and 1 (positive) or 0 and 3 (negative) is the crossing's first circle,
+    and the one entering at the other incoming end its second.
+    """
     signs = d.signs
-    # smoothing partners: positive joins (0,1),(3,2); negative (0,3),(1,2)
-    out_slot: dict[End, int] = {}
-    for ci in range(d.n):
-        if signs[ci] == 1:
-            out_slot[(ci, 0)] = 1
-            out_slot[(ci, 3)] = 2
-        else:
-            out_slot[(ci, 0)] = 3
-            out_slot[(ci, 1)] = 2
-    heads = d._heads
-    circles: list[list[int]] = []
-    corner: list[list[int]] = []
-    circle_of: dict[int, int] = {}
-    for lab in sorted(heads):
-        if lab in circle_of:
-            continue
-        arcs = []
-        corners = []
-        cur = lab
-        while cur not in circle_of:
-            circle_of[cur] = len(circles)
-            arcs.append(cur)
-            ci, s = heads[cur]
-            corners.append(ci)
-            cur = d.crossings[ci][out_slot[(ci, s)]]
-        circles.append(arcs)
-        corner.append(corners)
+    circles, corners, circle_of = _trace(d, [(1, 0, 3, 2) if e == 1 else (3, 2, 1, 0) for e in signs])
     edges = []
-    for ci in range(d.n):
-        u = circle_of[d.crossings[ci][0]]
-        v = circle_of[d.crossings[ci][out_slot[(ci, 0)]]]
-        # circle through the other smoothing strand
-        other_in = 3 if signs[ci] == 1 else 1
-        w = circle_of[d.crossings[ci][other_in]]
+    for t, e in zip(d.crossings, signs):
+        u, v, w = (circle_of[t[s]] for s in ((0, 1, 3) if e == 1 else (0, 3, 1)))
         if u != v:
             raise AssertionError("smoothing strand changed circles")
         if u == w:
             raise AssertionError("both smoothing strands on one circle")
         edges.append((u, w))
-    return _SeifertStructure(circles, circle_of, corner, edges)
+    return _SeifertStructure(circles, circle_of, corners, edges)
 
 
 def _chain_order(struct: _SeifertStructure) -> list[int] | None:
     """Vertices of the Seifert graph as a path, or None if not a chain."""
     s = len(struct.circles)
-    if s == 0:
-        return None
+    if s == 1:  # no crossing joins a circle to itself, so there is no edge
+        return [0]
     adj: dict[int, set[int]] = {i: set() for i in range(s)}
     for u, v in struct.edges:
         adj[u].add(v)
         adj[v].add(u)
-    if s == 1:
-        return [0] if not struct.edges else None
     degs = {v: len(a) for v, a in adj.items()}
     endpoints = [v for v, dg in degs.items() if dg == 1]
     if any(dg > 2 for dg in degs.values()) or len(endpoints) != 2:
@@ -577,7 +560,9 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
     derives its diagram from the previous one (`r2_slide`); the last one is
     built once more through the validating `LinkDiagram` constructor, and
     its arc ends and orientation must equal the derived ones before the
-    matrix is read.
+    matrix is read.  The Seifert circles are traced once for d and once
+    after each move, and the first tracing also sets the bound on the
+    number of moves.
 
     In nested form the surface is a stack of discs joined by half-twisted
     ribbons, one per crossing; loops pair consecutive ribbons of an annulus.
@@ -591,8 +576,8 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
     if d.n == 0:
         return SeifertData(())
     work = d
-    for _ in range(4 * d.n + 10 * len(seifert_structure(d).circles) ** 2 + 40):
-        struct = seifert_structure(work)
+    struct = seifert_structure(d)
+    for _ in range(4 * d.n + 10 * len(struct.circles) ** 2 + 40):
         data = _braided_data(work, struct)
         if data is not None:
             if work is not d:
@@ -600,70 +585,58 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
                 if (checked._occ, checked._is_in) != (work._occ, work._is_in):
                     raise AssertionError("untangled diagram differs from its validated build")
                 del checked  # not held while the n x n matrix is built
-            return _seifert_matrix_braided(work, struct, data)
+            return _seifert_matrix_braided(work, data)
         work = _vogel_move(work, struct)
+        struct = seifert_structure(work)
     raise AssertionError("untangling did not reach braided form")
 
 
-def _seifert_matrix_braided(d: LinkDiagram, struct, data) -> SeifertData:
+def _seifert_matrix_braided(d: LinkDiagram, data) -> SeifertData:
+    """The Seifert matrix of a braided diagram, from `_braided_data`.
+
+    Annulus ai, between circles chain[ai] and chain[ai+1], holds the loops
+    first[ai] ... first[ai+1] - 1; its loop r = first[ai] + k runs through
+    bands k and k+1.  Loop r links only with itself, with its neighbour
+    r + 1 in the same annulus, across the band they share, and with the
+    loops of annulus ai+1, whose chords meet its chord on circle
+    chain[ai+1]; those counts read the cyclic positions of the four bands
+    on that circle.
+    """
     chain, annuli, pos = data
-    loops: list[tuple[int, int]] = []  # (annulus index, k)
-    for ai, bands in enumerate(annuli):
-        loops.extend((ai, k) for k in range(len(bands) - 1))
-    nb = len(loops)
+    first = [0]
+    for bands in annuli:
+        first.append(first[-1] + len(bands) - 1)
+    nb = first[-1]
     V = [[0] * nb for _ in range(nb)]
     eps = d.signs
-
-    def strictly_inside(circle: int, x: int, start: int, end: int) -> bool:
-        # is corner x strictly inside the forward arc (start -> end) on circle?
-        order = pos[circle]
-        px, ps, pe = order[x], order[start], order[end]
-        m = len(order)
-        if ps == pe:
-            return False
-        span = (pe - ps) % m
-        off = (px - ps) % m
-        return 0 < off < span
-
-    def ccw_pattern(circle: int, a1: int, b1: int, a2: int, b2: int) -> bool:
-        # do corners appear in cyclic traced order a1, b1, a2, b2?
-        order = pos[circle]
-        m = len(order)
-        pa, qa = order[a1], order[a2]
-        rb, sb = order[b1], order[b2]
-        return ((rb - pa) % m) < ((qa - pa) % m) < ((sb - pa) % m)
-
-    for r, (ai, k) in enumerate(loops):
-        bands = annuli[ai]
-        bk, bk1 = bands[k], bands[k + 1]
-        V[r][r] = -(eps[bk] + eps[bk1]) // 2
-        # consecutive loops in the same annulus share band bk1
-        for t, (aj, l) in enumerate(loops):
-            if aj == ai and l == k + 1:
-                shared = bands[k + 1]
-                V[r][t] = (eps[shared] + 1) // 2
-                V[t][r] = (eps[shared] - 1) // 2
-        # adjacent annulus below (chords meet on the shared circle)
-        for t, (aj, l) in enumerate(loops):
-            if aj != ai + 1:
-                continue
-            shared_circle = chain[ai + 1]
-            y1, y2 = annuli[aj][l], annuli[aj][l + 1]
-            x1, x2 = bk, bk1
-            inter_1 = strictly_inside(shared_circle, y1, x1, x2)
-            inter_2 = strictly_inside(shared_circle, y2, x1, x2)
-            cc = 0
-            if inter_1 != inter_2:
-                cc = 1 if ccw_pattern(shared_circle, y1, x2, y2, x1) else -1
-            c2 = 0
-            if strictly_inside(shared_circle, x2, y1, y2):
-                c2 += 1
-            if strictly_inside(shared_circle, x1, y1, y2):
-                c2 -= 1
-            if (cc + c2) % 2 or (-cc + c2) % 2:
-                raise AssertionError("non-integral linking count")
-            V[r][t] = (cc + c2) // 2
-            V[t][r] = (-cc + c2) // 2
+    for ai, bands in enumerate(annuli):
+        p = pos[chain[ai + 1]]
+        m = len(p)
+        below = annuli[ai + 1] if ai + 1 < len(annuli) else ()
+        for k in range(len(bands) - 1):
+            r = first[ai] + k
+            x1, x2 = bands[k], bands[k + 1]
+            V[r][r] = -(eps[x1] + eps[x2]) // 2
+            if k + 2 < len(bands):
+                V[r][r + 1] = (eps[x2] + 1) // 2
+                V[r + 1][r] = (eps[x2] - 1) // 2
+            px1, px2 = p[x1], p[x2]
+            x_span = (px2 - px1) % m
+            for l in range(len(below) - 1):
+                t = first[ai + 1] + l
+                py1, py2 = p[below[l]], p[below[l + 1]]
+                y_span = (py2 - py1) % m
+                # corner c lies strictly inside the forward arc a -> b iff
+                # 0 < (c - a) % m < (b - a) % m
+                cc = 0
+                if (0 < (py1 - px1) % m < x_span) != (0 < (py2 - px1) % m < x_span):
+                    # the chords cross: +1 when the corners run y1, x2, y2, x1
+                    cc = 1 if (px2 - py1) % m < y_span < (px1 - py1) % m else -1
+                c2 = (0 < (px2 - py1) % m < y_span) - (0 < (px1 - py1) % m < y_span)
+                if (cc + c2) % 2:
+                    raise AssertionError("non-integral linking count")
+                V[r][t] = (cc + c2) // 2
+                V[t][r] = (-cc + c2) // 2
     for r in range(nb):  # frozen in place, so SeifertData keeps the rows without a copy
         V[r] = tuple(V[r])
     return SeifertData(V)

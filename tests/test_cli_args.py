@@ -1,5 +1,6 @@
-"""A negative matrix size, a repeated prime and a prime that is not an
-integer are rejected, not read as something else."""
+"""A negative matrix size, a repeated prime, a prime that is not an
+integer and a negative crossing budget are rejected, not read as something
+else."""
 
 import os
 
@@ -59,3 +60,21 @@ def test_cli_prints_each_prime_once(capsys, cmd):
     assert main([cmd, TREFOIL, "--format", "machine", "--primes", "3,7", "--prime", "7"]) == 0
     keys = [line.split("=")[0] for line in capsys.readouterr().out.splitlines()]
     assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("flag,value", [("--budget", "-3"), ("--q-budget", "-1"),
+                                        ("--budget", "x"), ("--q-budget", "2.5")])
+def test_cli_rejects_a_budget_that_is_not_a_count(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", TREFOIL, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if repr(value) in line]
+    assert len(lines) == 1 and flag in lines[0] and "not an integer >= 0" in lines[0], captured.err
+
+
+def test_cli_accepts_a_zero_budget(capsys):
+    assert main(["invariants", TREFOIL, "--format", "machine", "--q-budget", "0", "--budget", "0"]) == 0
+    keys = {line.split("=")[0] for line in capsys.readouterr().out.splitlines()}
+    assert "jones" not in keys and "q_poly" not in keys and "det" in keys

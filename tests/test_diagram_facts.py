@@ -9,6 +9,7 @@
   walk; the constraint propagation it replaced is kept below as the oracle.
 - `r2_slide` across two pieces of a split diagram joins them, so a derived
   diagram counts its own pieces.
+- Vogel untangling traces the Seifert circles once per move, plus once.
 """
 
 import contextlib
@@ -34,6 +35,7 @@ from singdet.diagrams import (
     pretzel_pd,
     q_via_skein,
     r2_slide,
+    seifert_matrix_from_diagram,
 )
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -72,6 +74,14 @@ def test_obstruct_counts_the_pieces_of_a_braid_closure_once(monkeypatch, tmp_pat
     assert d.n == 12
     counts = obstruct_counts(monkeypatch, tmp_path, pd_text(d))
     assert counts == {"_piece_count": 1, "face_orbits": 1}  # braided: no untangling move
+
+
+@pytest.mark.parametrize("name,moves", [("p5_17_5", 156), ("t3_4", 0)])
+def test_untangling_traces_the_seifert_circles_once_per_move_plus_once(monkeypatch, name, moves):
+    d = parse_pd(pd_text(load_corpus()[name].diagram))
+    counts = count_calls(monkeypatch, "seifert_structure", "_vogel_move")
+    seifert_matrix_from_diagram(d)
+    assert counts == {"seifert_structure": moves + 1, "_vogel_move": moves}
 
 
 def test_parse_keeps_no_faces():
