@@ -12,8 +12,12 @@ The Q polynomial is a skein recursion toward descending diagrams, and each
 node first removes every kink and every second Reidemeister bigon (one
 strand over at both crossings).  Q = F(1, z) is an invariant of ambient
 isotopy, so these moves are exact, and they cut away the kinks and bigons
-that the skein's own smoothings create.  A move costs one face walk, while
-each crossing left in place would branch the recursion again.
+that the skein's own smoothings create.  The moves are found by checking
+crossings against one arc map, with no face walk, and after a move only the
+crossings on the joined arcs are checked again.  A bigon left after that is
+a clasp, and the node expands the whole twist region through it in one
+step, by a three-term recurrence in its number of crossings, so a column of
+k half-twists costs one node where the plain skein spends k.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -621,22 +625,15 @@ def _seifert_matrix_braided(d: LinkDiagram, data) -> SeifertData:
                 V[r][r + 1] = (eps[x2] + 1) // 2
                 V[r + 1][r] = (eps[x2] - 1) // 2
             px1, px2 = p[x1], p[x2]
-            x_span = (px2 - px1) % m
             for l in range(len(below) - 1):
-                t = first[ai + 1] + l
                 py1, py2 = p[below[l]], p[below[l + 1]]
                 y_span = (py2 - py1) % m
                 # corner c lies strictly inside the forward arc a -> b iff
-                # 0 < (c - a) % m < (b - a) % m
-                cc = 0
-                if (0 < (py1 - px1) % m < x_span) != (0 < (py2 - px1) % m < x_span):
-                    # the chords cross: +1 when the corners run y1, x2, y2, x1
-                    cc = 1 if (px2 - py1) % m < y_span < (px1 - py1) % m else -1
-                c2 = (0 < (px2 - py1) % m < y_span) - (0 < (px1 - py1) % m < y_span)
-                if (cc + c2) % 2:
-                    raise AssertionError("non-integral linking count")
-                V[r][t] = (cc + c2) // 2
-                V[t][r] = (-cc + c2) // 2
+                # 0 < (c - a) % m < (b - a) % m.  Loop r links with loop t
+                # by its corners x2, x1 inside the arc y1 -> y2, and t never
+                # links with r, so V[t][r] stays 0.
+                V[r][first[ai + 1] + l] = ((0 < (px2 - py1) % m < y_span)
+                                           - (0 < (px1 - py1) % m < y_span))
     for r in range(nb):  # frozen in place, so SeifertData keeps the rows without a copy
         V[r] = tuple(V[r])
     return SeifertData(V)
@@ -786,14 +783,9 @@ def _q_unknot_power(k: int) -> LaurentPolynomial:
     return out
 
 
-def _join_labels(crossings: list[tuple], removed, joins, free: int):
-    """Delete the crossings at indices `removed` and join the label pairs
-    `joins`, the strand ends the deleted crossings connected.
-
-    Arcs fused this way are merged by union-find on labels; a join whose two
-    labels already lie in one class closes a free loop (this covers kinks,
-    where a label appears twice in a removed tuple).
-    """
+def _union_labels(joins):
+    """(find, closed): union-find over the label pairs `joins`, and how many
+    joins met two labels already in one class, each of which closes a loop."""
     parent: dict[int, int] = {}
 
     def find(x):
@@ -809,52 +801,125 @@ def _join_labels(crossings: list[tuple], removed, joins, free: int):
             closed += 1
         else:
             parent[ra] = rb
+    return find, closed
+
+
+def _join_labels(crossings: list[tuple], removed, joins, free: int):
+    """Delete the crossings at indices `removed` and join the label pairs
+    `joins`, the strand ends the deleted crossings connected.
+
+    Arcs fused this way are merged by union-find on labels; a join whose two
+    labels already lie in one class closes a free loop (this covers kinks,
+    where a label appears twice in a removed tuple).
+    """
+    find, closed = _union_labels(joins)
     out = [tuple(find(lab) for lab in t) for k, t in enumerate(crossings) if k not in removed]
     return out, free + closed
 
 
+def _smoothing_joins(t: tuple, mode: int):
+    """The label pairs a smoothing of crossing t joins: slots (0,1),(2,3) for
+    mode 0, else (0,3),(1,2).  Mode s % 2 keeps the corner between slots s
+    and s+1 whole."""
+    a, b, c, d = t
+    return ((a, b), (c, d)) if mode == 0 else ((a, d), (b, c))
+
+
 def _smooth_unoriented(crossings: list[tuple], free: int, ci: int, mode: int):
     """Remove crossing ci, joining ends (0,1),(2,3) for mode 0 else (0,3),(1,2)."""
-    a, b, c, d = crossings[ci]
-    joins = ((a, b), (c, d)) if mode == 0 else ((a, d), (b, c))
-    return _join_labels(crossings, (ci,), joins, free)
+    return _join_labels(crossings, (ci,), _smoothing_joins(crossings[ci], mode), free)
 
 
-def _reducing_move(crossings: list[tuple]):
-    """(removed crossings, label joins) of the first R1 or R2 reduction met
-    in one face walk, or None.
+def _bigon_at(crossings, occ, ci: int, s: int):
+    """(c2, s2) when the corner between slots s and s+1 of crossing ci is a
+    bigon face whose other corner lies between slots s2 and s2+1 of a
+    crossing c2 != ci, else None.  occ maps each label to its two ends.
 
-    A monogon face (ci, s) is a kink, t[s] == t[s+1]: the strand through
-    slots s+2 and s+3 is what is left.  A bigon face (c1, s1), (c2, s2)
-    with c1 != c2 has edge t1[s1+1] == t2[s2] and edge t1[s1] == t2[s2+1];
-    slots 1 and 3 are over, so one strand is over at both crossings iff
-    s1+1 and s2 have one parity.  Only then is it a second Reidemeister
-    pair, whose strands run on to t1[s1+3], t2[s2+2] and t1[s1+2],
-    t2[s2+3]; a clasp is kept.
+    The bigon's edges are t[s+1] == t2[s2] and t[s] == t2[s2+1]; slots 1 and
+    3 are over, so one strand is over at both crossings iff s+1 and s2 have
+    one parity (a second Reidemeister pair), and otherwise it is a clasp.
     """
-    for face in face_orbits(crossings):
-        if len(face) == 1:
-            ci, s = face[0]
-            t = crossings[ci]
-            return (ci,), ((t[(s + 2) % 4], t[(s + 3) % 4]),)
-        if len(face) == 2:
-            (c1, s1), (c2, s2) = face
-            if c1 != c2 and (s1 + 1) % 2 == s2 % 2:
-                t1, t2 = crossings[c1], crossings[c2]
-                return (c1, c2), ((t1[(s1 + 3) % 4], t2[(s2 + 2) % 4]),
-                                  (t1[(s1 + 2) % 4], t2[(s2 + 3) % 4]))
+    t = crossings[ci]
+    e, f = occ[t[(s + 1) % 4]]
+    c2, s2 = f if e == (ci, (s + 1) % 4) else e
+    if c2 != ci and crossings[c2][(s2 + 1) % 4] == t[s]:
+        return c2, s2
     return None
 
 
 def _reidemeister_reduce(crossings: list[tuple], free: int):
-    """(crossings, free) with kinks and second Reidemeister bigons removed
-    until none is left, one move per face walk."""
-    while crossings:
-        move = _reducing_move(crossings)
-        if move is None:
-            break
-        crossings, free = _join_labels(crossings, *move, free)
-    return crossings, free
+    """(crossings, free) with kinks and second Reidemeister pairs removed
+    until none is left.
+
+    Moves are found at crossings, not by walking faces: corner s of crossing
+    ci is a kink when t[s] == t[s+1], whose through strand t[s+2], t[s+3] is
+    what is left, and a second Reidemeister pair when `_bigon_at` finds a
+    bigon there with one strand over at both crossings, whose strands run on
+    to t[s+3], t2[s2+2] and t[s+2], t2[s2+3].  A clasp is kept.  The arc
+    map is built once; a move deletes its crossings' ends, merges the joined
+    labels into one, and puts only the crossings on the merged arcs back on
+    the stack, since a new kink or bigon needs an arc the move joined.
+    """
+    cross = [list(t) for t in crossings]
+    occ = _arc_ends(crossings)[0]
+    alive = [True] * len(cross)
+    todo = list(range(len(cross)))[::-1]  # popped from the first crossing
+    while todo:
+        ci = todo.pop()
+        if not alive[ci]:
+            continue
+        t = cross[ci]
+        for s in range(4):
+            if t[s] == t[(s + 1) % 4]:
+                removed, joins = (ci,), ((t[(s + 2) % 4], t[(s + 3) % 4]),)
+                break
+            pair = _bigon_at(cross, occ, ci, s)
+            if pair is not None and (s + 1 - pair[1]) % 2 == 0:
+                c2, s2 = pair
+                t2 = cross[c2]
+                removed = (ci, c2)
+                joins = ((t[(s + 3) % 4], t2[(s2 + 2) % 4]), (t[(s + 2) % 4], t2[(s2 + 3) % 4]))
+                break
+        else:
+            continue
+        for c in removed:
+            alive[c] = False
+            for s, lab in enumerate(cross[c]):
+                occ[lab].remove((c, s))
+        find, closed = _union_labels(joins)
+        free += closed
+        for lab in {lab for join in joins for lab in join}:
+            root = find(lab)
+            if lab != root:
+                ends = occ.pop(lab)
+                for c, s in ends:
+                    cross[c][s] = root
+                occ[root] += ends
+            todo.extend(c for c, _ in occ[root])
+    return [tuple(t) for t, kept in zip(cross, alive) if kept], free
+
+
+def _twist_region(crossings, occ):
+    """The crossings of one twist region, in order along it, each with a
+    bigon corner, or None when no bigon joins two crossings.
+
+    The region grows both ways from the first bigon found: consecutive
+    crossings share a bigon, and each inner crossing has its two bigons at
+    opposite corners.  A region that closes up holds every crossing of its
+    piece.
+    """
+    start = next(((ci, s) for ci in range(len(crossings)) for s in range(4)
+                  if _bigon_at(crossings, occ, ci, s) is not None), None)
+    if start is None:
+        return None
+    ahead, behind = [start], []
+    seen = {start[0]}
+    for side, (ci, s) in ((ahead, start), (behind, (start[0], (start[1] + 2) % 4))):
+        while (pair := _bigon_at(crossings, occ, ci, s)) is not None and pair[0] not in seen:
+            ci, s = pair[0], (pair[1] + 2) % 4
+            seen.add(ci)
+            side.append((ci, s))
+    return behind[::-1] + ahead
 
 
 class _ShadowWalker:
@@ -921,6 +986,33 @@ def _q_canonical_key(crossings, free: int, comps):
 _Z = LaurentPolynomial({2: 1})
 
 
+def _twist_coefficients(k: int, memo: dict):
+    """(a_k, b_k, c_k) with Q(D_k) = a_k Q(T_1) + b_k Q(T_0) + c_k Q(E) for a
+    twist region of k crossings (see `q_via_skein`), kept in the skein's memo."""
+    key = ("twist", k)
+    if key not in memo:
+        one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
+        if k < 2:
+            memo[key] = (zero, one, zero) if k == 0 else (one, zero, zero)
+        else:
+            a1, b1, c1 = _twist_coefficients(k - 1, memo)
+            a0, b0, c0 = _twist_coefficients(k - 2, memo)
+            memo[key] = (_Z * a1 - a0, _Z * b1 - b0, _Z * (c1 + one) - c0)
+    return memo[key]
+
+
+def _twist_expand(crossings: list[tuple], free: int, region, memo: dict) -> LaurentPolynomial:
+    """Q of the diagram by the twist recurrence of `q_via_skein` on its
+    twist region c_1 ... c_k, each crossing given with a bigon corner s."""
+    along = {ci: _smoothing_joins(crossings[ci], 1 - s % 2) for ci, s in region}
+    (c1, s1), rest = region[0], {ci for ci, _ in region[1:]}
+    t1 = _join_labels(crossings, rest, [j for ci in rest for j in along[ci]], free)
+    t0 = _join_labels(crossings, along, [j for joins in along.values() for j in joins], free)
+    e = _smooth_unoriented(crossings, free, c1, s1 % 2)
+    a, b, c = _twist_coefficients(len(region), memo)
+    return a * _q_affine(*t1, memo) + b * _q_affine(*t0, memo) + c * _q_affine(*e, memo)
+
+
 def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomial:
     """Q of the diagram (crossings, free loops), one shadow walk per node."""
     crossings, free = _reidemeister_reduce(crossings, free)
@@ -929,7 +1021,8 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomia
         if key not in memo:
             memo[key] = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
         return memo[key]
-    comps = _ShadowWalker(crossings).components()
+    walker = _ShadowWalker(crossings)
+    comps = walker.components()
     key = _q_canonical_key(crossings, free, comps)
     hit = memo.get(key)
     if hit is not None:
@@ -942,6 +1035,8 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomia
     ci = next((c for c, s in first.items() if s in (0, 2)), None)
     if ci is None:
         val = _q_unknot_power(len(comps) + free - 1)
+    elif (region := _twist_region(crossings, walker.occ)) is not None:
+        val = _twist_expand(crossings, free, region, memo)
     else:
         switched = list(crossings)
         a, b, c, cc = switched[ci]
@@ -956,23 +1051,40 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomia
 def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     """Q polynomial by four-term skein recursion toward descending diagrams.
 
-    Q(L+) + Q(L-) = z (Q(L0) + Q(Loo)) with Q(unknot) = 1.  Recursion: walk
-    the shadow; the first crossing whose over strand differs from the
-    first-visit-on-top template is switched (distance to descending drops by
-    one) or smoothed both ways (crossing count drops); descending stacked
-    diagrams are unlinks.
+    Q(L+) + Q(L-) = z (Q(L0) + Q(Loo)) with Q(unknot) = 1 (Brandt,
+    Lickorish and Millett, Invent. Math. 84 (1986)).  Each node first
+    removes kinks and second Reidemeister pairs until none is left
+    (`_reidemeister_reduce`).  Q is the Kauffman polynomial F(a, z) at
+    a = 1, and F = a^(-writhe) times a regular isotopy invariant that takes
+    a factor a^(+-1) per kink, so at a = 1 a kink costs nothing.  A bigon is
+    a second Reidemeister pair only when one strand runs over at both its
+    crossings; a clasp (over at one, under at the other) is kept.  Each node
+    then walks its shadow once, for its memo key, its component count and
+    the template crossing, and a descending diagram is an unlink.
 
-    Each node first removes kinks and second Reidemeister bigons until none
-    is left (`_reidemeister_reduce`).  Q is the Kauffman polynomial F(a, z)
-    at a = 1, and F = a^(-writhe) times a regular isotopy invariant that
-    takes a factor a^(+-1) per kink, so at a = 1 a kink costs nothing.  A
-    bigon is a second Reidemeister pair only when one strand runs over at
-    both its crossings; a clasp (over at one, under at the other) is kept.
-    The reduction only removes crossings, so the measure (crossings,
-    distance to descending) still drops at every step and the recursion
-    terminates.  Each node then walks its shadow once, for its memo key,
-    the crossing to change and its component count.  The memo is local to
-    the call and is freed by reference counting when it returns.
+    A node with a clasp left expands its twist region c_1 ... c_k
+    (`_twist_region`).  With the bigon at corner s of a crossing, smoothing
+    it across (mode s % 2) keeps the bigon corner and smoothing it along
+    (mode 1 - s % 2) joins the strands that run along the region.  Let D_j
+    be the diagram with the region cut to j crossings; D_k is the node.  At
+    c_1 the skein reads Q(D_k) + Q(D_(k-2)) = z (Q(D_(k-1)) + Q(E)): the
+    switched c_1 forms a second Reidemeister pair with c_2, c_1 along leaves
+    D_(k-1), and c_1 across leaves E, whose other region crossings are
+    kinks.  So Q(D_k) = a_k Q(T_1) + b_k Q(T_0) + c_k Q(E), where T_0 = D_0
+    smooths every region crossing along and T_1 = D_1 keeps c_1 only, with
+    (a, b, c)_0 = (0, 1, 0), (a, b, c)_1 = (1, 0, 0) and
+    (a, b, c)_j = z (a, b, c)_(j-1) - (a, b, c)_(j-2) + (0, 0, z).  A
+    region that closes up, as in T(2, k), is the case where the rest of the
+    diagram is the two arcs that close it.
+
+    A node with no bigon branches on the first crossing whose over strand
+    differs from the first-visit-on-top template: it is switched (distance
+    to descending drops by one) and smoothed both ways (the crossing count
+    drops).  Every child of a twist node has fewer crossings, and the
+    reduction only removes crossings, so the measure (crossings, distance
+    to descending) drops at every step and the recursion terminates.  The
+    memo is local to the call and is freed by reference counting when it
+    returns.
     """
     if d.n > budget:
         raise DiagramError(f"crossing budget exceeded: {d.n} > {budget}")
