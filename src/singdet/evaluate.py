@@ -346,11 +346,15 @@ class LaurentPolynomial:
         return not self.coeffs
 
     def eval_root_of_unity(self, halfpower_as_zeta24: int) -> Cyclo24:
-        """Value when t^(1/2) = zeta_24^e; keys are exponents of t^(1/2)."""
-        out = Cyclo24.zero()
+        """Value when t^(1/2) = zeta_24^e; keys are exponents of t^(1/2).
+        The terms are summed on coordinates, read from the table of powers
+        of zeta, and one Cyclo24 is built from the sum."""
+        out = [0] * _DIM
         for e2, c in self.coeffs:
-            out = out + Cyclo24.zeta_pow(halfpower_as_zeta24 * e2) * c
-        return out
+            for t, z in enumerate(_ZPOW[halfpower_as_zeta24 * e2 % 24]):
+                if z:
+                    out[t] += c * z
+        return Cyclo24(out)
 
     def eval_golden_reciprocal_raw(self) -> GoldenInt:
         """Value at z = (sqrt5-1)/2 = 1/phi for integer-exponent polynomials."""
