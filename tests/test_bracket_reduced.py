@@ -133,9 +133,9 @@ def seeded_braid_word(rng, strands, length):
 
 
 def over_only_components(d, crossings):
-    """Components of d that pass over at every crossing of `crossings`, a
-    reduction of d, that they meet; its labels are labels of d, each on its
-    component of d."""
+    """Components of d that pass over at every crossing of `crossings` that
+    they meet.  `crossings` is a reduction of d, whose labels are labels of
+    d, each on its component of d."""
     comp_of = {lab: k for k, comp in enumerate(d.components) for lab in comp}
     under = {comp_of[t[0]] for t in crossings}
     return {comp_of[t[1]] for t in crossings} - under
@@ -186,6 +186,7 @@ def test_seeded_closures_match_the_unreduced_contraction():
             # a component over at every crossing left, in both directions:
             # built anew, the reduced code would orient it from its least
             # over end, and its crossings would read other signs in one
+            # (their sum stays 0, its linking number with the rest)
             cases.append(reverse_component(d, min(over_only)))
             seen["over only"] += 1
             rebuilt = LinkDiagram(tuple(crossings)).signs
