@@ -17,11 +17,22 @@ node first removes every kink and every second Reidemeister bigon (one
 strand over at both crossings).  Q = F(1, z) is an invariant of ambient
 isotopy, so these moves are exact, and they cut away the kinks and bigons
 that the skein's own smoothings create.  The moves are found by checking
-crossings against one arc map, with no face walk, and after a move only the
-crossings on the joined arcs are checked again.  A bigon left after that is
-a clasp, and the node expands the whole twist region through it in one
-step, by a three-term recurrence in its number of crossings, so a column of
-k half-twists costs one node where the plain skein spends k.
+crossings against the move loop's arc map, with no face walk, and after a
+move only the crossings on the joined arcs are checked again.  A bigon
+left after that is a clasp, and the node expands the whole twist region
+through it in one step, by a three-term recurrence in its number of
+crossings, so a column of k half-twists costs one node where the plain
+skein spends k.
+
+A bare crossing list has one arc map, `_darts`: a partner list over the
+flat darts 4 ci + s.  One orbit walk, `_cycles`, runs on it: a face is an
+orbit of e -> partner[rotate(e)] and a shadow strand one of
+e -> partner[e ^ 2], which leaves each crossing opposite where it entered.
+Faces, `normalize_pd`, the skein's component walk, its bigon and twist
+region search and the contraction order all read it.  The walks of a
+validated diagram along its orientation (`_trace`, `_orient`) and the
+local face walks of `r2_slide` stay on (crossing, slot) ends: moving them
+onto darts made the Vogel and Seifert routes slower.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -67,13 +78,45 @@ def _arc_ends(crossings):
     return occ, partner
 
 
+def _darts(crossings) -> list[int]:
+    """The arc map of a crossing list on flat darts: dart 4 ci + s is the end
+    at slot s of crossing ci, and partner[e] is the other end of e's arc.
+    A label that does not appear exactly twice raises DiagramError."""
+    ends: dict[int, list[int]] = {}
+    for e, lab in enumerate(lab for t in crossings for lab in t):
+        ends.setdefault(lab, []).append(e)
+    partner = [0] * (4 * len(crossings))
+    for lab, pair in ends.items():
+        if len(pair) != 2:
+            raise DiagramError(f"arc {lab} appears {len(pair)} times")
+        a, b = pair
+        partner[a], partner[b] = b, a
+    return partner
+
+
+def _cycles(step, starts, seen):
+    """The orbits of the dart permutation e -> step[e], one walked from each
+    of `starts` that `seen` does not mark yet.  Walked darts are marked in
+    seen, a flag per dart; orbits are yielded one at a time, so that a
+    caller may mark more darts before the next start is tried."""
+    for start in starts:
+        orbit = []
+        e = start
+        while not seen[e]:
+            seen[e] = True
+            orbit.append(e)
+            e = step[e]
+        if orbit:
+            yield orbit
+
+
 def _piece_count(n: int, groups) -> int:
     """Connected pieces of a 4-valent map on n crossings, from groups of ends
     (crossing, slot) that each lie in one piece and that together join every
-    arc's two ends: the arcs' end pairs, or the faces' darts."""
-    joins = ((ci, group[0][0]) for group in groups for ci, _ in group[1:])
-    roots, _ = _join_labels([tuple(range(n))], (), joins, 0)
-    return len(set(roots[0]))
+    arc's two ends: the arcs' end pairs, or the faces' darts.  Each end's
+    crossing is joined to its group's first one, by union-find on indices."""
+    find, _ = _union_labels((ci, group[0][0]) for group in groups for ci, _s in group[1:])
+    return len({find(ci) for ci in range(n)})
 
 
 def _trace(d: LinkDiagram, exits):
@@ -162,9 +205,6 @@ class LinkDiagram:
         two ends of every arc opposite values, so there is exactly one."""
         return {lab: e if self._is_in[e] else f for lab, (e, f) in self._occ.items()}
 
-    def _trace_components(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _trace(self, [(2, 3, 0, 1)] * self.n)[0]))
-
     # -- public derived data ---------------------------------------------------
 
     @property
@@ -190,7 +230,7 @@ class LinkDiagram:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Arcs per component in traversal order, traced on first use."""
-        return self._trace_components()
+        return tuple(map(tuple, _trace(self, [(2, 3, 0, 1)] * self.n)[0]))
 
     @cached_property
     def _faces(self) -> list[list[End]]:
@@ -299,32 +339,13 @@ def face_orbits(crossings) -> list[list[End]]:
     """Faces of the planar 4-valent map as orbits of e -> partner(rotate(e)).
 
     The orbit of dart (ci, s) walks the face containing the corner between
-    slots s and s+1 of crossing ci.  The walk runs on flat dart indices
-    4 ci + s: step[e] is the dart it moves to from e.
+    slots s and s+1 of crossing ci.  The walk is `_cycles` on the flat darts
+    4 ci + s of `_darts`, from every dart in order, so each face starts at
+    its least dart and the faces come out in the order of those.
     """
-    ends: dict[int, list[int]] = {}
-    for e, lab in enumerate(lab for t in crossings for lab in t):
-        ends.setdefault(lab, []).append(e)
-    partner = [0] * (4 * len(crossings))
-    for a, b in ends.values():
-        partner[a], partner[b] = b, a
+    partner = _darts(crossings)
     step = [partner[e - (e & 3) + ((e + 1) & 3)] for e in range(len(partner))]
-    darts = [(ci, s) for ci in range(len(crossings)) for s in range(4)]
-    seen = [False] * len(partner)
-    faces = []
-    for start in range(len(partner)):
-        if seen[start]:  # faces come out in the order of their least dart
-            continue
-        orbit = []
-        e = start
-        while True:
-            orbit.append(darts[e])
-            seen[e] = True
-            e = step[e]
-            if e == start:
-                break
-        faces.append(orbit)
-    return faces
+    return [[divmod(e, 4) for e in orbit] for orbit in _cycles(step, range(len(step)), [False] * len(step))]
 
 
 def euler_ok(crossings) -> bool:
@@ -376,10 +397,7 @@ def _contraction_order(crossings) -> list[int]:
     """Indices of the crossings in the order the bracket contraction places
     them: next is the crossing with the most arcs into the placed ones, the
     lowest index among ties."""
-    at: dict[int, list[int]] = {}  # label -> the crossings at its two ends
-    for ci, t in enumerate(crossings):
-        for lab in t:
-            at.setdefault(lab, []).append(ci)
+    partner = _darts(crossings)
     score = [0] * len(crossings)
     left = set(range(len(crossings)))
     order = []
@@ -387,9 +405,8 @@ def _contraction_order(crossings) -> list[int]:
         ci = min(left, key=lambda c: (-score[c], c))
         left.remove(ci)
         order.append(ci)
-        for lab in crossings[ci]:
-            a, b = at[lab]
-            other = b if a == ci else a
+        for e in range(4 * ci, 4 * ci + 4):
+            other = partner[e] >> 2
             if other in left:
                 score[other] += 1
     return order
@@ -880,49 +897,47 @@ def _smooth_unoriented(crossings: list[tuple], free: int, ci: int, mode: int):
     return _join_labels(crossings, (ci,), _smoothing_joins(crossings[ci], mode), free)
 
 
-def _bigon_at(crossings, occ, ci: int, s: int):
+def _bigon_at(crossings, partner, ci: int, s: int):
     """(c2, s2) when the corner between slots s and s+1 of crossing ci is a
     bigon face whose other corner lies between slots s2 and s2+1 of a
-    crossing c2 != ci, else None.  occ maps each label to its two ends.
+    crossing c2 != ci, else None.  partner is the crossings' `_darts`.
 
     The bigon's edges are t[s+1] == t2[s2] and t[s] == t2[s2+1]; slots 1 and
     3 are over, so one strand is over at both crossings iff s+1 and s2 have
     one parity (a second Reidemeister pair), and otherwise it is a clasp.
     """
-    t = crossings[ci]
-    e, f = occ[t[(s + 1) % 4]]
-    c2, s2 = f if e == (ci, (s + 1) % 4) else e
-    if c2 != ci and crossings[c2][(s2 + 1) % 4] == t[s]:
+    c2, s2 = divmod(partner[4 * ci + (s + 1) % 4], 4)
+    if c2 != ci and crossings[c2][(s2 + 1) % 4] == crossings[ci][s]:
         return c2, s2
     return None
 
 
 class _Reduced(tuple):
     """The pair (crossings, free) that `_reidemeister_reduce` returns, with
-    two more results of its move loop as attributes: kept, the indices in
-    the input of the crossings left, in order, and occ, the loop's arc map
-    of the crossings left, each label's ends as (input index, slot) in no
-    fixed order, where a label whose arc the moves deleted has no end."""
+    the indices in the input of the crossings left, in order, as `kept`:
+    the bracket reads the survivors' signs by them."""
 
-    def __new__(cls, crossings, free: int, kept: list[int], occ: dict):
+    def __new__(cls, crossings, free: int, kept: list[int]):
         pair = super().__new__(cls, (crossings, free))
-        pair.kept, pair.occ = kept, occ
+        pair.kept = kept
         return pair
 
 
 def _reidemeister_reduce(crossings: list[tuple], free: int) -> _Reduced:
     """(crossings, free) with kinks and second Reidemeister pairs removed
     until none is left; the pair also carries the indices of the crossings
-    left and the arc map (`_Reduced`).
+    left (`_Reduced`).
 
     Moves are found at crossings, not by walking faces: corner s of crossing
     ci is a kink when t[s] == t[s+1], whose through strand t[s+2], t[s+3] is
     what is left, and a second Reidemeister pair when `_bigon_at` finds a
     bigon there with one strand over at both crossings, whose strands run on
-    to t[s+3], t2[s2+2] and t[s+2], t2[s2+3].  A clasp is kept.  The arc
-    map is built once; a move deletes its crossings' ends, merges the joined
-    labels into one, and puts only the crossings on the merged arcs back on
-    the stack, since a new kink or bigon needs an arc the move joined.  The
+    to t[s+3], t2[s2+2] and t[s+2], t2[s2+3].  A clasp is kept.  The loop
+    keeps its own label -> ends map, built once, since a move merges labels:
+    it deletes its crossings' ends, merges the joined labels into one, and
+    puts only the crossings on the merged arcs back on the stack, as a new
+    kink or bigon needs an arc the move joined.  The map is not returned;
+    a caller that walks the crossings left builds their `_darts`.  The
     bigon test is written out here, with the parity of s2 checked before
     the labels: the call made the reduction about 20% slower.
     """
@@ -964,10 +979,10 @@ def _reidemeister_reduce(crossings: list[tuple], free: int) -> _Reduced:
                 occ[root] += ends
             todo.extend(c for c, _ in occ[root])
     kept = [ci for ci in range(len(cross)) if alive[ci]]
-    return _Reduced([tuple(cross[ci]) for ci in kept], free, kept, occ)
+    return _Reduced([tuple(cross[ci]) for ci in kept], free, kept)
 
 
-def _twist_region(crossings, occ):
+def _twist_region(crossings, partner):
     """The crossings of one twist region, in order along it, each with a
     bigon corner, or None when no bigon joins two crossings.
 
@@ -977,75 +992,47 @@ def _twist_region(crossings, occ):
     piece.
     """
     start = next(((ci, s) for ci in range(len(crossings)) for s in range(4)
-                  if _bigon_at(crossings, occ, ci, s) is not None), None)
+                  if _bigon_at(crossings, partner, ci, s) is not None), None)
     if start is None:
         return None
     ahead, behind = [start], []
     seen = {start[0]}
     for side, (ci, s) in ((ahead, start), (behind, (start[0], (start[1] + 2) % 4))):
-        while (pair := _bigon_at(crossings, occ, ci, s)) is not None and pair[0] not in seen:
+        while (pair := _bigon_at(crossings, partner, ci, s)) is not None and pair[0] not in seen:
             ci, s = pair[0], (pair[1] + 2) % 4
             seen.add(ci)
             side.append((ci, s))
     return behind[::-1] + ahead
 
 
-class _ShadowWalker:
-    """Orientation-free traversal of a PD shadow (straight through crossings).
+def _shadow_components(crossings, partner):
+    """The shadow's components as lists of (crossing, entry slot) events,
+    walked straight through every crossing, on the crossings' `_darts`.
 
     The walk is determined by arc labels alone, never by slot numbers, so it
     is invariant under switching a crossing (which rotates its tuple).  That
     makes 'distance to the descending template' a sound induction measure.
+    Each component is walked once, entering at the least end of its least
+    arc label, and is turned round when that gives the lexicographically
+    smaller arc sequence: the walk from the arc's other end meets the same
+    arcs in reverse after the first, and enters each crossing on the
+    opposite slot, two away.
     """
-
-    def __init__(self, crossings, occ=None):
-        """occ, when given, is the arc map of crossings as `_arc_ends`
-        builds it; otherwise it is built here."""
-        self.crossings = crossings
-        self.occ = _arc_ends(crossings)[0] if occ is None else occ
-
-    def _partner(self, e: End) -> End:
-        a, b = self.occ[self.crossings[e[0]][e[1]]]
-        return b if e == a else a
-
-    def _walk_from(self, arc: int, entry: End):
-        """Events (crossing, entry slot) walking from one end of the arc."""
-        events = []
-        arcs = []
-        e = entry
-        cur = arc
-        partner = self._partner
-        while True:
-            arcs.append(cur)
-            ci, s = e
-            events.append((ci, s))
-            exit_end = (ci, (s + 2) % 4)
-            nxt = self.crossings[ci][(s + 2) % 4]
-            e = partner(exit_end)
-            cur = nxt
-            if cur == arc and e == entry:
-                break
-        return events, arcs
-
-    def components(self):
-        """Components as lists of (crossing, entry slot) events, in the
-        direction giving the lexicographically smaller arc sequence.
-
-        One walk per component: walking from the arc's other end meets the
-        same arcs in reverse after the first, and enters each crossing on
-        the opposite slot, two away.
-        """
-        comps = []
-        seen: set[int] = set()
-        for start in sorted(self.occ):
-            if start in seen:
-                continue
-            events, arcs = self._walk_from(start, self.occ[start][0])
-            if arcs[:0:-1] < arcs[1:]:
-                events = [(ci, (s + 2) % 4) for ci, s in reversed(events)]
-            seen.update(arcs)
-            comps.append(events)
-        return comps
+    labels = [lab for t in crossings for lab in t]
+    first: dict[int, int] = {}  # label -> its least end
+    for e, lab in enumerate(labels):
+        first.setdefault(lab, e)
+    step = [partner[e ^ 2] for e in range(len(partner))]
+    seen = [False] * len(partner)
+    comps = []
+    for walk in _cycles(step, (first[lab] for lab in sorted(first)), seen):
+        for e in walk:
+            seen[e ^ 2] = True  # the way back
+        arcs = [labels[e] for e in walk]
+        if arcs[:0:-1] < arcs[1:]:
+            walk = [e ^ 2 for e in reversed(walk)]
+        comps.append([divmod(e, 4) for e in walk])
+    return comps
 
 
 def _q_canonical_key(crossings, free: int, comps):
@@ -1090,28 +1077,14 @@ def _twist_expand(crossings: list[tuple], free: int, region, memo: dict) -> Laur
 
 def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomial:
     """Q of the diagram (crossings, free loops), one shadow walk per node."""
-    reduced = _reidemeister_reduce(crossings, free)
-    moved = len(reduced.kept) < len(crossings)
-    crossings, free = reduced
+    crossings, free = _reidemeister_reduce(crossings, free)
     if not crossings:
         key = ("unlink", free)
         if key not in memo:
             memo[key] = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
         return memo[key]
-    occ = reduced.occ
-    if moved:
-        # the walker takes the reduction's arc map, re-indexed to the
-        # crossings left and with each arc's ends in order, as `_arc_ends`
-        # lists them; with no move made it is that map already
-        index = {ci: k for k, ci in enumerate(reduced.kept)}
-        occ = {}
-        for lab, ends in reduced.occ.items():
-            if ends:
-                (c1, s1), (c2, s2) = ends
-                e, f = (index[c1], s1), (index[c2], s2)
-                occ[lab] = [e, f] if e < f else [f, e]
-    walker = _ShadowWalker(crossings, occ)
-    comps = walker.components()
+    partner = _darts(crossings)
+    comps = _shadow_components(crossings, partner)
     key = _q_canonical_key(crossings, free, comps)
     hit = memo.get(key)
     if hit is not None:
@@ -1124,7 +1097,7 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomia
     ci = next((c for c, s in first.items() if s in (0, 2)), None)
     if ci is None:
         val = _q_unknot_power(len(comps) + free - 1)
-    elif (region := _twist_region(crossings, walker.occ)) is not None:
+    elif (region := _twist_region(crossings, partner)) is not None:
         val = _twist_expand(crossings, free, region, memo)
     else:
         switched = list(crossings)
@@ -1148,8 +1121,10 @@ def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     a factor a^(+-1) per kink, so at a = 1 a kink costs nothing.  A bigon is
     a second Reidemeister pair only when one strand runs over at both its
     crossings; a clasp (over at one, under at the other) is kept.  Each node
-    then walks its shadow once, for its memo key, its component count and
-    the template crossing, and a descending diagram is an unlink.
+    then builds the `_darts` of the crossings left and walks its shadow once
+    on them (`_shadow_components`), for its memo key, its component count
+    and the template crossing; a descending diagram is an unlink.  The twist
+    region search reads the same darts.
 
     A node with a clasp left expands its twist region c_1 ... c_k
     (`_twist_region`).  With the bigon at corner s of a crossing, smoothing
@@ -1193,25 +1168,22 @@ def normalize_pd(tuples: list[tuple[int, int, int, int]]) -> LinkDiagram:
     """Build a diagram from shadow tuples whose under strand sits on slots
     (0, 2) but whose slot 0 need not be the incoming end.
 
-    Each component is oriented by one straight-through shadow walk
-    (`_ShadowWalker._walk_from`) that enters at the least (crossing, slot)
-    end not yet walked; the walk enters every crossing it meets at one slot
-    and leaves at the opposite one.  Each tuple is then rotated by two if
-    its walk left through slot 0.
+    Each component is oriented by one straight-through shadow walk, the
+    `_cycles` of e -> partner[e ^ 2] on the tuples' `_darts`, that enters at
+    the least dart not yet walked in either direction; the walk enters
+    every crossing it meets at one slot and leaves at the opposite one.  A
+    tuple is rotated by two when its walk leaves through slot 0.
     """
-    walker = _ShadowWalker(tuples)
-    for lab, ends in walker.occ.items():
-        if len(ends) != 2:
-            raise DiagramError(f"arc {lab} appears {len(ends)} times")
-
-    is_in: dict[End, bool] = {}
-    for start in ((ci, s) for ci in range(len(tuples)) for s in range(4)):
-        if start not in is_in:
-            for ci, s in walker._walk_from(tuples[start[0]][start[1]], start)[0]:
-                is_in[(ci, s)], is_in[(ci, (s + 2) % 4)] = True, False
-    out = []
-    for ci, t in enumerate(tuples):
-        out.append(t if is_in[(ci, 0)] else (t[2], t[3], t[0], t[1]))
+    partner = _darts(tuples)
+    step = [partner[e ^ 2] for e in range(len(partner))]
+    seen = [False] * len(step)
+    out = list(tuples)
+    for walk in _cycles(step, range(len(step)), seen):
+        for e in walk:
+            seen[e ^ 2] = True  # the way back
+            if e & 3 == 2:
+                a, b, c, d = tuples[e >> 2]
+                out[e >> 2] = (c, d, a, b)
     return LinkDiagram(tuple(out))
 
 

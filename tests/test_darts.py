@@ -1,0 +1,115 @@
+"""The flat dart map of a crossing list and the code that reads it.
+
+`_darts` is the one arc map of an unoriented crossing list: dart 4 ci + s
+is the end at slot s of crossing ci, and partner[e] the other end of its
+arc.  It must be a fixed-point-free involution that pairs equal labels.
+`_contraction_order` reads it in place of a label -> crossings map, and
+`_piece_count` counts pieces by union-find on crossing indices in place of
+one fake crossing sent through `_join_labels`; both of those replaced
+versions are kept here as oracles.  The diagrams are the corpus, seeded
+pretzels, 2-5-strand braid closures, their disjoint unions (split codes)
+and the skein children that `_smooth_unoriented` makes of them.
+"""
+
+import random
+
+from singdet.corpus import load_corpus
+from singdet.diagrams import (
+    _arc_ends,
+    _contraction_order,
+    _darts,
+    _join_labels,
+    _piece_count,
+    _smooth_unoriented,
+    braid_closure_pd,
+    face_orbits,
+    pretzel_pd,
+)
+
+
+def at_map_contraction_order(crossings):
+    """The contraction order read off a label -> crossings map."""
+    at = {}
+    for ci, t in enumerate(crossings):
+        for lab in t:
+            at.setdefault(lab, []).append(ci)
+    score = [0] * len(crossings)
+    left = set(range(len(crossings)))
+    order = []
+    while left:
+        ci = min(left, key=lambda c: (-score[c], c))
+        left.remove(ci)
+        order.append(ci)
+        for lab in crossings[ci]:
+            a, b = at[lab]
+            other = b if a == ci else a
+            if other in left:
+                score[other] += 1
+    return order
+
+
+def fake_crossing_piece_count(n, groups):
+    """Pieces counted by joining labels 0..n-1 of one fake crossing."""
+    joins = ((ci, group[0][0]) for group in groups for ci, _ in group[1:])
+    roots, _ = _join_labels([tuple(range(n))], (), joins, 0)
+    return len(set(roots[0]))
+
+
+def seeded_braid_word(rng, strands, length):
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+        if {abs(k) for k in word} == set(range(1, strands)):
+            return word
+
+
+def disjoint_union(c1, c2):
+    shift = max((lab for t in c1 for lab in t), default=0) + 1
+    return list(c1) + [tuple(lab + shift for lab in t) for t in c2]
+
+
+def crossing_lists():
+    rng = random.Random(2511)
+    bases = [e.diagram.crossings for e in load_corpus().values() if e.diagram is not None and e.diagram.n]
+    for _ in range(15):
+        twists = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        bases.append(pretzel_pd(*twists).crossings)
+    for _ in range(30):
+        strands = rng.randint(2, 5)
+        word = seeded_braid_word(rng, strands, rng.randint(strands - 1, 9))
+        bases.append(braid_closure_pd(word, strands).crossings)
+    for _ in range(10):
+        bases.append(disjoint_union(rng.choice(bases), rng.choice(bases)))
+    for crossings in bases:
+        yield list(crossings)
+        for ci in rng.sample(range(len(crossings)), min(3, len(crossings))):
+            for mode in (0, 1):
+                yield _smooth_unoriented(list(crossings), 0, ci, mode)[0]
+
+
+def test_darts_pair_the_two_ends_of_every_label():
+    checked = 0
+    for crossings in crossing_lists():
+        partner = _darts(crossings)
+        labels = [lab for t in crossings for lab in t]
+        assert len(partner) == len(labels)
+        for e, f in enumerate(partner):
+            assert f != e and partner[f] == e, crossings
+            assert labels[f] == labels[e], crossings
+        checked += 1
+    assert checked > 300
+
+
+def test_contraction_order_equals_the_label_map_version():
+    for crossings in crossing_lists():
+        assert _contraction_order(crossings) == at_map_contraction_order(crossings), crossings
+
+
+def test_piece_count_equals_the_fake_crossing_count():
+    split = 0
+    for crossings in crossing_lists():
+        n = len(crossings)
+        for groups in (list(_arc_ends(crossings)[0].values()), face_orbits(crossings)):
+            pieces = _piece_count(n, groups)
+            assert pieces == fake_crossing_piece_count(n, groups), crossings
+        split += pieces > 1
+    assert split >= 10

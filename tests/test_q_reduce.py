@@ -15,10 +15,11 @@ import random
 from singdet.corpus import corpus_knots, load_corpus
 from singdet.diagrams import (
     _Z,
+    _darts,
     _q_canonical_key,
     _q_unknot_power,
     _reidemeister_reduce,
-    _ShadowWalker,
+    _shadow_components,
     _smooth_unoriented,
     braid_closure_pd,
     face_orbits,
@@ -42,7 +43,7 @@ def unreduced_q(crossings, free, memo):
         if key not in memo:
             memo[key] = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
         return memo[key]
-    comps = _ShadowWalker(crossings).components()
+    comps = _shadow_components(crossings, _darts(crossings))
     key = _q_canonical_key(crossings, free, comps)
     hit = memo.get(key)
     if hit is not None:

@@ -17,11 +17,12 @@ from singdet import diagrams
 from singdet.corpus import load_corpus
 from singdet.diagrams import (
     _Z,
+    _darts,
     _join_labels,
     _q_canonical_key,
     _q_unknot_power,
     _reidemeister_reduce,
-    _ShadowWalker,
+    _shadow_components,
     _smooth_unoriented,
     braid_closure_pd,
     face_orbits,
@@ -69,7 +70,7 @@ def old_q(crossings, free, memo):
         if key not in memo:
             memo[key] = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
         return memo[key]
-    comps = _ShadowWalker(crossings).components()
+    comps = _shadow_components(crossings, _darts(crossings))
     key = _q_canonical_key(crossings, free, comps)
     hit = memo.get(key)
     if hit is not None:

@@ -10,19 +10,39 @@ them (switches and both smoothings, which make kinks and merged labels).
 import random
 
 from singdet.corpus import load_corpus
-from singdet.diagrams import _q_canonical_key, _ShadowWalker, _smooth_unoriented, braid_closure_pd, pretzel_pd
+from singdet.diagrams import (
+    _arc_ends,
+    _darts,
+    _q_canonical_key,
+    _shadow_components,
+    _smooth_unoriented,
+    braid_closure_pd,
+    pretzel_pd,
+)
+
+
+def walk_from(crossings, entry):
+    """Events (crossing, entry slot) and arcs of the walk straight through
+    every crossing that enters at the end `entry`."""
+    partner = _arc_ends(crossings)[1]
+    events, e = [], entry
+    while True:
+        events.append(e)
+        e = partner((e[0], (e[1] + 2) % 4))
+        if e == entry:
+            return events, [crossings[ci][s] for ci, s in events]
 
 
 def two_walk_components(crossings):
     """The two-walk method: walk from both ends, keep the smaller arc list."""
-    walker = _ShadowWalker(crossings)
+    occ = _arc_ends(crossings)[0]
     comps, seen = [], set()
-    for start in sorted(walker.occ):
+    for start in sorted(occ):
         if start in seen:
             continue
-        e1, e2 = walker.occ[start]
-        ev1, arcs1 = walker._walk_from(start, e1)
-        ev2, arcs2 = walker._walk_from(start, e2)
+        e1, e2 = occ[start]
+        ev1, arcs1 = walk_from(crossings, e1)
+        ev2, arcs2 = walk_from(crossings, e2)
         events, arcs = (ev1, arcs1) if arcs1 <= arcs2 else (ev2, arcs2)
         seen.update(arcs)
         comps.append(events)
@@ -49,7 +69,7 @@ def test_one_walk_gives_the_two_walk_components_and_memo_key():
     for crossings, free in skein_shapes():
         if not crossings:
             continue
-        comps = _ShadowWalker(crossings).components()
+        comps = _shadow_components(crossings, _darts(crossings))
         assert comps == two_walk_components(crossings), crossings
         assert _q_canonical_key(crossings, free, comps) == \
             _q_canonical_key(crossings, free, two_walk_components(crossings))
