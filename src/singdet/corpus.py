@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 from .diagrams import LinkDiagram, parse_pd
 from .exactlinalg import IntegerSymmetricMatrix, parse_matrix
@@ -89,23 +90,18 @@ def corpus_root() -> str | None:
 
 
 def load_corpus(root: str | None = None) -> dict[str, CorpusEntry]:
-    """All bundled entries, or the ones in `root`/$SINGDET_CORPUS if set."""
+    """All bundled entries, or the ones in `root`/$SINGDET_CORPUS if set.
+    Two files whose entries share a name raise ValueError."""
     root = root or corpus_root()
-    entries = {}
-    if root:
-        for fn in sorted(os.listdir(root)):
-            if not fn.endswith(".txt"):
-                continue
-            with open(os.path.join(root, fn)) as fh:
-                e = parse_entry(fh.read(), fn[:-4])
-            entries[e.name] = e
-        return entries
-    pkg = resources.files(__package__) / "corpus"
-    for item in sorted(pkg.iterdir(), key=lambda p: p.name):
+    folder = Path(root) if root else resources.files(__package__) / "corpus"
+    entries, files = {}, {}
+    for item in sorted(folder.iterdir(), key=lambda p: p.name):
         if not item.name.endswith(".txt"):
             continue
         e = parse_entry(item.read_text(), item.name[:-4])
-        entries[e.name] = e
+        if e.name in files:
+            raise ValueError(f"corpus files {files[e.name]} and {item.name} both name an entry {e.name!r}")
+        entries[e.name], files[e.name] = e, item.name
     return entries
 
 

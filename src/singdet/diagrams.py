@@ -12,27 +12,29 @@ the arc labels with one end placed.  Its cost follows the number of
 matchings on the widest frontier of the reduced diagram, so braid closures
 and pretzels of a hundred crossings take milliseconds.
 
-The Q polynomial is a skein recursion toward descending diagrams, and each
-node first removes every kink and every second Reidemeister bigon (one
-strand over at both crossings).  Q = F(1, z) is an invariant of ambient
-isotopy, so these moves are exact, and they cut away the kinks and bigons
-that the skein's own smoothings create.  The moves are found by checking
-crossings against the move loop's arc map, with no face walk, and after a
-move only the crossings on the joined arcs are checked again.  A bigon
-left after that is a clasp, and the node expands the whole twist region
-through it in one step, by a three-term recurrence in its number of
-crossings, so a column of k half-twists costs one node where the plain
-skein spends k.
+The Q polynomial is a skein recursion toward descending diagrams, and
+each node first removes every kink and every second Reidemeister bigon
+(one strand over at both crossings).  Q = F(1, z) is an invariant of
+ambient isotopy, so these moves are exact, and they cut away the kinks
+and bigons that the skein's own smoothings create.  The moves are found
+at crossings on the partner list of `_darts`, with no face walk; a move
+rewires that list, and after it only the crossings on the joined arcs are
+checked again.  The list of the crossings left goes on to the node, so a
+skein node or a bracket call builds one arc map.  A bigon left after that
+is a clasp, and the node expands the whole twist region through it in one
+step, by a three-term recurrence in its number of crossings, so a column
+of k half-twists costs one node where the plain skein spends k.
 
 A bare crossing list has one arc map, `_darts`: a partner list over the
 flat darts 4 ci + s.  One orbit walk, `_cycles`, runs on it: a face is an
 orbit of e -> partner[rotate(e)] and a shadow strand one of
-e -> partner[e ^ 2], which leaves each crossing opposite where it entered.
-Faces, `normalize_pd`, the skein's component walk, its bigon and twist
-region search and the contraction order all read it.  The walks of a
-validated diagram along its orientation (`_trace`, `_orient`) and the
-local face walks of `r2_slide` stay on (crossing, slot) ends: moving them
-onto darts made the Vogel and Seifert routes slower.
+e -> partner[e ^ 2], which leaves each crossing opposite where it
+entered.  Faces, `normalize_pd`, the skein's component walk, its bigon
+and twist region search and the contraction order all read it, and the
+move loop rewires it in place.  The walks of a validated diagram along
+its orientation (`_trace`, `_orient`) and the local face walks of
+`r2_slide` stay on (crossing, slot) ends: moving them onto darts made the
+Vogel and Seifert routes slower.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -48,6 +50,7 @@ token ``O`` in PD text adds one.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -393,13 +396,12 @@ _SMOOTHINGS = (((0, 1), (2, 3), 1), ((0, 3), (1, 2), -1))
 _LOOP_FACTORS = _bracket_delta_powers(4)
 
 
-def _contraction_order(crossings) -> list[int]:
+def _contraction_order(partner) -> list[int]:
     """Indices of the crossings in the order the bracket contraction places
-    them: next is the crossing with the most arcs into the placed ones, the
-    lowest index among ties."""
-    partner = _darts(crossings)
-    score = [0] * len(crossings)
-    left = set(range(len(crossings)))
+    them, read on their `_darts` partner list: next is the crossing with the
+    most arcs into the placed ones, the lowest index among ties."""
+    score = [0] * (len(partner) // 4)
+    left = set(range(len(score)))
     order = []
     while left:
         ci = min(left, key=lambda c: (-score[c], c))
@@ -431,44 +433,28 @@ def _place_crossing(states: dict[tuple, dict[int, int]], labels: tuple) -> dict[
     """One contraction step: the states after the crossing with these four
     arc labels is placed.
 
-    A key's pairs that meet the crossing and the smoothing's two label joins
-    are merged by union-find on labels; a join inside one class closes a
-    loop, and the labels met once, the new open arcs, are paired by class.
-    Pairs that miss the crossing are kept.  Each state branches on the two
-    smoothings; equal matchings merge and zero terms drop.  The union-find
-    is written out here rather than shared with `_join_labels`: a call per
-    smoothing made the bracket about 20% slower.
+    Each state's matching is read as a mate map, open label -> the far end
+    of its strand.  A smoothing's join (a, b) links the far ends
+    mate.pop(a, a) and mate.pop(b, b), where a label not open yet is its
+    own far end, and closes a loop when a's far end is b.  Each state
+    branches on the two smoothings; equal matchings merge and zero terms
+    drop.
     """
-    once_here = {lab for lab in labels if labels.count(lab) == 1}
     nxt: dict[tuple, dict[int, int]] = {}
     for key, poly in states.items():
-        kept, touched = [], []
-        for pair in key:
-            if pair[0] in labels or pair[1] in labels:
-                touched.append(pair)
-            else:
-                kept.append(pair)
-        once = once_here.symmetric_difference(lab for pair in touched for lab in pair)
         for (s1, t1), (s2, t2), x in _SMOOTHINGS:
-            parent = {}
+            mate = {}
+            for a, b in key:
+                mate[a], mate[b] = b, a
             loops = 0
-            for a, b in touched + [(labels[s1], labels[t1]), (labels[s2], labels[t2])]:
-                while a in parent:
-                    a = parent[a]
-                while b in parent:
-                    b = parent[b]
-                if a == b:
+            for a, b in ((labels[s1], labels[t1]), (labels[s2], labels[t2])):
+                far_a, far_b = mate.pop(a, a), mate.pop(b, b)
+                if far_a == b:
                     loops += 1
                 else:
-                    parent[a] = b
-            ends = {}
-            for lab in once:
-                root = lab
-                while root in parent:
-                    root = parent[root]
-                ends.setdefault(root, []).append(lab)
-            pairs = [(a, b) if a < b else (b, a) for a, b in ends.values()]
-            _add_product(nxt.setdefault(tuple(sorted(kept + pairs)), {}), poly, _LOOP_FACTORS[loops], x)
+                    mate[far_a], mate[far_b] = far_b, far_a
+            _add_product(nxt.setdefault(tuple(sorted((a, b) for a, b in mate.items() if a < b)), {}),
+                         poly, _LOOP_FACTORS[loops], x)
     out = {}
     for key, poly in nxt.items():
         poly = {e: c for e, c in poly.items() if c}
@@ -492,10 +478,11 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     orientation, and the reduced code is not oriented again: that would
     walk a component over at every crossing left from its least over end.
 
-    The survivors are placed in `_contraction_order`.  An open arc is an arc
-    label with one end placed; the open arcs are the frontier.  The state
-    maps each planar matching of the open arcs, keyed as the sorted tuple
-    of its label pairs (a, b) with a < b, to its Laurent polynomial.
+    The survivors are placed in the `_contraction_order` of the partner list
+    that the reduction hands on.  An open arc is an arc label with one end
+    placed; the open arcs are the frontier.  The state maps each planar
+    matching of the open arcs, keyed as the sorted tuple of its label pairs
+    (a, b) with a < b, to its Laurent polynomial.
     Placing a crossing (`_place_crossing`) branches on its two smoothings,
     joins the strands through it, and multiplies by delta = -A^2 - A^-2 for
     every loop that closes.  When every crossing is placed, the free loops,
@@ -507,12 +494,11 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
         if diagram.free_loops == 0:
             raise DiagramError("empty diagram")
         return dict(_bracket_delta_powers(diagram.free_loops)[diagram.free_loops - 1])
-    reduced = _reidemeister_reduce(diagram.crossings, diagram.free_loops)
-    crossings, free = reduced
+    crossings, free = reduced = _reidemeister_reduce(diagram.crossings, diagram.free_loops)
     k = diagram.writhe - sum(diagram.sign(ci) for ci in reduced.kept)
     if crossings:
         states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-        for ci in _contraction_order(crossings):
+        for ci in _contraction_order(reduced.partner):
             states = _place_crossing(states, crossings[ci])
         total: dict[int, int] = {}
         _add_product(total, states[()], _bracket_delta_powers(free)[-1])
@@ -897,92 +883,99 @@ def _smooth_unoriented(crossings: list[tuple], free: int, ci: int, mode: int):
     return _join_labels(crossings, (ci,), _smoothing_joins(crossings[ci], mode), free)
 
 
-def _bigon_at(crossings, partner, ci: int, s: int):
+def _bigon_at(partner, ci: int, s: int):
     """(c2, s2) when the corner between slots s and s+1 of crossing ci is a
     bigon face whose other corner lies between slots s2 and s2+1 of a
-    crossing c2 != ci, else None.  partner is the crossings' `_darts`.
+    crossing c2 != ci, else None, read on the crossings' `_darts`.
 
-    The bigon's edges are t[s+1] == t2[s2] and t[s] == t2[s2+1]; slots 1 and
-    3 are over, so one strand is over at both crossings iff s+1 and s2 have
-    one parity (a second Reidemeister pair), and otherwise it is a clasp.
+    The bigon's edges join dart 4 ci + s+1 to 4 c2 + s2 and 4 ci + s to
+    4 c2 + s2+1; slots 1 and 3 are over, so one strand is over at both
+    crossings iff s+1 and s2 have one parity (a second Reidemeister pair),
+    and otherwise it is a clasp.
     """
     c2, s2 = divmod(partner[4 * ci + (s + 1) % 4], 4)
-    if c2 != ci and crossings[c2][(s2 + 1) % 4] == crossings[ci][s]:
+    if c2 != ci and partner[4 * ci + s] == 4 * c2 + (s2 + 1) % 4:
         return c2, s2
     return None
 
 
 class _Reduced(tuple):
     """The pair (crossings, free) that `_reidemeister_reduce` returns, with
-    the indices in the input of the crossings left, in order, as `kept`:
-    the bracket reads the survivors' signs by them."""
+    the indices in the input of the crossings left, in order, as `kept`,
+    and the `_darts` of the crossings left as `partner`: the bracket reads
+    the survivors' signs by kept, and the bracket and the skein walk on
+    partner."""
 
-    def __new__(cls, crossings, free: int, kept: list[int]):
+    def __new__(cls, crossings, free: int, kept: list[int], partner: list[int]):
         pair = super().__new__(cls, (crossings, free))
         pair.kept = kept
+        pair.partner = partner
         return pair
 
 
 def _reidemeister_reduce(crossings: list[tuple], free: int) -> _Reduced:
     """(crossings, free) with kinks and second Reidemeister pairs removed
     until none is left; the pair also carries the indices of the crossings
-    left (`_Reduced`).
+    left and their `_darts` (`_Reduced`).
 
-    Moves are found at crossings, not by walking faces: corner s of crossing
-    ci is a kink when t[s] == t[s+1], whose through strand t[s+2], t[s+3] is
-    what is left, and a second Reidemeister pair when `_bigon_at` finds a
-    bigon there with one strand over at both crossings, whose strands run on
-    to t[s+3], t2[s2+2] and t[s+2], t2[s2+3].  A clasp is kept.  The loop
-    keeps its own label -> ends map, built once, since a move merges labels:
-    it deletes its crossings' ends, merges the joined labels into one, and
-    puts only the crossings on the merged arcs back on the stack, as a new
-    kink or bigon needs an arc the move joined.  The map is not returned;
-    a caller that walks the crossings left builds their `_darts`.  The
-    bigon test is written out here, with the parity of s2 checked before
-    the labels: the call made the reduction about 20% slower.
+    The loop runs on the `_darts` of the input, with no other arc map.
+    Corner s of crossing ci is a kink when darts 4 ci + s and 4 ci + s + 1
+    are partners; its through pair is the darts at slots s + 2 and s + 3.
+    It is a second Reidemeister pair when `_bigon_at` finds a bigon there
+    with one strand over at both crossings; its through pairs are slots
+    s + 3 of ci and s2 + 2 of c2, and s + 2 of ci and s2 + 3 of c2.  A
+    clasp is kept.  A move kills its crossings and then takes its through
+    pairs (x, y) one at a time, with u, v = partner[x], partner[y]: when u
+    is y the strand is a free loop, and otherwise u and v become partners
+    and u takes v's label, the one a union-find of the joined labels would
+    keep, so that the skein walks the crossings left in the same order.  A
+    later pair reads what an earlier one wrote, so chains and closed loops
+    need no union-find.  Only the crossings of u and v go back on the
+    stack, as a new kink or bigon needs an arc the move joined.  The bigon
+    test is written out here, with the parity of s2 checked first: a call
+    of `_bigon_at` made the loop about 15% slower.
     """
-    cross = [list(t) for t in crossings]
-    occ = _arc_ends(crossings)[0]
-    alive = [True] * len(cross)
-    todo = list(range(len(cross)))[::-1]  # popped from the first crossing
+    partner = _darts(crossings)
+    labels = [lab for t in crossings for lab in t]
+    alive = [True] * len(crossings)
+    todo = list(range(len(crossings)))[::-1]  # popped from the first crossing
     while todo:
         ci = todo.pop()
         if not alive[ci]:
             continue
-        t = cross[ci]
+        e = 4 * ci
         for s in range(4):
             s1 = (s + 1) % 4
-            if t[s] == t[s1]:
-                removed, joins = (ci,), ((t[(s + 2) % 4], t[(s + 3) % 4]),)
+            p = partner[e + s1]
+            if p == e + s:
+                removed, through = (ci,), ((e + (s + 2) % 4, e + (s + 3) % 4),)
                 break
-            e, f = occ[t[s1]]
-            c2, s2 = f if e == (ci, s1) else e
-            if (s1 - s2) % 2 == 0 and c2 != ci and cross[c2][(s2 + 1) % 4] == t[s]:
-                t2 = cross[c2]
+            c2, s2 = p >> 2, p & 3
+            if (s1 - s2) % 2 == 0 and c2 != ci and partner[e + s] == 4 * c2 + (s2 + 1) % 4:
+                f = 4 * c2
                 removed = (ci, c2)
-                joins = ((t[(s + 3) % 4], t2[(s2 + 2) % 4]), (t[(s + 2) % 4], t2[(s2 + 3) % 4]))
+                through = ((e + (s + 3) % 4, f + (s2 + 2) % 4), (e + (s + 2) % 4, f + (s2 + 3) % 4))
                 break
         else:
             continue
         for c in removed:
             alive[c] = False
-            for s, lab in enumerate(cross[c]):
-                occ[lab].remove((c, s))
-        find, closed = _union_labels(joins)
-        free += closed
-        for lab in {lab for join in joins for lab in join}:
-            root = find(lab)
-            if lab != root:
-                ends = occ.pop(lab)
-                for c, s in ends:
-                    cross[c][s] = root
-                occ[root] += ends
-            todo.extend(c for c, _ in occ[root])
-    kept = [ci for ci in range(len(cross)) if alive[ci]]
-    return _Reduced([tuple(cross[ci]) for ci in kept], free, kept)
+        for x, y in through:
+            u, v = partner[x], partner[y]
+            if u == y:
+                free += 1
+            else:
+                partner[u], partner[v] = v, u
+                labels[u] = labels[v]
+                todo += (v >> 2, u >> 2)
+    kept = [ci for ci in range(len(alive)) if alive[ci]]
+    if len(kept) < len(alive):
+        index = {ci: k for k, ci in enumerate(kept)}
+        partner = [4 * index[p >> 2] + (p & 3) for ci in kept for p in partner[4 * ci:4 * ci + 4]]
+    return _Reduced([tuple(labels[4 * ci:4 * ci + 4]) for ci in kept], free, kept, partner)
 
 
-def _twist_region(crossings, partner):
+def _twist_region(partner):
     """The crossings of one twist region, in order along it, each with a
     bigon corner, or None when no bigon joins two crossings.
 
@@ -991,14 +984,14 @@ def _twist_region(crossings, partner):
     opposite corners.  A region that closes up holds every crossing of its
     piece.
     """
-    start = next(((ci, s) for ci in range(len(crossings)) for s in range(4)
-                  if _bigon_at(crossings, partner, ci, s) is not None), None)
+    start = next(((ci, s) for ci in range(len(partner) // 4) for s in range(4)
+                  if _bigon_at(partner, ci, s) is not None), None)
     if start is None:
         return None
     ahead, behind = [start], []
     seen = {start[0]}
     for side, (ci, s) in ((ahead, start), (behind, (start[0], (start[1] + 2) % 4))):
-        while (pair := _bigon_at(crossings, partner, ci, s)) is not None and pair[0] not in seen:
+        while (pair := _bigon_at(partner, ci, s)) is not None and pair[0] not in seen:
             ci, s = pair[0], (pair[1] + 2) % 4
             seen.add(ci)
             side.append((ci, s))
@@ -1077,13 +1070,13 @@ def _twist_expand(crossings: list[tuple], free: int, region, memo: dict) -> Laur
 
 def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomial:
     """Q of the diagram (crossings, free loops), one shadow walk per node."""
-    crossings, free = _reidemeister_reduce(crossings, free)
+    crossings, free = reduced = _reidemeister_reduce(crossings, free)
     if not crossings:
         key = ("unlink", free)
         if key not in memo:
             memo[key] = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
         return memo[key]
-    partner = _darts(crossings)
+    partner = reduced.partner
     comps = _shadow_components(crossings, partner)
     key = _q_canonical_key(crossings, free, comps)
     hit = memo.get(key)
@@ -1097,7 +1090,7 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomia
     ci = next((c for c, s in first.items() if s in (0, 2)), None)
     if ci is None:
         val = _q_unknot_power(len(comps) + free - 1)
-    elif (region := _twist_region(crossings, partner)) is not None:
+    elif (region := _twist_region(partner)) is not None:
         val = _twist_expand(crossings, free, region, memo)
     else:
         switched = list(crossings)
@@ -1121,10 +1114,10 @@ def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     a factor a^(+-1) per kink, so at a = 1 a kink costs nothing.  A bigon is
     a second Reidemeister pair only when one strand runs over at both its
     crossings; a clasp (over at one, under at the other) is kept.  Each node
-    then builds the `_darts` of the crossings left and walks its shadow once
-    on them (`_shadow_components`), for its memo key, its component count
-    and the template crossing; a descending diagram is an unlink.  The twist
-    region search reads the same darts.
+    then walks its shadow once (`_shadow_components`) on the `_darts` of the
+    crossings left, which the reduction hands on, for its memo key, its
+    component count and the template crossing; a descending diagram is an
+    unlink.  The twist region search reads the same darts.
 
     A node with a clasp left expands its twist region c_1 ... c_k
     (`_twist_region`).  With the bigon at corner s of a crossing, smoothing
@@ -1196,13 +1189,7 @@ def pretzel_pd(*twists: int) -> LinkDiagram:
     if len(twists) < 2 or any(a == 0 for a in twists):
         raise ValueError("need at least two nonzero twist counts")
     k = len(twists)
-    arc = 0
-
-    def fresh():
-        nonlocal arc
-        arc += 1
-        return arc
-
+    fresh = itertools.count(1).__next__
     tops = [fresh() for _ in range(k)]  # arc joining column i's top-left corner
     bots = [fresh() for _ in range(k)]
     tuples = []
@@ -1234,13 +1221,7 @@ def braid_closure_pd(word: list[int], strands: int) -> LinkDiagram:
     used = {abs(k) for k in word}
     if used != set(range(1, strands)):
         raise ValueError("closure would be split: unused strand positions")
-    arc = 0
-
-    def fresh():
-        nonlocal arc
-        arc += 1
-        return arc
-
+    fresh = itertools.count(1).__next__
     current = [fresh() for _ in range(strands)]
     first = list(current)
     crossings = []

@@ -3,12 +3,14 @@
 `_darts` is the one arc map of an unoriented crossing list: dart 4 ci + s
 is the end at slot s of crossing ci, and partner[e] the other end of its
 arc.  It must be a fixed-point-free involution that pairs equal labels.
-`_contraction_order` reads it in place of a label -> crossings map, and
+`_contraction_order` reads it in place of a label -> crossings map,
 `_piece_count` counts pieces by union-find on crossing indices in place of
-one fake crossing sent through `_join_labels`; both of those replaced
-versions are kept here as oracles.  The diagrams are the corpus, seeded
-pretzels, 2-5-strand braid closures, their disjoint unions (split codes)
-and the skein children that `_smooth_unoriented` makes of them.
+one fake crossing sent through `_join_labels`, and `_reidemeister_reduce`
+rewires it in place of its own label -> ends map and a union-find per
+move; those replaced versions are kept here as oracles.  The diagrams are
+the corpus, seeded pretzels, 2-5-strand braid closures, their disjoint
+unions (split codes) and the skein children that `_smooth_unoriented`
+makes of them.
 """
 
 import random
@@ -20,7 +22,9 @@ from singdet.diagrams import (
     _darts,
     _join_labels,
     _piece_count,
+    _reidemeister_reduce,
     _smooth_unoriented,
+    _union_labels,
     braid_closure_pd,
     face_orbits,
     pretzel_pd,
@@ -53,6 +57,60 @@ def fake_crossing_piece_count(n, groups):
     joins = ((ci, group[0][0]) for group in groups for ci, _ in group[1:])
     roots, _ = _join_labels([tuple(range(n))], (), joins, 0)
     return len(set(roots[0]))
+
+
+def union_find_reduce(crossings, free, order=iter):
+    """(crossings, free, kept) from the move loop that kept its own label ->
+    ends map and merged the labels each move joined by union-find.  After a
+    move it put the crossings on each joined label's arc back on the stack,
+    taking the labels in `order` of their set."""
+    cross = [list(t) for t in crossings]
+    occ = _arc_ends(crossings)[0]
+    alive = [True] * len(cross)
+    todo = list(range(len(cross)))[::-1]
+    while todo:
+        ci = todo.pop()
+        if not alive[ci]:
+            continue
+        t = cross[ci]
+        for s in range(4):
+            s1 = (s + 1) % 4
+            if t[s] == t[s1]:
+                removed, joins = (ci,), ((t[(s + 2) % 4], t[(s + 3) % 4]),)
+                break
+            e, f = occ[t[s1]]
+            c2, s2 = f if e == (ci, s1) else e
+            if (s1 - s2) % 2 == 0 and c2 != ci and cross[c2][(s2 + 1) % 4] == t[s]:
+                t2 = cross[c2]
+                removed = (ci, c2)
+                joins = ((t[(s + 3) % 4], t2[(s2 + 2) % 4]), (t[(s + 2) % 4], t2[(s2 + 3) % 4]))
+                break
+        else:
+            continue
+        for c in removed:
+            alive[c] = False
+            for s, lab in enumerate(cross[c]):
+                occ[lab].remove((c, s))
+        find, closed = _union_labels(joins)
+        free += closed
+        for lab in order({lab for join in joins for lab in join}):
+            root = find(lab)
+            if lab != root:
+                ends = occ.pop(lab)
+                for c, s in ends:
+                    cross[c][s] = root
+                occ[root] += ends
+            todo.extend(c for c, _ in occ[root])
+    kept = [ci for ci in range(len(cross)) if alive[ci]]
+    return [tuple(cross[ci]) for ci in kept], free, kept
+
+
+def relabelled(crossings, other):
+    """Whether two crossing lists differ only by a renaming of the labels."""
+    rename = {}
+    pairs = [(a, b) for t, u in zip(crossings, other) for a, b in zip(t, u)]
+    return (len(crossings) == len(other) and all(rename.setdefault(a, b) == b for a, b in pairs)
+            and len(set(rename.values())) == len(rename))
 
 
 def seeded_braid_word(rng, strands, length):
@@ -101,7 +159,7 @@ def test_darts_pair_the_two_ends_of_every_label():
 
 def test_contraction_order_equals_the_label_map_version():
     for crossings in crossing_lists():
-        assert _contraction_order(crossings) == at_map_contraction_order(crossings), crossings
+        assert _contraction_order(_darts(crossings)) == at_map_contraction_order(crossings), crossings
 
 
 def test_piece_count_equals_the_fake_crossing_count():
@@ -113,3 +171,36 @@ def test_piece_count_equals_the_fake_crossing_count():
             assert pieces == fake_crossing_piece_count(n, groups), crossings
         split += pieces > 1
     assert split >= 10
+
+
+# A move that closes a loop, two moves that chain along one strand, a
+# two-crossing R2 unlink and a clasp (the positive Hopf link) that stays.
+MOVE_CODES = [
+    [(1, 1, 2, 2)],
+    [(1, 2, 2, 1)],
+    [(1, 2, 2, 3), (3, 4, 4, 1)],
+    [(1, 4, 2, 3), (2, 4, 1, 3)],
+    [(1, 3, 4, 2), (3, 1, 2, 4)],
+]
+
+
+def test_the_move_loop_on_darts_equals_the_union_find_loop():
+    """The reduce hands on the `_darts` of the crossings left, and leaves
+    the union-find loop's free loops and, up to a renaming, its crossings.
+    Its survivors are the loop's for one order of re-checking the joined
+    arcs: where overlapping moves compete, that order picks the move."""
+    orders = (iter, sorted, lambda labels: sorted(labels, reverse=True))
+    checked = reduced = 0
+    for crossings in list(crossing_lists()) + MOVE_CODES:
+        got = _reidemeister_reduce(crossings, 0)
+        assert got.partner == _darts(got[0]), crossings
+        runs = [union_find_reduce(crossings, 0, order) for order in orders]
+        same = [run for run in runs if run[2] == got.kept]
+        assert same, (crossings, got.kept, [run[2] for run in runs])
+        want, free, _ = same[0]
+        assert got[1] == free and relabelled(got[0], want), crossings
+        checked += 1
+        reduced += len(got.kept) < len(crossings)
+    assert checked > 300 and reduced > 200
+    assert [_reidemeister_reduce(c, 0)[:2] for c in MOVE_CODES] == [
+        ([], 1), ([], 1), ([], 1), ([], 2), (MOVE_CODES[-1], 0)]

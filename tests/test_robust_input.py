@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singdet.cli import main
-from singdet.corpus import parse_entry
+from singdet.corpus import load_corpus, parse_entry
 from singdet.diagrams import DiagramError, parse_pd
 from singdet.exactlinalg import parse_matrix
 from singdet.numtheory import prime_factors
@@ -49,6 +49,19 @@ def test_non_planar_pd_code_is_rejected(tmp_path, capsys):
     path.write_text("pd: X(1,2,1,2)\n")
     for command in ("invariants", "obstruct"):
         assert "not planar" in one_line_error(capsys, command, str(path))
+
+
+def test_two_corpus_files_naming_one_entry_are_rejected(tmp_path, capsys):
+    bundle = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
+    for fn in os.listdir(bundle):
+        with open(os.path.join(bundle, fn)) as fh:
+            (tmp_path / fn).write_text(fh.read())
+    assert len(load_corpus(str(tmp_path))) == 39
+    (tmp_path / "3_1.txt").write_text((tmp_path / "3_1.txt").read_text().replace("name: 3_1", "name: 4_1"))
+    with pytest.raises(ValueError, match="3_1.txt and 4_1.txt"):
+        load_corpus(str(tmp_path))
+    error = one_line_error(capsys, "verify", "examples", "--corpus", str(tmp_path))
+    assert "3_1.txt" in error and "4_1.txt" in error and "'4_1'" in error
 
 
 def test_prime_factors_is_exact_below_ten_to_the_twelve():
