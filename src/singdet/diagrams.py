@@ -19,11 +19,12 @@ ambient isotopy, so these moves are exact, and they cut away the kinks
 and bigons that the skein's own smoothings create.  The moves are found
 at crossings on the partner list of `_darts`, with no face walk; a move
 rewires that list, and after it only the crossings on the joined arcs are
-checked again.  The list of the crossings left goes on to the node, so a
-skein node or a bracket call builds one arc map.  A bigon left after that
-is a clasp, and the node expands the whole twist region through it in one
-step, by a three-term recurrence in its number of crossings, so a column
-of k half-twists costs one node where the plain skein spends k.
+checked again.  The list of the crossings left goes on to the node, and
+each child is spliced out of a copy of it by the move loop's join rule, so
+a skein call, like a bracket call, builds one arc map.  A bigon left after
+that is a clasp, and the node expands the whole twist region through it in
+one step, by a three-term recurrence in its number of crossings, so a
+column of k half-twists costs one node where the plain skein spends k.
 
 A bare crossing list has one arc map, `_darts`: a partner list over the
 flat darts 4 ci + s.  One orbit walk, `_cycles`, runs on it: a face is an
@@ -31,8 +32,8 @@ orbit of e -> partner[rotate(e)] and a shadow strand one of
 e -> partner[e ^ 2], which leaves each crossing opposite where it
 entered.  Faces, `normalize_pd`, the skein's component walk, its bigon
 and twist region search and the contraction order all read it, and the
-move loop rewires it in place.  The walks of a validated diagram along
-its orientation (`_trace`, `_orient`) and the local face walks of
+skein's splices rewire it in place.  The walks of a validated diagram
+along its orientation (`_trace`, `_orient`) and the local face walks of
 `r2_slide` stay on (crossing, slot) ends: moving them onto darts made the
 Vogel and Seifert routes slower.
 
@@ -118,8 +119,18 @@ def _piece_count(n: int, groups) -> int:
     (crossing, slot) that each lie in one piece and that together join every
     arc's two ends: the arcs' end pairs, or the faces' darts.  Each end's
     crossing is joined to its group's first one, by union-find on indices."""
-    find, _ = _union_labels((ci, group[0][0]) for group in groups for ci, _s in group[1:])
-    return len({find(ci) for ci in range(n)})
+    root = list(range(n))
+
+    def find(ci):
+        while root[ci] != ci:
+            root[ci] = root[root[ci]]  # path halving
+            ci = root[ci]
+        return ci
+
+    for group in groups:
+        for ci, _s in group[1:]:
+            root[find(ci)] = find(group[0][0])
+    return sum(root[ci] == ci for ci in range(n))
 
 
 def _trace(d: LinkDiagram, exits):
@@ -836,51 +847,29 @@ def _q_unknot_power(k: int) -> LaurentPolynomial:
     return out
 
 
-def _union_labels(joins):
-    """(find, closed): union-find over the label pairs `joins`, and how many
-    joins met two labels already in one class, each of which closes a loop."""
-    parent: dict[int, int] = {}
+def _smoothing(ci: int, mode: int):
+    """The dart pairs that smoothing crossing ci joins, by `_SMOOTHINGS`:
+    mode s % 2 keeps the corner between slots s and s+1 whole."""
+    return [(4 * ci + s, 4 * ci + t) for s, t in _SMOOTHINGS[mode][:2]]
 
-    def find(x):
-        while x in parent:
-            parent[x] = parent.get(parent[x], parent[x])  # path halving
-            x = parent[x]
-        return x
 
-    closed = 0
-    for a, b in joins:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            closed += 1
+def _splice(partner, labels, through, todo) -> int:
+    """Join the dart pairs (x, y) of `through`, the ends dead crossings
+    connected, in turn, and return how many loops close: with
+    u, v = partner[x], partner[y], u == y closes a free loop, else u and v
+    become partners and u takes v's label, the root a union-find of the
+    labels would keep.  A later pair reads what an earlier one wrote, so
+    chains need no union-find.  The crossings of u and v go on `todo`."""
+    loops = 0
+    for x, y in through:
+        u, v = partner[x], partner[y]
+        if u == y:
+            loops += 1
         else:
-            parent[ra] = rb
-    return find, closed
-
-
-def _join_labels(crossings: list[tuple], removed, joins, free: int):
-    """Delete the crossings at indices `removed` and join the label pairs
-    `joins`, the strand ends the deleted crossings connected.
-
-    Arcs fused this way are merged by union-find on labels; a join whose two
-    labels already lie in one class closes a free loop (this covers kinks,
-    where a label appears twice in a removed tuple).
-    """
-    find, closed = _union_labels(joins)
-    out = [tuple(find(lab) for lab in t) for k, t in enumerate(crossings) if k not in removed]
-    return out, free + closed
-
-
-def _smoothing_joins(t: tuple, mode: int):
-    """The label pairs a smoothing of crossing t joins: slots (0,1),(2,3) for
-    mode 0, else (0,3),(1,2).  Mode s % 2 keeps the corner between slots s
-    and s+1 whole."""
-    a, b, c, d = t
-    return ((a, b), (c, d)) if mode == 0 else ((a, d), (b, c))
-
-
-def _smooth_unoriented(crossings: list[tuple], free: int, ci: int, mode: int):
-    """Remove crossing ci, joining ends (0,1),(2,3) for mode 0 else (0,3),(1,2)."""
-    return _join_labels(crossings, (ci,), _smoothing_joins(crossings[ci], mode), free)
+            partner[u], partner[v] = v, u
+            labels[u] = labels[v]
+            todo += (v >> 2, u >> 2)
+    return loops
 
 
 def _bigon_at(partner, ci: int, s: int):
@@ -903,8 +892,8 @@ class _Reduced(tuple):
     """The pair (crossings, free) that `_reidemeister_reduce` returns, with
     the indices in the input of the crossings left, in order, as `kept`,
     and the `_darts` of the crossings left as `partner`: the bracket reads
-    the survivors' signs by kept, and the bracket and the skein walk on
-    partner."""
+    the survivors' signs by kept, the bracket and the skein walk on
+    partner, and each skein child is spliced from a copy of it."""
 
     def __new__(cls, crossings, free: int, kept: list[int], partner: list[int]):
         pair = super().__new__(cls, (crossings, free))
@@ -913,31 +902,33 @@ class _Reduced(tuple):
         return pair
 
 
-def _reidemeister_reduce(crossings: list[tuple], free: int) -> _Reduced:
-    """(crossings, free) with kinks and second Reidemeister pairs removed
-    until none is left; the pair also carries the indices of the crossings
-    left and their `_darts` (`_Reduced`).
+def _reidemeister_reduce(crossings: list[tuple], free: int, partner=None, cut=()) -> _Reduced:
+    """(crossings, free) with the crossings of the dart pairs `cut` smoothed,
+    then kinks and second Reidemeister pairs removed until none is left;
+    the pair also carries the indices of the crossings left and their
+    `_darts` (`_Reduced`).
 
-    The loop runs on the `_darts` of the input, with no other arc map.
-    Corner s of crossing ci is a kink when darts 4 ci + s and 4 ci + s + 1
-    are partners; its through pair is the darts at slots s + 2 and s + 3.
-    It is a second Reidemeister pair when `_bigon_at` finds a bigon there
-    with one strand over at both crossings; its through pairs are slots
-    s + 3 of ci and s2 + 2 of c2, and s + 2 of ci and s2 + 3 of c2.  A
-    clasp is kept.  A move kills its crossings and then takes its through
-    pairs (x, y) one at a time, with u, v = partner[x], partner[y]: when u
-    is y the strand is a free loop, and otherwise u and v become partners
-    and u takes v's label, the one a union-find of the joined labels would
-    keep, so that the skein walks the crossings left in the same order.  A
-    later pair reads what an earlier one wrote, so chains and closed loops
-    need no union-find.  Only the crossings of u and v go back on the
+    The loop runs on `partner`, the crossings' `_darts` (built when None,
+    else copied), with no other arc map.  It first splices the pairs of
+    `cut` (`_splice`), re-queuing nothing: every crossing is queued in
+    ascending order, and re-queuing would change which of two overlapping
+    moves is taken.  Corner s of crossing ci is a kink when darts 4 ci + s
+    and 4 ci + s + 1 are partners; its through pair is the darts at slots
+    s + 2 and s + 3.  It is a second Reidemeister pair when `_bigon_at`
+    finds a bigon there with one strand over at both crossings; its through
+    pairs are slots s + 3 of ci and s2 + 2 of c2, and s + 2 of ci and
+    s2 + 3 of c2.  A clasp is kept.  A move kills its crossings and splices
+    its through pairs; only the crossings of the joined ends go back on the
     stack, as a new kink or bigon needs an arc the move joined.  The bigon
-    test is written out here, with the parity of s2 checked first: a call
-    of `_bigon_at` made the loop about 15% slower.
+    test is written out here, with the parity of s2 checked first: a call of
+    `_bigon_at` made the loop about 15% slower.
     """
-    partner = _darts(crossings)
+    partner = _darts(crossings) if partner is None else list(partner)
     labels = [lab for t in crossings for lab in t]
     alive = [True] * len(crossings)
+    for x, _y in cut:
+        alive[x >> 2] = False
+    free += _splice(partner, labels, cut, [])
     todo = list(range(len(crossings)))[::-1]  # popped from the first crossing
     while todo:
         ci = todo.pop()
@@ -960,14 +951,7 @@ def _reidemeister_reduce(crossings: list[tuple], free: int) -> _Reduced:
             continue
         for c in removed:
             alive[c] = False
-        for x, y in through:
-            u, v = partner[x], partner[y]
-            if u == y:
-                free += 1
-            else:
-                partner[u], partner[v] = v, u
-                labels[u] = labels[v]
-                todo += (v >> 2, u >> 2)
+        free += _splice(partner, labels, through, todo)
     kept = [ci for ci in range(len(alive)) if alive[ci]]
     if len(kept) < len(alive):
         index = {ci: k for k, ci in enumerate(kept)}
@@ -1056,21 +1040,22 @@ def _twist_coefficients(k: int, memo: dict):
     return memo[key]
 
 
-def _twist_expand(crossings: list[tuple], free: int, region, memo: dict) -> LaurentPolynomial:
+def _twist_expand(crossings: list[tuple], free: int, partner, region, memo: dict) -> LaurentPolynomial:
     """Q of the diagram by the twist recurrence of `q_via_skein` on its
-    twist region c_1 ... c_k, each crossing given with a bigon corner s."""
-    along = {ci: _smoothing_joins(crossings[ci], 1 - s % 2) for ci, s in region}
-    (c1, s1), rest = region[0], {ci for ci, _ in region[1:]}
-    t1 = _join_labels(crossings, rest, [j for ci in rest for j in along[ci]], free)
-    t0 = _join_labels(crossings, along, [j for joins in along.values() for j in joins], free)
-    e = _smooth_unoriented(crossings, free, c1, s1 % 2)
+    twist region c_1 ... c_k, each crossing given with a bigon corner s.
+    The cuts T_1, T_0 and E are splices of the node's partner list."""
+    along = [_smoothing(ci, 1 - s % 2) for ci, s in region]
+    c1, s1 = region[0]
+    cuts = sum(along[1:], []), sum(along, []), _smoothing(c1, s1 % 2)  # T_1, T_0, E
+    t1, t0, e = (_q_affine(crossings, free, memo, partner, cut) for cut in cuts)
     a, b, c = _twist_coefficients(len(region), memo)
-    return a * _q_affine(*t1, memo) + b * _q_affine(*t0, memo) + c * _q_affine(*e, memo)
+    return a * t1 + b * t0 + c * e
 
 
-def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomial:
-    """Q of the diagram (crossings, free loops), one shadow walk per node."""
-    crossings, free = reduced = _reidemeister_reduce(crossings, free)
+def _q_affine(crossings: list[tuple], free: int, memo: dict, partner=None, cut=()) -> LaurentPolynomial:
+    """Q of the diagram (crossings, free loops) with the crossings of `cut`
+    smoothed (`_reidemeister_reduce`), one shadow walk per node."""
+    crossings, free = reduced = _reidemeister_reduce(crossings, free, partner, cut)
     if not crossings:
         key = ("unlink", free)
         if key not in memo:
@@ -1091,14 +1076,16 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict) -> LaurentPolynomia
     if ci is None:
         val = _q_unknot_power(len(comps) + free - 1)
     elif (region := _twist_region(partner)) is not None:
-        val = _twist_expand(crossings, free, region, memo)
+        val = _twist_expand(crossings, free, partner, region, memo)
     else:
-        switched = list(crossings)
-        a, b, c, cc = switched[ci]
-        switched[ci] = (b, c, cc, a)
-        s0, f0 = _smooth_unoriented(crossings, free, ci, 0)
-        s1, f1 = _smooth_unoriented(crossings, free, ci, 1)
-        val = _Z * (_q_affine(s0, f0, memo) + _q_affine(s1, f1, memo)) - _q_affine(switched, free, memo)
+        # the switch turns ci's tuple and its four darts by one slot
+        switched, e = list(crossings), 4 * ci
+        switched[ci] = crossings[ci][1:] + crossings[ci][:1]
+        turned = [e + (p - 1) % 4 if p >> 2 == ci else p for p in partner]
+        turned[e:e + 4] = turned[e + 1:e + 4] + turned[e:e + 1]
+        smoothed = _q_affine(crossings, free, memo, partner, _smoothing(ci, 0)) \
+            + _q_affine(crossings, free, memo, partner, _smoothing(ci, 1))
+        val = _Z * smoothed - _q_affine(switched, free, memo, turned)
     memo[key] = val
     return val
 
@@ -1117,7 +1104,9 @@ def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     then walks its shadow once (`_shadow_components`) on the `_darts` of the
     crossings left, which the reduction hands on, for its memo key, its
     component count and the template crossing; a descending diagram is an
-    unlink.  The twist region search reads the same darts.
+    unlink.  The twist region search reads the same darts, and every child
+    is spliced out of a copy of them (`_reidemeister_reduce` with a cut),
+    so the call builds `_darts` once, for its input.
 
     A node with a clasp left expands its twist region c_1 ... c_k
     (`_twist_region`).  With the bigon at corner s of a crossing, smoothing
@@ -1236,9 +1225,9 @@ def braid_closure_pd(word: list[int], strands: int) -> LinkDiagram:
         else:
             crossings.append(make_crossing(lj, ni, li, nj, -1))
         current[i], current[j] = ni, nj
-    # closure: fuse each final arc into the initial arc at its position
-    fused, _ = _join_labels(crossings, (), zip(current, first), 0)
-    return LinkDiagram(tuple(fused))
+    # closure: each final arc takes the initial label at its position
+    closing = dict(zip(current, first))
+    return LinkDiagram(tuple(tuple(closing.get(lab, lab) for lab in t) for t in crossings))
 
 
 def reverse_component(d: LinkDiagram, comp_index: int) -> LinkDiagram:

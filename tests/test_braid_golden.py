@@ -4,8 +4,9 @@
 diagrams of many tests.  One sha256 over `pd_text` of 2,000 seeded
 closures (2 to 6 strands, up to 30 letters, every strand position used)
 pins its arc labels byte for byte.  The digest was computed when the
-closure still fused its arcs with a union-find of its own, before it
-shared `_join_labels` with the skein and contraction code.
+closure still fused its arcs with a union-find of its own; the closure now
+renames each final arc to the first label at its position, the root that
+union-find kept.
 """
 
 import hashlib

@@ -7,10 +7,11 @@ arc.  It must be a fixed-point-free involution that pairs equal labels.
 `_piece_count` counts pieces by union-find on crossing indices in place of
 one fake crossing sent through `_join_labels`, and `_reidemeister_reduce`
 rewires it in place of its own label -> ends map and a union-find per
-move; those replaced versions are kept here as oracles.  The diagrams are
-the corpus, seeded pretzels, 2-5-strand braid closures, their disjoint
-unions (split codes) and the skein children that `_smooth_unoriented`
-makes of them.
+move; those replaced versions are kept here as oracles.  It also splices
+skein children out of a copy of the list, in place of the label union-find
+that `_smooth_unoriented` (now in test_q_reduce.py) runs for them.  The
+diagrams are the corpus, seeded pretzels, 2-5-strand braid closures, their
+disjoint unions (split codes) and the skein children made of them.
 """
 
 import random
@@ -20,15 +21,15 @@ from singdet.diagrams import (
     _arc_ends,
     _contraction_order,
     _darts,
-    _join_labels,
     _piece_count,
     _reidemeister_reduce,
-    _smooth_unoriented,
-    _union_labels,
+    _smoothing,
+    _twist_region,
     braid_closure_pd,
     face_orbits,
     pretzel_pd,
 )
+from test_q_reduce import _join_labels, _smooth_unoriented, _smoothing_joins, _union_labels
 
 
 def at_map_contraction_order(crossings):
@@ -125,23 +126,54 @@ def disjoint_union(c1, c2):
     return list(c1) + [tuple(lab + shift for lab in t) for t in c2]
 
 
-def crossing_lists():
+def base_lists():
+    """([(crossings, sampled)], pretzels): the base crossing lists, each with
+    up to three of its crossings drawn, and the seeded pretzels among them."""
     rng = random.Random(2511)
     bases = [e.diagram.crossings for e in load_corpus().values() if e.diagram is not None and e.diagram.n]
+    pretzels = []
     for _ in range(15):
         twists = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
-        bases.append(pretzel_pd(*twists).crossings)
+        pretzels.append(pretzel_pd(*twists).crossings)
+    bases += pretzels
     for _ in range(30):
         strands = rng.randint(2, 5)
         word = seeded_braid_word(rng, strands, rng.randint(strands - 1, 9))
         bases.append(braid_closure_pd(word, strands).crossings)
     for _ in range(10):
         bases.append(disjoint_union(rng.choice(bases), rng.choice(bases)))
-    for crossings in bases:
-        yield list(crossings)
-        for ci in rng.sample(range(len(crossings)), min(3, len(crossings))):
+    return [(list(c), rng.sample(range(len(c)), min(3, len(c)))) for c in bases], pretzels
+
+
+def crossing_lists():
+    for crossings, sampled in base_lists()[0]:
+        yield crossings
+        for ci in sampled:
             for mode in (0, 1):
-                yield _smooth_unoriented(list(crossings), 0, ci, mode)[0]
+                yield _smooth_unoriented(crossings, 0, ci, mode)[0]
+
+
+def spliced_children():
+    """(crossings, cut, child, free): the dart pairs a skein child splices
+    out of a crossing list, and the (crossings, free loops) the label
+    union-find made of the same cut.  The cuts are the drawn crossings of
+    `base_lists` smoothed both ways, and the T_1, T_0 and E cuts of each
+    seeded pretzel's twist region, joined in the order the skein takes."""
+    bases, pretzels = base_lists()
+    for crossings, sampled in bases:
+        for ci in sampled:
+            for mode in (0, 1):
+                yield crossings, _smoothing(ci, mode), *_smooth_unoriented(crossings, 0, ci, mode)
+    for crossings in map(list, pretzels):
+        region = _twist_region(_darts(crossings))
+        if region is None:
+            continue
+        for removed in (region[1:], region):
+            yield (crossings, [j for ci, s in removed for j in _smoothing(ci, 1 - s % 2)],
+                   *_join_labels(crossings, [ci for ci, _ in removed],
+                                 [j for ci, s in removed for j in _smoothing_joins(crossings[ci], 1 - s % 2)], 0))
+        ci, s = region[0]
+        yield crossings, _smoothing(ci, s % 2), *_smooth_unoriented(crossings, 0, ci, s % 2)
 
 
 def test_darts_pair_the_two_ends_of_every_label():
@@ -188,19 +220,29 @@ def test_the_move_loop_on_darts_equals_the_union_find_loop():
     """The reduce hands on the `_darts` of the crossings left, and leaves
     the union-find loop's free loops and, up to a renaming, its crossings.
     Its survivors are the loop's for one order of re-checking the joined
-    arcs: where overlapping moves compete, that order picks the move."""
+    arcs: where overlapping moves compete, that order picks the move.  A
+    skein child spliced out of its parent's darts leaves, with the cut
+    crossings' indices skipped, what the loop leaves of the child that the
+    label union-find made, and the same labels as the reduce of that child;
+    the parent's partner list is not changed."""
     orders = (iter, sorted, lambda labels: sorted(labels, reverse=True))
-    checked = reduced = 0
-    for crossings in list(crossing_lists()) + MOVE_CODES:
-        got = _reidemeister_reduce(crossings, 0)
-        assert got.partner == _darts(got[0]), crossings
-        runs = [union_find_reduce(crossings, 0, order) for order in orders]
-        same = [run for run in runs if run[2] == got.kept]
-        assert same, (crossings, got.kept, [run[2] for run in runs])
+    checked = reduced = spliced = 0
+    cases = [(c, (), c, 0) for c in list(crossing_lists()) + MOVE_CODES] + list(spliced_children())
+    for crossings, cut, child, child_free in cases:
+        partner = _darts(crossings)
+        got = _reidemeister_reduce(crossings, 0, partner, cut)
+        assert partner == _darts(crossings) and got.partner == _darts(got[0]), crossings
+        left = [ci for ci in range(len(crossings)) if ci not in {x >> 2 for x, _y in cut}]
+        runs = [union_find_reduce(child, child_free, order) for order in orders]
+        same = [run for run in runs if [left[k] for k in run[2]] == got.kept]
+        assert same, (crossings, cut, got.kept, [run[2] for run in runs])
         want, free, _ = same[0]
-        assert got[1] == free and relabelled(got[0], want), crossings
+        assert got[1] == free and relabelled(got[0], want), (crossings, cut)
+        if cut:
+            assert got[:2] == _reidemeister_reduce(child, child_free)[:2], (crossings, cut)
+            spliced += 1
         checked += 1
-        reduced += len(got.kept) < len(crossings)
-    assert checked > 300 and reduced > 200
+        reduced += len(got.kept) < len(left)
+    assert checked > 300 and reduced > 200 and spliced > 500
     assert [_reidemeister_reduce(c, 0)[:2] for c in MOVE_CODES] == [
         ([], 1), ([], 1), ([], 1), ([], 2), (MOVE_CODES[-1], 0)]

@@ -20,7 +20,6 @@ from singdet.diagrams import (
     _q_unknot_power,
     _reidemeister_reduce,
     _shadow_components,
-    _smooth_unoriented,
     braid_closure_pd,
     face_orbits,
     goeritz_from_diagram,
@@ -32,6 +31,58 @@ from singdet.diagrams import (
     seifert_matrix_from_diagram,
 )
 from singdet.evaluate import LaurentPolynomial, q_golden_closed_form
+
+# The label union-find that built skein children before they were spliced on
+# the dart partner list.  The oracles here and in test_q_twist.py,
+# test_darts.py and test_shadow_walk.py join strands by it, so they share no
+# joining code with the package.
+
+
+def _union_labels(joins):
+    """(find, closed): union-find over the label pairs `joins`, and how many
+    joins met two labels already in one class, each of which closes a loop."""
+    parent: dict[int, int] = {}
+
+    def find(x):
+        while x in parent:
+            parent[x] = parent.get(parent[x], parent[x])  # path halving
+            x = parent[x]
+        return x
+
+    closed = 0
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            closed += 1
+        else:
+            parent[ra] = rb
+    return find, closed
+
+
+def _join_labels(crossings: list[tuple], removed, joins, free: int):
+    """Delete the crossings at indices `removed` and join the label pairs
+    `joins`, the strand ends the deleted crossings connected.
+
+    Arcs fused this way are merged by union-find on labels; a join whose two
+    labels already lie in one class closes a free loop (this covers kinks,
+    where a label appears twice in a removed tuple).
+    """
+    find, closed = _union_labels(joins)
+    out = [tuple(find(lab) for lab in t) for k, t in enumerate(crossings) if k not in removed]
+    return out, free + closed
+
+
+def _smoothing_joins(t: tuple, mode: int):
+    """The label pairs a smoothing of crossing t joins: slots (0,1),(2,3) for
+    mode 0, else (0,3),(1,2).  Mode s % 2 keeps the corner between slots s
+    and s+1 whole."""
+    a, b, c, d = t
+    return ((a, b), (c, d)) if mode == 0 else ((a, d), (b, c))
+
+
+def _smooth_unoriented(crossings: list[tuple], free: int, ci: int, mode: int):
+    """Remove crossing ci, joining ends (0,1),(2,3) for mode 0 else (0,3),(1,2)."""
+    return _join_labels(crossings, (ci,), _smoothing_joins(crossings[ci], mode), free)
 
 
 def unreduced_q(crossings, free, memo):

@@ -18,12 +18,10 @@ from singdet.corpus import load_corpus
 from singdet.diagrams import (
     _Z,
     _darts,
-    _join_labels,
     _q_canonical_key,
     _q_unknot_power,
     _reidemeister_reduce,
     _shadow_components,
-    _smooth_unoriented,
     braid_closure_pd,
     face_orbits,
     goeritz_from_diagram,
@@ -33,7 +31,7 @@ from singdet.diagrams import (
     q_via_skein,
 )
 from singdet.evaluate import LaurentPolynomial, q_at_golden_link
-from test_q_reduce import random_moves, seeded_braid_word, unreduced_q
+from test_q_reduce import _join_labels, _smooth_unoriented, random_moves, seeded_braid_word, unreduced_q
 
 
 def old_reducing_move(crossings):
@@ -183,10 +181,9 @@ def test_the_reduction_leaves_no_kink_and_no_second_reidemeister_bigon():
     assert moved >= 500 and clasps >= 500
 
 
-def skein_counts(monkeypatch, d):
-    """Calls of `face_orbits` and `_q_affine` (one per skein node) made by
-    q_via_skein(d)."""
-    counts = {"face_orbits": 0, "_q_affine": 0}
+def counted_calls(monkeypatch, names, call):
+    """Calls of the `diagrams` functions `names` made by call()."""
+    counts = dict.fromkeys(names, 0)
     with monkeypatch.context() as m:
         for name in counts:
             def wrapper(*args, _name=name, _fn=getattr(diagrams, name)):
@@ -194,8 +191,14 @@ def skein_counts(monkeypatch, d):
                 return _fn(*args)
 
             m.setattr(diagrams, name, wrapper)
-        q_via_skein(d, budget=d.n)
+        call()
     return counts
+
+
+def skein_counts(monkeypatch, d):
+    """Calls of `face_orbits` and `_q_affine` (one per skein node) made by
+    q_via_skein(d)."""
+    return counted_calls(monkeypatch, ("face_orbits", "_q_affine"), lambda: q_via_skein(d, budget=d.n))
 
 
 def test_large_pretzels_take_few_nodes_and_no_face_walk(monkeypatch):
@@ -222,3 +225,30 @@ def test_q_at_golden_equals_the_linking_form_on_large_pretzels():
         want = q_at_golden_link(goeritz_from_diagram(d, 0))
         assert q_via_skein(d, budget=d.n).eval_golden_reciprocal() == want, twists
     assert max(pretzel_pd(*t).n for t in shapes) >= 125
+
+
+# The fixed braid words of the `braids` benchmark and four pretzels, with
+# the skein nodes each takes.
+WORK_INPUTS = [
+    (braid_closure_pd, ([3, -1, -1, 1, 2, -1, -3, -2], 4), 4),
+    (braid_closure_pd, ([1, 2, -1, -1, -1, 2, 2, 2, 2], 3), 10),
+    (braid_closure_pd, ([2, -2, -2, 2, 1, -2, -1, -2, 2, 2], 3), 1),
+    (braid_closure_pd, ([2, -1, -1, -1, 1, -2, -2, -2, -2, 1, 2], 3), 19),
+    (braid_closure_pd, ([-2, -2, -2, -2, -2, 1, -2, 1, -1, 2, 2, 2], 3), 4),
+    (pretzel_pd, (3, 3, 3), 28),
+    (pretzel_pd, (-3, 3, 3), 22),
+    (pretzel_pd, (5, -3, 3), 22),
+    (pretzel_pd, (-5, -3, 3), 25),
+]
+
+
+def test_a_skein_or_bracket_call_builds_one_dart_map(monkeypatch):
+    """Each skein child is spliced out of its parent's partner list, so a
+    `q_via_skein` call builds `_darts` once however many nodes it makes,
+    and so does a `kauffman_bracket` call."""
+    for build, args, nodes in WORK_INPUTS:
+        d = build(*args)
+        assert counted_calls(monkeypatch, ("_darts", "_q_affine"), lambda: q_via_skein(d)) == \
+            {"_darts": 1, "_q_affine": nodes}, args
+        assert counted_calls(monkeypatch, ("_darts",), lambda: diagrams.kauffman_bracket(d)) == {"_darts": 1}, args
+    assert sum(nodes for _, _, nodes in WORK_INPUTS) == 135

@@ -15,10 +15,10 @@ from singdet.diagrams import (
     _darts,
     _q_canonical_key,
     _shadow_components,
-    _smooth_unoriented,
     braid_closure_pd,
     pretzel_pd,
 )
+from test_q_reduce import _smooth_unoriented
 
 
 def walk_from(crossings, entry):
