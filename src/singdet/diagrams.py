@@ -30,12 +30,12 @@ A bare crossing list has one arc map, `_darts`: a partner list over the
 flat darts 4 ci + s.  One orbit walk, `_cycles`, runs on it: a face is an
 orbit of e -> partner[rotate(e)] and a shadow strand one of
 e -> partner[e ^ 2], which leaves each crossing opposite where it
-entered.  Faces, `normalize_pd`, the skein's component walk, its bigon
-and twist region search and the contraction order all read it, and the
-skein's splices rewire it in place.  The walks of a validated diagram
-along its orientation (`_trace`, `_orient`) and the local face walks of
-`r2_slide` stay on (crossing, slot) ends: moving them onto darts made the
-Vogel and Seifert routes slower.
+entered.  Faces, the checkerboard coloring, `normalize_pd`, the skein's
+component walk, its bigon and twist region search and the contraction
+order all read it, and the skein's splices rewire it in place.  The walks
+of a validated diagram along its orientation (`_trace`, `_orient`) and the
+local face walks of `r2_slide` stay on (crossing, slot) ends: moving them
+onto darts made the Vogel and Seifert routes slower.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .evaluate import LaurentPolynomial
 from .exactlinalg import IntegerSymmetricMatrix
@@ -705,28 +705,6 @@ def _seifert_matrix_braided(d: LinkDiagram, data) -> SeifertData:
 
 # ----------------------------------------------------------------- Vogel move
 
-def _face_of_quadrant(d: LinkDiagram) -> dict[End, int]:
-    """Quadrant (crossing, slot) -> index of its face in `face_orbits`."""
-    return {e: fi for fi, orbit in enumerate(d._faces) for e in orbit}
-
-
-def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
-    """For each arc: the two flanking faces with traversal senses.
-
-    The face walking the arc along its link orientation is the orbit of the
-    dart one slot clockwise of the arc's tail; the opposite side is the
-    orbit one slot clockwise of its head.
-    """
-    incidences: dict[int, list[tuple[int, int]]] = {}
-    for lab, ends in d._occ.items():
-        head = d._heads[lab]
-        tail = ends[1] if ends[0] == head else ends[0]
-        with_face = face_of_quadrant[(tail[0], (tail[1] - 1) % 4)]
-        against_face = face_of_quadrant[(head[0], (head[1] - 1) % 4)]
-        incidences[lab] = [(with_face, 1), (against_face, -1)]
-    return incidences
-
-
 def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
     """One untangling move: an oriented R2 across a face bordered by two
     different Seifert circles with equal boundary sense.
@@ -736,7 +714,8 @@ def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
     along its orientation (sense +1) when that end is the arc's tail.  The
     first face where one sense meets two circles is slid, at the first
     such pair with its arcs listed by (label, +1 before -1): the move that
-    a search over every arc's `_arc_face_incidences` picks.
+    the tests' oracle picks from every arc's two flanking faces
+    (`oracle_move` in tests/test_vogel_derived.py).
     """
     circle_of = struct.circle_of_arc
     for face in d._faces:
@@ -758,57 +737,62 @@ def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
 # ------------------------------------------------------------------- Goeritz
 
 def checkerboard_colors(d: LinkDiagram) -> dict[End, int]:
-    """2-color the faces; returns quadrant -> color (0/1).
+    """Quadrant (crossing, slot) -> color 0/1 of its face, read on the
+    crossings' `_darts` alone.
 
-    Faces adjacent across an arc get different colors; at every crossing the
-    four quadrant colors alternate.
+    Quadrant s of crossing ci, the corner between slots s and s+1, takes
+    color c[ci] ^ (s & 1), so the colors alternate round every crossing.
+    Quadrant s of ci and quadrant f & 3 of crossing f >> 2, where f is the
+    partner of dart 4 ci + s+1, are consecutive corners of one face (the
+    step of `face_orbits`), so c[f >> 2] = c[ci] ^ ((s ^ f) & 1).  One
+    search over the crossings sets c from the least crossing of each piece,
+    which takes color 0; a crossing reached with both colors means that no
+    coloring exists.
     """
-    fq = _face_of_quadrant(d)
-    adj: dict[int, set[int]] = {}
-    for (f1, _), (f2, _) in _arc_face_incidences(d, fq).values():
-        adj.setdefault(f1, set()).add(f2)
-        adj.setdefault(f2, set()).add(f1)
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        f = stack.pop()
-        for g in adj.get(f, ()):
-            if g not in color:
-                color[g] = 1 - color[f]
-                stack.append(g)
-            elif color[g] == color[f]:
-                raise DiagramError("diagram is not checkerboard colorable")
-    out = {e: color.get(fq[e], 0) for e in fq}
-    for ci in range(d.n):
-        cs = [out[(ci, s)] for s in range(4)]
-        if cs[0] != cs[2] or cs[1] != cs[3] or cs[0] == cs[1]:
-            raise AssertionError("quadrant colors do not alternate")
-    return out
+    partner = _darts(d.crossings)
+    color = [None] * d.n
+    for root in range(d.n):
+        if color[root] is not None:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            ci = stack.pop()
+            for s in range(4):
+                f = partner[4 * ci + (s + 1) % 4]
+                want = color[ci] ^ ((s ^ f) & 1)
+                if color[f >> 2] is None:
+                    color[f >> 2] = want
+                    stack.append(f >> 2)
+                elif color[f >> 2] != want:
+                    raise DiagramError("diagram is not checkerboard colorable")
+    return {(ci, s): color[ci] ^ (s & 1) for ci in range(d.n) for s in range(4)}
 
 
 def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
     """Goeritz matrix of the checkerboard surface of the given shade, as a
     presentation that drops in wherever a symmetrized Seifert matrix does.
 
-    The matrix is indexed by the shaded faces minus one dropped face; the
-    crossing sign eta is +1 when the shaded quadrant pair is the one split
-    off by rotating the under strand onto the over strand counterclockwise
-    (slots (0,2) of the PD tuple), -1 for the other pair.  The convention is
-    pinned by agreement with the Seifert route (delta_p, signature, Wall
-    summands and the CLI output), which the tests check for both shades.
-    mu is the link's component count (the surface of a connected diagram is
-    connected, as its Tait graph is).  The Gordon-Litherland correction e
-    is the sum of eta over the crossings whose eta equals their sign, so
-    that the signature is sign(R) - e.
+    The matrix is indexed by the faces of color `shade` in d's face walk
+    (`checkerboard_colors`), minus the first.  A crossing joins two of them
+    at opposite quadrants; eta is +1 when they are quadrants 0 and 2 (split
+    off by rotating the under strand onto the over strand counterclockwise)
+    and -1 for 1 and 3.  The convention is pinned by agreement with the
+    Seifert route (delta_p, signature, Wall summands and the CLI output),
+    which the tests check for both shades.  mu is the link's component count
+    (the surface of a connected diagram is connected, as its Tait graph
+    is).  The Gordon-Litherland correction e is the sum of eta over the
+    crossings whose eta equals their sign, so that the signature is
+    sign(R) - e.  Of the orientation only the signs and the component count
+    are read.
     """
     if not d.is_connected():
         raise DiagramError("diagram must be connected")
     if d.n == 0:
         raise DiagramError("need at least one crossing for a Goeritz matrix")
     colors = checkerboard_colors(d)
-    fq = _face_of_quadrant(d)
-    shaded = sorted({fq[q] for q in fq if colors[q] == shade})
-    findex = {f: i for i, f in enumerate(shaded)}
+    shaded = [face for face in d._faces if colors[face[0]] == shade]
+    findex = {q: i for i, face in enumerate(shaded) for q in face}
     m = len(shaded)
     full = [[0] * m for _ in range(m)]
     e = 0
@@ -821,7 +805,7 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
             eta = -1
         if eta == d.sign(ci):
             e += eta
-        i, j = findex[fq[quads[0]]], findex[fq[quads[1]]]
+        i, j = findex[quads[0]], findex[quads[1]]
         if i != j:
             full[i][j] -= eta
             full[j][i] -= eta
@@ -838,6 +822,7 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
 Q_BUDGET = 12  # default crossing budget of the Q skein
 
 
+@cache
 def _q_unknot_power(k: int) -> LaurentPolynomial:
     """(2 z^-1 - 1)^k, the Q value of a (k+1)-component unlink."""
     out = LaurentPolynomial.one()
@@ -1025,19 +1010,16 @@ def _q_canonical_key(crossings, free: int, comps):
 _Z = LaurentPolynomial({2: 1})
 
 
-def _twist_coefficients(k: int, memo: dict):
+@cache
+def _twist_coefficients(k: int):
     """(a_k, b_k, c_k) with Q(D_k) = a_k Q(T_1) + b_k Q(T_0) + c_k Q(E) for a
-    twist region of k crossings (see `q_via_skein`), kept in the skein's memo."""
-    key = ("twist", k)
-    if key not in memo:
-        one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
-        if k < 2:
-            memo[key] = (zero, one, zero) if k == 0 else (one, zero, zero)
-        else:
-            a1, b1, c1 = _twist_coefficients(k - 1, memo)
-            a0, b0, c0 = _twist_coefficients(k - 2, memo)
-            memo[key] = (_Z * a1 - a0, _Z * b1 - b0, _Z * (c1 + one) - c0)
-    return memo[key]
+    twist region of k crossings (see `q_via_skein`)."""
+    one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
+    if k < 2:
+        return (zero, one, zero) if k == 0 else (one, zero, zero)
+    a1, b1, c1 = _twist_coefficients(k - 1)
+    a0, b0, c0 = _twist_coefficients(k - 2)
+    return _Z * a1 - a0, _Z * b1 - b0, _Z * (c1 + one) - c0
 
 
 def _twist_expand(crossings: list[tuple], free: int, partner, region, memo: dict) -> LaurentPolynomial:
@@ -1048,7 +1030,7 @@ def _twist_expand(crossings: list[tuple], free: int, partner, region, memo: dict
     c1, s1 = region[0]
     cuts = sum(along[1:], []), sum(along, []), _smoothing(c1, s1 % 2)  # T_1, T_0, E
     t1, t0, e = (_q_affine(crossings, free, memo, partner, cut) for cut in cuts)
-    a, b, c = _twist_coefficients(len(region), memo)
+    a, b, c = _twist_coefficients(len(region))
     return a * t1 + b * t0 + c * e
 
 
@@ -1057,10 +1039,7 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict, partner=None, cut=(
     smoothed (`_reidemeister_reduce`), one shadow walk per node."""
     crossings, free = reduced = _reidemeister_reduce(crossings, free, partner, cut)
     if not crossings:
-        key = ("unlink", free)
-        if key not in memo:
-            memo[key] = _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
-        return memo[key]
+        return _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
     partner = reduced.partner
     comps = _shadow_components(crossings, partner)
     key = _q_canonical_key(crossings, free, comps)
@@ -1129,8 +1108,9 @@ def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     drops).  Every child of a twist node has fewer crossings, and the
     reduction only removes crossings, so the measure (crossings, distance
     to descending) drops at every step and the recursion terminates.  The
-    memo is local to the call and is freed by reference counting when it
-    returns.
+    memo holds diagram keys only; it is local to the call and is freed by
+    reference counting when it returns.  The twist coefficients and the
+    unlink values depend on a count alone and are kept for the process.
     """
     if d.n > budget:
         raise DiagramError(f"crossing budget exceeded: {d.n} > {budget}")

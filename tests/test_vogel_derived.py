@@ -5,10 +5,11 @@ Each untangling move derives its diagram from the previous one
 and the two new crossings) and picks its move from the previous diagram's
 face walk (`_vogel_move`).  Here every move is checked against the slow
 path: the returned diagram against a validating `LinkDiagram` build of its
-crossings, and the chosen arcs against the move search that reads every
-arc's two flanking faces from the quadrant map (`_face_of_quadrant`,
-`_arc_face_incidences`), kept below as the oracle.  Inputs: every connected
-corpus diagram, seeded pretzels and Reidemeister-scrambled diagrams.
+crossings, and the chosen arcs against the move search below, the oracle,
+which reads every arc's two flanking faces from the quadrant map of the
+face-map checkerboard route (`_face_of_quadrant`, `_arc_face_incidences`,
+kept in `test_checkerboard.py`).  Inputs: every connected corpus diagram,
+seeded pretzels and Reidemeister-scrambled diagrams.
 """
 
 import random
@@ -18,8 +19,6 @@ from singdet.corpus import load_corpus
 from singdet.diagrams import (
     DiagramError,
     LinkDiagram,
-    _arc_face_incidences,
-    _face_of_quadrant,
     face_orbits,
     parse_pd,
     pd_text,
@@ -29,6 +28,7 @@ from singdet.diagrams import (
     seifert_matrix_from_diagram,
     seifert_structure,
 )
+from test_checkerboard import _arc_face_incidences, _face_of_quadrant
 
 
 def oracle_move(d):
@@ -150,8 +150,6 @@ def test_p5_17_5_orients_twice_and_reads_no_arc_face_incidences(monkeypatch):
 
     text = pd_text(load_corpus()["p5_17_5"].diagram)
     monkeypatch.setattr(LinkDiagram, "_orient", counted("orient", LinkDiagram._orient))
-    monkeypatch.setattr(diagrams, "_arc_face_incidences",
-                        counted("incidences", diagrams._arc_face_incidences))
     assert seifert_matrix_from_diagram(parse_pd(text)).A is not None
     # once at parse and once for the validated build of the braided diagram
     assert counts == {"orient": 2, "incidences": 0}
