@@ -21,21 +21,25 @@ at crossings on the partner list of `_darts`, with no face walk; a move
 rewires that list, and after it only the crossings on the joined arcs are
 checked again.  The list of the crossings left goes on to the node, and
 each child is spliced out of a copy of it by the move loop's join rule, so
-a skein call, like a bracket call, builds one arc map.  A bigon left after
-that is a clasp, and the node expands the whole twist region through it in
-one step, by a three-term recurrence in its number of crossings, so a
-column of k half-twists costs one node where the plain skein spends k.
+a skein call, like a bracket call, builds no arc map: both start from a
+copy of the diagram's.  A bigon left after that is a clasp, and the node
+expands the whole twist region through it in one step, by a three-term
+recurrence in its number of crossings, so a column of k half-twists costs
+one node where the plain skein spends k.
 
-A bare crossing list has one arc map, `_darts`: a partner list over the
-flat darts 4 ci + s.  One orbit walk, `_cycles`, runs on it: a face is an
-orbit of e -> partner[rotate(e)] and a shadow strand one of
-e -> partner[e ^ 2], which leaves each crossing opposite where it
-entered.  Faces, the checkerboard coloring, `normalize_pd`, the skein's
-component walk, its bigon and twist region search and the contraction
-order all read it, and the skein's splices rewire it in place.  The walks
-of a validated diagram along its orientation (`_trace`, `_orient`) and the
-local face walks of `r2_slide` stay on (crossing, slot) ends: moving them
-onto darts made the Vogel and Seifert routes slower.
+Every crossing list and every diagram object has one arc map, `_darts`: a
+partner list over the flat darts 4 ci + s.  A `LinkDiagram` builds it once,
+which checks the labels, and keeps it with its orientation, a flag per
+dart; its faces, planarity check, coloring, bracket and skein read that
+list, and untangling moves patch copies of the two lists.  One orbit walk,
+`_cycles`, runs on it: a face is an orbit of e -> partner[rotate(e)] and a
+shadow strand one of e -> partner[e ^ 2], which leaves each crossing
+opposite where it entered.  Faces, the checkerboard coloring,
+`normalize_pd`, the skein's component walk, its bigon and twist region
+search and the contraction order all read it, and the skein's splices
+rewire it in place.  The walks of a validated diagram along its orientation
+(`_trace`, `_orient`) and the local face walks of `r2_slide` keep their own
+loops: moving them onto `_cycles` made the Vogel and Seifert routes slower.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -67,21 +71,6 @@ class DiagramError(ValueError):
     pass
 
 
-def _arc_ends(crossings):
-    """(occ, partner): occ maps each arc label to its ends (crossing, slot)
-    in crossing order; partner maps an end to the other end of its arc."""
-    occ: dict[int, list[End]] = {}
-    for ci, tup in enumerate(crossings):
-        for s, lab in enumerate(tup):
-            occ.setdefault(lab, []).append((ci, s))
-
-    def partner(e: End) -> End:
-        a, b = occ[crossings[e[0]][e[1]]]
-        return b if e == a else a
-
-    return occ, partner
-
-
 def _darts(crossings) -> list[int]:
     """The arc map of a crossing list on flat darts: dart 4 ci + s is the end
     at slot s of crossing ci, and partner[e] is the other end of e's arc.
@@ -92,7 +81,7 @@ def _darts(crossings) -> list[int]:
     partner = [0] * (4 * len(crossings))
     for lab, pair in ends.items():
         if len(pair) != 2:
-            raise DiagramError(f"arc {lab} appears {len(pair)} times")
+            raise DiagramError(f"arc {lab} appears {len(pair)} times, expected 2")
         a, b = pair
         partner[a], partner[b] = b, a
     return partner
@@ -159,7 +148,9 @@ def _trace(d: LinkDiagram, exits):
 
 @dataclass(frozen=True)
 class LinkDiagram:
-    """A validated oriented link diagram."""
+    """A validated oriented link diagram: its one arc map, the `_darts`
+    partner list, built and label-checked once, and `_is_in`, whether the
+    orientation enters at each dart (`_orient`), which all else reads."""
 
     crossings: tuple[tuple[int, int, int, int], ...]
     free_loops: int = 0
@@ -168,56 +159,50 @@ class LinkDiagram:
         for ci, tup in enumerate(self.crossings):
             if len(tup) != 4:
                 raise DiagramError(f"crossing {ci} is not a 4-tuple")
-        occ = _arc_ends(self.crossings)[0]
-        for lab, ends in occ.items():
-            if len(ends) != 2:
-                raise DiagramError(f"arc {lab} appears {len(ends)} times, expected 2")
-        object.__setattr__(self, "_occ", occ)
+        object.__setattr__(self, "_darts", _darts(self.crossings))
         object.__setattr__(self, "_is_in", self._orient())
 
     @classmethod
-    def _derived(cls, crossings, free_loops: int, occ, is_in) -> LinkDiagram:
-        """A diagram whose arc ends and orientation the caller derived from
-        a validated one (`r2_slide`); nothing is checked here."""
+    def _derived(cls, crossings, free_loops: int, darts, is_in) -> LinkDiagram:
+        """A diagram whose partner list and orientation the caller derived
+        from a validated one (`r2_slide`); nothing is checked here."""
         d = object.__new__(cls)
-        d.__dict__.update(crossings=crossings, free_loops=free_loops, _occ=occ, _is_in=is_in)
+        d.__dict__.update(crossings=crossings, free_loops=free_loops, _darts=darts, _is_in=is_in)
         return d
 
     # -- construction helpers ------------------------------------------------
 
-    def _partner(self, e: End) -> End:
-        """The other end of the arc at end e."""
-        a, b = self._occ[self.crossings[e[0]][e[1]]]
-        return b if e == a else a
+    def _orient(self) -> list[bool]:
+        """Dart -> whether the link's orientation enters the crossing there.
 
-    def _orient(self) -> dict[End, bool]:
-        """End -> whether the link's orientation enters the crossing there.
-
-        One walk per strand, straight through each crossing it meets: from
-        every end (ci, 0) not yet walked, in order, since slot 0 is the
-        incoming under end, and then from the least over end (slot 1 or 3)
-        of each component that never passes under, whose direction is free.
-        A walk that enters an under strand at slot 2 finds the code
-        inconsistent.
+        One walk per strand on the partner list, straight through each
+        crossing it meets: from every dart 4 ci not yet walked, in order,
+        since slot 0 is the incoming under end, and then from the least over
+        dart (slot 1 or 3) of each component that never passes under, whose
+        direction is free.  A walk that enters an under strand at slot 2
+        finds the code inconsistent.
         """
-        n = len(self.crossings)
-        is_in: dict[End, bool] = {}
-        for start in [(ci, 0) for ci in range(n)] + [(ci, s) for ci in range(n) for s in (1, 3)]:
+        partner = self._darts
+        is_in = [None] * len(partner)
+        for start in itertools.chain(range(0, len(partner), 4), range(1, len(partner), 2)):
             e = start
-            while e not in is_in:
-                ci, s = e
-                if s == 2:
+            while is_in[e] is None:
+                if e & 3 == 2:
                     raise DiagramError("inconsistent strand orientations")
-                out = (ci, s ^ 2)
-                is_in[e], is_in[out] = True, False
-                e = self._partner(out)
+                is_in[e], is_in[e ^ 2] = True, False
+                e = partner[e ^ 2]
         return is_in
 
     @cached_property
     def _heads(self) -> dict[int, End]:
-        """Arc label -> the end its orientation enters.  `_orient` gives the
-        two ends of every arc opposite values, so there is exactly one."""
-        return {lab: e if self._is_in[e] else f for lab, (e, f) in self._occ.items()}
+        """Arc label -> the end (crossing, slot) its orientation enters: the
+        darts that `_orient` flags, slot 0 of every crossing and slot 3 of a
+        positive one or slot 1 of a negative one."""
+        heads = {}
+        for ci, (t, into) in enumerate(zip(self.crossings, self._is_in[3::4])):
+            s = 3 if into else 1
+            heads[t[0]], heads[t[s]] = (ci, 0), (ci, s)
+        return heads
 
     # -- public derived data ---------------------------------------------------
 
@@ -227,15 +212,15 @@ class LinkDiagram:
 
     @property
     def arcs(self) -> list[int]:
-        return sorted(self._occ)
+        return sorted(self._heads)
 
     def sign(self, ci: int) -> int:
         """+1 when the over strand runs d -> b, else -1."""
-        return 1 if self._is_in[(ci, 3)] else -1
+        return 1 if self._is_in[4 * ci + 3] else -1
 
     @property
     def signs(self) -> tuple[int, ...]:
-        return tuple(self.sign(ci) for ci in range(self.n))
+        return tuple(1 if into else -1 for into in self._is_in[3::4])
 
     @property
     def writhe(self) -> int:
@@ -249,14 +234,14 @@ class LinkDiagram:
     @cached_property
     def _faces(self) -> list[list[End]]:
         """face_orbits(self.crossings), walked once per diagram object."""
-        return face_orbits(self.crossings)
+        return _face_walk(self._darts)
 
     @cached_property
     def _pieces(self) -> int:
         """Connected pieces of the crossing map, counted once per diagram
         object from the arcs' end pairs.  `r2_slide` does not copy it onto
         the diagrams it derives, since a slide across two pieces joins them."""
-        return _piece_count(self.n, self._occ.values())
+        return _piece_count(self.n, [(divmod(e, 4), divmod(f, 4)) for e, f in enumerate(self._darts) if e < f])
 
     @cached_property
     def _planar(self) -> bool:
@@ -333,7 +318,7 @@ def parse_pd(text: str) -> LinkDiagram:
     if not tuples and not free:
         raise DiagramError("empty diagram")
     d = LinkDiagram(tuple(tuples), free)
-    if d.n and not _euler_ok_faces(d.n, face_orbits(d.crossings), d._pieces):
+    if d.n and not _euler_ok_faces(d.n, _face_walk(d._darts), d._pieces):
         raise DiagramError("PD code is not planar: V - E + F != 2 on some connected piece")
     return d
 
@@ -350,14 +335,18 @@ def make_crossing(under_in: int, under_out: int, over_in: int, over_out: int, si
 # ---------------------------------------------------------------------- faces
 
 def face_orbits(crossings) -> list[list[End]]:
+    """The faces of a crossing list: `_face_walk` on its `_darts`."""
+    return _face_walk(_darts(crossings))
+
+
+def _face_walk(partner) -> list[list[End]]:
     """Faces of the planar 4-valent map as orbits of e -> partner(rotate(e)).
 
     The orbit of dart (ci, s) walks the face containing the corner between
     slots s and s+1 of crossing ci.  The walk is `_cycles` on the flat darts
-    4 ci + s of `_darts`, from every dart in order, so each face starts at
-    its least dart and the faces come out in the order of those.
+    4 ci + s, from every dart in order, so each face starts at its least
+    dart and the faces come out in the order of those.
     """
-    partner = _darts(crossings)
     step = [partner[e - (e & 3) + ((e + 1) & 3)] for e in range(len(partner))]
     return [[divmod(e, 4) for e in orbit] for orbit in _cycles(step, range(len(step)), [False] * len(step))]
 
@@ -480,14 +469,15 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     crossing at a time (Bar-Natan, JKTR 16 (2007)).
 
     The diagram is first reduced by `_reidemeister_reduce`, the move loop
-    of the Q skein.  The bracket does not change under a second
-    Reidemeister move, and a kink of sign e multiplies it by -A^(3e)
-    (Kauffman, Topology 26 (1987)), so the result is (-A^3)^k times the
-    bracket of the crossings left, where k is the writhe less the sum of
-    the survivors' signs; a second Reidemeister pair has one crossing of
-    each sign.  The survivors' signs are read by index from the input's own
-    orientation, and the reduced code is not oriented again: that would
-    walk a component over at every crossing left from its least over end.
+    of the Q skein, on a copy of the diagram's partner list.  The bracket
+    does not change under a second Reidemeister move, and a kink of sign e
+    multiplies it by -A^(3e) (Kauffman, Topology 26 (1987)), so the result
+    is (-A^3)^k times the bracket of the crossings left, where k is the
+    writhe less the sum of the survivors' signs; a second Reidemeister pair
+    has one crossing of each sign.  The survivors' signs are read by index
+    from the input's own orientation, and the reduced code is not oriented
+    again: that would walk a component over at every crossing left from its
+    least over end.
 
     The survivors are placed in the `_contraction_order` of the partner list
     that the reduction hands on.  An open arc is an arc label with one end
@@ -505,7 +495,7 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
         if diagram.free_loops == 0:
             raise DiagramError("empty diagram")
         return dict(_bracket_delta_powers(diagram.free_loops)[diagram.free_loops - 1])
-    crossings, free = reduced = _reidemeister_reduce(diagram.crossings, diagram.free_loops)
+    crossings, free = reduced = _reidemeister_reduce(diagram.crossings, diagram.free_loops, diagram._darts)
     k = diagram.writhe - sum(diagram.sign(ci) for ci in reduced.kept)
     if crossings:
         states: dict[tuple, dict[int, int]] = {(): {0: 1}}
@@ -627,7 +617,7 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
     two circles run incoherently), which preserve the link type.  Each move
     derives its diagram from the previous one (`r2_slide`); the last one is
     built once more through the validating `LinkDiagram` constructor, and
-    its arc ends and orientation must equal the derived ones before the
+    its partner list and orientation must equal the derived ones before the
     matrix is read.  The Seifert circles are traced once for d and once
     after each move, and the first tracing also sets the bound on the
     number of moves.
@@ -650,7 +640,7 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
         if data is not None:
             if work is not d:
                 checked = LinkDiagram(work.crossings, work.free_loops)
-                if (checked._occ, checked._is_in) != (work._occ, work._is_in):
+                if (checked._darts, checked._is_in) != (work._darts, work._is_in):
                     raise AssertionError("untangled diagram differs from its validated build")
                 del checked  # not held while the n x n matrix is built
             return _seifert_matrix_braided(work, data)
@@ -723,7 +713,7 @@ def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
         for ci, s in face:
             s = (s + 1) % 4
             lab = d.crossings[ci][s]
-            items.append((lab, -1 if d._is_in[(ci, s)] else 1, circle_of[lab]))
+            items.append((lab, -1 if d._is_in[4 * ci + s] else 1, circle_of[lab]))
         if all(len({c for _, t, c in items if t == sense}) < 2 for sense in (1, -1)):
             continue
         items.sort(key=lambda t: (t[0], -t[1]))
@@ -738,7 +728,7 @@ def _vogel_move(d: LinkDiagram, struct: _SeifertStructure) -> LinkDiagram:
 
 def checkerboard_colors(d: LinkDiagram) -> dict[End, int]:
     """Quadrant (crossing, slot) -> color 0/1 of its face, read on the
-    crossings' `_darts` alone.
+    diagram's `_darts` partner list alone.
 
     Quadrant s of crossing ci, the corner between slots s and s+1, takes
     color c[ci] ^ (s & 1), so the colors alternate round every crossing.
@@ -749,7 +739,7 @@ def checkerboard_colors(d: LinkDiagram) -> dict[End, int]:
     which takes color 0; a crossing reached with both colors means that no
     coloring exists.
     """
-    partner = _darts(d.crossings)
+    partner = d._darts
     color = [None] * d.n
     for root in range(d.n):
         if color[root] is not None:
@@ -893,20 +883,21 @@ def _reidemeister_reduce(crossings: list[tuple], free: int, partner=None, cut=()
     the pair also carries the indices of the crossings left and their
     `_darts` (`_Reduced`).
 
-    The loop runs on `partner`, the crossings' `_darts` (built when None,
-    else copied), with no other arc map.  It first splices the pairs of
-    `cut` (`_splice`), re-queuing nothing: every crossing is queued in
-    ascending order, and re-queuing would change which of two overlapping
-    moves is taken.  Corner s of crossing ci is a kink when darts 4 ci + s
-    and 4 ci + s + 1 are partners; its through pair is the darts at slots
-    s + 2 and s + 3.  It is a second Reidemeister pair when `_bigon_at`
-    finds a bigon there with one strand over at both crossings; its through
-    pairs are slots s + 3 of ci and s2 + 2 of c2, and s + 2 of ci and
-    s2 + 3 of c2.  A clasp is kept.  A move kills its crossings and splices
-    its through pairs; only the crossings of the joined ends go back on the
-    stack, as a new kink or bigon needs an arc the move joined.  The bigon
-    test is written out here, with the parity of s2 checked first: a call of
-    `_bigon_at` made the loop about 15% slower.
+    The loop runs on a copy of `partner`, the crossings' `_darts`: a
+    diagram's own list, which the bracket and the skein hand on, or a skein
+    node's (built here when None); there is no other arc map.  It first
+    splices the pairs of `cut` (`_splice`), re-queuing nothing: every
+    crossing is queued in ascending order, and re-queuing would change which
+    of two overlapping moves is taken.  Corner s of crossing ci is a kink
+    when darts 4 ci + s and 4 ci + s + 1 are partners; its through pair is
+    the darts at slots s + 2 and s + 3.  It is a second Reidemeister pair
+    when `_bigon_at` finds a bigon there with one strand over at both
+    crossings; its through pairs are slots s + 3 of ci and s2 + 2 of c2, and
+    s + 2 of ci and s2 + 3 of c2.  A clasp is kept.  A move kills its
+    crossings and splices its through pairs; only the crossings of the
+    joined ends go back on the stack, as a new kink or bigon needs an arc
+    the move joined.  The bigon test is written out here, with the parity of
+    s2 checked first: a call of `_bigon_at` made the loop about 15% slower.
     """
     partner = _darts(crossings) if partner is None else list(partner)
     labels = [lab for t in crossings for lab in t]
@@ -1085,7 +1076,8 @@ def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     component count and the template crossing; a descending diagram is an
     unlink.  The twist region search reads the same darts, and every child
     is spliced out of a copy of them (`_reidemeister_reduce` with a cut),
-    so the call builds `_darts` once, for its input.
+    so the call builds no `_darts`: the root starts from a copy of the
+    diagram's.
 
     A node with a clasp left expands its twist region c_1 ... c_k
     (`_twist_region`).  With the bigon at corner s of a crossing, smoothing
@@ -1114,7 +1106,7 @@ def q_via_skein(d: LinkDiagram, budget: int = Q_BUDGET) -> LaurentPolynomial:
     """
     if d.n > budget:
         raise DiagramError(f"crossing budget exceeded: {d.n} > {budget}")
-    return _q_affine(list(d.crossings), d.free_loops, {})
+    return _q_affine(list(d.crossings), d.free_loops, {}, d._darts)
 
 
 def pd_text(d: LinkDiagram) -> str:
@@ -1244,7 +1236,7 @@ def r1_kink(d: LinkDiagram, arc: int, positive: bool) -> LinkDiagram:
     for ci, tup in enumerate(d.crossings):
         row = list(tup)
         for s in range(4):
-            if row[s] == arc and d._is_in[(ci, s)]:
+            if row[s] == arc and d._is_in[4 * ci + s]:
                 row[s] = mid
         out.append(tuple(row))
     if positive:
@@ -1262,33 +1254,32 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
     count picks the planar one.  Vogel untangling inserts its moves here.
 
     The result is derived from d without a validating build: each arc is
-    split at its head end (found through d._occ), which gets a fresh label,
-    two crossings are appended, and d's arc ends and orientation are copied
-    with only those ends patched; old ends keep their direction and new
-    ones follow `make_crossing`, as `LinkDiagram` would orient them.  When
-    d is planar and the arcs flank a common face, d's faces decide the
-    Euler count without a walk of the whole candidate (`_slid_faces`): the
-    candidate has the same pieces, so it is planar iff it has two more
-    faces.  Only the accepted candidate is built, and it keeps its faces
-    for the next move.
+    split at its head end (found through d._heads), which gets a fresh
+    label, and two crossings are appended.  The candidate's partners at the
+    cut ends and the new darts are paired by label; d's partner list and
+    orientation are copied with only those darts patched, old ends keeping
+    their direction and new ones following `make_crossing`, as
+    `LinkDiagram` would orient them.  When d is planar and the arcs flank a
+    common face, d's faces decide the Euler count without a walk of the
+    whole candidate (`_slid_faces`): the candidate has the same pieces, so
+    it is planar iff it has two more faces.  Only the accepted candidate is
+    built, and it keeps its faces for the next move.
     """
     if arc_over == arc_under:
         raise DiagramError("need two distinct arcs")
-    if arc_over not in d._occ or arc_under not in d._occ:
+    heads = d._heads
+    if arc_over not in heads or arc_under not in heads:
         raise DiagramError("arcs do not cobound a face")
-    fresh = max(d._occ) + 1
+    fresh = max(heads) + 1
     a1, a2, a3 = arc_over, fresh, fresh + 1
     b1, b2, b3 = arc_under, fresh + 2, fresh + 3
     base = list(d.crossings)
-    occ = dict(d._occ)
+    cut = []  # the two ends of each split arc, tail then head
     for old, new in ((a1, a3), (b1, b3)):
-        tail, head = d._occ[old]
-        if d._is_in[tail]:
-            tail, head = head, tail
-        ci, s = head
+        ci, s = heads[old]
         base[ci] = base[ci][:s] + (new,) + base[ci][s + 1:]
-        occ[old], occ[new] = [tail], [head]
-    cut = d._occ[arc_over] + d._occ[arc_under]
+        cut += (d._darts[4 * ci + s], 4 * ci + s)
+    new_darts = range(4 * d.n, 4 * d.n + 8)
     faces = d._faces if d._planar else None
     if faces is not None:
         over, under = _faces_flanking(d, arc_over), _faces_flanking(d, arc_under)
@@ -1300,72 +1291,73 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
             x1 = make_crossing(u1_in, u1_out, a1, a2, flip)
             x2 = make_crossing(u2_in, u2_out, a2, a3, -flip)
             crossings = tuple(base) + (x1, x2)
+            by_label: dict[int, list[int]] = {}
+            for e in itertools.chain(cut, new_darts):
+                by_label.setdefault(crossings[e >> 2][e & 3], []).append(e)
+            local = {}  # the candidate's partner at each cut end and new dart
+            for e, f in by_label.values():
+                local[e], local[f] = f, e
             if faces is not None:
-                slid = _slid_faces(d, faces, over | under, cut, crossings)
+                slid = _slid_faces(d, faces, over | under, local)
                 planar = len(slid) == len(faces) + 2
             else:
                 slid = face_orbits(crossings)
                 planar = _euler_ok_faces(len(crossings), slid, _piece_count(len(crossings), slid))
             if not planar:
                 continue
-            is_in = dict(d._is_in)
-            for ci, x, sign in ((d.n, x1, flip), (d.n + 1, x2, -flip)):
-                for s, lab in enumerate(x):
-                    occ.setdefault(lab, []).append((ci, s))
-                is_in.update({(ci, 0): True, (ci, 1): sign < 0, (ci, 2): False, (ci, 3): sign > 0})
-            cand = LinkDiagram._derived(crossings, d.free_loops, occ, is_in)
+            darts = d._darts + [0] * 8
+            for e, f in local.items():
+                darts[e] = f
+            is_in = d._is_in + [into for sign in (flip, -flip) for into in (True, sign < 0, False, sign > 0)]
+            cand = LinkDiagram._derived(crossings, d.free_loops, darts, is_in)
             cand.__dict__.update(_faces=slid, _planar=True)
             return cand
     raise DiagramError("arcs do not cobound a face")
 
 
 def _faces_flanking(d: LinkDiagram, arc: int) -> set[End]:
-    """The faces of d on the two sides of an arc, by least dart: the orbits
-    whose walk steps onto one of the arc's ends."""
+    """The faces of d on the two sides of an arc, by least end: the orbits
+    whose walk steps onto one of the arc's darts."""
+    partner = d._darts
+    ci, s = d._heads[arc]
     flanking = set()
-    for end in d._occ[arc]:
-        e = start = (end[0], (end[1] - 1) % 4)
+    for end in (4 * ci + s, partner[4 * ci + s]):
+        e = start = end - (end & 3) + ((end - 1) & 3)
         least = e
         while True:
-            e = d._partner((e[0], (e[1] + 1) % 4))
+            e = partner[e - (e & 3) + ((e + 1) & 3)]
             if e == start:
                 break
             least = min(least, e)
-        flanking.add(least)
+        flanking.add(divmod(least, 4))
     return flanking
 
 
-def _slid_faces(d: LinkDiagram, faces, touched: set[End], cut, crossings) -> list[list[End]]:
+def _slid_faces(d: LinkDiagram, faces, touched: set[End], local: dict[int, int]) -> list[list[End]]:
     """face_orbits(crossings) for an R2 candidate of `r2_slide`, from the
     faces of d: the candidate differs from d only at its two appended
-    crossings and at the `cut` ends of the arcs they split, so the faces of
-    d that flank those arcs (`touched`, by least dart) are replaced by the
-    orbits through the new crossings, and the other faces stay as they
-    are.  Each orbit starts at its least dart, and the faces are listed in
-    the order of their least darts, as `face_orbits` lists them."""
-    n = d.n
-    new_darts = [(ci, s) for ci in (n, n + 1) for s in range(4)]
-    by_label: dict[int, list[End]] = {}
-    for ci, s in cut + new_darts:
-        by_label.setdefault(crossings[ci][s], []).append((ci, s))
-    local = {}
-    for e, f in by_label.values():
-        local[e], local[f] = f, e
-    seen: set[End] = set()
+    crossings and at the cut ends of the arcs they split, whose partners
+    `local` gives, so the faces of d that flank those arcs (`touched`, by
+    least end) are replaced by the orbits through the new crossings, and
+    the other faces stay as they are.  Each orbit starts at its least dart,
+    and the faces are listed in the order of their least darts, as
+    `face_orbits` lists them."""
+    partner = d._darts
+    seen: set[int] = set()
     slid = [f for f in faces if f[0] not in touched]
-    for start in new_darts:
+    for start in range(4 * d.n, 4 * d.n + 8):
         if start in seen:
             continue
         orbit = [start]
         e = start
         while True:
-            r = (e[0], (e[1] + 1) % 4)
-            e = local.get(r) or d._partner(r)
+            r = e - (e & 3) + ((e + 1) & 3)
+            e = local[r] if r in local else partner[r]
             if e == start:
                 break
             orbit.append(e)
         seen.update(orbit)
         k = orbit.index(min(orbit))
-        slid.append(orbit[k:] + orbit[:k])
+        slid.append([divmod(e, 4) for e in orbit[k:] + orbit[:k]])
     slid.sort()
     return slid

@@ -72,7 +72,7 @@ class SpanningSurfaceData(IntegerSymmetricMatrix):
     e: int
 
     def __init__(self, R: IntegerSymmetricMatrix, mu: int, e: int | None = None):
-        super().__init__(R.entries)
+        object.__setattr__(self, "entries", R.entries)  # validated when R was built
         if mu < 1:
             raise ValueError("mu must be >= 1")
         object.__setattr__(self, "mu", mu)

@@ -49,9 +49,7 @@ def state_sum_bracket(diagram):
     n = diagram.n
     if n == 0:
         return dict(_delta_powers(diagram.free_loops)[diagram.free_loops - 1])
-    ends = [(ci, s) for ci in range(n) for s in range(4)]
-    idx = {e: i for i, e in enumerate(ends)}
-    arc_pairs = [(idx[a], idx[b]) for a, b in diagram._occ.values()]
+    arc_pairs = [(e, f) for e, f in enumerate(diagram._darts) if e < f]
     deltas = _delta_powers(2 * n + diagram.free_loops + 2)
     total = {}
     for state in range(1 << n):

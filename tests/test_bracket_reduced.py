@@ -93,7 +93,7 @@ def unreduced_bracket(d):
         left.remove(ci)
         states = place(states, d.crossings[ci])
         for s in range(4):
-            other = d._partner((ci, s))[0]
+            other = d._darts[4 * ci + s] >> 2
             if other in left:
                 score[other] += 1
     total = times(states[()], delta_power(d.free_loops))

@@ -10,7 +10,9 @@ verbatim, with the Goeritz builder that read it, as the oracle; the Vogel
 move search of `test_vogel_derived.py` reads its quadrant and arc maps too.
 
 A split diagram, which the face route could not color, is colored piece
-by piece, and the Goeritz route still refuses it.
+by piece, and the Goeritz route still refuses it.  A Goeritz matrix is
+checked for symmetry once, when it is built, and not again when it is
+wrapped with its component count and correction.
 """
 
 import random
@@ -18,11 +20,12 @@ import random
 import pytest
 
 import test_presentation
-from singdet import diagrams
+from singdet import diagrams, exactlinalg
 from singdet.corpus import load_corpus
-from singdet.diagrams import DiagramError, End, LinkDiagram, face_orbits, parse_pd, pd_text, r1_kink
+from singdet.diagrams import DiagramError, End, LinkDiagram, face_orbits, parse_pd, pd_text, pretzel_pd, r1_kink
 from singdet.exactlinalg import IntegerSymmetricMatrix
 from singdet.seifert import SpanningSurfaceData
+from test_arc_map import _arc_ends
 
 TWO_TREFOILS = ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) "
                 "X(11,14,12,15) X(13,16,14,11) X(15,12,16,13)")
@@ -43,7 +46,7 @@ def _arc_face_incidences(d: LinkDiagram, face_of_quadrant: dict[End, int]):
     orbit one slot clockwise of its head.
     """
     incidences: dict[int, list[tuple[int, int]]] = {}
-    for lab, ends in d._occ.items():
+    for lab, ends in _arc_ends(d.crossings)[0].items():
         head = d._heads[lab]
         tail = ends[1] if ends[0] == head else ends[0]
         with_face = face_of_quadrant[(tail[0], (tail[1] - 1) % 4)]
@@ -204,13 +207,13 @@ def test_colors_and_goeritz_matrices_equal_the_face_map_oracle():
 
 
 def test_the_coloring_reads_the_dart_map_alone(monkeypatch):
-    """A diagram without its arc ends and orientation, whose faces cannot
-    be walked, still colors, from its crossing tuples."""
+    """A diagram with its partner list but without its orientation, whose
+    faces cannot be walked, still colors."""
     d = load_corpus()["p5_17_5"].diagram
     want = checkerboard_colors(d)
     bare = object.__new__(LinkDiagram)
-    bare.__dict__.update(crossings=d.crossings, free_loops=0)
-    monkeypatch.setattr(diagrams, "face_orbits", None)
+    bare.__dict__.update(crossings=d.crossings, free_loops=0, _darts=d._darts)
+    monkeypatch.setattr(diagrams, "_face_walk", None)
     assert diagrams.checkerboard_colors(bare) == want
 
 
@@ -241,3 +244,19 @@ def test_non_planar_codes_color_or_fail_as_the_oracle_does():
         assert got == colors_or_error(checkerboard_colors, d), d.crossings
         outcomes.append(isinstance(got, str))
     assert 50 <= sum(outcomes) < len(outcomes)
+
+
+def test_a_goeritz_matrix_is_checked_for_symmetry_once(monkeypatch):
+    calls = []
+    check = exactlinalg._check_symmetric
+
+    def counted(rows):
+        calls.append(len(rows))
+        return check(rows)
+
+    monkeypatch.setattr(exactlinalg, "_check_symmetric", counted)
+    for d in (load_corpus()["5_2"].diagram, pretzel_pd(41, -33, 51)):
+        for shade in (0, 1):
+            calls.clear()
+            S = diagrams.goeritz_from_diagram(d, shade)
+            assert calls == [S.n], (d.n, shade)

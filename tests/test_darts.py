@@ -18,7 +18,6 @@ import random
 
 from singdet.corpus import load_corpus
 from singdet.diagrams import (
-    _arc_ends,
     _contraction_order,
     _darts,
     _piece_count,
@@ -29,6 +28,7 @@ from singdet.diagrams import (
     face_orbits,
     pretzel_pd,
 )
+from test_arc_map import _arc_ends
 from test_q_reduce import _join_labels, _smooth_unoriented, _smoothing_joins, _union_labels
 
 

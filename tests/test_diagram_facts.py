@@ -24,7 +24,6 @@ from singdet.corpus import load_corpus
 from singdet.diagrams import (
     DiagramError,
     LinkDiagram,
-    _arc_ends,
     braid_closure_pd,
     euler_ok,
     face_orbits,
@@ -37,6 +36,7 @@ from singdet.diagrams import (
     r2_slide,
     seifert_matrix_from_diagram,
 )
+from test_arc_map import _arc_ends
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -57,7 +57,7 @@ def count_calls(monkeypatch, *names):
 def obstruct_counts(monkeypatch, tmp_path, pd):
     path = tmp_path / "input.txt"
     path.write_text(f"pd: {pd}\n")
-    counts = count_calls(monkeypatch, "_piece_count", "face_orbits")
+    counts = count_calls(monkeypatch, "_piece_count", "_face_walk")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["obstruct", str(path)]) == 0
     return counts
@@ -66,14 +66,14 @@ def obstruct_counts(monkeypatch, tmp_path, pd):
 def test_obstruct_counts_the_pieces_of_a_pd_only_pretzel_once(monkeypatch, tmp_path):
     counts = obstruct_counts(monkeypatch, tmp_path, pd_text(load_corpus()["p3_3_3"].diagram))
     assert counts["_piece_count"] == 1
-    assert counts["face_orbits"] <= 2  # at parse, and for the first untangling move
+    assert counts["_face_walk"] <= 2  # at parse, and for the first untangling move
 
 
 def test_obstruct_counts_the_pieces_of_a_braid_closure_once(monkeypatch, tmp_path):
     d = braid_closure_pd([1, -2, 3, 1, 2, -3, 1, 2, 2, -1, 3, -2], 4)
     assert d.n == 12
     counts = obstruct_counts(monkeypatch, tmp_path, pd_text(d))
-    assert counts == {"_piece_count": 1, "face_orbits": 1}  # braided: no untangling move
+    assert counts == {"_piece_count": 1, "_face_walk": 1}  # braided: no untangling move
 
 
 @pytest.mark.parametrize("name,moves", [("p5_17_5", 156), ("t3_4", 0)])
@@ -161,6 +161,7 @@ def test_normalize_pd_equals_the_propagation_oracle():
 
 def pieces_of(d):
     """Arc label -> the least arc label of its connected piece."""
+    occ = _arc_ends(d.crossings)[0]
     piece = {}
     for root in d.arcs:
         if root in piece:
@@ -170,7 +171,7 @@ def pieces_of(d):
             lab = stack.pop()
             if lab not in piece:
                 piece[lab] = root
-                stack.extend(d.crossings[ci][s] for ci, _ in d._occ[lab] for s in range(4))
+                stack.extend(d.crossings[ci][s] for ci, _ in occ[lab] for s in range(4))
     return piece
 
 
@@ -198,5 +199,5 @@ def test_slides_across_pieces_join_them():
                     assert slid.is_connected(), (text, a, b)
                     slid_across += 1
                 built = LinkDiagram(slid.crossings, slid.free_loops)
-                assert (built._occ.keys(), built._is_in) == (slid._occ.keys(), slid._is_in)
+                assert (built._darts, built._is_in) == (slid._darts, slid._is_in)
     assert slid_across == 8 + 24

@@ -14,7 +14,8 @@ under.
 import random
 
 from singdet.corpus import load_corpus
-from singdet.diagrams import DiagramError, LinkDiagram, _arc_ends, braid_closure_pd, pretzel_pd
+from singdet.diagrams import DiagramError, LinkDiagram, braid_closure_pd, pretzel_pd
+from test_arc_map import _arc_ends
 
 
 def propagated(crossings):
@@ -114,7 +115,8 @@ def outcome(orient, crossings):
 
 def always_over(d):
     """Whether some component of d never passes under."""
-    return any(all(s % 2 for lab in comp for _, s in d._occ[lab]) for comp in d.components)
+    occ = _arc_ends(d.crossings)[0]
+    return any(all(s % 2 for lab in comp for _, s in occ[lab]) for comp in d.components)
 
 
 def test_strand_walks_orient_as_the_propagation_oracle():
@@ -122,7 +124,7 @@ def test_strand_walks_orient_as_the_propagation_oracle():
     valid = inconsistent = with_always_over = 0
     for crossings in codes(rng):
         crossings = tuple(crossings)
-        got = outcome(lambda c: LinkDiagram(c)._is_in, crossings)
+        got = outcome(lambda c: {divmod(e, 4): into for e, into in enumerate(LinkDiagram(c)._is_in)}, crossings)
         assert got == outcome(propagated, crossings), crossings
         if isinstance(got, str):
             inconsistent += 1

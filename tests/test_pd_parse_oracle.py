@@ -17,12 +17,12 @@ from singdet.corpus import load_corpus
 from singdet.diagrams import (
     DiagramError,
     LinkDiagram,
-    _arc_ends,
     braid_closure_pd,
     face_orbits,
     parse_pd,
     r1_kink,
 )
+from test_arc_map import _arc_ends
 
 
 def partner_walk_faces(crossings):

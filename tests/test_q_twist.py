@@ -196,19 +196,19 @@ def counted_calls(monkeypatch, names, call):
 
 
 def skein_counts(monkeypatch, d):
-    """Calls of `face_orbits` and `_q_affine` (one per skein node) made by
-    q_via_skein(d)."""
-    return counted_calls(monkeypatch, ("face_orbits", "_q_affine"), lambda: q_via_skein(d, budget=d.n))
+    """Calls of `_face_walk`, which every face walk goes through, and
+    `_q_affine` (one per skein node) made by q_via_skein(d)."""
+    return counted_calls(monkeypatch, ("_face_walk", "_q_affine"), lambda: q_via_skein(d, budget=d.n))
 
 
 def test_large_pretzels_take_few_nodes_and_no_face_walk(monkeypatch):
     d = pretzel_pd(3, -5, 7, -9, 11)
     assert d.n == 35
     counts = skein_counts(monkeypatch, d)
-    assert counts["face_orbits"] == 0
+    assert counts["_face_walk"] == 0
     assert counts["_q_affine"] <= 200
     counts = skein_counts(monkeypatch, load_corpus()["p5_17_5"].diagram)
-    assert counts["face_orbits"] == 0
+    assert counts["_face_walk"] == 0
     assert counts["_q_affine"] <= 100
 
 
@@ -242,13 +242,14 @@ WORK_INPUTS = [
 ]
 
 
-def test_a_skein_or_bracket_call_builds_one_dart_map(monkeypatch):
-    """Each skein child is spliced out of its parent's partner list, so a
-    `q_via_skein` call builds `_darts` once however many nodes it makes,
-    and so does a `kauffman_bracket` call."""
+def test_a_skein_or_bracket_call_builds_no_dart_map(monkeypatch):
+    """Each skein child is spliced out of its parent's partner list and the
+    root out of the diagram's, so a `q_via_skein` call builds no `_darts`
+    however many nodes it makes, and neither does a `kauffman_bracket`
+    call."""
     for build, args, nodes in WORK_INPUTS:
         d = build(*args)
         assert counted_calls(monkeypatch, ("_darts", "_q_affine"), lambda: q_via_skein(d)) == \
-            {"_darts": 1, "_q_affine": nodes}, args
-        assert counted_calls(monkeypatch, ("_darts",), lambda: diagrams.kauffman_bracket(d)) == {"_darts": 1}, args
+            {"_darts": 0, "_q_affine": nodes}, args
+        assert counted_calls(monkeypatch, ("_darts",), lambda: diagrams.kauffman_bracket(d)) == {"_darts": 0}, args
     assert sum(nodes for _, _, nodes in WORK_INPUTS) == 135

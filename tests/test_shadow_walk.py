@@ -11,13 +11,13 @@ import random
 
 from singdet.corpus import load_corpus
 from singdet.diagrams import (
-    _arc_ends,
     _darts,
     _q_canonical_key,
     _shadow_components,
     braid_closure_pd,
     pretzel_pd,
 )
+from test_arc_map import _arc_ends
 from test_q_reduce import _smooth_unoriented
 
 

@@ -321,7 +321,7 @@ def test_p5_17_5_untangles_with_one_build_per_move_and_keeps_the_kernel_values(m
         return wrapper
 
     monkeypatch.setattr(diagrams, "_vogel_move", counted("moves", diagrams._vogel_move))
-    monkeypatch.setattr(diagrams, "face_orbits", counted("walks", diagrams.face_orbits))
+    monkeypatch.setattr(diagrams, "_face_walk", counted("walks", diagrams._face_walk))
     monkeypatch.setattr(LinkDiagram, "__post_init__",
                         counted("builds", LinkDiagram.__post_init__))
     M = seifert_matrix_from_diagram(d).M

@@ -1,8 +1,8 @@
 """Vogel untangling on derived diagrams against full rebuilds.
 
 Each untangling move derives its diagram from the previous one
-(`r2_slide` patches the arc ends and the orientation at the two split arcs
-and the two new crossings) and picks its move from the previous diagram's
+(`r2_slide` patches copies of the partner list and the orientation at the
+two split arcs and the two new crossings) and picks its move from the previous diagram's
 face walk (`_vogel_move`).  Here every move is checked against the slow
 path: the returned diagram against a validating `LinkDiagram` build of its
 crossings, and the chosen arcs against the move search below, the oracle,
@@ -54,8 +54,7 @@ def oracle_move(d):
 
 def assert_equals_rebuild(cand, label):
     built = LinkDiagram(cand.crossings, cand.free_loops)
-    assert cand._occ.keys() == built._occ.keys(), label
-    assert all(set(ends) == set(built._occ[lab]) for lab, ends in cand._occ.items()), label
+    assert cand._darts == built._darts, label
     assert cand._is_in == built._is_in, label
     assert cand.signs == built.signs, label
     assert cand.components == built.components, label
