@@ -20,9 +20,7 @@ trusted from outside.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
+from typing import NamedTuple
 
 from .diagrams import LinkDiagram, parse_pd
 from .exactlinalg import IntegerSymmetricMatrix, parse_matrix
@@ -31,8 +29,7 @@ from .seifert import SeifertData
 ENV_CORPUS = "SINGDET_CORPUS"
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     diagram: LinkDiagram | None
     seifert: SeifertData | None
@@ -91,17 +88,19 @@ def corpus_root() -> str | None:
 
 def load_corpus(root: str | None = None) -> dict[str, CorpusEntry]:
     """All bundled entries, or the ones in `root`/$SINGDET_CORPUS if set.
-    Two files whose entries share a name raise ValueError."""
-    root = root or corpus_root()
-    folder = Path(root) if root else resources.files(__package__) / "corpus"
+    Two files whose entries share a name raise ValueError.  The bundled
+    files are read beside this module, with no importlib.resources, whose
+    import costs more than loading the corpus."""
+    folder = root or corpus_root() or os.path.join(os.path.dirname(__file__), "corpus")
     entries, files = {}, {}
-    for item in sorted(folder.iterdir(), key=lambda p: p.name):
-        if not item.name.endswith(".txt"):
+    for name in sorted(os.listdir(folder)):
+        if not name.endswith(".txt"):
             continue
-        e = parse_entry(item.read_text(), item.name[:-4])
+        with open(os.path.join(folder, name)) as fh:
+            e = parse_entry(fh.read(), name[:-4])
         if e.name in files:
-            raise ValueError(f"corpus files {files[e.name]} and {item.name} both name an entry {e.name!r}")
-        entries[e.name], files[e.name] = e, item.name
+            raise ValueError(f"corpus files {files[e.name]} and {name} both name an entry {e.name!r}")
+        entries[e.name], files[e.name] = e, name
     return entries
 
 

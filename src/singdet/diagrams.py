@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .evaluate import LaurentPolynomial
-from .exactlinalg import IntegerSymmetricMatrix
+from .exactlinalg import Frozen, IntegerSymmetricMatrix
 from .seifert import SeifertData, SpanningSurfaceData
 
 End = tuple[int, int]  # (crossing index, slot)
@@ -146,21 +146,21 @@ def _trace(d: LinkDiagram, exits):
     return cycles, corners, cycle_of
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    """A validated oriented link diagram: its one arc map, the `_darts`
-    partner list, built and label-checked once, and `_is_in`, whether the
+class LinkDiagram(Frozen):
+    """A validated oriented link diagram: its crossings, a tuple of 4-tuples,
+    and its crossingless free loops; its one arc map, the `_darts` partner
+    list, built and label-checked once, and `_is_in`, whether the
     orientation enters at each dart (`_orient`), which all else reads."""
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    free_loops: int = 0
+    _fields = ("crossings", "free_loops")
 
-    def __post_init__(self):
-        for ci, tup in enumerate(self.crossings):
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], free_loops: int = 0):
+        for ci, tup in enumerate(crossings):
             if len(tup) != 4:
                 raise DiagramError(f"crossing {ci} is not a 4-tuple")
-        object.__setattr__(self, "_darts", _darts(self.crossings))
-        object.__setattr__(self, "_is_in", self._orient())
+        d = self.__dict__
+        d.update(crossings=crossings, free_loops=free_loops, _darts=_darts(crossings))
+        d["_is_in"] = self._orient()
 
     @classmethod
     def _derived(cls, crossings, free_loops: int, darts, is_in) -> LinkDiagram:
@@ -437,8 +437,10 @@ def _place_crossing(states: dict[tuple, dict[int, int]], labels: tuple) -> dict[
     of its strand.  A smoothing's join (a, b) links the far ends
     mate.pop(a, a) and mate.pop(b, b), where a label not open yet is its
     own far end, and closes a loop when a's far end is b.  Each state
-    branches on the two smoothings; equal matchings merge and zero terms
-    drop.
+    branches on the two smoothings; a branch that closes no loop adds its
+    polynomial shifted by the smoothing's exponent, and only one that
+    closes loops multiplies by their factor.  Equal matchings merge and
+    zero terms drop.
     """
     nxt: dict[tuple, dict[int, int]] = {}
     for key, poly in states.items():
@@ -453,8 +455,12 @@ def _place_crossing(states: dict[tuple, dict[int, int]], labels: tuple) -> dict[
                     loops += 1
                 else:
                     mate[far_a], mate[far_b] = far_b, far_a
-            _add_product(nxt.setdefault(tuple(sorted((a, b) for a, b in mate.items() if a < b)), {}),
-                         poly, _LOOP_FACTORS[loops], x)
+            acc = nxt.setdefault(tuple(sorted((a, b) for a, b in mate.items() if a < b)), {})
+            if loops:
+                _add_product(acc, poly, _LOOP_FACTORS[loops], x)
+            else:
+                for e, c in poly.items():
+                    acc[e + x] = acc.get(e + x, 0) + c
     out = {}
     for key, poly in nxt.items():
         poly = {e: c for e, c in poly.items() if c}
@@ -529,8 +535,7 @@ def jones_via_bracket(diagram: LinkDiagram, budget: int = BRACKET_BUDGET) -> Lau
 
 # ------------------------------------------------------------- Seifert circles
 
-@dataclass
-class _SeifertStructure:
+class _SeifertStructure(NamedTuple):
     circles: list[list[int]]            # arcs per circle, in traced order
     circle_of_arc: dict[int, int]
     corner_order: list[list[int]]       # crossings per circle, traced cyclic order

@@ -17,12 +17,11 @@ Equality is coordinatewise and exact; a float shadow exists only in tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .exactlinalg import IntegerSymmetricMatrix, _int_entry, det_exact, det_of, transpose
+from .exactlinalg import Frozen, IntegerSymmetricMatrix, _int_entry, det_exact, det_of, transpose
 from .linkform import b_total, wall_of
-from .numtheory import legendre, nu, p_part
-from .seifert import SeifertData, LinkInvariantBundle, d_p_of, delta_p, mu_of
+from .numtheory import nu, p_part
+from .seifert import SeifertData, d_p_of, delta_p
 
 # zeta^8 = zeta^4 - 1; powers of zeta as coordinate vectors
 _DIM = 8
@@ -44,11 +43,10 @@ def _zeta_power_table() -> list[tuple[int, ...]]:
 _ZPOW = _zeta_power_table()
 
 
-@dataclass(frozen=True)
-class Cyclo24:
+class Cyclo24(Frozen):
     """Element of Z[zeta_24] with exact integer coordinates."""
 
-    coords: tuple[int, ...]
+    _fields = ("coords",)
 
     def __init__(self, coords):
         c = tuple(x if type(x) is int else _int_entry(x) for x in coords)
@@ -198,12 +196,14 @@ def _monomial_basis() -> tuple[tuple[int, int, int, tuple[int, ...], int], ...]:
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class Root5:
+class Root5(Frozen):
     """Element a + b*sqrt5 of Z[sqrt5]."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def from_int(cls, n: int) -> "Root5":
@@ -251,16 +251,18 @@ class Root5:
         return f"{self.a}{sign}{btxt}"
 
 
-@dataclass(frozen=True)
-class GoldenInt:
+class GoldenInt(Frozen):
     """Element a + b*phi of Z[phi], phi = (1+sqrt5)/2, phi^2 = phi + 1.
 
     phi is a unit (1/phi = phi - 1), so Laurent polynomials in
     z = (sqrt5-1)/2 = 1/phi evaluate exactly in this ring.
     """
 
-    a: int
-    b: int
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, o: "GoldenInt") -> "GoldenInt":
         return GoldenInt(self.a + o.a, self.b + o.b)
@@ -293,12 +295,12 @@ class GoldenInt:
         return Root5(self.a + self.b // 2, self.b // 2)
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(Frozen):
     """Finitely supported Laurent polynomial; exponents may be half-integers,
-    stored doubled (key = 2 * exponent)."""
+    stored doubled (key = 2 * exponent).  coeffs is the sorted tuple of
+    (doubled exponent, coefficient) pairs."""
 
-    coeffs: tuple[tuple[int, int], ...]  # sorted (doubled exponent, coefficient)
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         if isinstance(coeffs, dict):
@@ -392,15 +394,6 @@ class LaurentPolynomial:
 HALFPOWER = {"1": 0, "-1": 6, "zeta3": 4, "i": 3, "zeta6": 2}
 
 
-@dataclass(frozen=True)
-class JonesSpecialValues:
-    at_1: Cyclo24
-    at_minus1: Cyclo24
-    at_zeta3: Cyclo24
-    at_i: Cyclo24
-    at_zeta6: Cyclo24
-
-
 def jones_at_zeta6_knot(det: int, dim_f3: int, wall_parity: int) -> Cyclo24:
     """Closed form for a knot's Jones value at the primitive sixth root.
 
@@ -421,52 +414,6 @@ def jones_at_zeta6_knot(det: int, dim_f3: int, wall_parity: int) -> Cyclo24:
 def jones_zeta6_closed_form(M: IntegerSymmetricMatrix) -> Cyclo24:
     """Knot route: determinant, F_3-dimension and Wall parities from M."""
     return jones_at_zeta6_knot(abs(det_of(M)), d_p_of(M, 3), b_total(wall_of(M), 3))
-
-
-def jones_zeta6_via_delta3(M: IntegerSymmetricMatrix) -> Cyclo24:
-    """Link route: delta_3 * i^(c-1) * (i*sqrt3)^(d_3) with c = mu_of(M)."""
-    return Cyclo24.i_pow(mu_of(M) - 1) * Cyclo24.i_sqrt3() ** d_p_of(M, 3) * delta_p(M, 3)
-
-
-def jones_special_values(
-    bundle: LinkInvariantBundle, delta3: int, proper_arf: int | None
-) -> JonesSpecialValues:
-    """The five special values from classical invariants.
-
-    proper_arf is the multiplicative Arf sign of a proper link and must be
-    None exactly when the link is improper (then the value at i is 0).
-    """
-    c = bundle.c
-    if c == 1 and proper_arf is None:
-        raise ValueError("a knot is proper; its Arf sign is required")
-    if 3 not in bundle.d_p:
-        raise ValueError("bundle must carry d_3")
-    at_1 = Cyclo24.from_int((-2) ** (c - 1))
-    at_minus1 = Cyclo24.i_pow(bundle.sigma) * bundle.det
-    at_zeta3 = Cyclo24.from_int((-1) ** (c - 1))
-    if proper_arf is None:
-        at_i = Cyclo24.zero()
-    else:
-        at_i = (Cyclo24.sqrt2() ** (c - 1)) * ((-1) ** (c - 1) * proper_arf)
-    at_zeta6 = Cyclo24.i_pow(c - 1) * Cyclo24.i_sqrt3() ** bundle.d_p[3] * delta3
-    return JonesSpecialValues(at_1, at_minus1, at_zeta3, at_i, at_zeta6)
-
-
-def q_at_golden(det: int, d5: int, wall_parity: int) -> Root5:
-    """Closed form for a knot's Q value at (sqrt5-1)/2.
-
-    With det = 5^alpha * q and wall_parity the parity of non-residue Wall
-    summands at 5: legendre(q,5) * (-1)^wall_parity * sqrt5^d5.
-    """
-    if det <= 0 or det % 2 == 0:
-        raise ValueError("knot determinants are odd and positive")
-    _, q = p_part(det, 5)
-    return Root5.sqrt5_pow(d5) * (legendre(q, 5) * (-1) ** (wall_parity % 2))
-
-
-def q_golden_closed_form(M: IntegerSymmetricMatrix) -> Root5:
-    """Knot route via the Wall invariants at p = 5."""
-    return q_at_golden(abs(det_of(M)), d_p_of(M, 5), b_total(wall_of(M), 5))
 
 
 def q_at_golden_link(M: IntegerSymmetricMatrix) -> Root5:
@@ -514,8 +461,3 @@ def _interpolate_int(values: list[int]) -> list[int]:
         out = [hi - k * lo for hi, lo in zip([0] + out, out + [0])]
         out[0] += c[k]
     return out
-
-
-def alexander_at_minus1(A: SeifertData) -> Cyclo24:
-    """Exact value at t = -1 (understood as t^(1/2) = i)."""
-    return alexander_poly(A).eval_root_of_unity(HALFPOWER["-1"])

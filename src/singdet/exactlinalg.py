@@ -1,19 +1,11 @@
-"""Exact integer and rational symmetric linear algebra.
+"""Exact integer symmetric linear algebra.
 
-Determinants (fraction-free), adjugates, Smith-normal-form cokernels,
-symmetric congruence reduction mod p, and the p-adic Jordan kernel
-(`padic_jordan`) that feeds the linking-form classifier.  The p-adic normal
-forms `rational_normalize` and `inverse_ord_normalize` are a second route
-to the same classification, which the tests compare the kernel against.
-They clear denominators once and run one integer elimination, whose
-clearing precision is fixed in advance by the Jordan bound: no pivot of a
-nonsingular block B of size r and least entry valuation w exceeds
-v_p(det B) - (r - 1) w.  Fraction appears only at the API boundary, where
-a rational value is the answer: `mat_inverse_q`, `det_q`,
-`jacobi_minor_identity`, `RationalSymmetricMatrix` and `linkform.eval_form`;
-each computes on integers and builds its Fractions last.  All arithmetic
-is arbitrary precision; there is no floating point anywhere in this
-package's math.
+Determinants (fraction-free), Smith-normal-form cokernels, the congruence
+core and the p-adic Jordan kernel (`padic_jordan`) that feeds the
+linking-form classifier.  All arithmetic is arbitrary precision; there is
+no floating point anywhere in this package's math.  The rational and
+unimodular matrices and the p-adic normal forms that the tests check
+these kernels against live in `reference`.
 
 The per-prime layer reads each symmetric matrix M through one memoized
 congruence core (`congruence_core`).  On a sparse M, most of whose entries
@@ -34,13 +26,9 @@ symmetric rows and Bareiss elimination on any other matrix.
 from __future__ import annotations
 
 import functools
-import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
 from typing import NamedTuple
 
-from .numtheory import check_odd_prime, factorize, ord_int
+from .numtheory import check_odd_prime, factorize
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -62,10 +50,6 @@ def _freeze(entries) -> Rows:
                  else tuple(x if type(x) is int else _int_entry(x) for x in row) for row in entries)
 
 
-def _freeze_q(entries) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
-
-
 def _check_square(rows) -> int:
     n = len(rows)
     for row in rows:
@@ -82,11 +66,44 @@ def _check_symmetric(rows) -> None:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
 
 
-@dataclass(frozen=True)
-class IntegerSymmetricMatrix:
+class Frozen:
+    """Base of the package's immutable value classes that a NamedTuple does
+    not fit: those that normalize their arguments, define arithmetic, or
+    keep a memo or a cached property in the instance dict.  Two instances
+    are equal, and hash alike, when they are of one class and their
+    `_fields` are equal; the repr lists the fields.  Setting or deleting an
+    attribute raises: constructors store fields with object.__setattr__ or
+    in the instance dict, where memos go too."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _state(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __hash__(self):
+        return hash(self._state())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._state()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntegerSymmetricMatrix(Frozen):
     """Exact square symmetric integer matrix."""
 
-    entries: Rows
+    _fields = ("entries",)
 
     def __init__(self, entries):
         object.__setattr__(self, "entries", _freeze(entries))
@@ -115,47 +132,12 @@ class IntegerSymmetricMatrix:
 
     def congruence(self, T: "UnimodularTransform") -> "IntegerSymmetricMatrix":
         """T M T^t, another symmetric matrix presenting the same form."""
+        from .reference import mat_mul
+
         return IntegerSymmetricMatrix(mat_mul(mat_mul(T.entries, self.entries), transpose(T.entries)))
 
 
-@dataclass(frozen=True)
-class RationalSymmetricMatrix:
-    """Exact square symmetric matrix over Q."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", _freeze_q(entries))
-        _check_symmetric(self.entries)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class UnimodularTransform:
-    """Integer matrix with determinant +-1 (a basis change)."""
-
-    entries: Rows
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", _freeze(entries))
-        _check_square(self.entries)
-        if det_exact(self.entries) not in (1, -1):
-            raise ValueError("transform is not unimodular")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def inverse(self) -> "UnimodularTransform":
-        D, d = adjugate(self.entries)  # d = +-1
-        return UnimodularTransform([[d * x for x in row] for row in D])
-
-
-@dataclass(frozen=True)
-class CokernelDecomposition:
+class CokernelDecomposition(NamedTuple):
     """coker(M) = Z^free_rank + sum over primes p of Z/p^k summands.
 
     prime_parts maps p to the ascending list of p-exponents of the invariant
@@ -167,7 +149,7 @@ class CokernelDecomposition:
     prime_parts: dict[int, tuple[int, ...]]
     free_rank: int
     order_or_zero: int
-    invariant_factors: tuple[int, ...] = field(default=())
+    invariant_factors: tuple[int, ...] = ()
 
     def exponents(self, p: int) -> tuple[int, ...]:
         k = len(self.invariant_factors)
@@ -192,17 +174,6 @@ def identity(n: int) -> list[list[int]]:
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    bt = transpose(b)
-    return [[sum(a[i][t] * bt[j][t] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
 def det_exact(rows) -> int:
@@ -425,56 +396,6 @@ def det_of(M: IntegerSymmetricMatrix) -> int:
     return congruence_core(M).det
 
 
-def _clear_denominators(rows) -> tuple[list[list[int]], int]:
-    """(B, L) with B = L * rows an integer matrix, L the least common
-    denominator of the entries."""
-    q = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
-    L = lcm(*(x.denominator for row in q for x in row))
-    return [[x.numerator * (L // x.denominator) for x in row] for row in q], L
-
-
-def adjugate(rows) -> tuple[list[list[int]], int]:
-    """(D, d) with D = d * M^{-1}, for a nonsingular integer matrix M.
-
-    Fraction-free Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp.
-    22 (1968)): every division by the previous pivot is exact, the left
-    half ends as d * I and the right half as d * M^{-1}, with d = +-det M
-    (the sign of the row swaps).  Raises ZeroDivisionError on singular input.
-    """
-    n = _check_square(rows)
-    a = [[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(_freeze(rows))]
-    prev = 1
-    for k in range(n):
-        r = next((i for i in range(k, n) if a[i][k]), None)
-        if r is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[k], a[r] = a[r], a[k]
-        top = a[k]
-        piv = top[k]
-        for i, row in enumerate(a):
-            if i != k:  # columns left of k are never read again
-                c = row[k]
-                row[k:] = [(piv * x - c * y) // prev for x, y in zip(row[k:], top[k:])]
-        prev = piv
-    return [row[n:] for row in a], prev
-
-
-def det_q(rows) -> Fraction:
-    """Exact determinant of a rational matrix: det_exact of the matrix
-    cleared of its common denominator L, over L^n."""
-    n = _check_square(rows)
-    b, L = _clear_denominators(rows)
-    return Fraction(det_exact(b), L**n)
-
-
-def mat_inverse_q(rows) -> list[list[Fraction]]:
-    """Exact inverse over Q, from the adjugate of the matrix cleared of its
-    common denominator; raises ZeroDivisionError on singular input."""
-    b, L = _clear_denominators(rows)
-    D, d = adjugate(b)
-    return [[Fraction(L * x, d) for x in row] for row in D]
-
-
 def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p by forward Gaussian elimination (pivot rows are
     neither normalized nor cleared above: the rank needs neither)."""
@@ -500,11 +421,6 @@ def rank_mod_p(rows, p: int) -> int:
 
 def corank_mod_p(rows, p: int) -> int:
     return len(rows) - rank_mod_p(rows, p)
-
-
-def minor(rows, I, J):
-    """Submatrix with rows I and columns J, indices kept in original order."""
-    return [[rows[i][j] for j in J] for i in I]
 
 
 # ---------------------------------------------------------------- Smith normal form
@@ -619,91 +535,6 @@ def smith_cokernel(rows) -> CokernelDecomposition:
     )
 
 
-def cyclic_generator(rows) -> list[int]:
-    """A vector generating coker(M) when the cokernel is cyclic of finite order.
-
-    With U M V = D diagonal, [x] -> [Ux] identifies coker(M) with the direct
-    sum of Z/d_i, so the preimage of the standard generator of the largest
-    factor is the matching column of U^{-1}.
-    """
-    n = _check_square(rows)
-    d, u, _ = smith_normal_form(rows)
-    factors = [d[i][i] for i in range(n)]
-    if any(f == 0 for f in factors):
-        raise ValueError("cokernel is infinite")
-    nontrivial = [i for i, f in enumerate(factors) if f > 1]
-    if len(nontrivial) > 1:
-        raise ValueError("cokernel is not cyclic")
-    if not nontrivial:
-        return [0] * n
-    uinv = mat_inverse_q(u)
-    col = nontrivial[0]
-    return [int(uinv[i][col]) for i in range(n)]
-
-
-# ---------------------------------------------------------------- mod-p block reduction
-
-def mod_p_block_reduce(
-    M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None
-) -> tuple[UnimodularTransform, IntegerSymmetricMatrix, int]:
-    """Unimodular T with T M T^t = N (+) 0 mod p, det(N) a unit mod p.
-
-    Symmetric Gaussian elimination over F_p lifted to integer moves
-    (permutations and shears).  Diagonal pivots are preferred; if the active
-    block has unit entries only off the diagonal, adding one basis vector to
-    another turns 2*W[i][j] into a diagonal unit (this is where p != 2 is
-    used).  Pivot ties break to the lowest index, or randomly when `rng` is
-    given (used to test path independence of the result's Legendre class).
-
-    Returns (T, N, d_p) with N of size n - d_p, d_p = corank of M over F_p.
-    """
-    check_odd_prime(p)
-    n = M.n
-    w = [list(row) for row in M.entries]
-    t = identity(n)
-
-    def swap(i, j):
-        w[i], w[j] = w[j], w[i]
-        for r in w:
-            r[i], r[j] = r[j], r[i]
-        t[i], t[j] = t[j], t[i]
-
-    def shear(src, dst, c):
-        # row/col dst += c * row/col src
-        w[dst] = [x + c * y for x, y in zip(w[dst], w[src])]
-        for r in w:
-            r[dst] += c * r[src]
-        t[dst] = [x + c * y for x, y in zip(t[dst], t[src])]
-
-    k = 0
-    while k < n:
-        diag = [i for i in range(k, n) if w[i][i] % p != 0]
-        if diag:
-            i = rng.choice(diag) if rng else diag[0]
-            if i != k:
-                swap(i, k)
-        else:
-            off = [(i, j) for i in range(k, n) for j in range(i + 1, n) if w[i][j] % p != 0]
-            if not off:
-                break
-            i, j = rng.choice(off) if rng else off[0]
-            shear(j, i, 1)  # makes w[i][i] = 2*w[i][j] mod p, a unit
-            if i != k:
-                swap(i, k)
-        inv = pow(w[k][k], -1, p)
-        for i in range(k + 1, n):
-            c = (-w[i][k] * inv) % p
-            if c:
-                shear(k, i, c)
-        k += 1
-
-    d_p = n - k
-    N = IntegerSymmetricMatrix([row[:k] for row in w[:k]])
-    if k and det_exact(N.entries) % p == 0:
-        raise AssertionError("reduction produced a singular unit block")
-    return UnimodularTransform(t), N, d_p
-
-
 # ---------------------------------------------------------------- p-adic Jordan kernel
 
 def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
@@ -768,220 +599,7 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
     return pivots
 
 
-# ---------------------------------------------------------------- p-adic normal forms (reference route)
-
-def _kernel_split(rows) -> tuple[list[list[int]], int]:
-    """Unimodular base whose first rows span ker(C) over Z, exactly zeroed.
-
-    Because C is symmetric, kernel basis vectors pair to exact zeros with
-    everything, so conjugating by this base puts the infinite valuations up
-    front where the sorted-diagonal contract wants them.  The kernel columns
-    of the SNF right transform are part of a Z-basis, so reordering the
-    columns of V gives the completion for free.
-    """
-    m = len(rows)
-    d, _, v = smith_normal_form(rows)
-    zero = [j for j in range(m) if d[j][j] == 0]
-    nonzero = [j for j in range(m) if d[j][j] != 0]
-    return [[v[i][j] for i in range(m)] for j in zero + nonzero], len(zero)
-
-
-def rational_normalize(N: RationalSymmetricMatrix, p: int, rho: int) -> UnimodularTransform:
-    """Unimodular S so N' = S N S^t has p-adically sorted diagonal.
-
-    Contract on N': writing v(x) = ord_p(x),
-      * v(N'[i][i]) <= v(N'[j][j]) for i >= j (nonincreasing down is the
-        transposed reading: larger index has smaller-or-equal valuation),
-      * v(N'[i][i]) < v(N'[i][j]) for i != j (exact zeros count as infinite
-        and satisfy the strict bound),
-      * rho <= v(N'[i][j]) for i != j.
-
-    N is cleared of its common denominator L once, which shifts every
-    valuation, rho included, by ord_p(L); the rest is `_integer_normalize`,
-    one pass on ints.  Reference route: the linking-form classifier uses
-    `padic_jordan`, and the tests rebuild the Wall decomposition from this
-    normal form (through `inverse_ord_normalize`) to check the kernel
-    against it.
-    """
-    check_odd_prime(p)
-    b, L = _clear_denominators(N.entries)
-    return UnimodularTransform(_integer_normalize(b, p, rho + ord_int(L, p))[0])
-
-
-def _integer_normalize(
-    rows: list[list[int]], p: int, rho: int
-) -> tuple[list[list[int]], list[list[int]] | None]:
-    """(S, S^{-1}) for a unimodular S so that S C S^t meets the
-    `rational_normalize` contract at floor rho, for a symmetric integer
-    matrix C.  S^{-1} is None when a kernel was split off: only
-    `rational_normalize` meets singular C, and it needs S alone.
-
-    The kernel of C is split off first (`_kernel_split`).  On the
-    nonsingular block B, of size r and least entry valuation w, the
-    p-exponents of the elementary divisors are each at least w and sum to
-    v_p(det B), so the largest, s, is at most v_p(det B) - (r - 1) w
-    (Conway-Sloane, SPLAG ch. 15 sec. 7).  No pivot exceeds s while the
-    finished rows are cleared to a valuation tau > s: a row vanishing mod
-    p^(s+1) would contradict p^s B^{-1} being p-integral.  So the clearing
-    precision tau = max(rho, v_p(det B) - (r - 1) w + 1) is fixed before
-    the pass (`_normalize_pass`), which runs once.  The contract is checked
-    on the exact result; a failure is an AssertionError.
-    """
-    m = len(rows)
-    core = [list(row) for row in rows]
-    det = det_exact(rows)
-    kdim = 0
-    if not det:
-        base, kdim = _kernel_split(rows)
-        core = mat_mul(mat_mul(base, rows), transpose(base))
-        if any(any(row) for row in core[:kdim]):
-            raise AssertionError("kernel split failed")
-        det = det_exact([row[kdim:] for row in core[kdim:]])
-    s, s_inv = identity(m), identity(m)
-    if kdim < m:
-        w = ord_int(gcd(*(x for row in core[kdim:] for x in row)), p)
-        tau = max(rho, ord_int(det, p) - (m - kdim - 1) * w + 1)
-        s, s_inv = _normalize_pass(core, kdim, p, tau)
-    _check_normal_contract(core, p, rho)
-    return (mat_mul(s, base), None) if kdim else (s, s_inv)
-
-
-def _normalize_pass(
-    a: list[list[int]], kdim: int, p: int, tau: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Symmetric elimination of a (in place) from its last slot down to
-    slot kdim; returns the transform S, so that a ends as S a S^t, and
-    S^{-1}, carried by the inverse column moves.
-
-    Each step places an active entry of least valuation on the last active
-    diagonal slot, moving an off-diagonal minimum a_ij onto the diagonal
-    by one shear, a_ii + 2a_ij + a_jj (p odd keeps its valuation e), then
-    clears the rest of that row to valuation tau by shears whose integer
-    coefficient is -a_ij / a_ii mod p^(tau - e).  Valuations never fall
-    from one pivot to the next, so the scan for the least one resumes at
-    the previous level.
-    """
-    m = len(a)
-    s, s_inv = identity(m), identity(m)
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        s[i], s[j] = s[j], s[i]
-        for r in s_inv:
-            r[i], r[j] = r[j], r[i]
-
-    def shear(src, dst, c):
-        # row/col dst += c * row/col src; in S^{-1}, column src -= c * column dst
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        for r in a:
-            r[dst] += c * r[src]
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        for r in s_inv:
-            r[src] -= c * r[dst]
-
-    e, pe = 0, 1  # current valuation level and p^e
-    for last in range(m - 1, kdim - 1, -1):
-        block = range(kdim, last + 1)
-        while True:
-            step = pe * p
-            i = next((i for i in block if a[i][i] % step), None)
-            if i is not None:
-                break
-            ij = next(((i, j) for i in block for j in range(i + 1, last + 1) if a[i][j] % step), None)
-            if ij is not None:
-                i, j = ij
-                shear(j, i, 1)  # a_ii picks up 2 a_ij: valuation e
-                break
-            e, pe = e + 1, step
-            if e >= tau:
-                raise AssertionError(f"active block vanishes mod {p}^{tau}")
-        if i != last:
-            swap(i, last)
-        mod = p ** (tau - e)
-        uinv = pow(a[last][last] // pe, -1, mod)
-        for j in range(kdim, last):
-            c = -(a[last][j] // pe) * uinv % mod
-            if c:
-                shear(last, j, c - mod if c > mod // 2 else c)
-    return s, s_inv
-
-
-def _check_normal_contract(a: list[list[int]], p: int, rho: int) -> None:
-    """Raise AssertionError unless the integer matrix a meets the
-    `rational_normalize` contract at floor rho; a zero has infinite
-    valuation."""
-    diag = [ord_int(row[i], p) if row[i] else None for i, row in enumerate(a)]
-    finite = [v for v in diag if v is not None]
-    if diag != [None] * (len(a) - len(finite)) + sorted(finite, reverse=True):
-        raise AssertionError(f"diagonal valuations {diag} are not sorted")
-    for i, row in enumerate(a):
-        # off the diagonal, each nonzero entry must vanish mod p^bound
-        bound = None if diag[i] is None else p ** max(rho, diag[i] + 1)
-        for j, x in enumerate(row):
-            if j != i and x and (bound is None or x % bound):
-                raise AssertionError(f"entry ({i},{j}) of valuation {ord_int(x, p)} breaks the contract")
-
-
-def inverse_ord_normalize(M: IntegerSymmetricMatrix, p: int) -> UnimodularTransform:
-    """Unimodular T so that (T M T^t)^{-1} has diagonal valuations -k_i.
-
-    The k_i are the ascending p-exponents of coker(M); off-diagonal entries
-    of the inverse become p-integral.  With (D, d) = adjugate(M), so that
-    D = d M^{-1}, the normal form of M^{-1} at floor 0 is that of the
-    integer matrix D at floor ord_p(d): S = `_integer_normalize`(D), and
-    T = (S^{-1})^t, with S^{-1} carried through the pass rather than
-    inverted afterwards (S can grow far larger than S^{-1}).  Integer
-    arithmetic throughout.
-
-    Reference route for the Wall decomposition: reading the diagonal of
-    (T M T^t)^{-1} gives the same summands as `padic_jordan`; the tests
-    compare the two.
-    """
-    check_odd_prime(p)
-    try:
-        D, d = adjugate(M.entries)
-    except ZeroDivisionError:
-        raise ValueError("matrix must be nonsingular") from None
-    _, s_inv = _integer_normalize(D, p, ord_int(d, p))
-    return UnimodularTransform(transpose(s_inv))
-
-
-def jacobi_minor_identity(
-    M: RationalSymmetricMatrix, I: tuple[int, ...], J: tuple[int, ...]
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the general Jacobi minor identity (1-based index sums).
-
-    lhs = det M[I;J]; rhs = (-1)^(sum I + sum J) det(M) det(M^{-1}[I^c;J^c]).
-    Indices are passed 0-based; the sign uses the 1-based convention.
-    """
-    n = M.m
-    I, J = tuple(sorted(I)), tuple(sorted(J))
-    if len(I) != len(J):
-        raise ValueError("index sets must have equal size")
-    d = det_q(M.entries)
-    if d == 0:
-        raise ValueError("matrix must be invertible")
-    lhs = det_q(minor(M.entries, I, J))
-    inv = mat_inverse_q(M.entries)
-    Ic = [i for i in range(n) if i not in I]
-    Jc = [j for j in range(n) if j not in J]
-    sign = (-1) ** (sum(i + 1 for i in I) + sum(j + 1 for j in J))
-    rhs = sign * d * det_q(minor(inv, Ic, Jc))
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------- text format
-
-def format_matrix(rows) -> str:
-    """First line n, then n whitespace-separated rows."""
-    n = len(rows)
-    lines = [str(n)]
-    for row in rows:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
 
 def parse_matrix(text: str) -> list[list[int]]:
     toks = text.split()
@@ -994,24 +612,3 @@ def parse_matrix(text: str) -> list[list[int]]:
         raise ValueError(f"expected {n * n} entries, got {len(toks) - 1}")
     vals = [int(t) for t in toks[1:]]
     return [vals[i * n:(i + 1) * n] for i in range(n)]
-
-
-def load_symmetric_matrix(text: str) -> IntegerSymmetricMatrix:
-    return IntegerSymmetricMatrix(parse_matrix(text))
-
-
-def random_unimodular(n: int, rng: random.Random, steps: int = 12) -> UnimodularTransform:
-    """Random product of elementary integer moves (shears, swaps, sign flips)."""
-    t = identity(n)
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if kind == 0 and i != j:
-            c = rng.choice([-2, -1, 1, 2])
-            t[i] = [x + c * y for x, y in zip(t[i], t[j])]
-        elif kind == 1 and i != j:
-            t[i], t[j] = t[j], t[i]
-        elif kind == 2:
-            t[i] = [-x for x in t[i]]
-    return UnimodularTransform(t)

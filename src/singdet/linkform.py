@@ -10,37 +10,33 @@ A+A = B+B, so the mod-2 counts r_{p,k} of A-summands classify the form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlinalg import (
+    Frozen,
     IntegerSymmetricMatrix,
     _memo_on_matrix,
     congruence_core,
     det_of,
-    mat_inverse_q,
-    mat_vec,
     padic_jordan,
 )
 from .numtheory import legendre, ord_int, p_part, prime_factors
 
 
-@dataclass(frozen=True)
-class LinkingFormPresentation:
+class LinkingFormPresentation(Frozen):
     """The form a symmetrized Seifert or Goeritz matrix M presents."""
 
-    M: IntegerSymmetricMatrix
+    _fields = ("M",)
 
-    def __post_init__(self):
-        if det_of(self.M) == 0:
+    def __init__(self, M: IntegerSymmetricMatrix):
+        object.__setattr__(self, "M", M)
+        if det_of(M) == 0:
             raise ValueError("presentation matrix must be nonsingular")
 
 
-@dataclass(frozen=True)
-class WallDecomposition:
+class WallDecomposition(Frozen):
     """Multiset of (p, k, 'A'|'B') summands, canonically at most one B per (p, k)."""
 
-    summands: tuple[tuple[int, int, str], ...]
+    _fields = ("summands",)
 
     def __init__(self, summands):
         raw = Counter()
@@ -72,16 +68,6 @@ class WallDecomposition:
 
     def serialize(self) -> str:
         return "\n".join(f"{p} {k} {t}" for p, k, t in self.summands)
-
-
-def eval_form(pres: LinkingFormPresentation, x: list[int], y: list[int]) -> Fraction:
-    """lambda([x],[y]) = x^t M^{-1} y as an exact rational reduced into [0, 1)."""
-    n = pres.M.n
-    if len(x) != n or len(y) != n:
-        raise ValueError("vector size mismatch")
-    inv = mat_inverse_q(pres.M.entries)
-    val = sum(Fraction(xi) * vi for xi, vi in zip(x, mat_vec(inv, y)))
-    return val - (val // 1)
 
 
 def _summands_at(M: IntegerSymmetricMatrix, p: int, alpha: int) -> list[tuple[int, int, str]]:
@@ -119,16 +105,6 @@ def wall_of(M: IntegerSymmetricMatrix) -> WallDecomposition:
     return wall_decompose(LinkingFormPresentation(M))
 
 
-def r_pk(W: WallDecomposition, p: int, k: int) -> int:
-    """Number of A_{p^k} summands mod 2 (a complete system of invariants)."""
-    return sum(1 for (q, j, t) in W.summands if (q, j, t) == (p, k, "A")) % 2
-
-
-def r_total(W: WallDecomposition, p: int) -> int:
-    """Parity of the total number of A summands at the prime p."""
-    return sum(1 for (q, _, t) in W.summands if q == p and t == "A") % 2
-
-
 def b_total(W: WallDecomposition, p: int) -> int:
     """Parity of the number of non-residue (B) summands at the prime p.
 
@@ -162,12 +138,3 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
     sign = legendre(q, p) * (-1) ** b_total(WallDecomposition(summands), p)
     e = ((p - 1) // 2) * (alpha + len(summands) + (q - 1) // 2)
     return sign * (-1) ** (e % 2)
-
-
-def isometric(W1: WallDecomposition, W2: WallDecomposition) -> bool:
-    """Same underlying group and equal r_{p,k} for all (p, k).
-
-    Both decompositions are stored in the canonical <=1-B-per-(p,k) form, so
-    this is a plain equality of summand multisets.
-    """
-    return W1.summands == W2.summands

@@ -6,13 +6,12 @@ unknotting number (the underlying results are one-directional).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
-from .evaluate import Cyclo24, Root5, q_at_golden_link
-from .exactlinalg import IntegerSymmetricMatrix, cyclic_generator, det_of
-from .linkform import LinkingFormPresentation, eval_form
+from .evaluate import Root5, q_at_golden_link
+from .exactlinalg import IntegerSymmetricMatrix, det_of
+from .linkform import LinkingFormPresentation
 from .numtheory import prime_factors
 from .seifert import d_p_of, delta_p, mu_of
 
@@ -21,8 +20,7 @@ from .seifert import d_p_of, delta_p, mu_of
 GENERATOR_SEARCH_CUTOFF = 10**7
 
 
-@dataclass(frozen=True)
-class SignedUnknottingConstraint:
+class SignedUnknottingConstraint(NamedTuple):
     """The sign condition a minimal unknotting sequence must satisfy.
 
     For a link whose unknotting number attains d_p - c + 1, with u+ positive
@@ -69,8 +67,7 @@ class SignedUnknottingConstraint:
         return w + 1 if self.p % 4 == 1 and not self._sign_rule_holds(w, 0) else w
 
 
-@dataclass(frozen=True)
-class LickorishReport:
+class LickorishReport(NamedTuple):
     admissible_zeta: tuple[int, ...]
     per_prime: dict[int, tuple[int, int, dict[int, bool]]]  # p -> (d_p, delta_p, {zeta: ok})
 
@@ -86,8 +83,7 @@ class LickorishReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class StoimenowReport:
+class StoimenowReport(NamedTuple):
     q_value: Root5
     generator_exists: bool
     conjecture_value: Root5
@@ -124,6 +120,8 @@ def improved_bound(M: IntegerSymmetricMatrix, p: int) -> int:
 
 def _generator_form_value(M: IntegerSymmetricMatrix) -> tuple[int, int]:
     """(a, det) with lambda(h', h') = a/det for a fixed generator h'."""
+    from .reference import cyclic_generator, eval_form
+
     det = abs(det_of(M))
     h = cyclic_generator(M.entries)
     pres = LinkingFormPresentation(M)
@@ -134,14 +132,17 @@ def _generator_form_value(M: IntegerSymmetricMatrix) -> tuple[int, int]:
     return val.numerator, det
 
 
-def lickorish_generator_search(M: IntegerSymmetricMatrix, targets: list[Fraction]) -> bool:
-    """Brute force: does some generator h have lambda(h,h) in targets?
+def lickorish_generator_search(M: IntegerSymmetricMatrix, targets: list) -> bool:
+    """Brute force: does some generator h have lambda(h,h) in targets, a
+    list of Fractions?
 
     Iterates multiples b*h' of a fixed generator over b coprime to det.
     O(det); guarded by GENERATOR_SEARCH_CUTOFF.  This is the oracle the tests
     compare lickorish_check and stoimenow_check against (Prop. 3.6); the CLI
     never runs it.
     """
+    from fractions import Fraction
+
     det = abs(det_of(M))
     if det > GENERATOR_SEARCH_CUTOFF:
         raise ValueError(f"determinant {det} exceeds search cutoff")
@@ -181,16 +182,6 @@ def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
     return LickorishReport(zs, per)
 
 
-def lickorish_direct(M: IntegerSymmetricMatrix, zeta: int) -> bool:
-    """Condition (i) verbatim: a generator h with
-    lambda(h,h) = 2*zeta*(-1)^((det-1)/2)/det, found by exhaustive search."""
-    det = abs(det_of(M))
-    if det == 1:
-        return True
-    target = Fraction(2 * zeta * (-1) ** (((det - 1) // 2) % 2), det)
-    return lickorish_generator_search(M, [target])
-
-
 def stoimenow_check(M: IntegerSymmetricMatrix, rep: LickorishReport | None = None) -> StoimenowReport:
     """Compare the Q value at the golden reciprocal with the conjectured rule
     "-sqrt5 iff some h has lambda(h,h) = +-2/det" on cyclic odd H_1 with
@@ -213,39 +204,3 @@ def stoimenow_check(M: IntegerSymmetricMatrix, rep: LickorishReport | None = Non
     exists = bool(rep.admissible_zeta)
     conj = Root5(0, -1) if exists else Root5(0, 1)
     return StoimenowReport(qval, exists, conj, qval == conj)
-
-
-def traczyk_value(M: IntegerSymmetricMatrix, u_minus: int) -> Cyclo24:
-    """Predicted V(zeta_6) for a link unknottable at the F_3 bound with
-    u_minus negative changes: (-1)^(u-) * i^(c-1) * (i*sqrt3)^(d_3)."""
-    c = mu_of(M)
-    d3 = d_p_of(M, 3)
-    return Cyclo24.i_pow(c - 1) * Cyclo24.i_sqrt3() ** d3 * (-1) ** (u_minus % 2)
-
-
-def q_value_bound(value: Root5, c: int) -> int | None:
-    """Unknotting bound from a Q value of the form (-1)^(a+c) * sqrt5^a.
-
-    Returns a lower bound u > a - c + 1 (i.e. u >= a - c + 2) when the sign
-    matches that pattern, else None.
-    """
-    if value.a != 0 and value.b != 0:
-        return None
-    if value.b == 0:
-        mag, sign5 = value.a, 0
-    else:
-        mag, sign5 = value.b, 1
-    if mag == 0:
-        return None
-    k = 0
-    m = abs(mag)
-    while m % 5 == 0:
-        m //= 5
-        k += 1
-    if m != 1:
-        return None
-    a = 2 * k + sign5
-    sign = 1 if mag > 0 else -1
-    if sign == (-1) ** ((a + c) % 2):
-        return a - c + 2
-    return None

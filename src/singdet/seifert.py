@@ -16,29 +16,24 @@ F_p elimination run, on the residual block of the congruence core.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-
 from .exactlinalg import (
+    Frozen,
     IntegerSymmetricMatrix,
     _freeze,
     _memo_on_matrix,
     congruence_core,
     corank_mod_p,
     det_exact,
-    det_of,
-    mod_p_block_reduce,
 )
 from .numtheory import check_odd_prime, legendre
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Frozen):
     """Unsymmetrized Seifert matrix A with its symmetrization M = A + A^t,
-    built once; a non-integral entry of A is a ValueError."""
+    built once; a non-integral entry of A is a ValueError.  Equality, hash
+    and repr read A alone."""
 
-    A: tuple[tuple[int, ...], ...]
-    M: IntegerSymmetricMatrix = field(init=False, repr=False, compare=False)
+    _fields = ("A",)
 
     def __init__(self, A):
         rows = _freeze(A)
@@ -56,7 +51,6 @@ class SeifertData:
         return len(self.A)
 
 
-@dataclass(frozen=True)
 class SpanningSurfaceData(IntegerSymmetricMatrix):
     """A spanning surface's form R (the object itself; `.R` names it), which
     presents the double branched cover's linking pairing but may have odd
@@ -68,8 +62,7 @@ class SpanningSurfaceData(IntegerSymmetricMatrix):
     exact only for odd det R; `goeritz_from_diagram` gives the exact e.
     """
 
-    mu: int
-    e: int
+    _fields = ("entries", "mu", "e")
 
     def __init__(self, R: IntegerSymmetricMatrix, mu: int, e: int | None = None):
         object.__setattr__(self, "entries", R.entries)  # validated when R was built
@@ -81,16 +74,6 @@ class SpanningSurfaceData(IntegerSymmetricMatrix):
     @property
     def R(self) -> "SpanningSurfaceData":
         return self
-
-
-@dataclass(frozen=True)
-class LinkInvariantBundle:
-    c: int
-    det: int
-    sigma: int
-    d_p: dict[int, int]
-    delta_p: dict[int, int]
-    arf_sign: int | None
 
 
 @_memo_on_matrix
@@ -166,7 +149,7 @@ def _eliminate_mod_p(entries, p: int) -> tuple[int, int]:
     return len(a), unit_det
 
 
-def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None) -> int:
+def delta_p(M: IntegerSymmetricMatrix, p: int, rng=None) -> int:
     """Singular determinant at an odd prime p of an even-diagonal symmetric
     M or of a spanning-surface presentation.
 
@@ -175,15 +158,18 @@ def delta_p(M: IntegerSymmetricMatrix, p: int, rng: random.Random | None = None)
     The default path (`_unit_block_class_mod_p`) takes the class of det M
     when p does not divide it, and otherwise works over F_p on the residual
     block R of the congruence core of M, with the unit determinant starting
-    at det B; passing an rng exercises the integer-lifted reduction of all
-    of M with randomized pivots instead (the path-independence oracle, and
-    the only caller of mod_p_block_reduce).
+    at det B; passing a random.Random as rng exercises the integer-lifted
+    reduction of all of M with randomized pivots instead (the
+    path-independence oracle, and the only caller of
+    `reference.mod_p_block_reduce`).
     """
     mu = mu_of(M)  # rejects an odd diagonal without a carried correction
     check_odd_prime(p)
     if rng is None:
         d, cls = _unit_block_class_mod_p(M, p)
     else:
+        from .reference import mod_p_block_reduce
+
         _, N, d = mod_p_block_reduce(M, p, rng=rng)
         cls = legendre(det_exact(N.entries), p)
     # cls, the unit block's Legendre class, times (-1|p)^(d + (n + mu - 1 - e)/2)
@@ -248,24 +234,6 @@ def oddity(R: IntegerSymmetricMatrix) -> int:
     return total % 8
 
 
-def delta_p_gl(S: SpanningSurfaceData, p: int) -> int:
-    """delta_p(S, p), under the name the spanning-surface API has had.
-
-    Agrees with the Seifert route when S is a Goeritz matrix of the same
-    link; invariant under gl_stabilize with a (+1), (-1) or (0) block.
-    """
-    return delta_p(S, p)
-
-
-def gl_stabilize(S: SpanningSurfaceData, block: int) -> SpanningSurfaceData:
-    """Append a (+1), (-1) or (0) diagonal block; (0) also increments mu,
-    and the correction e moves by the block."""
-    if block not in (1, -1, 0):
-        raise ValueError("block must be +1, -1 or 0")
-    R = S.block_sum(IntegerSymmetricMatrix([[block]]))
-    return SpanningSurfaceData(R, S.mu + (1 if block == 0 else 0), S.e + block)
-
-
 def signature(M: IntegerSymmetricMatrix) -> int:
     """sign(M) - e: the matrix signature less the Gordon-Litherland
     correction of a spanning-surface presentation (e = 0 for any other
@@ -276,62 +244,3 @@ def signature(M: IntegerSymmetricMatrix) -> int:
     from integer congruence moves only.
     """
     return congruence_core(M).sign - _correction(M)
-
-
-def stabilize(M: IntegerSymmetricMatrix) -> IntegerSymmetricMatrix:
-    """Append the hyperbolic block [[0,1],[1,0]] (the S-equivalence move)."""
-    return M.block_sum(IntegerSymmetricMatrix([[0, 1], [1, 0]]))
-
-
-def crossing_change_pair(
-    P: IntegerSymmetricMatrix, a: int, case: int
-) -> tuple[IntegerSymmetricMatrix, IntegerSymmetricMatrix]:
-    """Matrices (M_plus, M_minus) for the two links across one crossing change.
-
-    The pair is identical except for the last diagonal entry, greater by two
-    in M_minus.  case 1 appends the 1x1 block (a -+ 1); case 2 the 2x2 block
-    [[0, 1], [1, a -+ 1]].  a must be odd so diagonals stay even.
-    """
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
-    if a % 2 == 0:
-        raise ValueError("a must be odd to keep diagonals even")
-    if not P.has_even_diagonal():
-        raise ValueError("P must have even diagonal entries")
-    if case == 1:
-        plus = P.block_sum(IntegerSymmetricMatrix([[a - 1]]))
-        minus = P.block_sum(IntegerSymmetricMatrix([[a + 1]]))
-    else:
-        plus = P.block_sum(IntegerSymmetricMatrix([[0, 1], [1, a - 1]]))
-        minus = P.block_sum(IntegerSymmetricMatrix([[0, 1], [1, a + 1]]))
-    return plus, minus
-
-
-def arf_sign_from_det(det: int) -> int:
-    """+1 when det = +-1 mod 8, -1 when det = +-3 mod 8 (knot determinants are odd)."""
-    r = det % 8
-    if r in (1, 7):
-        return 1
-    if r in (3, 5):
-        return -1
-    raise ValueError(f"determinant {det} is even")
-
-
-def classical_invariants(A: SeifertData, primes: list[int]) -> LinkInvariantBundle:
-    """Component count, determinant, signature, d_p and delta_p per odd prime."""
-    M = A.M
-    c = mu_of(M)
-    det = abs(det_of(M))
-    sig = signature(M)
-    dps = {p: d_p_of(M, p) for p in primes}
-    deltas = {p: delta_p(M, p) for p in primes}
-    arf = arf_sign_from_det(det) if c == 1 else None
-    return LinkInvariantBundle(c=c, det=det, sigma=sig, d_p=dps, delta_p=deltas, arf_sign=arf)
-
-
-def load_seifert_data(text: str) -> SeifertData:
-    """Seifert file format: the square-matrix text format; A itself need not
-    be symmetric, only A + A^t is validated (even diagonal is automatic)."""
-    from .exactlinalg import parse_matrix
-
-    return SeifertData(parse_matrix(text))

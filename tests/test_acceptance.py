@@ -21,31 +21,34 @@ from singdet.evaluate import (
     HALFPOWER,
     Cyclo24,
     Root5,
-    alexander_at_minus1,
     jones_zeta6_closed_form,
     q_at_golden_link,
-    q_golden_closed_form,
 )
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
-    RationalSymmetricMatrix,
     det_exact,
-    inverse_ord_normalize,
-    jacobi_minor_identity,
-    mat_inverse_q,
-    random_unimodular,
     smith_cokernel,
 )
 from singdet.linkform import delta_from_wall
-from singdet.numtheory import legendre, ord_p
+from singdet.numtheory import legendre
 from singdet.obstruct import improved_bound, lickorish_check, stoimenow_check
+from singdet.reference import (
+    RationalSymmetricMatrix,
+    alexander_at_minus1,
+    inverse_ord_normalize,
+    jacobi_minor_identity,
+    mat_inverse_q,
+    ord_p,
+    q_golden_closed_form,
+    random_unimodular,
+    stabilize,
+)
 from singdet.seifert import (
     SeifertData,
     d_p_of,
     delta_p,
     mu_of,
     signature,
-    stabilize,
 )
 
 P777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
@@ -267,7 +270,7 @@ def test_criterion6_synthetic_sequences():
 # ----------------------------------------------------------- criterion 7
 
 def test_criterion7_prop36_machine_equivalence():
-    from singdet.obstruct import lickorish_direct
+    from singdet.reference import lickorish_direct
 
     with Budget("criterion 7: generator search == sign pattern, det <= 2000", 120):
         rng = random.Random(2027)

@@ -22,9 +22,9 @@ from singdet.exactlinalg import (
     congruence_core,
     corank_mod_p,
     det_exact,
-    random_unimodular,
 )
 from singdet.numtheory import legendre
+from singdet.reference import random_unimodular
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 

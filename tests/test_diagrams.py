@@ -26,7 +26,8 @@ from singdet.diagrams import (
 from singdet.evaluate import HALFPOWER, Cyclo24, LaurentPolynomial, alexander_poly, q_at_golden_link
 from singdet.exactlinalg import det_exact
 from singdet.numtheory import prime_factors
-from singdet.seifert import d_p_of, delta_p, delta_p_gl, mu_of, signature
+from singdet.reference import delta_p_gl
+from singdet.seifert import d_p_of, delta_p, mu_of, signature
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -369,8 +370,8 @@ def test_v_at_i_vanishes_for_improper_links():
 def test_five_point_identity_chain_on_corpus():
     # evaluations of the bracket at the five points match the closed forms
     # computed from the diagram's own Seifert matrix
-    from singdet.evaluate import jones_special_values
-    from singdet.seifert import SeifertData, classical_invariants, arf_sign_from_det
+    from singdet.reference import arf_sign_from_det, classical_invariants, jones_special_values
+    from singdet.seifert import SeifertData
 
     for name, e in sorted(load_corpus().items()):
         d = e.diagram

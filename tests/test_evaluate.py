@@ -7,21 +7,24 @@ from singdet.evaluate import (
     HALFPOWER,
     Cyclo24,
     GoldenInt,
-    JonesSpecialValues,
     LaurentPolynomial,
     Root5,
-    alexander_at_minus1,
     alexander_poly,
     jones_at_zeta6_knot,
-    jones_special_values,
     jones_zeta6_closed_form,
-    jones_zeta6_via_delta3,
-    q_at_golden,
     q_at_golden_link,
-    q_golden_closed_form,
 )
 from singdet.exactlinalg import IntegerSymmetricMatrix, det_exact
-from singdet.seifert import SeifertData, classical_invariants, mu_of, signature
+from singdet.reference import (
+    JonesSpecialValues,
+    alexander_at_minus1,
+    classical_invariants,
+    jones_special_values,
+    jones_zeta6_via_delta3,
+    q_at_golden,
+    q_golden_closed_form,
+)
+from singdet.seifert import SeifertData, mu_of, signature
 
 
 def approx_equal(z1, z2, tol=1e-9):

@@ -8,16 +8,23 @@ from singdet.diagrams import pretzel_pd, seifert_matrix_from_diagram
 from singdet.exactlinalg import (
     CokernelDecomposition,
     IntegerSymmetricMatrix,
+    corank_mod_p,
+    det_exact,
+    identity,
+    parse_matrix,
+    smith_cokernel,
+    smith_normal_form,
+    transpose,
+)
+from singdet.numtheory import legendre, ord_int
+from singdet.reference import (
     RationalSymmetricMatrix,
     UnimodularTransform,
     _integer_normalize,
     adjugate,
-    corank_mod_p,
     cyclic_generator,
-    det_exact,
     det_q,
     format_matrix,
-    identity,
     inverse_ord_normalize,
     jacobi_minor_identity,
     load_symmetric_matrix,
@@ -25,14 +32,10 @@ from singdet.exactlinalg import (
     mat_mul,
     minor,
     mod_p_block_reduce,
-    parse_matrix,
+    ord_p,
     random_unimodular,
     rational_normalize,
-    smith_cokernel,
-    smith_normal_form,
-    transpose,
 )
-from singdet.numtheory import legendre, ord_int, ord_p
 
 M12N553 = [[-2, 0, -1, 0], [0, -6, 9, 3], [-1, 9, -8, -3], [0, 3, -3, 0]]
 

@@ -6,20 +6,15 @@ import pytest
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
     det_exact,
-    mat_vec,
-    random_unimodular,
 )
 from singdet.linkform import (
     LinkingFormPresentation,
     WallDecomposition,
     b_total,
     delta_from_wall,
-    eval_form,
-    isometric,
-    r_pk,
-    r_total,
     wall_decompose,
 )
+from singdet.reference import eval_form, isometric, mat_vec, r_pk, r_total, random_unimodular
 from singdet.seifert import delta_p
 
 

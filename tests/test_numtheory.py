@@ -4,17 +4,14 @@ import random
 import pytest
 
 from singdet.numtheory import (
-    PAdicValuation,
     factorize,
     is_prime,
-    is_qr_mod,
     legendre,
-    legendre_fraction,
     nu,
-    ord_p,
     p_part,
     prime_factors,
 )
+from singdet.reference import PAdicValuation, is_qr_mod, legendre_fraction, ord_p
 from fractions import Fraction
 
 

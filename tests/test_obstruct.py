@@ -6,7 +6,6 @@ import pytest
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
     det_exact,
-    random_unimodular,
     smith_cokernel,
 )
 from singdet.evaluate import Cyclo24, Root5, q_at_golden_link
@@ -14,14 +13,19 @@ from singdet.obstruct import (
     SignedUnknottingConstraint,
     improved_bound,
     lickorish_check,
-    lickorish_direct,
-    q_value_bound,
     signed_obstruction,
     stoimenow_check,
-    traczyk_value,
     wendt_bound,
 )
-from singdet.seifert import crossing_change_pair, d_p_of, delta_p, mu_of, stabilize
+from singdet.reference import (
+    crossing_change_pair,
+    lickorish_direct,
+    q_value_bound,
+    random_unimodular,
+    stabilize,
+    traczyk_value,
+)
+from singdet.seifert import d_p_of, delta_p, mu_of
 
 P777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
 EX29 = IntegerSymmetricMatrix([[0, 17, 0, 0], [17, 0, 0, 0], [0, 0, 6, 3], [0, 0, 3, 10]])

@@ -18,15 +18,19 @@ from singdet.diagrams import pretzel_pd, seifert_matrix_from_diagram
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
     det_exact,
-    inverse_ord_normalize,
-    mat_inverse_q,
     padic_jordan,
-    random_unimodular,
     smith_cokernel,
     smith_normal_form,
 )
-from singdet.linkform import LinkingFormPresentation, WallDecomposition, eval_form, wall_decompose
-from singdet.numtheory import legendre, legendre_fraction, ord_int, prime_factors
+from singdet.linkform import LinkingFormPresentation, WallDecomposition, wall_decompose
+from singdet.numtheory import legendre, ord_int, prime_factors
+from singdet.reference import (
+    eval_form,
+    inverse_ord_normalize,
+    legendre_fraction,
+    mat_inverse_q,
+    random_unimodular,
+)
 
 
 def reference_wall(M):

@@ -19,6 +19,7 @@ import pytest
 import singdet.cli as cli
 import singdet.exactlinalg as exactlinalg
 import singdet.obstruct as obstruct
+import singdet.reference as reference
 import singdet.seifert as seifert
 from singdet.corpus import load_corpus
 from singdet.diagrams import (
@@ -28,8 +29,9 @@ from singdet.diagrams import (
     pretzel_pd,
     seifert_matrix_from_diagram,
 )
-from singdet.exactlinalg import congruence_core, format_matrix
-from singdet.seifert import SpanningSurfaceData, delta_p, delta_p_gl, signature
+from singdet.exactlinalg import congruence_core
+from singdet.reference import delta_p_gl, format_matrix
+from singdet.seifert import SpanningSurfaceData, delta_p, signature
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
 PRIMES = (3, 5, 7, 11, 13)
@@ -165,7 +167,7 @@ def _count_calls(monkeypatch, module, fn_name, keep=lambda *args: True):
 
 
 def test_mod_p_block_reduce_is_reached_only_from_the_rng_path(monkeypatch):
-    calls = _count_calls(monkeypatch, exactlinalg, "mod_p_block_reduce")
+    calls = _count_calls(monkeypatch, reference, "mod_p_block_reduce")
     for stem in ("p3_3_3", "t2_6", "m12n553"):
         path = os.path.join(CORPUS_DIR, f"{stem}.txt")
         run("invariants", path)

@@ -5,24 +5,26 @@ import pytest
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
     det_exact,
-    random_unimodular,
 )
 from singdet.numtheory import legendre
-from singdet.seifert import (
-    SeifertData,
-    SpanningSurfaceData,
+from singdet.reference import (
     arf_sign_from_det,
     classical_invariants,
     crossing_change_pair,
-    d_p_of,
-    delta_p,
     delta_p_gl,
     gl_stabilize,
     load_seifert_data,
+    random_unimodular,
+    stabilize,
+)
+from singdet.seifert import (
+    SeifertData,
+    SpanningSurfaceData,
+    d_p_of,
+    delta_p,
     mu_of,
     oddity,
     signature,
-    stabilize,
 )
 
 P777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])

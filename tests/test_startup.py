@@ -1,0 +1,96 @@
+"""Importing `singdet.cli` compiles and builds only what the report commands
+run: no module of the package imports `dataclasses`, none imports the
+reference routes at module level, and `invariants` and `obstruct` load
+neither `singdet.reference` nor `dataclasses`, `fractions` or `random`."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+PKG = os.path.join(SRC, "singdet")
+MODULES = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
+
+
+def imports(source: str, module_level: bool) -> list[tuple[str, int]]:
+    """(module, line) of each import in source, relative ones named under
+    singdet; with module_level, only those that run when the module is
+    imported, that is, outside function bodies."""
+    out = []
+    todo = [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "singdet" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            if node.module is None:  # from . import name: name is a module
+                out += [(f"{module}.{alias.name}", node.lineno) for alias in node.names]
+            else:
+                out.append((module, node.lineno))
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(out, key=lambda item: item[1])
+
+
+def read(module: str) -> str:
+    with open(os.path.join(PKG, module)) as fh:
+        return fh.read()
+
+
+def test_the_check_sees_module_level_and_dataclass_imports():
+    planted = ("from dataclasses import dataclass\nfrom . import reference\n"
+               "class C:\n    from .reference import x\n"
+               "def f():\n    import dataclasses\n    from .reference import y\n")
+    assert imports(planted, module_level=True) == [
+        ("dataclasses", 1), ("singdet.reference", 2), ("singdet.reference", 4)]
+    assert [m for m, _ in imports(planted, module_level=False)].count("dataclasses") == 2
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    assert [line for name, line in imports(read(module), module_level=False) if name == "dataclasses"] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_the_reference_routes_at_module_level(module):
+    assert [line for name, line in imports(read(module), module_level=True)
+            if name == "singdet.reference"] == []
+
+
+SCRIPT = """
+import json, sys
+from singdet.cli import main
+for path in sys.argv[1:]:
+    for command in ("invariants", "obstruct"):
+        if main([command, path]) != 0:
+            raise SystemExit(f"{command} failed on {path}")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_the_report_commands_load_no_reference_code(tmp_path):
+    corpus = os.path.join(PKG, "corpus")
+    bare = tmp_path / "bare.txt"
+    bare.write_text("2\n-1 1\n0 -1\n")
+    with open(os.path.join(corpus, "p3_3_3.txt")) as fh:
+        text = fh.read()
+    assert "seifert:" in text
+    pd_only = tmp_path / "pd_only.txt"
+    pd_only.write_text(next(line for line in text.splitlines() if line.startswith("pd:")) + "\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("SINGDET_CORPUS", None)
+    # -S: no site hooks, which may import any of these modules themselves
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SCRIPT, str(bare), os.path.join(corpus, "p3_3_3.txt"), str(pd_only)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"singdet.cli", "singdet.obstruct", "singdet.diagrams"} <= loaded
+    assert {"singdet.reference", "dataclasses", "fractions", "random"} & loaded == set()

@@ -1,0 +1,74 @@
+"""The value semantics of the package's record and value classes, which are
+NamedTuples or `exactlinalg.Frozen` subclasses: equal arguments give equal
+objects with equal hashes where the fields are hashable, an attribute
+cannot be assigned, the repr names the class, and objects of different
+classes are unequal, even on equal fields."""
+
+import pytest
+
+from singdet.corpus import CorpusEntry
+from singdet.diagrams import LinkDiagram, parse_pd, seifert_structure
+from singdet.evaluate import Cyclo24, GoldenInt, LaurentPolynomial, Root5
+from singdet.exactlinalg import CokernelDecomposition, IntegerSymmetricMatrix
+from singdet.linkform import LinkingFormPresentation, WallDecomposition
+from singdet.obstruct import LickorishReport, SignedUnknottingConstraint, StoimenowReport
+from singdet.reference import (
+    JonesSpecialValues,
+    LinkInvariantBundle,
+    PAdicValuation,
+    RationalSymmetricMatrix,
+    UnimodularTransform,
+)
+from singdet.seifert import SeifertData, SpanningSurfaceData
+
+TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+E = [[-2, 1], [1, -2]]
+
+# class name -> a function that builds a new object from the same arguments;
+# IntegerSymmetricMatrix and SpanningSurfaceData share their entries, and
+# Root5 and GoldenInt their fields
+MAKE = {
+    "IntegerSymmetricMatrix": lambda: IntegerSymmetricMatrix(E),
+    "SpanningSurfaceData": lambda: SpanningSurfaceData(IntegerSymmetricMatrix(E), 1, 0),
+    "SeifertData": lambda: SeifertData([[-1, 1], [0, -1]]),
+    "CokernelDecomposition": lambda: CokernelDecomposition({3: (0, 1)}, 0, 3, (1, 3)),
+    "Cyclo24": lambda: Cyclo24((0, -1, 0, 0, 0, 0, 0, 0)),
+    "Root5": lambda: Root5(0, -1),
+    "GoldenInt": lambda: GoldenInt(0, -1),
+    "LaurentPolynomial": lambda: LaurentPolynomial({-2: 1, 2: 1}),
+    "LinkingFormPresentation": lambda: LinkingFormPresentation(IntegerSymmetricMatrix(E)),
+    "WallDecomposition": lambda: WallDecomposition([(3, 1, "A")]),
+    "SignedUnknottingConstraint": lambda: SignedUnknottingConstraint(3, 1, "delta_eq_parity_u_minus", -1),
+    "LickorishReport": lambda: LickorishReport((1,), {3: (1, 1, {1: True, -1: False})}),
+    "StoimenowReport": lambda: StoimenowReport(Root5(0, -1), False, Root5(0, 1), False),
+    "CorpusEntry": lambda: CorpusEntry("3_1", parse_pd(TREFOIL), None, None),
+    "LinkDiagram": lambda: LinkDiagram(parse_pd(TREFOIL).crossings),
+    "_SeifertStructure": lambda: seifert_structure(parse_pd(TREFOIL)),
+    "RationalSymmetricMatrix": lambda: RationalSymmetricMatrix(E),
+    "UnimodularTransform": lambda: UnimodularTransform([[1, 1], [0, 1]]),
+    "PAdicValuation": lambda: PAdicValuation(1),
+    "LinkInvariantBundle": lambda: LinkInvariantBundle(1, 3, -2, {3: 1}, {3: 1}, -1),
+    "JonesSpecialValues": lambda: JonesSpecialValues(*(Cyclo24.from_int(k) for k in range(5))),
+}
+
+
+def hash_or_none(obj):
+    try:
+        return hash(obj)
+    except TypeError:  # a dict field
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(MAKE))
+def test_value_semantics(name):
+    a, b = MAKE[name](), MAKE[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b
+    assert hash_or_none(a) == hash_or_none(b)
+    for attr in (a._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
+    assert a == b
+    assert repr(a).startswith(f"{name}(")
+    for other in (make() for key, make in MAKE.items() if key != name):
+        assert a != other and not a == other
