@@ -18,12 +18,10 @@ print their wall times on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
-from . import corpus as corpus_mod
-from .corpus import CorpusEntry, corpus_knots, load_corpus, parse_entry
+from .corpus import CorpusEntry, load_corpus, parse_entry
 from .diagrams import BRACKET_BUDGET, Q_BUDGET, jones_via_bracket, q_via_skein, seifert_matrix_from_diagram
 from .evaluate import HALFPOWER, alexander_poly, jones_zeta6_closed_form, q_at_golden_link
 from .exactlinalg import IntegerSymmetricMatrix, det_exact, det_of, parse_matrix, smith_cokernel
@@ -156,11 +154,12 @@ def cmd_obstruct(args) -> int:
 # The suites import `random` and the reference routes inside their bodies,
 # so that the two report commands load neither.
 
-def _suite_examples(report) -> bool:
+def _suite_examples(report, root: str | None) -> bool:
     """Golden values from the worked examples (the erratum case is listed
-    under its mathematically consistent value; see the acceptance tests)."""
+    under its mathematically consistent value; see the acceptance tests),
+    read from the corpus folder root, or `load_corpus`'s default for None."""
     ok = True
-    c = load_corpus()
+    c = load_corpus(root)
 
     def entry(name):
         if name not in c:
@@ -203,9 +202,10 @@ def _random_even_symmetric(rng, max_g: int = 3, spread: int = 3):
     return IntegerSymmetricMatrix([[A[i][j] + A[j][i] for j in range(n)] for i in range(n)])
 
 
-def _suite_prop35(report, seed: int, count: int = 500) -> bool:
+def _suite_prop35(report, seed: int) -> bool:
     import random
 
+    count = 500
     rng = random.Random(seed)
     done = 0
     while done < count:
@@ -220,11 +220,12 @@ def _suite_prop35(report, seed: int, count: int = 500) -> bool:
     return report(f"definition == Wall closed form on {count} matrices x 5 primes", True)
 
 
-def _suite_jacobi(report, seed: int, count: int = 1000) -> bool:
+def _suite_jacobi(report, seed: int) -> bool:
     import random
 
     from .reference import RationalSymmetricMatrix, jacobi_minor_identity
 
+    count = 1000
     rng = random.Random(seed)
     done = 0
     while done < count:
@@ -243,11 +244,12 @@ def _suite_jacobi(report, seed: int, count: int = 1000) -> bool:
     return report(f"general Jacobi identity on {count} random minors", True)
 
 
-def _suite_invariance(report, seed: int, count: int = 1000) -> bool:
+def _suite_invariance(report, seed: int) -> bool:
     import random
 
-    from .reference import random_unimodular, stabilize
+    from .reference import congruence, delta_p_reduced, random_unimodular, stabilize
 
+    count = 1000
     rng = random.Random(seed)
     ok = True
     M = _random_even_symmetric(rng, max_g=2)
@@ -257,21 +259,23 @@ def _suite_invariance(report, seed: int, count: int = 1000) -> bool:
         p = rng.choice((3, 5, 7, 11, 13))
         base = delta_p(M, p)
         T = random_unimodular(M.n, rng)
-        if delta_p(M.congruence(T), p) != base:
+        if delta_p(congruence(M, T), p) != base:
             return report("delta_p not invariant under congruence", False)
         if delta_p(stabilize(M), p) != base:
             return report("delta_p not invariant under stabilization", False)
-        if delta_p(M, p, rng=rng) != base:
+        if delta_p_reduced(M, p, rng) != base:
             return report("delta_p depends on the reduction path", False)
     ok &= report(f"delta_p invariance: {count} congruences/stabilizations/reductions", True)
     return ok
 
 
-def _suite_endtoend(report, seed: int = 0) -> bool:
+def _suite_endtoend(report, root: str | None) -> bool:
     from .reference import q_golden_closed_form
 
     ok = True
-    knots = sorted(corpus_knots(max(9, Q_BUDGET)).items())
+    knots = sorted((name, e) for name, e in load_corpus(root).items()
+                   if e.diagram is not None and e.diagram.component_count == 1
+                   and e.diagram.n <= max(9, Q_BUDGET))
     matrices = {name: seifert_matrix_from_diagram(e.diagram).M for name, e in knots}
     for name, e in knots:
         if e.diagram.n > 9:
@@ -291,12 +295,13 @@ def _suite_endtoend(report, seed: int = 0) -> bool:
     return ok
 
 
+# each suite reads the seed or the corpus folder of the verify arguments
 SUITES = {
-    "examples": lambda report, seed: _suite_examples(report),
-    "prop35": _suite_prop35,
-    "jacobi": _suite_jacobi,
-    "invariance": _suite_invariance,
-    "endtoend": _suite_endtoend,
+    "examples": lambda report, args: _suite_examples(report, args.corpus),
+    "prop35": lambda report, args: _suite_prop35(report, args.seed),
+    "jacobi": lambda report, args: _suite_jacobi(report, args.seed),
+    "invariance": lambda report, args: _suite_invariance(report, args.seed),
+    "endtoend": lambda report, args: _suite_endtoend(report, args.corpus),
 }
 
 
@@ -311,7 +316,7 @@ def cmd_verify(args) -> int:
             return bool(passed)
 
         t0 = time.perf_counter()
-        ok = SUITES[name](report, args.seed)
+        ok = SUITES[name](report, args)
         # printed once the suite has run, so that bad input leaves stdout empty
         print(f"== suite {name} (seed {args.seed})")
         for check, passed in results:
@@ -400,10 +405,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "prime", None) is not None and args.prime not in args.primes:
         args.primes = args.primes + [args.prime]
-    # --corpus holds for this call only: the previous value comes back after
-    saved = os.environ.get(corpus_mod.ENV_CORPUS)
-    if getattr(args, "corpus", None):
-        os.environ[corpus_mod.ENV_CORPUS] = args.corpus
     # looked up on each call rather than kept in the parser, so that a
     # rebinding of a command function at module level takes effect
     fn = {"invariants": cmd_invariants, "obstruct": cmd_obstruct, "verify": cmd_verify}[args.cmd]
@@ -412,11 +413,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # unreadable or malformed input
         print(f"singdet: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if saved is None:
-            os.environ.pop(corpus_mod.ENV_CORPUS, None)
-        else:
-            os.environ[corpus_mod.ENV_CORPUS] = saved
 
 
 if __name__ == "__main__":

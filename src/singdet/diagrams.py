@@ -567,8 +567,6 @@ def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
 def _chain_order(struct: _SeifertStructure) -> list[int] | None:
     """Vertices of the Seifert graph as a path, or None if not a chain."""
     s = len(struct.circles)
-    if s == 1:  # no crossing joins a circle to itself, so there is no edge
-        return [0]
     adj: dict[int, set[int]] = {i: set() for i in range(s)}
     for u, v in struct.edges:
         adj[u].add(v)
@@ -601,8 +599,6 @@ def _braided_data(d: LinkDiagram, struct: _SeifertStructure):
     for t in range(len(chain) - 1):
         u, v = chain[t], chain[t + 1]
         upper_sub = [ci for ci in struct.corner_order[u] if struct.edges[ci] in ((u, v), (v, u))]
-        if not upper_sub:
-            return None
         # a crossing meets each circle once, so both lists hold the same
         # bands once each: rotate the lower one to the upper one's first
         lower_sub = [ci for ci in struct.corner_order[v] if struct.edges[ci] in ((u, v), (v, u))]
@@ -1030,7 +1026,7 @@ def _twist_expand(crossings: list[tuple], free: int, partner, region, memo: dict
     return a * t1 + b * t0 + c * e
 
 
-def _q_affine(crossings: list[tuple], free: int, memo: dict, partner=None, cut=()) -> LaurentPolynomial:
+def _q_affine(crossings: list[tuple], free: int, memo: dict, partner, cut=()) -> LaurentPolynomial:
     """Q of the diagram (crossings, free loops) with the crossings of `cut`
     smoothed (`_reidemeister_reduce`), one shadow walk per node."""
     crossings, free = reduced = _reidemeister_reduce(crossings, free, partner, cut)

@@ -130,12 +130,6 @@ class IntegerSymmetricMatrix(Frozen):
                 out[n + i][n + j] = other.entries[i][j]
         return IntegerSymmetricMatrix(out)
 
-    def congruence(self, T: "UnimodularTransform") -> "IntegerSymmetricMatrix":
-        """T M T^t, another symmetric matrix presenting the same form."""
-        from .reference import mat_mul
-
-        return IntegerSymmetricMatrix(mat_mul(mat_mul(T.entries, self.entries), transpose(T.entries)))
-
 
 class CokernelDecomposition(NamedTuple):
     """coker(M) = Z^free_rank + sum over primes p of Z/p^k summands.

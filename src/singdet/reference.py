@@ -3,10 +3,14 @@ suites check the production routes against.
 
 Nothing that `singdet invariants` or `singdet obstruct` runs reads this
 module, and no other module of the package imports it at module level:
-the verify suites, the randomized path of `seifert.delta_p`,
-`IntegerSymmetricMatrix.congruence` and the generator search of `obstruct`
-import what they need inside the function body.  So importing `singdet.cli`
-neither compiles nor runs it.
+only the verify suites and the generator search of `obstruct` import what
+they need, inside the function body.  So importing `singdet.cli` neither
+compiles nor runs it.  Each production entry point has one path, and its
+check lives here: `delta_p_reduced` is `seifert.delta_p` by the
+integer-lifted reduction of all of M with randomized pivots (the
+path-independence oracle), `congruence(M, T)` is T M T^t, and `oddity`
+gives the Gordon-Litherland correction of a hand-built
+`SpanningSurfaceData` of odd determinant.
 
 The p-adic normal forms `rational_normalize` and `inverse_ord_normalize`
 are a second route to the classification that `exactlinalg.padic_jordan`
@@ -44,7 +48,15 @@ from .exactlinalg import (
 from .linkform import LinkingFormPresentation, WallDecomposition, b_total, wall_of
 from .numtheory import check_odd_prime, is_prime, legendre, ord_int, p_part, prime_factors
 from .obstruct import lickorish_generator_search
-from .seifert import SeifertData, SpanningSurfaceData, d_p_of, delta_p, mu_of, signature
+from .seifert import (
+    SeifertData,
+    SpanningSurfaceData,
+    _delta_from_unit_block,
+    d_p_of,
+    delta_p,
+    mu_of,
+    signature,
+)
 
 
 # ------------------------------------------- rational and unimodular matrices
@@ -92,6 +104,11 @@ def mat_mul(a, b):
     m = len(b[0]) if b else 0
     bt = transpose(b)
     return [[sum(a[i][t] * bt[j][t] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+def congruence(M: IntegerSymmetricMatrix, T: UnimodularTransform) -> IntegerSymmetricMatrix:
+    """T M T^t, another symmetric matrix presenting the same form."""
+    return IntegerSymmetricMatrix(mat_mul(mat_mul(T.entries, M.entries), transpose(T.entries)))
 
 
 def mat_vec(a, v):
@@ -258,6 +275,15 @@ def mod_p_block_reduce(
     if k and det_exact(N.entries) % p == 0:
         raise AssertionError("reduction produced a singular unit block")
     return UnimodularTransform(t), N, d_p
+
+
+def delta_p_reduced(M: IntegerSymmetricMatrix, p: int, rng: random.Random) -> int:
+    """delta_p(M, p) from `mod_p_block_reduce` of all of M with pivots drawn
+    by rng, in place of the F_p elimination on the congruence core's
+    residual block: the oracle that delta_p does not depend on the
+    reduction path."""
+    _, N, d = mod_p_block_reduce(M, p, rng=rng)
+    return _delta_from_unit_block(M, p, d, legendre(det_exact(N.entries), p))
 
 
 def random_unimodular(n: int, rng: random.Random, steps: int = 12) -> UnimodularTransform:
@@ -639,6 +665,51 @@ def crossing_change_pair(
         plus = P.block_sum(IntegerSymmetricMatrix([[0, 1], [1, a - 1]]))
         minus = P.block_sum(IntegerSymmetricMatrix([[0, 1], [1, a + 1]]))
     return plus, minus
+
+
+def characteristic_vector(R: IntegerSymmetricMatrix) -> list[int]:
+    """A 0/1 vector v with w^t R w = v^t R w (mod 2) for all w.
+
+    Equivalent to solving R v = diag(R) over F_2, which is always solvable
+    for symmetric matrices; when R has even diagonal, v = 0.  (For matrices
+    whose diagonal parities already solve the system, such as even-diagonal
+    ones, this agrees with taking v_i = R_ii mod 2.)
+    """
+    n = R.n
+    a = [[R.entries[i][j] % 2 for j in range(n)] + [R.entries[i][i] % 2] for i in range(n)]
+    rank = 0
+    pivots = []
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(n):
+            if r != rank and a[r][col]:
+                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[rank])]
+        pivots.append(col)
+        rank += 1
+    v = [0] * n
+    for r, col in enumerate(pivots):
+        v[col] = a[r][n]
+    for r in range(rank, n):
+        if a[r][n]:
+            raise AssertionError("characteristic system unsolvable for symmetric matrix")
+    return v
+
+
+def oddity(R: IntegerSymmetricMatrix) -> int:
+    """v^t R v mod 8 for a characteristic vector v.
+
+    Well-defined over all characteristic vectors when det(R) is odd (the
+    mod-2 class of v is then unique); a fixed deterministic solution is used
+    in general.  It is the Gordon-Litherland correction that the tests give
+    a hand-built SpanningSurfaceData, exact only for odd det R; a Goeritz
+    matrix carries the diagram's correction instead.
+    """
+    v = characteristic_vector(R)
+    total = sum(v[i] * R.entries[i][j] * v[j] for i in range(R.n) for j in range(R.n))
+    return total % 8
 
 
 def delta_p_gl(S: SpanningSurfaceData, p: int) -> int:

@@ -6,12 +6,14 @@ a parity correction, invariant under unimodular congruence and hyperbolic
 stabilization, hence a link invariant.  A spanning-surface presentation
 (`SpanningSurfaceData`, for example a Goeritz matrix) may have odd diagonal
 entries; it carries its component count and Gordon-Litherland correction,
-and every per-prime function here takes it in place of M.
+both given when it is built, and every per-prime function here takes it in
+place of M.
 
 The per-prime layer reads det M first: at an odd prime p that does not
 divide it, M is nondegenerate over F_p, so d_p = 0 and delta_p is one
 Legendre symbol of det M.  Only at a prime dividing det M does the dense
-F_p elimination run, on the residual block of the congruence core.
+F_p elimination run, on the residual block of the congruence core.  The
+reduction of all of M that checks this path lives in `reference`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .exactlinalg import (
     _memo_on_matrix,
     congruence_core,
     corank_mod_p,
-    det_exact,
 )
 from .numtheory import check_odd_prime, legendre
 
@@ -42,8 +43,6 @@ class SeifertData(Frozen):
             raise ValueError("Seifert matrix must be square")
         object.__setattr__(self, "A", rows)
         M = IntegerSymmetricMatrix([tuple(x + y for x, y in zip(row, col)) for row, col in zip(rows, zip(*rows))])
-        if not M.has_even_diagonal():
-            raise AssertionError("A + A^t always has even diagonal")
         object.__setattr__(self, "M", M)
 
     @property
@@ -58,18 +57,19 @@ class SpanningSurfaceData(IntegerSymmetricMatrix):
     component count mu and the Gordon-Litherland correction e.  The
     signature is sign(R) - e, and e mod 8 enters delta_p.  A symmetrized
     Seifert matrix M is the case mu = mu_of(M), e = 0; the per-prime
-    functions take either.  Built by hand, e defaults to oddity(R), which is
-    exact only for odd det R; `goeritz_from_diagram` gives the exact e.
+    functions take either.  Both are always given: `goeritz_from_diagram`
+    reads them off the diagram; `reference.oddity(R)`, which gives e only
+    for odd det R, serves hand-built presentations in the tests.
     """
 
     _fields = ("entries", "mu", "e")
 
-    def __init__(self, R: IntegerSymmetricMatrix, mu: int, e: int | None = None):
+    def __init__(self, R: IntegerSymmetricMatrix, mu: int, e: int):
         object.__setattr__(self, "entries", R.entries)  # validated when R was built
         if mu < 1:
             raise ValueError("mu must be >= 1")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "e", oddity(self) if e is None else e)
+        object.__setattr__(self, "e", e)
 
     @property
     def R(self) -> "SpanningSurfaceData":
@@ -149,31 +149,26 @@ def _eliminate_mod_p(entries, p: int) -> tuple[int, int]:
     return len(a), unit_det
 
 
-def delta_p(M: IntegerSymmetricMatrix, p: int, rng=None) -> int:
+def delta_p(M: IntegerSymmetricMatrix, p: int) -> int:
     """Singular determinant at an odd prime p of an even-diagonal symmetric
     M or of a spanning-surface presentation.
 
     Independent of the reduction path; unchanged by unimodular congruence
     and by hyperbolic stabilization.  Defined for singular M as well.
-    The default path (`_unit_block_class_mod_p`) takes the class of det M
-    when p does not divide it, and otherwise works over F_p on the residual
-    block R of the congruence core of M, with the unit determinant starting
-    at det B; passing a random.Random as rng exercises the integer-lifted
-    reduction of all of M with randomized pivots instead (the
-    path-independence oracle, and the only caller of
-    `reference.mod_p_block_reduce`).
+    `_unit_block_class_mod_p` takes the class of det M when p does not
+    divide it, and otherwise works over F_p on the residual block R of the
+    congruence core of M, with the unit determinant starting at det B.
     """
-    mu = mu_of(M)  # rejects an odd diagonal without a carried correction
     check_odd_prime(p)
-    if rng is None:
-        d, cls = _unit_block_class_mod_p(M, p)
-    else:
-        from .reference import mod_p_block_reduce
+    return _delta_from_unit_block(M, p, *_unit_block_class_mod_p(M, p))
 
-        _, N, d = mod_p_block_reduce(M, p, rng=rng)
-        cls = legendre(det_exact(N.entries), p)
-    # cls, the unit block's Legendre class, times (-1|p)^(d + (n + mu - 1 - e)/2)
-    e2 = M.n + mu - 1 - _correction(M)
+
+def _delta_from_unit_block(M: IntegerSymmetricMatrix, p: int, d: int, cls: int) -> int:
+    """delta_p from the corank d of M mod p and the Legendre class cls of
+    its unit block: cls * (-1|p)^(d + (n + mu - 1 - e)/2), whatever
+    reduction found d and cls.  An odd diagonal without a carried
+    correction is a ValueError (`mu_of`)."""
+    e2 = M.n + mu_of(M) - 1 - _correction(M)
     if e2 % 2 != 0:
         raise ValueError("exponent (n + mu - 1 - e)/2 is not an integer")
     if cls == 0:
@@ -187,51 +182,6 @@ def d_p_of(M: IntegerSymmetricMatrix, p: int) -> int:
     elimination that delta_p runs."""
     check_odd_prime(p)
     return _unit_block_class_mod_p(M, p)[0]
-
-
-def characteristic_vector(R: IntegerSymmetricMatrix) -> list[int]:
-    """A 0/1 vector v with w^t R w = v^t R w (mod 2) for all w.
-
-    Equivalent to solving R v = diag(R) over F_2, which is always solvable
-    for symmetric matrices; when R has even diagonal, v = 0.  (For matrices
-    whose diagonal parities already solve the system, such as even-diagonal
-    ones, this agrees with taking v_i = R_ii mod 2.)
-    """
-    n = R.n
-    a = [[R.entries[i][j] % 2 for j in range(n)] + [R.entries[i][i] % 2] for i in range(n)]
-    rank = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for r in range(n):
-            if r != rank and a[r][col]:
-                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    v = [0] * n
-    for r, col in enumerate(pivots):
-        v[col] = a[r][n]
-    for r in range(rank, n):
-        if a[r][n]:
-            raise AssertionError("characteristic system unsolvable for symmetric matrix")
-    return v
-
-
-def oddity(R: IntegerSymmetricMatrix) -> int:
-    """v^t R v mod 8 for a characteristic vector v.
-
-    Well-defined over all characteristic vectors when det(R) is odd (the
-    mod-2 class of v is then unique); a fixed deterministic solution is used
-    in general.  It is the default Gordon-Litherland correction of a
-    hand-built SpanningSurfaceData and is exact only for odd det R; a
-    Goeritz matrix carries the diagram's correction instead.
-    """
-    v = characteristic_vector(R)
-    total = sum(v[i] * R.entries[i][j] * v[j] for i in range(R.n) for j in range(R.n))
-    return total % 8
 
 
 def signature(M: IntegerSymmetricMatrix) -> int:

@@ -16,7 +16,7 @@ import singdet.seifert as seifert
 from singdet.cli import main
 from singdet.diagrams import pretzel_pd, q_via_skein, seifert_matrix_from_diagram
 from singdet.exactlinalg import IntegerSymmetricMatrix, corank_mod_p
-from singdet.reference import random_unimodular
+from singdet.reference import congruence, random_unimodular
 from singdet.seifert import SeifertData, d_p_of, delta_p, mu_of
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
@@ -46,7 +46,7 @@ def _seeded_even_symmetric(count=320, seed=2601):
             p = rng.choice(PRIMES)
             M = M.block_sum(IntegerSymmetricMatrix(
                 [[p * (B[i][j] + B[j][i]) for j in range(m)] for i in range(m)]))
-        out.append(M.congruence(random_unimodular(M.n, rng)))
+        out.append(congruence(M, random_unimodular(M.n, rng)))
     return out
 
 

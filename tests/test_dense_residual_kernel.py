@@ -13,6 +13,7 @@ import random
 
 from singdet.diagrams import braid_closure_pd, goeritz_from_diagram
 from singdet.exactlinalg import congruence_core, corank_mod_p
+from singdet.reference import delta_p_reduced
 from singdet.seifert import d_p_of, delta_p
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -37,5 +38,5 @@ def test_d_p_and_delta_p_of_large_residual_blocks_match_the_whole_matrix():
         sizes.append(len(congruence_core(G).R))
         for p in PRIMES:
             assert d_p_of(G, p) == corank_mod_p(G.entries, p), (G.n, p)
-            assert delta_p(G, p) == delta_p(G, p, rng=random.Random(p)), (G.n, p)
+            assert delta_p(G, p) == delta_p_reduced(G, p, random.Random(p)), (G.n, p)
     assert max(sizes) >= 15

@@ -24,7 +24,7 @@ from singdet.exactlinalg import (
     det_exact,
 )
 from singdet.numtheory import legendre
-from singdet.reference import random_unimodular
+from singdet.reference import congruence, random_unimodular
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 
@@ -45,7 +45,7 @@ def seeded_symmetric(count=240, seed=1617):
         if k % 3 == 0:
             p = rng.choice(PRIMES)
             M = M.block_sum(IntegerSymmetricMatrix([[p * rng.choice((1, 2, -1))]]))
-        yield M.congruence(random_unimodular(M.n, rng)) if M.n else M
+        yield congruence(M, random_unimodular(M.n, rng)) if M.n else M
 
 
 def seeded_goeritz(count=8, seed=29):

@@ -17,13 +17,14 @@ from fractions import Fraction
 import pytest
 
 import singdet.exactlinalg as exactlinalg
+import singdet.reference as reference
 import singdet.seifert as seifert
 from singdet.cli import main
 from singdet.corpus import load_corpus
 from singdet.diagrams import goeritz_from_diagram, pretzel_pd, seifert_matrix_from_diagram
 from singdet.evaluate import LaurentPolynomial, _interpolate_int, alexander_poly
 from singdet.exactlinalg import IntegerSymmetricMatrix, det_exact, transpose
-from singdet.reference import random_unimodular
+from singdet.reference import congruence, random_unimodular
 from singdet.seifert import SeifertData, signature
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
@@ -127,7 +128,7 @@ def _seeded_symmetric(count=360, seed=1968):
         elif kind == 5:
             rows = [[rng.randrange(-3, 4) if i == j else 0 for j in range(n)] for i in range(n)]
         M = IntegerSymmetricMatrix(rows)
-        out.append(M.congruence(random_unimodular(M.n, rng)))
+        out.append(congruence(M, random_unimodular(M.n, rng)))
     return out
 
 
@@ -174,7 +175,7 @@ def test_signature_reuses_neither_the_mod_p_elimination_nor_the_padic_kernel(mon
 
     monkeypatch.setattr(seifert, "_unit_block_class_mod_p", forbidden)
     monkeypatch.setattr(exactlinalg, "padic_jordan", forbidden)
-    monkeypatch.setattr(seifert, "det_exact", forbidden)
+    monkeypatch.setattr(reference, "mod_p_block_reduce", forbidden)
     for M in _seeded_symmetric(count=24, seed=7):
         assert signature(M) == _fraction_ldl_sign(M)
 

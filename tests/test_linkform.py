@@ -14,7 +14,7 @@ from singdet.linkform import (
     delta_from_wall,
     wall_decompose,
 )
-from singdet.reference import eval_form, isometric, mat_vec, r_pk, r_total, random_unimodular
+from singdet.reference import congruence, eval_form, isometric, mat_vec, r_pk, r_total, random_unimodular
 from singdet.seifert import delta_p
 
 
@@ -106,7 +106,7 @@ def test_wall_unimodular_invariance():
         M = rand_odd_det(rng, 2)
         T = random_unimodular(M.n, rng)
         w1 = wall_decompose(LinkingFormPresentation(M))
-        w2 = wall_decompose(LinkingFormPresentation(M.congruence(T)))
+        w2 = wall_decompose(LinkingFormPresentation(congruence(M, T)))
         assert isometric(w1, w2)
 
 

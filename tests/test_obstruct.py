@@ -18,6 +18,7 @@ from singdet.obstruct import (
     wendt_bound,
 )
 from singdet.reference import (
+    congruence,
     crossing_change_pair,
     lickorish_direct,
     q_value_bound,
@@ -210,7 +211,7 @@ def run_synthetic_sequences(rng, trials):
             if rng.random() < 0.4:
                 M = stabilize(M)
             if rng.random() < 0.6:
-                M = M.congruence(random_unimodular(M.n, rng))
+                M = congruence(M, random_unimodular(M.n, rng))
         u = u_plus + u_minus
         r = p % 8
         if r == 1:

@@ -25,6 +25,7 @@ from singdet.exactlinalg import (
 from singdet.linkform import LinkingFormPresentation, WallDecomposition, wall_decompose
 from singdet.numtheory import legendre, ord_int, prime_factors
 from singdet.reference import (
+    congruence,
     eval_form,
     inverse_ord_normalize,
     legendre_fraction,
@@ -39,7 +40,7 @@ def reference_wall(M):
     of p^k times each diagonal entry of the inverse with k >= 1."""
     summands = []
     for p in prime_factors(det_exact(M.entries)):
-        W = M.congruence(inverse_ord_normalize(M, p))
+        W = congruence(M, inverse_ord_normalize(M, p))
         winv = mat_inverse_q(W.entries)
         for i in range(M.n):
             x = winv[i][i]
@@ -83,7 +84,7 @@ def structured_odd_det(rng, max_n=8):
         for _ in range(rng.randrange(2, 5)):
             D = D.block_sum(IntegerSymmetricMatrix(rng.choice(BLOCKS)))
         if 0 < D.n <= max_n:
-            return D.congruence(random_unimodular(D.n, rng, steps=2 * D.n + 4))
+            return congruence(D, random_unimodular(D.n, rng, steps=2 * D.n + 4))
 
 
 def vogel_matrix(*twists):

@@ -176,7 +176,7 @@ def test_mod_p_block_reduce_is_reached_only_from_the_rng_path(monkeypatch):
     for shade in (0, 1):
         delta_p_gl(goeritz_from_diagram(d, shade), 7)
     assert calls == []
-    delta_p(vogel_matrix("5_2"), 7, rng=random.Random(0))
+    reference.delta_p_reduced(vogel_matrix("5_2"), 7, random.Random(0))
     assert len(calls) == 1
 
 

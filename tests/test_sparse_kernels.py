@@ -31,7 +31,7 @@ from singdet.exactlinalg import (
 )
 from singdet.linkform import WallDecomposition, wall_of
 from singdet.numtheory import legendre, ord_int, prime_factors
-from singdet.reference import random_unimodular
+from singdet.reference import congruence, random_unimodular
 from singdet.seifert import SeifertData, _unit_block_class_mod_p, mu_of, signature
 
 PRIMES = (3, 5, 7, 11, 13, 999_999_999_959)
@@ -188,7 +188,7 @@ def _hidden_pairs(rng, even: bool):
     M = IntegerSymmetricMatrix(C)
     for _ in range(rng.randint(1, 3)):
         M = IntegerSymmetricMatrix(rng.choice(INDEFINITE if even else INDEFINITE + DEFINITE)).block_sum(M)
-    return M.congruence(random_unimodular(M.n, rng, steps=rng.randint(1, 4))).entries
+    return congruence(M, random_unimodular(M.n, rng, steps=rng.randint(1, 4))).entries
 
 
 @functools.lru_cache(maxsize=None)

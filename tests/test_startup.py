@@ -1,6 +1,7 @@
 """Importing `singdet.cli` compiles and builds only what the report commands
 run: no module of the package imports `dataclasses`, none imports the
-reference routes at module level, and `invariants` and `obstruct` load
+reference routes at module level, only three verify suites and the
+generator search import them at all, and `invariants` and `obstruct` load
 neither `singdet.reference` nor `dataclasses`, `fractions` or `random`."""
 
 import ast
@@ -62,6 +63,28 @@ def test_no_module_imports_dataclasses(module):
 def test_no_module_imports_the_reference_routes_at_module_level(module):
     assert [line for name, line in imports(read(module), module_level=True)
             if name == "singdet.reference"] == []
+
+
+def reference_importers(source: str, stem: str) -> set[str]:
+    """'stem.function' for each import of the reference routes in source,
+    named by the innermost function around it ('stem.<module>' outside any)."""
+    functions = sorted((node.lineno, node.end_lineno, node.name) for node in ast.walk(ast.parse(source))
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    out = set()
+    for name, line in imports(source, module_level=False):
+        if name == "singdet.reference":
+            around = [f for start, end, f in functions if start <= line <= end]
+            out.add(f"{stem}.{around[-1] if around else '<module>'}")
+    return out
+
+
+def test_only_the_verify_suites_and_the_generator_search_import_the_reference_routes():
+    planted = ("from .reference import w\n"
+               "def f():\n    def g():\n        from . import reference\n    from .reference import x\n")
+    assert reference_importers(planted, "m") == {"m.<module>", "m.f", "m.g"}
+    found = set().union(*(reference_importers(read(m), m[:-3]) for m in MODULES if m != "reference.py"))
+    assert found == {"cli._suite_jacobi", "cli._suite_invariance", "cli._suite_endtoend",
+                     "obstruct._generator_form_value"}
 
 
 SCRIPT = """
