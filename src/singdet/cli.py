@@ -21,7 +21,7 @@ import argparse
 import sys
 import time
 
-from .corpus import CorpusEntry, load_corpus, parse_entry
+from .corpus import CorpusEntry, corpus_knots, load_corpus, parse_entry
 from .diagrams import BRACKET_BUDGET, Q_BUDGET, jones_via_bracket, q_via_skein, seifert_matrix_from_diagram
 from .evaluate import HALFPOWER, alexander_poly, jones_zeta6_closed_form, q_at_golden_link
 from .exactlinalg import IntegerSymmetricMatrix, det_exact, det_of, parse_matrix, smith_cokernel
@@ -60,12 +60,13 @@ def _matrix_from_diagram(d) -> IntegerSymmetricMatrix | None:
 
 
 def _presentation(entry: CorpusEntry) -> IntegerSymmetricMatrix | None:
-    """The matrix the per-prime layer reads: the entry's own matrix or
+    """The matrix the per-prime layer reads: the entry's own matrix, else its
     symmetrized Seifert matrix, else one derived from its diagram."""
-    M = entry.symmetrized
-    if M is None and entry.diagram is not None:
-        M = _matrix_from_diagram(entry.diagram)
-    return M
+    if entry.matrix is not None:
+        return entry.matrix
+    if entry.seifert is not None:
+        return entry.seifert.M
+    return None if entry.diagram is None else _matrix_from_diagram(entry.diagram)
 
 
 def _emit(pairs, fmt: str):
@@ -195,10 +196,10 @@ def _suite_examples(report, root: str | None) -> bool:
     return ok
 
 
-def _random_even_symmetric(rng, max_g: int = 3, spread: int = 3):
+def _random_even_symmetric(rng, max_g: int = 3):
     g = rng.randrange(1, max_g + 1)
     n = 2 * g
-    A = [[rng.randrange(-spread, spread + 1) for _ in range(n)] for _ in range(n)]
+    A = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
     return IntegerSymmetricMatrix([[A[i][j] + A[j][i] for j in range(n)] for i in range(n)])
 
 
@@ -273,9 +274,9 @@ def _suite_endtoend(report, root: str | None) -> bool:
     from .reference import q_golden_closed_form
 
     ok = True
-    knots = sorted((name, e) for name, e in load_corpus(root).items()
-                   if e.diagram is not None and e.diagram.component_count == 1
-                   and e.diagram.n <= max(9, Q_BUDGET))
+    knots = sorted(corpus_knots(max(9, Q_BUDGET), root).items())
+    if not any(0 < e.diagram.n <= 9 for _, e in knots):
+        raise ValueError("corpus has no knot of 1 to 9 crossings")
     matrices = {name: seifert_matrix_from_diagram(e.diagram).M for name, e in knots}
     for name, e in knots:
         if e.diagram.n > 9:

@@ -26,22 +26,12 @@ from .diagrams import LinkDiagram, parse_pd
 from .exactlinalg import IntegerSymmetricMatrix, parse_matrix
 from .seifert import SeifertData
 
-ENV_CORPUS = "SINGDET_CORPUS"
-
 
 class CorpusEntry(NamedTuple):
     name: str
     diagram: LinkDiagram | None
     seifert: SeifertData | None
     matrix: IntegerSymmetricMatrix | None
-
-    @property
-    def symmetrized(self) -> IntegerSymmetricMatrix | None:
-        if self.matrix is not None:
-            return self.matrix
-        if self.seifert is not None:
-            return self.seifert.M
-        return None
 
 
 def parse_entry(text: str, fallback_name: str = "") -> CorpusEntry:
@@ -82,16 +72,12 @@ def parse_entry(text: str, fallback_name: str = "") -> CorpusEntry:
     return CorpusEntry(name, diagram, seifert, matrix)
 
 
-def corpus_root() -> str | None:
-    return os.environ.get(ENV_CORPUS)
-
-
 def load_corpus(root: str | None = None) -> dict[str, CorpusEntry]:
-    """All bundled entries, or the ones in `root`/$SINGDET_CORPUS if set.
-    Two files whose entries share a name raise ValueError.  The bundled
-    files are read beside this module, with no importlib.resources, whose
-    import costs more than loading the corpus."""
-    folder = root or corpus_root() or os.path.join(os.path.dirname(__file__), "corpus")
+    """The entries of the `.txt` files in the folder `root`, or the bundled
+    entries when root is None.  Two files whose entries share a name raise
+    ValueError.  The bundled files are read beside this module, with no
+    importlib.resources, whose import costs more than loading the corpus."""
+    folder = root or os.path.join(os.path.dirname(__file__), "corpus")
     entries, files = {}, {}
     for name in sorted(os.listdir(folder)):
         if not name.endswith(".txt"):
@@ -104,10 +90,11 @@ def load_corpus(root: str | None = None) -> dict[str, CorpusEntry]:
     return entries
 
 
-def corpus_knots(max_crossings: int | None = None) -> dict[str, CorpusEntry]:
-    """Bundled entries that are knots with diagrams, optionally capped."""
+def corpus_knots(max_crossings: int | None = None, root: str | None = None) -> dict[str, CorpusEntry]:
+    """The entries of `load_corpus(root)` that are knots with diagrams, of
+    at most `max_crossings` crossings when that is given."""
     out = {}
-    for name, e in load_corpus().items():
+    for name, e in load_corpus(root).items():
         if e.diagram is None or e.diagram.component_count != 1:
             continue
         if max_crossings is not None and e.diagram.n > max_crossings:

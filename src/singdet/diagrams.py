@@ -497,10 +497,8 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     is divided by delta once.  The cost follows the number of matchings on
     the widest frontier (Burton, arXiv:1712.05776), not 2^n.
     """
-    if diagram.n == 0:
-        if diagram.free_loops == 0:
-            raise DiagramError("empty diagram")
-        return dict(_bracket_delta_powers(diagram.free_loops)[diagram.free_loops - 1])
+    if diagram.n == diagram.free_loops == 0:
+        raise DiagramError("empty diagram")
     crossings, free = reduced = _reidemeister_reduce(diagram.crossings, diagram.free_loops, diagram._darts)
     k = diagram.writhe - sum(diagram.sign(ci) for ci in reduced.kept)
     if crossings:
@@ -878,7 +876,7 @@ class _Reduced(tuple):
         return pair
 
 
-def _reidemeister_reduce(crossings: list[tuple], free: int, partner=None, cut=()) -> _Reduced:
+def _reidemeister_reduce(crossings: list[tuple], free: int, partner: list[int], cut=()) -> _Reduced:
     """(crossings, free) with the crossings of the dart pairs `cut` smoothed,
     then kinks and second Reidemeister pairs removed until none is left;
     the pair also carries the indices of the crossings left and their
@@ -886,10 +884,10 @@ def _reidemeister_reduce(crossings: list[tuple], free: int, partner=None, cut=()
 
     The loop runs on a copy of `partner`, the crossings' `_darts`: a
     diagram's own list, which the bracket and the skein hand on, or a skein
-    node's (built here when None); there is no other arc map.  It first
-    splices the pairs of `cut` (`_splice`), re-queuing nothing: every
-    crossing is queued in ascending order, and re-queuing would change which
-    of two overlapping moves is taken.  Corner s of crossing ci is a kink
+    node's; there is no other arc map.  It first splices the pairs of `cut`
+    (`_splice`), re-queuing nothing: every crossing is queued in ascending
+    order, and re-queuing would change which of two overlapping moves is
+    taken.  Corner s of crossing ci is a kink
     when darts 4 ci + s and 4 ci + s + 1 are partners; its through pair is
     the darts at slots s + 2 and s + 3.  It is a second Reidemeister pair
     when `_bigon_at` finds a bigon there with one strand over at both
@@ -900,7 +898,7 @@ def _reidemeister_reduce(crossings: list[tuple], free: int, partner=None, cut=()
     the move joined.  The bigon test is written out here, with the parity of
     s2 checked first: a call of `_bigon_at` made the loop about 15% slower.
     """
-    partner = _darts(crossings) if partner is None else list(partner)
+    partner = list(partner)
     labels = [lab for t in crossings for lab in t]
     alive = [True] * len(crossings)
     for x, _y in cut:

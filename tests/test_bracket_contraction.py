@@ -170,12 +170,16 @@ def test_split_diagrams_and_free_loops_match_the_state_sum():
         disjoint_union(disjoint_union(hopf, hopf), trefoil),
         LinkDiagram(trefoil.crossings, 2),
         LinkDiagram(r1_kink(hopf, 1, True).crossings, 3),
+        LinkDiagram((), 1),
+        LinkDiagram((), 2),
         LinkDiagram((), 3),
     ]
     for d in cases:
         assert_brackets_agree(d, (d.crossings, d.free_loops))
         if d.n:
             assert_brackets_agree(mirror(d), ("mirror", d.crossings, d.free_loops))
+    with pytest.raises(DiagramError, match="empty diagram"):
+        kauffman_bracket(LinkDiagram((), 0))
 
 
 def test_contraction_keeps_one_canonical_key_per_planar_matching(monkeypatch):

@@ -160,7 +160,7 @@ def over_strand_closure(rng):
         if pos != strands - 1 or {abs(k) for k in word} != set(range(1, strands)):
             continue
         d = braid_closure_pd(word, strands)
-        crossings = _reidemeister_reduce(d.crossings, d.free_loops)[0]
+        crossings = _reidemeister_reduce(d.crossings, d.free_loops, d._darts)[0]
         over_only = over_only_components(d, crossings)
         if crossings and over_only:
             return r1_kink(d, d.components[min(over_only)][0], rng.random() < 0.5)
@@ -179,7 +179,7 @@ def test_seeded_closures_match_the_unreduced_contraction():
     seen = {"closures": 0, "links": 0, "reduced": 0, "to nothing": 0, "over only": 0,
             "reoriented differs": 0}
     for d in seeded_closures(rng, 2000, 30):
-        crossings, _ = reduced = _reidemeister_reduce(d.crossings, d.free_loops)
+        crossings, _ = reduced = _reidemeister_reduce(d.crossings, d.free_loops, d._darts)
         cases = [d]
         over_only = over_only_components(d, crossings)
         if over_only:
@@ -270,7 +270,7 @@ def test_the_contraction_places_only_the_crossings_left(monkeypatch):
     for _ in range(40):
         strands = rng.randint(2, 4)
         d = braid_closure_pd(seeded_braid_word(rng, strands, rng.randint(strands - 1, 9)), strands)
-        left = len(_reidemeister_reduce(d.crossings, d.free_loops)[0])
+        left = len(_reidemeister_reduce(d.crossings, d.free_loops, d._darts)[0])
         assert placed_crossings(monkeypatch, d) == left
 
 

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from singdet.cli import main
-from singdet.corpus import ENV_CORPUS
 from singdet.diagrams import DiagramError, parse_pd
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
@@ -57,11 +56,14 @@ def test_cli_verify_prints_durations_on_stderr(capsys):
     assert "suite examples:" not in captured.out
 
 
-def test_cli_verify_names_a_missing_corpus_entry(tmp_path, capsys, monkeypatch):
-    # main exports --corpus to the environment; monkeypatch restores it
-    monkeypatch.setenv(ENV_CORPUS, str(tmp_path))
+def test_cli_verify_names_a_missing_corpus_entry(tmp_path, capsys):
     (tmp_path / "only.txt").write_text("name: only\npd: O\n")
     assert "'example_d17'" in one_line_error(capsys, "verify", "examples", "--corpus", str(tmp_path))
+
+
+def test_cli_verify_endtoend_refuses_a_folder_with_no_knot(tmp_path, capsys):
+    (tmp_path / "only.txt").write_text("name: only\npd: O\n")
+    assert "no knot" in one_line_error(capsys, "verify", "endtoend", "--corpus", str(tmp_path))
 
 
 def test_cli_corpus_option_leaves_the_environment_unchanged(tmp_path, capsys):

@@ -44,24 +44,27 @@ def test_parse_entry_roundtrip():
         parse_entry("garbage line\n")
 
 
-def test_corpus_env_override(tmp_path, monkeypatch):
+def test_corpus_ignores_the_environment(tmp_path, monkeypatch):
     (tmp_path / "solo.txt").write_text("name: solo\npd: O\n")
     monkeypatch.setenv("SINGDET_CORPUS", str(tmp_path))
-    entries = load_corpus()
-    assert list(entries) == ["solo"]
+    bundled = load_corpus()
+    assert "p5_17_5" in bundled and "solo" not in bundled
+    assert list(load_corpus(str(tmp_path))) == ["solo"]
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+CORPUS_DIR = os.path.join(SRC, "singdet", "corpus")
 
 
 def run_cli(*args):
-    proc = subprocess.run(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
         [sys.executable, "-m", "singdet.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
         timeout=300,
     )
-    return proc
-
-
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
 
 
 def test_cli_invariants_text():
@@ -121,6 +124,7 @@ def test_cli_verify_suites_pass_and_are_stable():
 def test_cli_rejects_bad_prime():
     proc = run_cli("invariants", os.path.join(CORPUS_DIR, "3_1.txt"), "--prime", "4")
     assert proc.returncode != 0
+    assert "not an odd prime" in proc.stderr
 
 
 def test_cli_bare_matrix_input(tmp_path):
@@ -138,3 +142,4 @@ def test_cli_corpus_flag(tmp_path):
     # examples suite needs the bundled corpus; with an override missing the
     # entries it must fail loudly rather than silently pass
     assert proc.returncode != 0
+    assert "'example_d17'" in proc.stderr

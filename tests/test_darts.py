@@ -239,10 +239,10 @@ def test_the_move_loop_on_darts_equals_the_union_find_loop():
         want, free, _ = same[0]
         assert got[1] == free and relabelled(got[0], want), (crossings, cut)
         if cut:
-            assert got[:2] == _reidemeister_reduce(child, child_free)[:2], (crossings, cut)
+            assert got[:2] == _reidemeister_reduce(child, child_free, _darts(child))[:2], (crossings, cut)
             spliced += 1
         checked += 1
         reduced += len(got.kept) < len(left)
     assert checked > 300 and reduced > 200 and spliced > 500
-    assert [_reidemeister_reduce(c, 0)[:2] for c in MOVE_CODES] == [
+    assert [_reidemeister_reduce(c, 0, _darts(c))[:2] for c in MOVE_CODES] == [
         ([], 1), ([], 1), ([], 1), ([], 2), (MOVE_CODES[-1], 0)]

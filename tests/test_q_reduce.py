@@ -165,13 +165,13 @@ def test_reduced_skein_equals_the_unreduced_recursion_on_seeded_diagrams():
     for label, d in seeded_diagrams():
         assert q_via_skein(d) == unreduced_q(list(d.crossings), d.free_loops, memo), label
         checked += 1
-        reduced += len(_reidemeister_reduce(list(d.crossings), d.free_loops)[0]) < d.n
+        reduced += len(_reidemeister_reduce(list(d.crossings), d.free_loops, d._darts)[0]) < d.n
     assert checked >= 150
     assert reduced >= 60  # every moved braid has a kink or an R2 pair at the top node
 
 
 def reduce_diagram(d):
-    return _reidemeister_reduce(list(d.crossings), d.free_loops)
+    return _reidemeister_reduce(list(d.crossings), d.free_loops, d._darts)
 
 
 def test_a_kink_and_an_r2_pair_are_removed():
@@ -202,7 +202,7 @@ def test_clasps_are_kept():
 
 
 def test_a_figure_eight_curve_reduces_to_one_loop():
-    assert _reidemeister_reduce([(1, 1, 2, 2)], 0) == ([], 1)
+    assert _reidemeister_reduce([(1, 1, 2, 2)], 0, _darts([(1, 1, 2, 2)])) == ([], 1)
     assert q_via_skein(parse_pd("X[1,1,2,2]")) == LaurentPolynomial.one()
 
 

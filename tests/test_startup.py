@@ -108,7 +108,6 @@ def test_the_report_commands_load_no_reference_code(tmp_path):
     pd_only = tmp_path / "pd_only.txt"
     pd_only.write_text(next(line for line in text.splitlines() if line.startswith("pd:")) + "\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    env.pop("SINGDET_CORPUS", None)
     # -S: no site hooks, which may import any of these modules themselves
     proc = subprocess.run(
         [sys.executable, "-S", "-c", SCRIPT, str(bare), os.path.join(corpus, "p3_3_3.txt"), str(pd_only)],

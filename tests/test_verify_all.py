@@ -2,7 +2,6 @@
 suite runs inside the test suite and its report stays byte-identical."""
 
 from singdet.cli import main
-from singdet.corpus import ENV_CORPUS
 
 VERIFY_ALL_SEED_0 = """\
 == suite endtoend (seed 0)
@@ -36,7 +35,6 @@ VERIFY PASS
 """
 
 
-def test_verify_all_prints_the_seed_0_report(capsys, monkeypatch):
-    monkeypatch.delenv(ENV_CORPUS, raising=False)
+def test_verify_all_prints_the_seed_0_report(capsys):
     assert main(["verify", "all"]) == 0
     assert capsys.readouterr().out == VERIFY_ALL_SEED_0
