@@ -18,6 +18,7 @@ print their wall times on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -371,14 +372,9 @@ def _primes_arg(text: str):
     return out
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
-    global _PARSER
-    if _PARSER is not None:
-        return _PARSER
     ap = argparse.ArgumentParser(prog="singdet", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -397,7 +393,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--corpus", default=None, help="override corpus directory")
-    _PARSER = ap
     return ap
 
 

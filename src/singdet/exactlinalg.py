@@ -10,17 +10,18 @@ these kernels against live in `reference`.
 The per-prime layer reads each symmetric matrix M through one memoized
 congruence core (`congruence_core`).  On a sparse M, most of whose entries
 are zero, `_split_unimodular_blocks` splits M over Z as B + R, B an
-orthogonal sum of unimodular 1x1 and 2x2 blocks: each step picks the unit
-pivot of least Markowitz cost (Markowitz, Management Science 3 (1957)),
-and its exact Schur update touches only the pivot rows' supports.  A dense
-M is all residue, R = M.  B is unimodular, so R presents the linking form
-of M: det, the signature, mu, d_p, delta_p and the Wall summands all read
-the core.  Vogel-untangled Seifert matrices are about 98% zeros and almost
-all unimodular, so R has a few rows at most, and every kernel that reads R
-is one dense loop over its rows: the fraction-free symmetric Bareiss pass
-that gives sign M and det M, `corank_mod_p`, the F_p elimination of
-`seifert` and `padic_jordan`.  `det_exact` runs the same split on sparse
-symmetric rows and Bareiss elimination on any other matrix.
+orthogonal sum of unimodular 1x1 and 2x2 blocks: unit pivots are taken in
+the order of their Markowitz cost when queued (Markowitz, Management
+Science 3 (1957)), and each exact Schur update touches only the pivot
+rows' supports.  A dense M is all residue, R = M.  B is unimodular, so R
+presents the linking form of M: det, the signature, mu, d_p, delta_p and
+the Wall summands all read the core.  Vogel-untangled Seifert matrices are
+about 98% zeros and almost all unimodular, so R has a few rows at most,
+and every kernel that reads R is one dense loop over its rows: the
+fraction-free symmetric Bareiss pass that gives sign M and det M,
+`corank_mod_p`, the F_p elimination of `seifert` and `padic_jordan`.
+`det_exact` runs the same split on sparse symmetric rows and Bareiss
+elimination on any other matrix.
 """
 
 from __future__ import annotations
@@ -254,10 +255,12 @@ def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
     a_ij = +-1 and D = a_ii a_jj - 1 = +-1 (sign 0 when D = -1, the block
     being indefinite, and 2 sign(a_ii) when D = +1).  Each is eliminated by
     the integral inverse adj(B) * D of its block, touching only the union
-    of the two rows' supports; the next pivot is the one of least Markowitz
-    cost (r_i - 1)(r_j - 1), r the nonzero count of a row, with costs
-    refreshed lazily when an entry reaches the top of the heap.  Returns
-    (the blocks' total signature, R dense in the original index order).
+    of the two rows' supports.  Candidates wait in a heap keyed by their
+    Markowitz cost (r_i - 1)(r_j - 1) when queued, r the nonzero count of a
+    row; every row an elimination touches queues its +-1 entries again at
+    their new cost, and a popped candidate is taken if it is still a unit
+    pivot.  Returns (the blocks' total signature, R dense in the original
+    index order).
     """
     from heapq import heappop, heappush  # on first use, not at package load
 
@@ -277,21 +280,15 @@ def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
         offer(i)
     sig = 0
     while heap:
-        cost, i, j = heappop(heap)
+        _, i, j = heappop(heap)
         ri, rj = rows[i], rows[j]
         if ri is None or rj is None or ri.get(j) not in (1, -1):
             continue
-        if i == j:
-            now = (len(ri) - 1) ** 2
-        else:
+        if i != j:
             p, q, r = ri.get(i, 0), ri[j], rj.get(j, 0)
             det = p * r - 1  # q * q = 1
             if det != 1 and det != -1:
                 continue
-            now = (len(ri) - 1) * (len(rj) - 1)
-        if now > cost:
-            heappush(heap, (now, i, j))
-            continue
         rows[i] = rows[j] = None
         if i == j:  # a_kl -= a_ki * d * a_il, since 1/d = d
             d = ri.pop(i)

@@ -367,16 +367,36 @@ def test_v_at_i_vanishes_for_improper_links():
     assert v.is_zero()
 
 
+def _five_point_inputs():
+    """The connected corpus diagrams of 1 to 10 crossings, then seeded knots:
+    3- and 4-strand closures of 5 to 12 letters and 3-column pretzels with
+    odd twists."""
+    for name, e in sorted(load_corpus().items()):
+        d = e.diagram
+        if d is not None and 0 < d.n <= 10 and d.is_connected():
+            yield name, d
+    rng = random.Random(34)
+    knots = 0
+    while knots < 60:
+        strands = rng.choice((3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(5, 12))]
+        if set(range(1, strands)) <= {abs(x) for x in word}:
+            d = braid_closure_pd(word, strands)
+            if d.component_count == 1:
+                knots += 1
+                yield f"braid {word}", d
+    for _ in range(40):
+        twists = [rng.choice((1, -1)) * rng.choice((1, 3, 5)) for _ in range(3)]
+        yield f"pretzel {twists}", pretzel_pd(*twists)
+
+
 def test_five_point_identity_chain_on_corpus():
     # evaluations of the bracket at the five points match the closed forms
     # computed from the diagram's own Seifert matrix
     from singdet.reference import arf_sign_from_det, classical_invariants, jones_special_values
     from singdet.seifert import SeifertData
 
-    for name, e in sorted(load_corpus().items()):
-        d = e.diagram
-        if d is None or d.n > 10 or not d.is_connected() or d.n == 0:
-            continue
+    for name, d in _five_point_inputs():
         A = seifert_matrix_from_diagram(d)
         bundle = classical_invariants(A, [3])
         assert bundle.c == d.component_count, name

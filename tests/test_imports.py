@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and the Wall
+route reaches no module but the two it is built on."""
 
 import ast
 import os
@@ -33,3 +34,54 @@ def test_the_check_sees_an_unused_import():
 def test_every_imported_name_is_used(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports, at any depth of its body."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("singdet."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                path = node.module
+            elif node.module == "singdet" or (node.module or "").startswith("singdet."):
+                path = node.module.partition(".")[2]
+            else:
+                continue
+            out.update([path.split(".")[0]] if path else (a.name for a in node.names))
+    return out
+
+
+def reached(start: str, sources: dict[str, str]) -> set[str]:
+    """The modules that `start` imports, transitively; sources maps a module
+    name to its source text."""
+    seen, todo = set(), [start]
+    while todo:
+        for name in package_imports(sources[todo.pop()]) - seen:
+            seen.add(name)
+            if name in sources:
+                todo.append(name)
+    return seen - {start}
+
+
+def test_the_check_follows_imports_inside_functions():
+    planted = {
+        "top": "from .mid import f\n",
+        "mid": "def f():\n    from singdet import low\n    import singdet.deep.x\n",
+        "low": "from . import top\nimport os\n",
+        "deep": "",
+    }
+    assert reached("top", planted) == {"mid", "low", "deep"}
+    assert reached("low", planted) == {"top", "mid", "deep"}
+
+
+def test_the_wall_route_reaches_only_its_kernels():
+    """linkform reads the linking form through exactlinalg and numtheory
+    alone, so it cannot reach seifert's mod-p elimination, the definition
+    route that the tests check it against."""
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module[:-3]] = fh.read()
+    assert reached("linkform", sources) == {"exactlinalg", "numtheory"}
