@@ -1,9 +1,9 @@
 """Command-line front end.
 
-    singdet invariants <path> [--format F] [--prime p] [--primes p,q,...]
+    singdet invariants <path> [--format F] [--primes p,q,...]
                               [--budget n] [--q-budget n]
                                          full invariant report for a file
-    singdet obstruct <path> [--format F] [--prime p] [--primes p,q,...]
+    singdet obstruct <path> [--format F] [--primes p,q,...]
                                          unknotting obstructions
     singdet verify <suite> [--seed s] [--corpus dir]
                                          run a verification suite
@@ -91,8 +91,8 @@ def cmd_invariants(args) -> int:
         if d.n <= args.budget:
             v = jones_via_bracket(d, budget=args.budget)
             pairs.append(("jones", v))
-            for point in ("1", "-1", "zeta3", "i", "zeta6"):
-                pairs.append((f"V({point})", v.eval_root_of_unity(HALFPOWER[point])))
+            for point, k in HALFPOWER.items():
+                pairs.append((f"V({point})", v.eval_root_of_unity(k)))
         if d.n <= args.q_budget:
             q = q_via_skein(d, budget=args.q_budget)
             pairs.append(("q_poly", q.to_str("z")))
@@ -125,8 +125,7 @@ def cmd_obstruct(args) -> int:
     if M is None:
         raise ValueError("no matrix data: the diagram is split")
     pairs = [("input", entry.name)]
-    primes = [args.prime] if args.prime else args.primes
-    for p in primes:
+    for p in args.primes:
         con = signed_obstruction(M, p)
         w = con.base_bound
         pairs.append((f"wendt_{p}", f"u >= {w}"))
@@ -334,7 +333,6 @@ def _add_report_options(sp):
     """The options of the two report commands."""
     sp.add_argument("path")
     sp.add_argument("--format", choices=("text", "machine"), default="text")
-    sp.add_argument("--prime", type=_odd_prime, default=None)
     sp.add_argument("--primes", type=_primes_arg, default=DEFAULT_PRIMES,
                     help="comma separated odd primes (default 3,5,7,11,13)")
 
@@ -379,17 +377,17 @@ def _parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("invariants", help="invariant report for a link file")
+    sp = sub.add_parser("invariants", help="invariant report for a link file", allow_abbrev=False)
     _add_report_options(sp)
     sp.add_argument("--budget", dest="budget", type=_budget, default=BRACKET_BUDGET,
                     help="crossing budget for the bracket")
     sp.add_argument("--q-budget", dest="q_budget", type=_budget, default=Q_BUDGET,
                     help="crossing budget for the Q skein")
 
-    sp = sub.add_parser("obstruct", help="unknotting obstruction report")
+    sp = sub.add_parser("obstruct", help="unknotting obstruction report", allow_abbrev=False)
     _add_report_options(sp)
 
-    sp = sub.add_parser("verify", help="run a verification suite")
+    sp = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--corpus", default=None, help="override corpus directory")
@@ -399,8 +397,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-    if getattr(args, "prime", None) is not None and args.prime not in args.primes:
-        args.primes = args.primes + [args.prime]
     # looked up on each call rather than kept in the parser, so that a
     # rebinding of a command function at module level takes effect
     fn = {"invariants": cmd_invariants, "obstruct": cmd_obstruct, "verify": cmd_verify}[args.cmd]

@@ -31,7 +31,6 @@ class SignedUnknottingConstraint(NamedTuple):
 
     p: int
     base_bound: int
-    parity_rule: str
     delta: int
 
     RULES = {
@@ -40,6 +39,11 @@ class SignedUnknottingConstraint(NamedTuple):
         5: "delta_eq_parity_u",
         7: "delta_eq_parity_u_plus",
     }
+
+    @property
+    def parity_rule(self) -> str:
+        """The name of the rule that p mod 8 selects."""
+        return self.RULES[self.p % 8]
 
     def consistent(self, u_plus: int, u_minus: int) -> bool:
         """Can (u_plus, u_minus) be a minimal sequence at the bound?
@@ -104,12 +108,7 @@ def wendt_bound(M: IntegerSymmetricMatrix, p: int) -> int:
 
 
 def signed_obstruction(M: IntegerSymmetricMatrix, p: int) -> SignedUnknottingConstraint:
-    return SignedUnknottingConstraint(
-        p=p,
-        base_bound=wendt_bound(M, p),
-        parity_rule=SignedUnknottingConstraint.RULES[p % 8],
-        delta=delta_p(M, p),
-    )
+    return SignedUnknottingConstraint(p, wendt_bound(M, p), delta_p(M, p))
 
 
 def improved_bound(M: IntegerSymmetricMatrix, p: int) -> int:
@@ -173,11 +172,10 @@ def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
         raise ValueError("knot determinant cannot vanish")
     per = {}
     for p in prime_factors(det):
-        dp = d_p_of(M, p)
-        dl = delta_p(M, p)
-        # mu = 1, so the bound is d_p; consistent() requires it to be 1
-        con = SignedUnknottingConstraint(p, dp, SignedUnknottingConstraint.RULES[p % 8], dl)
-        per[p] = (dp, dl, {z: con.consistent(int(z == 1), int(z == -1)) for z in (1, -1)})
+        # mu = 1, so Wendt's bound is d_p; consistent() requires it to be 1
+        con = signed_obstruction(M, p)
+        admits = {z: con.consistent(int(z == 1), int(z == -1)) for z in (1, -1)}
+        per[p] = (con.base_bound, con.delta, admits)
     zs = tuple(z for z in (1, -1) if all(ok[z] for _, _, ok in per.values()))
     return LickorishReport(zs, per)
 

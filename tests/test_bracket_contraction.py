@@ -8,8 +8,9 @@ kinks put both ends of an arc on one crossing), mirrors, split diagrams and
 diagrams with free loops.  Beyond the state sum's reach, the Jones
 polynomial of a torus knot has a closed form, and V(zeta6) is fixed by the
 linking form of the double branched cover (`jones_zeta6_closed_form`).
-Torus knots also pin the matrix side: the signature, V(zeta6) read off
-the Vogel matrix, and the unknotting bounds that `obstruct` prints.
+Torus knots also pin the matrix side: the signature and det through both
+surface routes, V(zeta6) read off the Vogel matrix, Q(1/phi) against the Q
+skein, and the unknotting bounds that `obstruct` prints.
 """
 
 import random
@@ -28,11 +29,12 @@ from singdet.diagrams import (
     kauffman_bracket,
     mirror,
     pretzel_pd,
+    q_via_skein,
     r1_kink,
     r2_slide,
     seifert_matrix_from_diagram,
 )
-from singdet.evaluate import HALFPOWER, LaurentPolynomial, jones_zeta6_closed_form
+from singdet.evaluate import HALFPOWER, LaurentPolynomial, jones_zeta6_closed_form, q_at_golden_link
 from singdet.exactlinalg import det_of
 from singdet.obstruct import improved_bound
 from singdet.seifert import signature
@@ -250,21 +252,35 @@ TORUS_KNOTS = [(p, q) for p in range(2, 6) for q in range(p + 1, 61)
 
 def test_torus_knot_matrix_facts_match_the_ground_truth():
     """On the positive torus knots T(p,q), p = 2..5, of at most 60 crossings:
-    the Vogel signature is Brieskorn's count -(N1 - N2), N1 the pairs
-    (i, j), 0 < i < p, 0 < j < q, with 1/2 < i/p + j/q < 3/2 and N2 the
-    rest; V(zeta6) from the linking form is the closed form's; and no lower
-    bound that `obstruct` prints exceeds u(T(p,q)) = (p-1)(q-1)/2
-    (Kronheimer-Mrowka, Topology 32 (1993))."""
+    the signature of the Vogel matrix and of both Goeritz shades is
+    Brieskorn's count -(N1 - N2), N1 the pairs (i, j), 0 < i < p,
+    0 < j < q, with 1/2 < i/p + j/q < 3/2 and N2 the rest; both shades
+    have the Vogel matrix's |det|; V(zeta6) from the linking form is the
+    closed form's; and no lower bound that `obstruct` prints exceeds
+    u(T(p,q)) = (p-1)(q-1)/2 (Kronheimer-Mrowka, Topology 32 (1993))."""
     assert len(TORUS_KNOTS) == 63
     for p, q in TORUS_KNOTS:
-        M = seifert_matrix_from_diagram(braid_closure_pd(list(range(1, p)) * q, p)).M
+        d = braid_closure_pd(list(range(1, p)) * q, p)
+        M = seifert_matrix_from_diagram(d).M
         sigma = signature(M)
         n1 = sum(1 for i in range(1, p) for j in range(1, q) if p * q < 2 * (i * q + j * p) < 3 * p * q)
         assert sigma == -(n1 - ((p - 1) * (q - 1) - n1)), (p, q)
         assert det_of(M) % 2 == 1  # a knot
+        for shade in (0, 1):
+            S = goeritz_from_diagram(d, shade)
+            assert signature(S) == sigma, (p, q, shade)
+            assert abs(det_of(S)) == abs(det_of(M)), (p, q, shade)
         assert jones_zeta6_closed_form(M) == torus_knot_jones(p, q).eval_root_of_unity(HALFPOWER["zeta6"]), (p, q)
         bounds = [improved_bound(M, r) for r in (3, 5, 7, 11, 13)] + [ceil(abs(sigma) / 2)]
         assert max(bounds) <= (p - 1) * (q - 1) // 2, (p, q, bounds)
+
+
+@pytest.mark.parametrize("p,qs", [(2, range(3, 16, 2)), (3, (4, 5, 7, 8))])
+def test_torus_knot_q_skein_at_the_golden_reciprocal_matches_the_delta_5_route(p, qs):
+    for q in qs:
+        d = braid_closure_pd(list(range(1, p)) * q, p)
+        M = seifert_matrix_from_diagram(d).M
+        assert q_via_skein(d, budget=d.n).eval_golden_reciprocal() == q_at_golden_link(M), (p, q)
 
 
 def test_torus_closed_form_on_the_trefoil():

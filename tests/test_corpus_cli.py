@@ -88,7 +88,7 @@ def test_cli_invariants_machine_stable():
 
 def test_cli_obstruct_example():
     proc = run_cli("obstruct", os.path.join(CORPUS_DIR, "example_d17.txt"),
-                   "--prime", "17", "--format", "machine")
+                   "--primes", "17", "--format", "machine")
     assert proc.returncode == 0
     assert "improved_17=u >= 4" in proc.stdout
     assert "lickorish=admissible zeta: none" in proc.stdout
@@ -96,7 +96,7 @@ def test_cli_obstruct_example():
 
 def test_cli_obstruct_pretzel_signed():
     proc = run_cli("obstruct", os.path.join(CORPUS_DIR, "p777m.txt"),
-                   "--prime", "7", "--format", "machine")
+                   "--primes", "7", "--format", "machine")
     assert proc.returncode == 0
     # delta_7 = -1 at the bound u = 2 forces opposite-sign changes
     assert "wendt_7=u >= 2" in proc.stdout
@@ -106,7 +106,7 @@ def test_cli_obstruct_pretzel_signed():
 
 def test_cli_obstruct_unlink_vacuous():
     proc = run_cli("obstruct", os.path.join(CORPUS_DIR, "unlink2.txt"),
-                   "--prime", "5", "--format", "machine")
+                   "--primes", "5", "--format", "machine")
     assert proc.returncode == 0
     assert "wendt_5=u >= 0" in proc.stdout
 
@@ -122,7 +122,7 @@ def test_cli_verify_suites_pass_and_are_stable():
 
 
 def test_cli_rejects_bad_prime():
-    proc = run_cli("invariants", os.path.join(CORPUS_DIR, "3_1.txt"), "--prime", "4")
+    proc = run_cli("invariants", os.path.join(CORPUS_DIR, "3_1.txt"), "--primes", "4")
     assert proc.returncode != 0
     assert "not an odd prime" in proc.stderr
 

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -420,6 +421,41 @@ def test_five_point_identity_chain_on_corpus():
             # available through the oracle
             mag = at_i.norm_sq()
             assert mag == Cyclo24.from_int(2 ** (bundle.c - 1)), name
+
+
+def _seeded_links():
+    """120 seeded braid closures of 2 to 4 strands, 4 to 12 letters and at
+    least 2 components, then the torus links T(p,q), p = 2..4,
+    gcd(p, q) > 1, of at most 12 crossings."""
+    rng = random.Random(9)
+    links = 0
+    while links < 120:
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(4, 12))]
+        if set(range(1, strands)) <= {abs(x) for x in word}:
+            d = braid_closure_pd(word, strands)
+            if d.component_count >= 2:
+                links += 1
+                yield f"braid {word}", d
+    for p in (2, 3, 4):
+        for q in range(2, 12 // (p - 1) + 1):
+            if gcd(p, q) > 1:
+                yield f"T({p},{q})", braid_closure_pd(list(range(1, p)) * q, p)
+
+
+def test_seeded_links_match_both_diagram_oracles():
+    # the closed forms V(zeta6) = delta_3 i^(c-1) (i sqrt3)^(d_3) and
+    # Q(1/phi) = delta_5 sqrt5^(d_5) hold for links, det 0 among them
+    from singdet.reference import jones_zeta6_via_delta3
+
+    count = singular = 0
+    for name, d in _seeded_links():
+        M = seifert_matrix_from_diagram(d).M
+        assert jones_via_bracket(d).eval_root_of_unity(HALFPOWER["zeta6"]) == jones_zeta6_via_delta3(M), name
+        assert q_via_skein(d).eval_golden_reciprocal() == q_at_golden_link(M), name
+        count += 1
+        singular += det_exact(M.entries) == 0
+    assert count == 130 and singular > 0
 
 
 def _arf_from_bracket(v, c):

@@ -2,7 +2,8 @@
 run: no module of the package imports `dataclasses`, none imports the
 reference routes at module level, only three verify suites and the
 generator search import them at all, and `invariants` and `obstruct` load
-neither `singdet.reference` nor `dataclasses`, `fractions` or `random`."""
+neither `singdet.reference` nor `dataclasses`, `fractions` or `random` on
+any bundled corpus file."""
 
 import ast
 import json
@@ -107,10 +108,12 @@ def test_the_report_commands_load_no_reference_code(tmp_path):
     assert "seifert:" in text
     pd_only = tmp_path / "pd_only.txt"
     pd_only.write_text(next(line for line in text.splitlines() if line.startswith("pd:")) + "\n")
+    bundled = sorted(os.path.join(corpus, f) for f in os.listdir(corpus) if f.endswith(".txt"))
+    assert len(bundled) >= 39
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     # -S: no site hooks, which may import any of these modules themselves
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", SCRIPT, str(bare), os.path.join(corpus, "p3_3_3.txt"), str(pd_only)],
+        [sys.executable, "-S", "-c", SCRIPT, str(bare), str(pd_only), *bundled],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))

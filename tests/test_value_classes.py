@@ -38,7 +38,7 @@ MAKE = {
     "LaurentPolynomial": lambda: LaurentPolynomial({-2: 1, 2: 1}),
     "LinkingFormPresentation": lambda: LinkingFormPresentation(IntegerSymmetricMatrix(E)),
     "WallDecomposition": lambda: WallDecomposition([(3, 1, "A")]),
-    "SignedUnknottingConstraint": lambda: SignedUnknottingConstraint(3, 1, "delta_eq_parity_u_minus", -1),
+    "SignedUnknottingConstraint": lambda: SignedUnknottingConstraint(3, 1, -1),
     "LickorishReport": lambda: LickorishReport((1,), {3: (1, 1, {1: True, -1: False})}),
     "StoimenowReport": lambda: StoimenowReport(Root5(0, -1), False, Root5(0, 1), False),
     "CorpusEntry": lambda: CorpusEntry("3_1", parse_pd(TREFOIL), None, None),
