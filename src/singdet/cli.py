@@ -211,8 +211,7 @@ def _suite_prop35(report, seed: int) -> bool:
     done = 0
     while done < count:
         M = _random_even_symmetric(rng)
-        d = det_exact(M.entries)
-        if d == 0 or d % 2 == 0:
+        if det_of(M) % 2 == 0:
             continue
         done += 1
         for p in (3, 5, 7, 11, 13):
@@ -277,7 +276,7 @@ def _suite_endtoend(report, root: str | None) -> bool:
     knots = sorted(corpus_knots(max(9, Q_BUDGET), root).items())
     if not any(0 < e.diagram.n <= 9 for _, e in knots):
         raise ValueError("corpus has no knot of 1 to 9 crossings")
-    matrices = {name: seifert_matrix_from_diagram(e.diagram).M for name, e in knots}
+    matrices = {name: _matrix_from_diagram(e.diagram) for name, e in knots}
     for name, e in knots:
         if e.diagram.n > 9:
             continue

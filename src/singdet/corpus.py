@@ -20,18 +20,19 @@ trusted from outside.
 from __future__ import annotations
 
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
-from .diagrams import LinkDiagram, parse_pd
+from .diagrams import parse_pd
 from .exactlinalg import IntegerSymmetricMatrix, parse_matrix
 from .seifert import SeifertData
 
 
-class CorpusEntry(NamedTuple):
-    name: str
-    diagram: LinkDiagram | None
-    seifert: SeifertData | None
-    matrix: IntegerSymmetricMatrix | None
+class CorpusEntry(namedtuple("CorpusEntry", "name diagram seifert matrix")):
+    """One corpus file: its name and whichever of a `LinkDiagram`, a
+    `SeifertData` and an `IntegerSymmetricMatrix` it gives, None for the
+    others."""
+
+    __slots__ = ()
 
 
 def parse_entry(text: str, fallback_name: str = "") -> CorpusEntry:

@@ -57,8 +57,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from functools import cache, cached_property
-from typing import NamedTuple
 
 from .evaluate import LaurentPolynomial
 from .exactlinalg import Frozen, IntegerSymmetricMatrix
@@ -103,11 +103,11 @@ def _cycles(step, starts, seen):
             yield orbit
 
 
-def _piece_count(n: int, groups) -> int:
-    """Connected pieces of a 4-valent map on n crossings, from groups of ends
-    (crossing, slot) that each lie in one piece and that together join every
-    arc's two ends: the arcs' end pairs, or the faces' darts.  Each end's
-    crossing is joined to its group's first one, by union-find on indices."""
+def _piece_count(partner) -> int:
+    """Connected pieces of the 4-valent map with the arc map `partner` of
+    `_darts`: the two crossings at the ends of each arc are joined, by
+    union-find on crossing indices."""
+    n = len(partner) // 4
     root = list(range(n))
 
     def find(ci):
@@ -116,9 +116,9 @@ def _piece_count(n: int, groups) -> int:
             ci = root[ci]
         return ci
 
-    for group in groups:
-        for ci, _s in group[1:]:
-            root[find(ci)] = find(group[0][0])
+    for e, f in enumerate(partner):
+        if e < f:
+            root[find(e >> 2)] = find(f >> 2)
     return sum(root[ci] == ci for ci in range(n))
 
 
@@ -239,9 +239,9 @@ class LinkDiagram(Frozen):
     @cached_property
     def _pieces(self) -> int:
         """Connected pieces of the crossing map, counted once per diagram
-        object from the arcs' end pairs.  `r2_slide` does not copy it onto
-        the diagrams it derives, since a slide across two pieces joins them."""
-        return _piece_count(self.n, [(divmod(e, 4), divmod(f, 4)) for e, f in enumerate(self._darts) if e < f])
+        object from its arc map.  `r2_slide` does not copy it onto the
+        diagrams it derives, since a slide across two pieces joins them."""
+        return _piece_count(self._darts)
 
     @cached_property
     def _planar(self) -> bool:
@@ -353,17 +353,17 @@ def _face_walk(partner) -> list[list[End]]:
 
 def euler_ok(crossings) -> bool:
     """V - E + F == 2 on every connected piece of the 4-valent map (E = 2V),
-    that is, the code describes a planar diagram.  The pieces are counted
-    from the faces: consecutive darts of a face are the two ends of an arc."""
-    faces = face_orbits(crossings)
-    return not crossings or _euler_ok_faces(len(crossings), faces, _piece_count(len(crossings), faces))
+    that is, the code describes a planar diagram.  The faces and the pieces
+    are both read from the one arc map of the crossings."""
+    partner = _darts(crossings)
+    return _euler_ok_faces(len(crossings), _face_walk(partner), _piece_count(partner))
 
 
 def _euler_ok_faces(n: int, faces, pieces: int) -> bool:
     """The Euler test of `euler_ok` on n crossings with these faces, forming
     this many connected pieces.  Each piece has V - E + F <= 2, so the sum
     over the pieces decides it.  A `LinkDiagram` passes its `_pieces`; a
-    code without one counts the pieces of its faces."""
+    crossing list without one counts the pieces of its arc map."""
     return n - 2 * n + len(faces) == 2 * pieces
 
 
@@ -533,11 +533,12 @@ def jones_via_bracket(diagram: LinkDiagram, budget: int = BRACKET_BUDGET) -> Lau
 
 # ------------------------------------------------------------- Seifert circles
 
-class _SeifertStructure(NamedTuple):
-    circles: list[list[int]]            # arcs per circle, in traced order
-    circle_of_arc: dict[int, int]
-    corner_order: list[list[int]]       # crossings per circle, traced cyclic order
-    edges: list[tuple[int, int]]        # per crossing: the two circles through it
+class _SeifertStructure(namedtuple("_SeifertStructure", "circles circle_of_arc corner_order edges")):
+    """The arcs of each circle in traced order, the circle of each arc, the
+    crossings of each circle in traced cyclic order, and per crossing the
+    two circles through it."""
+
+    __slots__ = ()
 
 
 def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
@@ -1300,8 +1301,9 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
                 slid = _slid_faces(d, faces, over | under, local)
                 planar = len(slid) == len(faces) + 2
             else:
-                slid = face_orbits(crossings)
-                planar = _euler_ok_faces(len(crossings), slid, _piece_count(len(crossings), slid))
+                partner = _darts(crossings)
+                slid = _face_walk(partner)
+                planar = _euler_ok_faces(len(crossings), slid, _piece_count(partner))
             if not planar:
                 continue
             darts = d._darts + [0] * 8

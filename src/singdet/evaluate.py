@@ -11,7 +11,8 @@ Values live in fixed rings with integer coordinates:
   (Z[(1+sqrt5)/2]) used transiently when evaluating a Q polynomial at the
   reciprocal golden ratio, which is a unit there.
 
-Equality is coordinatewise and exact; a float shadow exists only in tests.
+Equality is coordinatewise and exact.  `Cyclo24.to_complex` and
+`Root5.to_float` are the tests' float shadow; no route here reads them.
 """
 
 from __future__ import annotations

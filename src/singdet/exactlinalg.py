@@ -20,14 +20,14 @@ about 98% zeros and almost all unimodular, so R has a few rows at most,
 and every kernel that reads R is one dense loop over its rows: the
 fraction-free symmetric Bareiss pass that gives sign M and det M,
 `corank_mod_p`, the F_p elimination of `seifert` and `padic_jordan`.
-`det_exact` runs the same split on sparse symmetric rows and Bareiss
-elimination on any other matrix.
+`det_exact` is one Bareiss elimination of the whole matrix, symmetric or
+not, and shares nothing with the core: it is the core's independent check.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .numtheory import check_odd_prime, factorize
 
@@ -68,7 +68,7 @@ def _check_symmetric(rows) -> None:
 
 
 class Frozen:
-    """Base of the package's immutable value classes that a NamedTuple does
+    """Base of the package's immutable value classes that a namedtuple does
     not fit: those that normalize their arguments, define arithmetic, or
     keep a memo or a cached property in the instance dict.  Two instances
     are equal, and hash alike, when they are of one class and their
@@ -132,7 +132,9 @@ class IntegerSymmetricMatrix(Frozen):
         return IntegerSymmetricMatrix(out)
 
 
-class CokernelDecomposition(NamedTuple):
+class CokernelDecomposition(namedtuple("CokernelDecomposition",
+                                        "prime_parts free_rank order_or_zero invariant_factors",
+                                        defaults=((),))):
     """coker(M) = Z^free_rank + sum over primes p of Z/p^k summands.
 
     prime_parts maps p to the ascending list of p-exponents of the invariant
@@ -141,10 +143,7 @@ class CokernelDecomposition(NamedTuple):
     by free_rank) gets exponent 0 there.
     """
 
-    prime_parts: dict[int, tuple[int, ...]]
-    free_rank: int
-    order_or_zero: int
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ()
 
     def exponents(self, p: int) -> tuple[int, ...]:
         k = len(self.invariant_factors)
@@ -172,18 +171,14 @@ def transpose(rows):
 
 
 def det_exact(rows) -> int:
-    """Exact determinant of a square integer matrix, symmetric or not.
-
-    A sparse symmetric matrix goes through the unimodular split of
-    `_congruence_split` (det = det B * det R); any other matrix through
-    Bareiss elimination (`_bareiss_det`).  Entries may be ints or integral
-    numbers of another type; a non-integral entry is a ValueError.
+    """Exact determinant of a square integer matrix, symmetric or not, by
+    one fraction-free Bareiss elimination (`_bareiss_det`).  It shares no
+    code with the congruence core, so it is the independent check of
+    `det_of`.  Entries may be ints or integral numbers of another type; a
+    non-integral entry is a ValueError.
     """
     _check_square(rows)
-    a = [[x if type(x) is int else _int_entry(x) for x in row] for row in rows]
-    if _is_sparse(a) and a == [list(col) for col in zip(*a)]:
-        return _congruence_split(a).det
-    return _bareiss_det(a)
+    return _bareiss_det([[x if type(x) is int else _int_entry(x) for x in row] for row in rows])
 
 
 def _is_sparse(rows) -> bool:
@@ -238,14 +233,13 @@ def _memo_on_matrix(fn):
     return wrapper
 
 
-class CongruenceCore(NamedTuple):
+class CongruenceCore(namedtuple("CongruenceCore", "sign det R det_B")):
     """What one integral congruence M = B + R, B unimodular, tells of a
-    symmetric integer matrix M (`_congruence_split`)."""
+    symmetric integer matrix M (`_congruence_split`): the signature of M,
+    det M = det B * det R, the residual block R, which presents the linking
+    form of M, and det B = +-1."""
 
-    sign: int  # signature of M
-    det: int  # det M = det B * det R
-    R: Rows  # the residual block: it presents the linking form of M
-    det_B: int  # +-1
+    __slots__ = ()
 
 
 def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:

@@ -6,8 +6,8 @@ unknotting number (the underlying results are one-directional).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .evaluate import Root5, q_at_golden_link
 from .exactlinalg import IntegerSymmetricMatrix, det_of
@@ -20,7 +20,7 @@ from .seifert import d_p_of, delta_p, mu_of
 GENERATOR_SEARCH_CUTOFF = 10**7
 
 
-class SignedUnknottingConstraint(NamedTuple):
+class SignedUnknottingConstraint(namedtuple("SignedUnknottingConstraint", "p base_bound delta")):
     """The sign condition a minimal unknotting sequence must satisfy.
 
     For a link whose unknotting number attains d_p - c + 1, with u+ positive
@@ -29,9 +29,7 @@ class SignedUnknottingConstraint(NamedTuple):
     p=7: delta=(-1)^(u+).
     """
 
-    p: int
-    base_bound: int
-    delta: int
+    __slots__ = ()
 
     RULES = {
         1: "delta_must_be_plus",
@@ -71,9 +69,10 @@ class SignedUnknottingConstraint(NamedTuple):
         return w + 1 if self.p % 4 == 1 and not self._sign_rule_holds(w, 0) else w
 
 
-class LickorishReport(NamedTuple):
-    admissible_zeta: tuple[int, ...]
-    per_prime: dict[int, tuple[int, int, dict[int, bool]]]  # p -> (d_p, delta_p, {zeta: ok})
+class LickorishReport(namedtuple("LickorishReport", "admissible_zeta per_prime")):
+    """The admissible zeta, and per prime p -> (d_p, delta_p, {zeta: ok})."""
+
+    __slots__ = ()
 
     def text(self) -> str:
         lines = []
@@ -87,11 +86,8 @@ class LickorishReport(NamedTuple):
         return "\n".join(lines)
 
 
-class StoimenowReport(NamedTuple):
-    q_value: Root5
-    generator_exists: bool
-    conjecture_value: Root5
-    agrees: bool
+class StoimenowReport(namedtuple("StoimenowReport", "q_value generator_exists conjecture_value agrees")):
+    __slots__ = ()
 
     def text(self) -> str:
         kind = "agreement" if self.agrees else "counterexample"

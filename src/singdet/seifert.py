@@ -51,9 +51,9 @@ class SeifertData(Frozen):
 
 
 class SpanningSurfaceData(IntegerSymmetricMatrix):
-    """A spanning surface's form R (the object itself; `.R` names it), which
-    presents the double branched cover's linking pairing but may have odd
-    diagonal entries, with what R alone does not determine: the link's
+    """A spanning surface's form R, which this matrix is, and which presents
+    the double branched cover's linking pairing but may have odd diagonal
+    entries, with what R alone does not determine: the link's
     component count mu and the Gordon-Litherland correction e.  The
     signature is sign(R) - e, and e mod 8 enters delta_p.  A symmetrized
     Seifert matrix M is the case mu = mu_of(M), e = 0; the per-prime
@@ -70,10 +70,6 @@ class SpanningSurfaceData(IntegerSymmetricMatrix):
             raise ValueError("mu must be >= 1")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "e", e)
-
-    @property
-    def R(self) -> "SpanningSurfaceData":
-        return self
 
 
 @_memo_on_matrix

@@ -198,8 +198,8 @@ def test_piece_count_equals_the_fake_crossing_count():
     split = 0
     for crossings in crossing_lists():
         n = len(crossings)
+        pieces = _piece_count(_darts(crossings))
         for groups in (list(_arc_ends(crossings)[0].values()), face_orbits(crossings)):
-            pieces = _piece_count(n, groups)
             assert pieces == fake_crossing_piece_count(n, groups), crossings
         split += pieces > 1
     assert split >= 10

@@ -215,9 +215,9 @@ def test_seifert_pretzel_vogel_path():
 
 def test_goeritz_trefoil():
     S = goeritz_from_diagram(parse_pd(TREFOIL_PD), 1)
-    det = abs(det_exact(S.R.entries))
+    det = abs(det_exact(S.entries))
     S0 = goeritz_from_diagram(parse_pd(TREFOIL_PD), 0)
-    assert {det, abs(det_exact(S0.R.entries))} == {3}
+    assert {det, abs(det_exact(S0.entries))} == {3}
     assert S.mu >= 1 and S0.mu >= 1
 
 
@@ -232,7 +232,7 @@ def test_goeritz_delta_agreement_both_shades():
         primes = set(prime_factors(det) if det > 1 else []) | {3, 5}
         for shade in (0, 1):
             S = goeritz_from_diagram(d, shade)
-            assert abs(det_exact(S.R.entries)) == det, (name, shade)
+            assert abs(det_exact(S.entries)) == det, (name, shade)
             for p in primes:
                 assert delta_p_gl(S, p) == delta_p(M, p), (name, shade, p)
         checked += 1

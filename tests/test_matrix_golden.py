@@ -190,7 +190,7 @@ def test_diagram_matrices_are_golden_on_the_corpus():
     changed = []
     for name, d in sorted(diagrams.items()):
         got = (_sha(seifert_matrix_from_diagram(d).A),) + tuple(
-            _sha((S.R.entries, S.mu)) for S in (goeritz_from_diagram(d, s) for s in (0, 1)))
+            _sha((S.entries, S.mu)) for S in (goeritz_from_diagram(d, s) for s in (0, 1)))
         if got != GOLDEN[name]:
             changed.append(name)
     assert changed == []

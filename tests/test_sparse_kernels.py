@@ -1,8 +1,9 @@
 """The unimodular split and the sparse kernels that read it.
 
-`det_exact`, `signature` and the F_p elimination behind `delta_p` and
+`det_of`, `signature` and the F_p elimination behind `delta_p` and
 `d_p_of` read one congruence M = B + R, B unimodular, split off a sparse M
-on unit pivots; a dense loop finishes R.  The dense routines they replaced
+on unit pivots; a dense loop finishes R.  `det_exact` is one Bareiss
+elimination of the whole matrix, their independent check.  The dense routines they replaced
 live on here as oracles (`_dense_det`, `_dense_sign`,
 `_dense_unit_block_class_mod_p`), and every kernel is compared with its
 oracle on seeded families, on Vogel matrices and on both Goeritz shades of
@@ -27,6 +28,7 @@ from singdet.exactlinalg import (
     _split_unimodular_blocks,
     corank_mod_p,
     det_exact,
+    det_of,
     padic_jordan,
 )
 from singdet.linkform import WallDecomposition, wall_of
@@ -263,6 +265,14 @@ def _vogel_matrix(name):
     if name == "p777m":
         return seifert_matrix_from_diagram(load_corpus()[name].diagram).M
     return seifert_matrix_from_diagram(diagrams.pretzel_pd(*name)).M
+
+
+def test_the_core_det_equals_det_exact_on_seeded_and_vogel_matrices():
+    for a in _family(True):
+        assert det_of(IntegerSymmetricMatrix(a)) == det_exact(a), a
+    for name in ((3, -3, 3), (-5, -3, 3)):
+        M = _vogel_matrix(name)
+        assert det_of(M) == det_exact(M.entries), name
 
 
 @pytest.mark.parametrize("name,n", [((3, -3, 3), 26), ((-5, -3, 3), 42), ("p777m", 182)])

@@ -2,8 +2,8 @@
 run: no module of the package imports `dataclasses`, none imports the
 reference routes at module level, only three verify suites and the
 generator search import them at all, and `invariants` and `obstruct` load
-neither `singdet.reference` nor `dataclasses`, `fractions` or `random` on
-any bundled corpus file."""
+neither `singdet.reference` nor `dataclasses`, `fractions`, `random` or
+`typing` on any bundled corpus file."""
 
 import ast
 import json
@@ -118,4 +118,4 @@ def test_the_report_commands_load_no_reference_code(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert {"singdet.cli", "singdet.obstruct", "singdet.diagrams"} <= loaded
-    assert {"singdet.reference", "dataclasses", "fractions", "random"} & loaded == set()
+    assert {"singdet.reference", "dataclasses", "fractions", "random", "typing"} & loaded == set()
