@@ -499,11 +499,11 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     """
     if diagram.n == diagram.free_loops == 0:
         raise DiagramError("empty diagram")
-    crossings, free = reduced = _reidemeister_reduce(diagram.crossings, diagram.free_loops, diagram._darts)
-    k = diagram.writhe - sum(diagram.sign(ci) for ci in reduced.kept)
+    crossings, free, kept, partner = _reidemeister_reduce(diagram.crossings, diagram.free_loops, diagram._darts)
+    k = diagram.writhe - sum(diagram.sign(ci) for ci in kept)
     if crossings:
         states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-        for ci in _contraction_order(reduced.partner):
+        for ci in _contraction_order(partner):
             states = _place_crossing(states, crossings[ci])
         total: dict[int, int] = {}
         _add_product(total, states[()], _bracket_delta_powers(free)[-1])
@@ -863,25 +863,14 @@ def _bigon_at(partner, ci: int, s: int):
     return None
 
 
-class _Reduced(tuple):
-    """The pair (crossings, free) that `_reidemeister_reduce` returns, with
-    the indices in the input of the crossings left, in order, as `kept`,
-    and the `_darts` of the crossings left as `partner`: the bracket reads
-    the survivors' signs by kept, the bracket and the skein walk on
-    partner, and each skein child is spliced from a copy of it."""
-
-    def __new__(cls, crossings, free: int, kept: list[int], partner: list[int]):
-        pair = super().__new__(cls, (crossings, free))
-        pair.kept = kept
-        pair.partner = partner
-        return pair
-
-
-def _reidemeister_reduce(crossings: list[tuple], free: int, partner: list[int], cut=()) -> _Reduced:
-    """(crossings, free) with the crossings of the dart pairs `cut` smoothed,
-    then kinks and second Reidemeister pairs removed until none is left;
-    the pair also carries the indices of the crossings left and their
-    `_darts` (`_Reduced`).
+def _reidemeister_reduce(crossings: list[tuple], free: int, partner: list[int], cut=()) -> tuple:
+    """(crossings, free, kept, partner): the diagram (crossings, free) with
+    the crossings of the dart pairs `cut` smoothed, then kinks and second
+    Reidemeister pairs removed until none is left.  `kept` holds the indices
+    in the input of the crossings left, in order, and `partner` their
+    `_darts`: the bracket reads the survivors' signs by kept, the bracket
+    and the skein walk on partner, and each skein child is spliced from a
+    copy of it.
 
     The loop runs on a copy of `partner`, the crossings' `_darts`: a
     diagram's own list, which the bracket and the skein hand on, or a skein
@@ -932,7 +921,7 @@ def _reidemeister_reduce(crossings: list[tuple], free: int, partner: list[int], 
     if len(kept) < len(alive):
         index = {ci: k for k, ci in enumerate(kept)}
         partner = [4 * index[p >> 2] + (p & 3) for ci in kept for p in partner[4 * ci:4 * ci + 4]]
-    return _Reduced([tuple(labels[4 * ci:4 * ci + 4]) for ci in kept], free, kept, partner)
+    return [tuple(labels[4 * ci:4 * ci + 4]) for ci in kept], free, kept, partner
 
 
 def _twist_region(partner):
@@ -1028,10 +1017,9 @@ def _twist_expand(crossings: list[tuple], free: int, partner, region, memo: dict
 def _q_affine(crossings: list[tuple], free: int, memo: dict, partner, cut=()) -> LaurentPolynomial:
     """Q of the diagram (crossings, free loops) with the crossings of `cut`
     smoothed (`_reidemeister_reduce`), one shadow walk per node."""
-    crossings, free = reduced = _reidemeister_reduce(crossings, free, partner, cut)
+    crossings, free, _, partner = _reidemeister_reduce(crossings, free, partner, cut)
     if not crossings:
         return _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
-    partner = reduced.partner
     comps = _shadow_components(crossings, partner)
     key = _q_canonical_key(crossings, free, comps)
     hit = memo.get(key)

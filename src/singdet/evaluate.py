@@ -7,9 +7,9 @@ Values live in fixed rings with integer coordinates:
   every evaluation point's half power (t^(1/2) at t = 1, -1, zeta_3, i,
   zeta_6) together with i, sqrt3 and sqrt2; sqrt2 is genuinely needed since
   V(i) of an even-component proper link is an odd power of sqrt2.
-* ``Root5`` - Z[sqrt5] for the Q-polynomial values, with ``GoldenInt``
-  (Z[(1+sqrt5)/2]) used transiently when evaluating a Q polynomial at the
-  reciprocal golden ratio, which is a unit there.
+* ``Root5`` - Z[sqrt5] for the Q-polynomial values.  A Q polynomial is
+  evaluated at the reciprocal golden ratio on the two integer coordinates
+  of Z[(1+sqrt5)/2], where it is a unit, and the value lands in Z[sqrt5].
 
 Equality is coordinatewise and exact.  `Cyclo24.to_complex` and
 `Root5.to_float` are the tests' float shadow; no route here reads them.
@@ -252,50 +252,6 @@ class Root5(Frozen):
         return f"{self.a}{sign}{btxt}"
 
 
-class GoldenInt(Frozen):
-    """Element a + b*phi of Z[phi], phi = (1+sqrt5)/2, phi^2 = phi + 1.
-
-    phi is a unit (1/phi = phi - 1), so Laurent polynomials in
-    z = (sqrt5-1)/2 = 1/phi evaluate exactly in this ring.
-    """
-
-    _fields = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __add__(self, o: "GoldenInt") -> "GoldenInt":
-        return GoldenInt(self.a + o.a, self.b + o.b)
-
-    def __neg__(self) -> "GoldenInt":
-        return GoldenInt(-self.a, -self.b)
-
-    def __sub__(self, o: "GoldenInt") -> "GoldenInt":
-        return self + (-o)
-
-    def __mul__(self, o):
-        if isinstance(o, int):
-            return GoldenInt(self.a * o, self.b * o)
-        return GoldenInt(self.a * o.a + self.b * o.b, self.a * o.b + self.b * o.a + self.b * o.b)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def phi_pow(cls, k: int) -> "GoldenInt":
-        out = cls(1, 0)
-        base = cls(0, 1) if k >= 0 else cls(-1, 1)  # phi or 1/phi
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-    def to_root5(self) -> Root5:
-        # a + b*phi = (a + b/2) + (b/2) sqrt5
-        if self.b % 2 != 0:
-            raise ValueError(f"{self} is not in Z[sqrt5]")
-        return Root5(self.a + self.b // 2, self.b // 2)
-
-
 class LaurentPolynomial(Frozen):
     """Finitely supported Laurent polynomial; exponents may be half-integers,
     stored doubled (key = 2 * exponent).  coeffs is the sorted tuple of
@@ -359,18 +315,30 @@ class LaurentPolynomial(Frozen):
                     out[t] += c * z
         return Cyclo24(out)
 
-    def eval_golden_reciprocal_raw(self) -> GoldenInt:
-        """Value at z = (sqrt5-1)/2 = 1/phi for integer-exponent polynomials."""
-        out = GoldenInt(0, 0)
-        for e2, c in self.coeffs:
-            if e2 % 2 != 0:
-                raise ValueError("Q polynomials have integer exponents")
-            out = out + GoldenInt.phi_pow(-(e2 // 2)) * c
-        return out
-
     def eval_golden_reciprocal(self) -> Root5:
-        """Golden value converted into Z[sqrt5] (Q values always land there)."""
-        return self.eval_golden_reciprocal_raw().to_root5()
+        """Value at z = (sqrt5-1)/2 = 1/phi, phi = (1+sqrt5)/2, for
+        integer-exponent polynomials.
+
+        The value is kept as two integers (a, b) standing for a + b*phi:
+        phi^2 = phi + 1 and 1/phi = phi - 1, so multiplying by z maps (a, b)
+        to (b - a, a) and multiplying by phi maps it to (b, a + b).  Horner's
+        rule runs from the top exponent down to the lowest, lo, and the sum
+        is then multiplied by z^lo.  a + b*phi = (a + b/2) + (b/2)*sqrt5 lies
+        in Z[sqrt5] iff b is even, and a Q value always does:
+        Q(1/phi) = delta_5 * sqrt5^(d_5) (`q_at_golden_link`).
+        """
+        coeffs = dict(self.coeffs)
+        if any(e2 % 2 for e2 in coeffs):
+            raise ValueError("Q polynomials have integer exponents")
+        lo, hi = (min(coeffs) // 2, max(coeffs) // 2) if coeffs else (0, 0)
+        a = b = 0
+        for e in range(hi, lo - 1, -1):
+            a, b = b - a + coeffs.get(2 * e, 0), a
+        for _ in range(abs(lo)):
+            a, b = (b - a, a) if lo > 0 else (b, a + b)
+        if b % 2:
+            raise ValueError(f"{a} + {b}*phi is not in Z[sqrt5]")
+        return Root5(a + b // 2, b // 2)
 
     def to_str(self, var: str = "t") -> str:
         if not self.coeffs:

@@ -135,6 +135,6 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
         raise ValueError("requires odd nonzero determinant")
     alpha, q = p_part(abs(det), p)
     summands = _summands_at(M, p, alpha)
-    sign = legendre(q, p) * (-1) ** b_total(WallDecomposition(summands), p)
+    sign = legendre(q, p) * (-1) ** (sum(t == "B" for _, _, t in summands) % 2)
     e = ((p - 1) // 2) * (alpha + len(summands) + (q - 1) // 2)
     return sign * (-1) ** (e % 2)

@@ -230,19 +230,20 @@ def test_the_move_loop_on_darts_equals_the_union_find_loop():
     cases = [(c, (), c, 0) for c in list(crossing_lists()) + MOVE_CODES] + list(spliced_children())
     for crossings, cut, child, child_free in cases:
         partner = _darts(crossings)
-        got = _reidemeister_reduce(crossings, 0, partner, cut)
-        assert partner == _darts(crossings) and got.partner == _darts(got[0]), crossings
+        got_crossings, got_free, kept, got_partner = _reidemeister_reduce(crossings, 0, partner, cut)
+        assert partner == _darts(crossings) and got_partner == _darts(got_crossings), crossings
         left = [ci for ci in range(len(crossings)) if ci not in {x >> 2 for x, _y in cut}]
         runs = [union_find_reduce(child, child_free, order) for order in orders]
-        same = [run for run in runs if [left[k] for k in run[2]] == got.kept]
-        assert same, (crossings, cut, got.kept, [run[2] for run in runs])
+        same = [run for run in runs if [left[k] for k in run[2]] == kept]
+        assert same, (crossings, cut, kept, [run[2] for run in runs])
         want, free, _ = same[0]
-        assert got[1] == free and relabelled(got[0], want), (crossings, cut)
+        assert got_free == free and relabelled(got_crossings, want), (crossings, cut)
         if cut:
-            assert got[:2] == _reidemeister_reduce(child, child_free, _darts(child))[:2], (crossings, cut)
+            child_left = _reidemeister_reduce(child, child_free, _darts(child))[:2]
+            assert (got_crossings, got_free) == child_left, (crossings, cut)
             spliced += 1
         checked += 1
-        reduced += len(got.kept) < len(left)
+        reduced += len(kept) < len(left)
     assert checked > 300 and reduced > 200 and spliced > 500
     assert [_reidemeister_reduce(c, 0, _darts(c))[:2] for c in MOVE_CODES] == [
         ([], 1), ([], 1), ([], 1), ([], 2), (MOVE_CODES[-1], 0)]

@@ -25,7 +25,7 @@ from singdet.diagrams import (
     seifert_matrix_from_diagram,
 )
 from singdet.evaluate import HALFPOWER, Cyclo24, LaurentPolynomial, alexander_poly, q_at_golden_link
-from singdet.exactlinalg import det_exact
+from singdet.exactlinalg import det_exact, det_of
 from singdet.numtheory import prime_factors
 from singdet.reference import delta_p_gl
 from singdet.seifert import d_p_of, delta_p, mu_of, signature
@@ -207,7 +207,7 @@ def test_seifert_pretzel_vogel_path():
         M_big = seifert_matrix_from_diagram(e.diagram).M
         M_small = e.seifert.M
         det = abs(det_exact(M_small.entries))
-        assert abs(det_exact(M_big.entries)) == det
+        assert abs(det_of(M_big)) == det
         for p in prime_factors(det):
             assert delta_p(M_big, p) == delta_p(M_small, p), (name, p)
             assert d_p_of(M_big, p) == d_p_of(M_small, p), (name, p)
@@ -331,7 +331,7 @@ def test_pretzel_generator():
         d = pretzel_pd(*tw)
         M = seifert_matrix_from_diagram(d).M
         want = abs(tw[0] * tw[1] + tw[1] * tw[2] + tw[2] * tw[0])
-        assert abs(det_exact(M.entries)) == want, tw
+        assert abs(det_of(M)) == want, tw
 
 
 def test_braid_closure_validation():

@@ -6,7 +6,6 @@ import pytest
 from singdet.evaluate import (
     HALFPOWER,
     Cyclo24,
-    GoldenInt,
     LaurentPolynomial,
     Root5,
     alexander_poly,
@@ -75,16 +74,6 @@ def test_root5_arithmetic_and_printing():
     assert approx_equal((x * y).to_float(), x.to_float() * y.to_float())
 
 
-def test_golden_ring():
-    phi = (1 + 5**0.5) / 2
-    for k in range(-6, 7):
-        g = GoldenInt.phi_pow(k)
-        assert approx_equal(g.a + g.b * phi, phi**k)
-    assert GoldenInt(0, 2).to_root5() == Root5(1, 1)
-    with pytest.raises(ValueError):
-        GoldenInt(0, 1).to_root5()
-
-
 def test_laurent_polynomial_basics():
     p = LaurentPolynomial({1: 1, -1: 1})  # t^(1/2) + t^(-1/2)
     assert (p * p).coeffs == ((-2, 1), (0, 2), (2, 1))
@@ -107,16 +96,19 @@ def test_laurent_evaluation_against_complex():
 
 def test_golden_reciprocal_evaluation():
     z = (5**0.5 - 1) / 2
-    phi = (1 + 5**0.5) / 2
     rng = random.Random(42)
     for _ in range(40):
         poly = LaurentPolynomial({2 * rng.randrange(-5, 6): rng.randrange(-4, 5)
                                   for _ in range(4)})
         want = sum(c * z ** (e2 // 2) for e2, c in poly.coeffs)
-        g = poly.eval_golden_reciprocal_raw()
-        assert approx_equal(g.a + g.b * phi, want)
+        # 2(a + b*phi) always lies in Z[sqrt5]
+        assert approx_equal((poly * 2).eval_golden_reciprocal().to_float(), 2 * want)
     with pytest.raises(ValueError):
         LaurentPolynomial({1: 1}).eval_golden_reciprocal()
+    phi = LaurentPolynomial({-2: 1})  # z^-1
+    with pytest.raises(ValueError):
+        phi.eval_golden_reciprocal()
+    assert (phi * 2).eval_golden_reciprocal() == Root5(1, 1)
 
 
 def test_jones_at_zeta6_unknot():
@@ -157,10 +149,8 @@ def test_theorem_route_equals_lipson_route():
 
 def test_q_at_golden_goldens():
     assert str(q_golden_closed_form(IntegerSymmetricMatrix([[22, 17], [17, 22]]))) == "-sqrt5"
-    assert q_at_golden(7, 0, 0) == Root5(legendre_7_5 := -1 if pow(7, 2, 5) != 7 % 5 else 1, 0) or True
-    # det coprime to 5 gives +-1 with no sqrt5 factor
-    v = q_at_golden(7, 0, 0)
-    assert v.b == 0 and v.a in (1, -1)
+    # det coprime to 5 gives (det|5) with no sqrt5 factor: (7|5) = (2|5) = -1
+    assert q_at_golden(7, 0, 0) == Root5(-1, 0)
 
 
 def test_q_at_golden_link_zero_matrix():

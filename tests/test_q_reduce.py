@@ -171,7 +171,7 @@ def test_reduced_skein_equals_the_unreduced_recursion_on_seeded_diagrams():
 
 
 def reduce_diagram(d):
-    return _reidemeister_reduce(list(d.crossings), d.free_loops, d._darts)
+    return _reidemeister_reduce(list(d.crossings), d.free_loops, d._darts)[:2]
 
 
 def test_a_kink_and_an_r2_pair_are_removed():
@@ -202,7 +202,7 @@ def test_clasps_are_kept():
 
 
 def test_a_figure_eight_curve_reduces_to_one_loop():
-    assert _reidemeister_reduce([(1, 1, 2, 2)], 0, _darts([(1, 1, 2, 2)])) == ([], 1)
+    assert _reidemeister_reduce([(1, 1, 2, 2)], 0, _darts([(1, 1, 2, 2)]))[:2] == ([], 1)
     assert q_via_skein(parse_pd("X[1,1,2,2]")) == LaurentPolynomial.one()
 
 

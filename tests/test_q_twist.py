@@ -169,7 +169,7 @@ def test_the_reduction_leaves_no_kink_and_no_second_reidemeister_bigon():
         strands = rng.randint(2, 4)
         d = braid_closure_pd(seeded_braid_word(rng, strands, rng.randint(strands - 1, 7)), strands)
         d = random_moves(d, rng, 14)
-        crossings, free = _reidemeister_reduce(list(d.crossings), d.free_loops, d._darts)
+        crossings, free, _, _ = _reidemeister_reduce(list(d.crossings), d.free_loops, d._darts)
         assert free >= d.free_loops and len(crossings) <= d.n
         for face in face_orbits(crossings):
             assert len(face) != 1, (d.crossings, face)

@@ -3,14 +3,17 @@
 `det_of`, `signature` and the F_p elimination behind `delta_p` and
 `d_p_of` read one congruence M = B + R, B unimodular, split off a sparse M
 on unit pivots; a dense loop finishes R.  `det_exact` is one Bareiss
-elimination of the whole matrix, their independent check.  The dense routines they replaced
-live on here as oracles (`_dense_det`, `_dense_sign`,
-`_dense_unit_block_class_mod_p`), and every kernel is compared with its
-oracle on seeded families, on Vogel matrices and on both Goeritz shades of
-the corpus diagrams.  On the seeded family, mu and the Wall summands read
-from R are also compared with the same kernels run on the whole of M.  The
-split is also called directly on dense inputs, which the kernels
-themselves send straight to the dense loop.
+elimination of the whole matrix, and `det_of` is compared with it on the
+seeded symmetric family, on Vogel matrices and on both Goeritz shades of
+the corpus diagrams; `det_exact` itself is compared on the non-symmetric
+seeded family with `_fraction_det`, Gaussian elimination over the
+rationals.  The dense sign and F_p routines that the kernels replaced live
+on here as oracles (`_dense_sign`, `_dense_unit_block_class_mod_p`), and
+each kernel is compared with its oracle on the same inputs.  On the
+seeded symmetric family, mu and the Wall summands read from R are also
+compared with the same kernels run on the whole of M.  The split is also
+called directly on dense inputs, which the kernels themselves send
+straight to the dense loop.
 """
 
 import functools
@@ -39,30 +42,26 @@ from singdet.seifert import SeifertData, _unit_block_class_mod_p, mu_of, signatu
 PRIMES = (3, 5, 7, 11, 13, 999_999_999_959)
 
 
-def _dense_det(rows) -> int:
-    """Bareiss elimination over the whole matrix, the det route before
-    the unit-pivot front end."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+def _fraction_det(rows) -> int:
+    """det by Gaussian elimination over the rationals: no step is shared
+    with the fraction-free Bareiss loop of `det_exact`."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        i = next((i for i in range(k, n) if a[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            det = -det
+        det *= a[k][k]
         for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                a[i][j] -= f * a[k][j]
+    assert det.denominator == 1
+    return int(det)
 
 
 def _dense_sign(rows) -> int:
@@ -206,7 +205,7 @@ def test_the_seeded_families_cover_the_cases():
     for symmetric in (False, True):
         family = _family(symmetric)
         assert len(family) >= 500
-        assert sum(_dense_det(a) == 0 for a in family) >= 100
+        assert sum(det_exact(a) == 0 for a in family) >= 100
         assert sum(_is_sparse(a) for a in family) >= 150
         assert sum(not _is_sparse(a) for a in family) >= 150
         assert sum(all(x not in (1, -1) for row in a for x in row) for a in family) >= 100
@@ -218,14 +217,13 @@ def test_the_seeded_families_cover_the_cases():
     hidden = _family(True)[600:]
     assert sum(_is_sparse(a) and len(_split_unimodular_blocks(a)[1]) < len(a) for a in hidden) >= 120
     assert sum(all(a[i][i] % 2 == 0 for i in range(len(a))) for a in hidden) >= 75
-    assert sum(_dense_det(a) % 2 for a in _family(True)) >= 120
+    assert sum(det_exact(a) % 2 for a in _family(True)) >= 120
 
 
 def test_det_exact_equals_the_dense_oracle_on_seeded_matrices():
-    for symmetric in (False, True):
-        for a in _family(symmetric):
-            want = _dense_det(a)
-            assert det_exact(a) == want, a
+    """The symmetric family is compared with `det_of` below."""
+    for a in _family(False):
+        assert det_exact(a) == _fraction_det(a), a
 
 
 def test_signature_equals_the_dense_oracle_on_seeded_matrices():
@@ -237,7 +235,7 @@ def test_signature_equals_the_dense_oracle_on_seeded_matrices():
         # mu and the Wall summands read R; the same kernels on all of M agree
         if M.has_even_diagonal():
             assert mu_of(M) == corank_mod_p(M.entries, 2) + 1, a
-        det = _dense_det(a)
+        det = det_exact(a)
         if det % 2 and abs(det) <= 10**12:  # prime_factors factors every such det
             full = [(p, e, "A" if legendre(u, p) == 1 else "B") for p in prime_factors(det)
                     for e, u in padic_jordan(M.entries, p, ord_int(det, p))]
@@ -279,7 +277,7 @@ def test_the_core_det_equals_det_exact_on_seeded_and_vogel_matrices():
 def test_the_kernels_equal_the_dense_oracles_on_vogel_matrices(name, n):
     M = _vogel_matrix(name)
     assert M.n == n and _is_sparse(M.entries)
-    assert det_exact(M.entries) == _dense_det(M.entries)
+    assert det_of(M) == det_exact(M.entries)
     assert signature(M) == _dense_sign(M.entries)
     for p in PRIMES:
         assert _unit_block_class_mod_p(M, p) == _dense_unit_block_class_mod_p(M.entries, p), p
@@ -294,7 +292,7 @@ def test_the_kernels_equal_the_dense_oracles_on_both_goeritz_shades():
         for shade in (0, 1):
             R = goeritz_from_diagram(d, shade)
             rows = R.entries
-            assert det_exact(rows) == _dense_det(rows), (name, shade)
+            assert det_of(R) == det_exact(rows), (name, shade)
             assert signature(R) == _dense_sign(rows) - R.e, (name, shade)
             assert _front_end_sign(rows) == _dense_sign(rows), (name, shade)
             for p in PRIMES[:-1]:

@@ -4,12 +4,16 @@ objects with equal hashes where the fields are hashable, an attribute
 cannot be assigned, the repr names the class, and objects of different
 classes are unequal, even on equal fields."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import singdet
 from singdet.corpus import CorpusEntry
 from singdet.diagrams import LinkDiagram, parse_pd, seifert_structure
-from singdet.evaluate import Cyclo24, GoldenInt, LaurentPolynomial, Root5
-from singdet.exactlinalg import CokernelDecomposition, IntegerSymmetricMatrix
+from singdet.evaluate import Cyclo24, LaurentPolynomial, Root5
+from singdet.exactlinalg import CokernelDecomposition, CongruenceCore, Frozen, IntegerSymmetricMatrix
 from singdet.linkform import LinkingFormPresentation, WallDecomposition
 from singdet.obstruct import LickorishReport, SignedUnknottingConstraint, StoimenowReport
 from singdet.reference import (
@@ -25,16 +29,15 @@ TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 E = [[-2, 1], [1, -2]]
 
 # class name -> a function that builds a new object from the same arguments;
-# IntegerSymmetricMatrix and SpanningSurfaceData share their entries, and
-# Root5 and GoldenInt their fields
+# IntegerSymmetricMatrix and SpanningSurfaceData share their entries
 MAKE = {
     "IntegerSymmetricMatrix": lambda: IntegerSymmetricMatrix(E),
     "SpanningSurfaceData": lambda: SpanningSurfaceData(IntegerSymmetricMatrix(E), 1, 0),
     "SeifertData": lambda: SeifertData([[-1, 1], [0, -1]]),
     "CokernelDecomposition": lambda: CokernelDecomposition({3: (0, 1)}, 0, 3, (1, 3)),
+    "CongruenceCore": lambda: CongruenceCore(0, 3, IntegerSymmetricMatrix(E), 1),
     "Cyclo24": lambda: Cyclo24((0, -1, 0, 0, 0, 0, 0, 0)),
     "Root5": lambda: Root5(0, -1),
-    "GoldenInt": lambda: GoldenInt(0, -1),
     "LaurentPolynomial": lambda: LaurentPolynomial({-2: 1, 2: 1}),
     "LinkingFormPresentation": lambda: LinkingFormPresentation(IntegerSymmetricMatrix(E)),
     "WallDecomposition": lambda: WallDecomposition([(3, 1, "A")]),
@@ -72,3 +75,16 @@ def test_value_semantics(name):
     assert repr(a).startswith(f"{name}(")
     for other in (make() for key, make in MAKE.items() if key != name):
         assert a != other and not a == other
+
+
+def test_every_value_class_has_an_entry():
+    """Every Frozen subclass and namedtuple record that a singdet module
+    defines is checked above."""
+    defined = set()
+    for info in pkgutil.iter_modules(singdet.__path__):
+        module = importlib.import_module(f"singdet.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__ and obj is not Frozen
+                    and (issubclass(obj, Frozen) or issubclass(obj, tuple) and hasattr(obj, "_fields"))):
+                defined.add(obj.__name__)
+    assert defined and defined <= set(MAKE), sorted(defined - set(MAKE))
