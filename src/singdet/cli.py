@@ -24,8 +24,8 @@ import time
 
 from .corpus import CorpusEntry, corpus_knots, load_corpus, parse_entry
 from .diagrams import BRACKET_BUDGET, Q_BUDGET, jones_via_bracket, q_via_skein, seifert_matrix_from_diagram
-from .evaluate import HALFPOWER, alexander_poly, jones_zeta6_closed_form, q_at_golden_link
-from .exactlinalg import IntegerSymmetricMatrix, det_exact, det_of, parse_matrix, smith_cokernel
+from .evaluate import alexander_poly, jones_zeta6_closed_form, q_at_golden_link
+from .exactlinalg import IntegerSymmetricMatrix, SeifertData, det_exact, det_of, parse_matrix, smith_cokernel
 from .linkform import delta_from_wall, wall_of
 from .numtheory import check_odd_prime
 from .obstruct import (
@@ -34,7 +34,8 @@ from .obstruct import (
     signed_obstruction,
     stoimenow_check,
 )
-from .seifert import SeifertData, d_p_of, delta_p, mu_of, signature
+from .rings import HALFPOWER
+from .seifert import d_p_of, delta_p, mu_of, signature
 
 DEFAULT_PRIMES = [3, 5, 7, 11, 13]
 

@@ -23,8 +23,7 @@ import os
 from collections import namedtuple
 
 from .diagrams import parse_pd
-from .exactlinalg import IntegerSymmetricMatrix, parse_matrix
-from .seifert import SeifertData
+from .exactlinalg import IntegerSymmetricMatrix, SeifertData, parse_matrix
 
 
 class CorpusEntry(namedtuple("CorpusEntry", "name diagram seifert matrix")):

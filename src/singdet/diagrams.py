@@ -60,9 +60,8 @@ import re
 from collections import namedtuple
 from functools import cache, cached_property
 
-from .evaluate import LaurentPolynomial
-from .exactlinalg import Frozen, IntegerSymmetricMatrix
-from .seifert import SeifertData, SpanningSurfaceData
+from .exactlinalg import Frozen, IntegerSymmetricMatrix, SeifertData, SpanningSurfaceData
+from .rings import LaurentPolynomial
 
 End = tuple[int, int]  # (crossing index, slot)
 

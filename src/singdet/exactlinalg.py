@@ -7,6 +7,12 @@ no floating point anywhere in this package's math.  The rational and
 unimodular matrices and the p-adic normal forms that the tests check
 these kernels against live in `reference`.
 
+The matrix types live here too: `IntegerSymmetricMatrix` and, beside it,
+the presentation records `SeifertData` (an unsymmetrized Seifert matrix A
+with its symmetrization) and `SpanningSurfaceData` (a spanning surface's
+form with the link's component count and Gordon-Litherland correction).
+The diagram layer builds them without importing any per-prime route.
+
 The per-prime layer reads each symmetric matrix M through one memoized
 congruence core (`congruence_core`).  On a sparse M, most of whose entries
 are zero, `_split_unimodular_blocks` splits M over Z as B + R, B an
@@ -130,6 +136,49 @@ class IntegerSymmetricMatrix(Frozen):
             for j in range(m):
                 out[n + i][n + j] = other.entries[i][j]
         return IntegerSymmetricMatrix(out)
+
+
+class SeifertData(Frozen):
+    """Unsymmetrized Seifert matrix A with its symmetrization M = A + A^t,
+    built once; a non-integral entry of A is a ValueError.  Equality, hash
+    and repr read A alone."""
+
+    _fields = ("A",)
+
+    def __init__(self, A):
+        rows = _freeze(A)
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("Seifert matrix must be square")
+        object.__setattr__(self, "A", rows)
+        M = IntegerSymmetricMatrix([tuple(x + y for x, y in zip(row, col)) for row, col in zip(rows, zip(*rows))])
+        object.__setattr__(self, "M", M)
+
+    @property
+    def n(self) -> int:
+        return len(self.A)
+
+
+class SpanningSurfaceData(IntegerSymmetricMatrix):
+    """A spanning surface's form R, which this matrix is, and which presents
+    the double branched cover's linking pairing but may have odd diagonal
+    entries, with what R alone does not determine: the link's
+    component count mu and the Gordon-Litherland correction e.  The
+    signature is sign(R) - e, and e mod 8 enters delta_p.  A symmetrized
+    Seifert matrix M is the case mu = mu_of(M), e = 0; the per-prime
+    functions take either.  Both are always given: `goeritz_from_diagram`
+    reads them off the diagram; `reference.oddity(R)`, which gives e only
+    for odd det R, serves hand-built presentations in the tests.
+    """
+
+    _fields = ("entries", "mu", "e")
+
+    def __init__(self, R: IntegerSymmetricMatrix, mu: int, e: int):
+        object.__setattr__(self, "entries", R.entries)  # validated when R was built
+        if mu < 1:
+            raise ValueError("mu must be >= 1")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "e", e)
 
 
 class CokernelDecomposition(namedtuple("CokernelDecomposition",

@@ -9,10 +9,11 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .evaluate import Root5, q_at_golden_link
+from .evaluate import q_at_golden_link
 from .exactlinalg import IntegerSymmetricMatrix, det_of
 from .linkform import LinkingFormPresentation
 from .numtheory import prime_factors
+from .rings import Root5
 from .seifert import d_p_of, delta_p, mu_of
 
 # Largest |det| that lickorish_generator_search enumerates.  The search is the

@@ -31,10 +31,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .evaluate import HALFPOWER, Cyclo24, Root5, alexander_poly
+from .evaluate import alexander_poly
 from .exactlinalg import (
     Frozen,
     IntegerSymmetricMatrix,
+    SeifertData,
+    SpanningSurfaceData,
     _check_square,
     _check_symmetric,
     _freeze,
@@ -48,9 +50,8 @@ from .exactlinalg import (
 from .linkform import LinkingFormPresentation, WallDecomposition, b_total, wall_of
 from .numtheory import check_odd_prime, is_prime, legendre, ord_int, p_part, prime_factors
 from .obstruct import lickorish_generator_search
+from .rings import HALFPOWER, Cyclo24, Root5
 from .seifert import (
-    SeifertData,
-    SpanningSurfaceData,
     _delta_from_unit_block,
     d_p_of,
     delta_p,

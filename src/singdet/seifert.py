@@ -1,4 +1,5 @@
-"""Seifert data and the singular determinant delta_p.
+"""The singular determinant delta_p and the other per-prime invariants,
+by their definition.
 
 A symmetrized Seifert matrix M = A + A^t is symmetric with even diagonal;
 delta_p(M) is the Legendre class of the nondegenerate block of M mod p with
@@ -7,7 +8,10 @@ stabilization, hence a link invariant.  A spanning-surface presentation
 (`SpanningSurfaceData`, for example a Goeritz matrix) may have odd diagonal
 entries; it carries its component count and Gordon-Litherland correction,
 both given when it is built, and every per-prime function here takes it in
-place of M.
+place of M.  The presentation records, `SeifertData` for an unsymmetrized
+A and `SpanningSurfaceData`, live in `exactlinalg` beside
+`IntegerSymmetricMatrix`, so modules that build presentations need not
+import this route.
 
 The per-prime layer reads det M first: at an odd prime p that does not
 divide it, M is nondegenerate over F_p, so d_p = 0 and delta_p is one
@@ -19,57 +23,13 @@ reduction of all of M that checks this path lives in `reference`.
 from __future__ import annotations
 
 from .exactlinalg import (
-    Frozen,
     IntegerSymmetricMatrix,
-    _freeze,
+    SpanningSurfaceData,
     _memo_on_matrix,
     congruence_core,
     corank_mod_p,
 )
 from .numtheory import check_odd_prime, legendre
-
-
-class SeifertData(Frozen):
-    """Unsymmetrized Seifert matrix A with its symmetrization M = A + A^t,
-    built once; a non-integral entry of A is a ValueError.  Equality, hash
-    and repr read A alone."""
-
-    _fields = ("A",)
-
-    def __init__(self, A):
-        rows = _freeze(A)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("Seifert matrix must be square")
-        object.__setattr__(self, "A", rows)
-        M = IntegerSymmetricMatrix([tuple(x + y for x, y in zip(row, col)) for row, col in zip(rows, zip(*rows))])
-        object.__setattr__(self, "M", M)
-
-    @property
-    def n(self) -> int:
-        return len(self.A)
-
-
-class SpanningSurfaceData(IntegerSymmetricMatrix):
-    """A spanning surface's form R, which this matrix is, and which presents
-    the double branched cover's linking pairing but may have odd diagonal
-    entries, with what R alone does not determine: the link's
-    component count mu and the Gordon-Litherland correction e.  The
-    signature is sign(R) - e, and e mod 8 enters delta_p.  A symmetrized
-    Seifert matrix M is the case mu = mu_of(M), e = 0; the per-prime
-    functions take either.  Both are always given: `goeritz_from_diagram`
-    reads them off the diagram; `reference.oddity(R)`, which gives e only
-    for odd det R, serves hand-built presentations in the tests.
-    """
-
-    _fields = ("entries", "mu", "e")
-
-    def __init__(self, R: IntegerSymmetricMatrix, mu: int, e: int):
-        object.__setattr__(self, "entries", R.entries)  # validated when R was built
-        if mu < 1:
-            raise ValueError("mu must be >= 1")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "e", e)
 
 
 @_memo_on_matrix

@@ -18,14 +18,12 @@ import pytest
 from singdet.corpus import corpus_knots, load_corpus
 from singdet.diagrams import jones_via_bracket, q_via_skein, seifert_matrix_from_diagram
 from singdet.evaluate import (
-    HALFPOWER,
-    Cyclo24,
-    Root5,
     jones_zeta6_closed_form,
     q_at_golden_link,
 )
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
+    SeifertData,
     det_exact,
     smith_cokernel,
 )
@@ -45,8 +43,8 @@ from singdet.reference import (
     random_unimodular,
     stabilize,
 )
+from singdet.rings import HALFPOWER, Cyclo24, Root5
 from singdet.seifert import (
-    SeifertData,
     d_p_of,
     delta_p,
     mu_of,

@@ -34,9 +34,10 @@ from singdet.diagrams import (
     r2_slide,
     seifert_matrix_from_diagram,
 )
-from singdet.evaluate import HALFPOWER, LaurentPolynomial, jones_zeta6_closed_form, q_at_golden_link
+from singdet.evaluate import jones_zeta6_closed_form, q_at_golden_link
 from singdet.exactlinalg import det_of
 from singdet.obstruct import improved_bound
+from singdet.rings import HALFPOWER, LaurentPolynomial
 from singdet.seifert import signature
 
 

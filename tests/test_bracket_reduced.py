@@ -29,7 +29,7 @@ from singdet.diagrams import (
     r2_slide,
     reverse_component,
 )
-from singdet.evaluate import Cyclo24, LaurentPolynomial
+from singdet.rings import Cyclo24, LaurentPolynomial
 
 DELTA = {2: -1, -2: -1}
 

@@ -23,8 +23,7 @@ import test_presentation
 from singdet import diagrams, exactlinalg
 from singdet.corpus import load_corpus
 from singdet.diagrams import DiagramError, End, LinkDiagram, face_orbits, parse_pd, pd_text, pretzel_pd, r1_kink
-from singdet.exactlinalg import IntegerSymmetricMatrix
-from singdet.seifert import SpanningSurfaceData
+from singdet.exactlinalg import IntegerSymmetricMatrix, SpanningSurfaceData
 from test_arc_map import _arc_ends
 
 TWO_TREFOILS = ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) "

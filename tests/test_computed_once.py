@@ -15,9 +15,9 @@ import pytest
 import singdet.seifert as seifert
 from singdet.cli import main
 from singdet.diagrams import pretzel_pd, q_via_skein, seifert_matrix_from_diagram
-from singdet.exactlinalg import IntegerSymmetricMatrix, corank_mod_p
+from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, corank_mod_p
 from singdet.reference import congruence, random_unimodular
-from singdet.seifert import SeifertData, d_p_of, delta_p, mu_of
+from singdet.seifert import d_p_of, delta_p, mu_of
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
 PRIMES = (3, 5, 7, 11, 13)

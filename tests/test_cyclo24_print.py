@@ -4,7 +4,7 @@ element by ring arithmetic on every call, is kept here as the oracle."""
 
 import random
 
-from singdet.evaluate import Cyclo24
+from singdet.rings import Cyclo24
 
 
 def rebuilt_as_monomial(self):

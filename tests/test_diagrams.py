@@ -24,11 +24,13 @@ from singdet.diagrams import (
     reverse_component,
     seifert_matrix_from_diagram,
 )
-from singdet.evaluate import HALFPOWER, Cyclo24, LaurentPolynomial, alexander_poly, q_at_golden_link
+from singdet.evaluate import alexander_poly, q_at_golden_link
 from singdet.exactlinalg import det_exact, det_of
 from singdet.numtheory import prime_factors
 from singdet.reference import delta_p_gl
+from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial
 from singdet.seifert import d_p_of, delta_p, mu_of, signature
+from test_grid_diagrams import grid_knots
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -288,7 +290,7 @@ def test_q_skein_rong_identity_corpus():
             assert q == q_at_golden_link(M), name
         elif d.n == 0:
             # unlinks: value sqrt5^(c-1)
-            from singdet.evaluate import Root5
+            from singdet.rings import Root5
 
             assert q == Root5.sqrt5_pow(d.component_count - 1)
 
@@ -370,8 +372,8 @@ def test_v_at_i_vanishes_for_improper_links():
 
 def _five_point_inputs():
     """The connected corpus diagrams of 1 to 10 crossings, then seeded knots:
-    3- and 4-strand closures of 5 to 12 letters and 3-column pretzels with
-    odd twists."""
+    3- and 4-strand closures of 5 to 12 letters, 3-column pretzels with
+    odd twists, and grid knots of 3 to 16 crossings, which are neither."""
     for name, e in sorted(load_corpus().items()):
         d = e.diagram
         if d is not None and 0 < d.n <= 10 and d.is_connected():
@@ -389,13 +391,15 @@ def _five_point_inputs():
     for _ in range(40):
         twists = [rng.choice((1, -1)) * rng.choice((1, 3, 5)) for _ in range(3)]
         yield f"pretzel {twists}", pretzel_pd(*twists)
+    for d in grid_knots(20, 38, (6, 12), (3, 16)):
+        yield f"grid knot {d.crossings}", d
 
 
 def test_five_point_identity_chain_on_corpus():
     # evaluations of the bracket at the five points match the closed forms
     # computed from the diagram's own Seifert matrix
+    from singdet.exactlinalg import SeifertData
     from singdet.reference import arf_sign_from_det, classical_invariants, jones_special_values
-    from singdet.seifert import SeifertData
 
     for name, d in _five_point_inputs():
         A = seifert_matrix_from_diagram(d)

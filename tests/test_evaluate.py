@@ -4,16 +4,12 @@ import random
 import pytest
 
 from singdet.evaluate import (
-    HALFPOWER,
-    Cyclo24,
-    LaurentPolynomial,
-    Root5,
     alexander_poly,
     jones_at_zeta6_knot,
     jones_zeta6_closed_form,
     q_at_golden_link,
 )
-from singdet.exactlinalg import IntegerSymmetricMatrix, det_exact
+from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, det_exact
 from singdet.reference import (
     JonesSpecialValues,
     alexander_at_minus1,
@@ -23,7 +19,8 @@ from singdet.reference import (
     q_at_golden,
     q_golden_closed_form,
 )
-from singdet.seifert import SeifertData, mu_of, signature
+from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial, Root5
+from singdet.seifert import mu_of, signature
 
 
 def approx_equal(z1, z2, tol=1e-9):

@@ -20,9 +20,10 @@ from singdet.diagrams import (
     q_via_skein,
     seifert_matrix_from_diagram,
 )
-from singdet.evaluate import HALFPOWER, jones_zeta6_closed_form, q_at_golden_link
+from singdet.evaluate import jones_zeta6_closed_form, q_at_golden_link
 from singdet.exactlinalg import det_exact, det_of
 from singdet.linkform import wall_of
+from singdet.rings import HALFPOWER
 from singdet.seifert import d_p_of, delta_p, mu_of, signature
 
 
@@ -70,18 +71,25 @@ def grid_pd(xs, os):
     return d if d.is_connected() else None
 
 
-def grid_diagrams(count=300, seed=6):
-    """count connected grid diagrams from grids of size 5 to 11."""
+def grid_diagrams(count=300, seed=6, sizes=(5, 11), keep=lambda d: True):
+    """count connected grid diagrams that keep accepts, from grids of
+    sizes[0] to sizes[1]."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(5, 11)
+        n = rng.randint(*sizes)
         xs, os = rng.sample(range(n), n), rng.sample(range(n), n)
         if all(x != o for x, o in zip(xs, os)):
             d = grid_pd(xs, os)
-            if d is not None:
+            if d is not None and keep(d):
                 out.append(d)
     return out
+
+
+def grid_knots(count, seed, sizes, crossings):
+    """count grid knots of crossings[0] to crossings[1] crossings."""
+    lo, hi = crossings
+    return grid_diagrams(count, seed, sizes, lambda d: d.component_count == 1 and lo <= d.n <= hi)
 
 
 def test_grid_pd_builds_the_trefoil_and_the_hopf_link():
@@ -121,3 +129,21 @@ def test_vogel_and_both_goeritz_shades_agree_on_grid_diagrams():
     # carry most of the content
     assert knots >= 100 and knotted >= 5 and links >= 150 and singular >= 100
     assert wall >= 120 and q_checked >= 250
+
+
+def test_vogel_untangles_large_grid_knots_to_the_goeritz_facts():
+    """Grid knots of 20 to 55 crossings need Vogel moves on Seifert circles
+    that no braid or twist region lines up: the Vogel matrix grows to 40 to
+    202 rows, and must still agree with both Goeritz shades."""
+    sizes, nontrivial = [], 0
+    for d in grid_knots(16, 16, (16, 22), (20, 60)):
+        forms = (seifert_matrix_from_diagram(d).M, goeritz_from_diagram(d, 0), goeritz_from_diagram(d, 1))
+        facts = [(abs(det_of(M)), signature(M), mu_of(M), [(d_p_of(M, p), delta_p(M, p)) for p in (3, 5, 7)])
+                 for M in forms]
+        assert facts[0] == facts[1] == facts[2], d.crossings
+        det, sigma = facts[0][:2]
+        if det % 2:
+            assert wall_of(forms[0]) == wall_of(forms[1]) == wall_of(forms[2]), d.crossings
+        sizes.append(forms[0].n)
+        nontrivial += det != 1 or sigma != 0
+    assert min(sizes) == 40 and max(sizes) == 202 and nontrivial == 10

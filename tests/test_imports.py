@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and the Wall
-route reaches no module but the two it is built on."""
+"""No module of the package imports a name it never uses, the Wall route
+reaches no module but the two it is built on, and the diagram oracles and
+the corpus loader reach none of the routes they are checked against."""
 
 import ast
 import os
@@ -76,12 +77,37 @@ def test_the_check_follows_imports_inside_functions():
     assert reached("low", planted) == {"top", "mid", "deep"}
 
 
-def test_the_wall_route_reaches_only_its_kernels():
+@pytest.fixture(scope="module")
+def sources() -> dict[str, str]:
+    out = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            out[module[:-3]] = fh.read()
+    return out
+
+
+def test_the_wall_route_reaches_only_its_kernels(sources):
     """linkform reads the linking form through exactlinalg and numtheory
     alone, so it cannot reach seifert's mod-p elimination, the definition
     route that the tests check it against."""
-    sources = {}
-    for module in MODULES:
-        with open(os.path.join(SRC, module)) as fh:
-            sources[module[:-3]] = fh.read()
     assert reached("linkform", sources) == {"exactlinalg", "numtheory"}
+
+
+def test_the_diagram_oracles_reach_no_route_they_check(sources):
+    """The bracket and the Q skein in diagrams are checked against the
+    closed forms of evaluate, which read seifert and linkform; diagrams
+    reaches the rings and the matrix kernels alone, and no route reaches
+    diagrams back."""
+    assert reached("diagrams", sources) == {"rings", "exactlinalg", "numtheory"}
+    for route in ("evaluate", "seifert", "linkform"):
+        assert "diagrams" not in reached(route, sources), route
+
+
+def test_the_rings_reach_only_the_kernels(sources):
+    assert reached("rings", sources) <= {"exactlinalg", "numtheory"}
+
+
+def test_the_corpus_loader_reaches_no_route(sources):
+    """Loading a corpus entry parses a diagram or a matrix and builds its
+    presentation, with no per-prime route on the way."""
+    assert reached("corpus", sources) == {"diagrams", "rings", "exactlinalg", "numtheory"}

@@ -22,10 +22,11 @@ import singdet.seifert as seifert
 from singdet.cli import main
 from singdet.corpus import load_corpus
 from singdet.diagrams import goeritz_from_diagram, pretzel_pd, seifert_matrix_from_diagram
-from singdet.evaluate import LaurentPolynomial, _interpolate_int, alexander_poly
-from singdet.exactlinalg import IntegerSymmetricMatrix, det_exact, transpose
+from singdet.evaluate import _interpolate_int, alexander_poly
+from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, det_exact, transpose
 from singdet.reference import congruence, random_unimodular
-from singdet.seifert import SeifertData, signature
+from singdet.rings import LaurentPolynomial
+from singdet.seifert import signature
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
 

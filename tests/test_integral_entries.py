@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from singdet.evaluate import Cyclo24, LaurentPolynomial
 from singdet.exactlinalg import smith_normal_form
+from singdet.rings import Cyclo24, LaurentPolynomial
 
 
 def test_smith_normal_form_rejects_a_non_integral_entry():

@@ -11,9 +11,9 @@ import pytest
 
 from singdet.corpus import load_corpus
 from singdet.diagrams import goeritz_from_diagram, jones_via_bracket, mirror, seifert_matrix_from_diagram
-from singdet.evaluate import LaurentPolynomial
 from singdet.exactlinalg import det_exact
 from singdet.linkform import WallDecomposition, wall_of
+from singdet.rings import LaurentPolynomial
 from singdet.seifert import d_p_of, signature
 
 PRIMES = (3, 5, 7, 11, 13)

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+import singdet.numtheory as numtheory
 from singdet.numtheory import (
+    MILLER_RABIN_BOUND,
+    _miller_rabin,
     factorize,
     is_prime,
     legendre,
@@ -144,3 +147,56 @@ def test_p_part_and_factorize():
     assert p_part(-45, 3) == (2, -5)
     assert prime_factors(195) == [3, 5, 13]
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
+
+
+def trial_division_is_prime(n):
+    return n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_miller_rabin_agrees_with_trial_division_on_seeded_inputs():
+    rng = random.Random(38)
+    draws = [rng.randrange(43, 10**k) | 1 for k in (4, 6, 9) for _ in range(100)]
+    draws += [rng.randrange(10**11, 10**12) | 1 for _ in range(20)]
+    for n in draws:  # below TRIAL_DIVISION_LIMIT**2, is_prime is trial division
+        assert _miller_rabin(n) == is_prime(n), n
+    primes = [n for n in draws if n > 10**6 and is_prime(n)]
+    for p, q in zip(primes, primes[1:]):
+        assert not _miller_rabin(p * q), (p, q)
+    # past it, is_prime is the Miller-Rabin test itself
+    for n in [10**12 + 39, 10**12 + 41, 10**12 + 61, 10**12 + 63]:
+        assert is_prime(n) == _miller_rabin(n) == trial_division_is_prime(n), n
+
+
+@pytest.mark.parametrize("n, factors", [
+    (2047, (23, 89)),  # strong pseudoprime to base 2
+    (3215031751, (151, 751, 28351)),  # to the bases 2, 3, 5, 7
+    (3825123056546413051, (149491, 747451, 34233211)),  # to the first 9 primes
+    (318665857834031151167461, (399165290221, 798330580441)),  # to the first 12 primes
+])
+def test_miller_rabin_rejects_strong_pseudoprimes_to_fewer_bases(n, factors):
+    assert math.prod(factors) == n
+    assert not _miller_rabin(n)
+
+
+def test_prime_factors_splits_a_cofactor_past_trial_division_by_rho():
+    det = -801202792027905778027366252037
+    assert prime_factors(det) == [167, 1012824277, 4736874518213327143]
+    assert factorize(det) == {167: 1, 1012824277: 1, 4736874518213327143: 1}
+    assert prime_factors(1000000007**2 * 1001000113 * 6) == [2, 3, 1000000007, 1001000113]
+
+
+def test_prime_factors_refuses_what_it_cannot_prove():
+    # the least strong pseudoprime to the first 13 primes is the bound itself
+    psi13 = 3317044064679887385961981
+    assert psi13 == MILLER_RABIN_BOUND == 1287836182261 * 2575672364521
+    assert _miller_rabin(psi13)
+    with pytest.raises(ValueError, match="probable prime above"):
+        prime_factors(psi13)
+    with pytest.raises(ValueError, match="probable prime above"):
+        prime_factors(3 * (2**89 - 1))  # a Mersenne prime, beyond the proof
+
+
+def test_prime_factors_gives_up_past_the_rho_budget(monkeypatch):
+    monkeypatch.setattr(numtheory, "RHO_BUDGET", 64)
+    with pytest.raises(ValueError, match="did not split within 64 rho steps"):
+        prime_factors(1000000007 * 1001000113)

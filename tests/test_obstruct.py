@@ -8,7 +8,7 @@ from singdet.exactlinalg import (
     det_exact,
     smith_cokernel,
 )
-from singdet.evaluate import Cyclo24, Root5, q_at_golden_link
+from singdet.evaluate import q_at_golden_link
 from singdet.obstruct import (
     SignedUnknottingConstraint,
     improved_bound,
@@ -26,6 +26,7 @@ from singdet.reference import (
     stabilize,
     traczyk_value,
 )
+from singdet.rings import Cyclo24, Root5
 from singdet.seifert import d_p_of, delta_p, mu_of
 
 P777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])

@@ -29,9 +29,9 @@ from singdet.diagrams import (
     pretzel_pd,
     seifert_matrix_from_diagram,
 )
-from singdet.exactlinalg import congruence_core
+from singdet.exactlinalg import SpanningSurfaceData, congruence_core
 from singdet.reference import delta_p_gl, format_matrix
-from singdet.seifert import SpanningSurfaceData, delta_p, signature
+from singdet.seifert import delta_p, signature
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
 PRIMES = (3, 5, 7, 11, 13)

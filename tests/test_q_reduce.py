@@ -30,8 +30,8 @@ from singdet.diagrams import (
     r2_slide,
     seifert_matrix_from_diagram,
 )
-from singdet.evaluate import LaurentPolynomial
 from singdet.reference import q_golden_closed_form
+from singdet.rings import LaurentPolynomial
 
 # The label union-find that built skein children before they were spliced on
 # the dart partner list.  The oracles here and in test_q_twist.py,

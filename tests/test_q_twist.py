@@ -30,7 +30,8 @@ from singdet.diagrams import (
     pretzel_pd,
     q_via_skein,
 )
-from singdet.evaluate import LaurentPolynomial, q_at_golden_link
+from singdet.evaluate import q_at_golden_link
+from singdet.rings import LaurentPolynomial
 from test_q_reduce import _join_labels, _smooth_unoriented, random_moves, seeded_braid_word, unreduced_q
 
 

@@ -70,13 +70,28 @@ def test_prime_factors_is_exact_below_ten_to_the_twelve():
 
 
 def test_a_determinant_too_large_to_factor_exits_2_quickly(tmp_path, capsys):
-    # det = 4 * 250250030001750198 - 1 = 1000000007 * 1001000113
+    # det = 4 * 2^87 - 1 = 2^89 - 1, a prime above the bound below which the
+    # Miller-Rabin test proves primality
     path = tmp_path / "big.txt"
-    path.write_text("2\n1 1\n0 250250030001750198\n")
+    path.write_text(f"2\n1 1\n0 {2**87}\n")
     for command in ("invariants", "obstruct"):
         start = time.perf_counter()
-        assert "1001000120007000791" in one_line_error(capsys, command, str(path))
+        assert str(2**89 - 1) in one_line_error(capsys, command, str(path))
         assert time.perf_counter() - start < 2.0
+
+
+def test_a_determinant_past_trial_division_is_factored_by_rho(tmp_path, capsys):
+    # det = -167 * 1012824277 * 4736874518213327143; trial division stops at 10^6
+    path = tmp_path / "big.txt"
+    path.write_text("name: big\nmatrix:\n2\n-2 1\n1 400601396013952889013683126018\n")
+    assert main(["invariants", str(path)]) == 0
+    report = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert report["det"] == "801202792027905778027366252037"
+    for p in (3, 5, 7, 11, 13):
+        assert (report[f"d_{p}"], report[f"delta_{p}"]) == ("0", "-1")
+    assert report["wall"] == "167 1 A; 1012824277 1 B; 4736874518213327143 1 B"
+    assert main(["obstruct", str(path)]) == 0
+    assert "lickorish" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ fuzzing

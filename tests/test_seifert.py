@@ -4,6 +4,8 @@ import pytest
 
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
+    SeifertData,
+    SpanningSurfaceData,
     det_exact,
 )
 from singdet.numtheory import legendre
@@ -21,8 +23,6 @@ from singdet.reference import (
     stabilize,
 )
 from singdet.seifert import (
-    SeifertData,
-    SpanningSurfaceData,
     d_p_of,
     delta_p,
     mu_of,

@@ -12,8 +12,14 @@ import pytest
 import singdet
 from singdet.corpus import CorpusEntry
 from singdet.diagrams import LinkDiagram, parse_pd, seifert_structure
-from singdet.evaluate import Cyclo24, LaurentPolynomial, Root5
-from singdet.exactlinalg import CokernelDecomposition, CongruenceCore, Frozen, IntegerSymmetricMatrix
+from singdet.exactlinalg import (
+    CokernelDecomposition,
+    CongruenceCore,
+    Frozen,
+    IntegerSymmetricMatrix,
+    SeifertData,
+    SpanningSurfaceData,
+)
 from singdet.linkform import LinkingFormPresentation, WallDecomposition
 from singdet.obstruct import LickorishReport, SignedUnknottingConstraint, StoimenowReport
 from singdet.reference import (
@@ -23,7 +29,7 @@ from singdet.reference import (
     RationalSymmetricMatrix,
     UnimodularTransform,
 )
-from singdet.seifert import SeifertData, SpanningSurfaceData
+from singdet.rings import Cyclo24, LaurentPolynomial, Root5
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 E = [[-2, 1], [1, -2]]
