@@ -1,7 +1,9 @@
 """Elementary exact number theory: primality, Legendre symbols, p-adic
 valuations of integers, factorization and the sign nu() used by the
 sixth-root evaluation.  Primality is trial division, or past 10^12 the
-Miller-Rabin test on bases for which it is a proof; factorization is trial
+Miller-Rabin test on bases for which it is a proof below MILLER_RABIN_BOUND;
+a probable prime at or above that bound is refused with ValueError, since
+no test here proves it prime in bounded time.  Factorization is trial
 division, then Brent's rho on the cofactor it leaves.
 
 Everything here is exact integer arithmetic; all symbols are small ints in
@@ -32,8 +34,9 @@ RHO_BUDGET = 1 << 22
 
 def is_prime(n: int) -> bool:
     """Deterministic primality: trial division up to sqrt(n), or, past
-    TRIAL_DIVISION_LIMIT and below MILLER_RABIN_BOUND, the Miller-Rabin
-    test, which is a proof there."""
+    TRIAL_DIVISION_LIMIT**2, the Miller-Rabin test, which refutes any
+    composite it rejects and proves n prime below MILLER_RABIN_BOUND.  A
+    probable prime at or above the bound raises ValueError naming n."""
     if n < 2:
         return False
     if n < 4:
@@ -41,8 +44,13 @@ def is_prime(n: int) -> bool:
     if n % 2 == 0 or n % 3 == 0:
         return False
     f, r = 5, isqrt(n)
-    if r > TRIAL_DIVISION_LIMIT and n < MILLER_RABIN_BOUND:
-        return _miller_rabin(n)
+    if r > TRIAL_DIVISION_LIMIT:
+        if not _miller_rabin(n):
+            return False
+        if n >= MILLER_RABIN_BOUND:
+            raise ValueError(f"cannot prove {n} prime: it is a probable prime at or above "
+                             f"{MILLER_RABIN_BOUND}, past which the Miller-Rabin test is no proof")
+        return True
     while f <= r:
         if n % f == 0 or n % (f + 2) == 0:
             return False

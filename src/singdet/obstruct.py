@@ -177,7 +177,7 @@ def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
     return LickorishReport(zs, per)
 
 
-def stoimenow_check(M: IntegerSymmetricMatrix, rep: LickorishReport | None = None) -> StoimenowReport:
+def stoimenow_check(M: IntegerSymmetricMatrix, rep: LickorishReport) -> StoimenowReport:
     """Compare the Q value at the golden reciprocal with the conjectured rule
     "-sqrt5 iff some h has lambda(h,h) = +-2/det" on cyclic odd H_1 with
     5 | det.
@@ -187,10 +187,8 @@ def stoimenow_check(M: IntegerSymmetricMatrix, rep: LickorishReport | None = Non
     attains one iff lickorish_check admits some zeta.  H_1 is cyclic iff
     d_p <= 1 at every prime p | det (an odd det has d_2 = 0).  An even det
     means mu > 1, which lickorish_check rejects with ValueError.  rep is
-    lickorish_check(M) when the caller has it already.
+    lickorish_check(M), the report this reads.
     """
-    if rep is None:
-        rep = lickorish_check(M)
     if 5 not in rep.per_prime:
         raise ValueError("requires determinant divisible by 5")
     if any(dp > 1 for dp, _, _ in rep.per_prime.values()):

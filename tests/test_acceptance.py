@@ -145,7 +145,7 @@ def test_criterion1_p5175():
         assert delta_p(P5175, 13) == 1
         assert q_at_golden_link(P5175) == Root5(0, -1)
         assert lickorish_check(P5175).admissible_zeta == ()
-        rep = stoimenow_check(P5175)
+        rep = stoimenow_check(P5175, lickorish_check(P5175))
         assert not rep.agrees and not rep.generator_exists
 
 

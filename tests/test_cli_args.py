@@ -1,6 +1,6 @@
 """A negative matrix size, a repeated prime, a prime that is not an
-integer and a negative crossing budget are rejected, not read as something
-else."""
+integer or cannot be proven prime and a negative crossing budget are
+rejected, not read as something else."""
 
 import os
 
@@ -52,6 +52,19 @@ def test_cli_names_a_prime_that_is_not_an_integer(capsys, flag, value, token):
     lines = [line for line in captured.err.splitlines() if token in line]
     assert len(lines) == 1 and "is not an integer" in lines[0], captured.err
     assert "_odd_prime" not in lines[0] and "_primes_arg" not in lines[0]
+
+
+@pytest.mark.parametrize("value,reason", [("9", "is not an odd prime"),
+                                          ("618970019642690137449562111", "cannot prove")])
+def test_cli_refuses_a_prime_it_cannot_prove_in_one_line(capsys, value, reason):
+    # 2^89 - 1 is prime, but only past the bound where Miller-Rabin is a proof
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", TREFOIL, "--primes", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if value in line]
+    assert len(lines) == 1 and "argument --primes" in lines[0] and reason in lines[0], captured.err
 
 
 @pytest.mark.parametrize("cmd", ["invariants", "obstruct"])

@@ -395,36 +395,74 @@ def _five_point_inputs():
         yield f"grid knot {d.crossings}", d
 
 
-def test_five_point_identity_chain_on_corpus():
-    # evaluations of the bracket at the five points match the closed forms
-    # computed from the diagram's own Seifert matrix
-    from singdet.exactlinalg import SeifertData
-    from singdet.reference import arf_sign_from_det, classical_invariants, jones_special_values
+def _f2_arf(M):
+    """The Arf sign of the link with symmetrized Seifert matrix M, or None if
+    the link is improper, from q(x) = x^T M x / 2 mod 2 on F2^n, whose
+    bilinear form q(x + y) - q(x) - q(y) is M mod 2 (Robertello 1965;
+    Murakami 1986).  Symplectic reduction splits off pairs e, f with e.Mf
+    odd, each adding q(e) q(f) to the Arf invariant, and projects the other
+    vectors off them; a vector that pairs with none left lies in the
+    radical of M mod 2, where q is linear.  The link is proper iff q
+    vanishes there, and then its Arf sign is (-1)^Arf."""
+    n = len(M)
+    odd = [sum(1 << j for j in range(n) if M[i][j] & 1) for i in range(n)]
+    half_diag = sum(1 << i for i in range(n) if M[i][i] >> 1 & 1)
+    upper = [odd[i] >> (i + 1) << (i + 1) for i in range(n)]  # odd M[i][j], j > i
 
+    def image(x):  # M x mod 2, vectors as bit masks
+        out = 0
+        for i in range(n):
+            if x >> i & 1:
+                out ^= odd[i]
+        return out
+
+    def q(x):  # sum of M[i][i] / 2 and of M[i][j], i < j, over i, j in x
+        pairs = sum((upper[i] & x).bit_count() for i in range(n) if x >> i & 1)
+        return ((x & half_diag).bit_count() + pairs) & 1
+
+    vecs, radical, arf = [1 << i for i in range(n)], [], 0
+    while vecs:
+        e = vecs.pop()
+        me = image(e)
+        f = next((f for f in vecs if (me & f).bit_count() & 1), None)
+        if f is None:
+            radical.append(e)
+            continue
+        vecs.remove(f)
+        mf = image(f)
+        arf ^= q(e) & q(f)
+        vecs = [v ^ (e if (mf & v).bit_count() & 1 else 0) ^ (f if (me & v).bit_count() & 1 else 0)
+                for v in vecs]
+    if any(q(v) for v in radical):
+        return None
+    return -1 if arf else 1
+
+
+def _check_five_points(name, d, A):
+    """The bracket of d at the five points against the closed forms from its
+    Seifert matrix A; properness and the Arf sign come from A + A^t over F2,
+    so V(i) is checked exactly for links too.  Returns the Arf sign."""
+    from singdet.reference import classical_invariants, jones_special_values
+
+    bundle = classical_invariants(A, [3])
+    assert bundle.c == d.component_count, name
+    arf = _f2_arf(A.M.entries)
+    assert (arf is not None) == d.is_proper(), name
+    if bundle.c == 1:
+        assert arf == bundle.arf_sign, name
+    vals = jones_special_values(bundle, bundle.delta_p[3], arf)
+    v = jones_via_bracket(d)
+    assert v.eval_root_of_unity(HALFPOWER["1"]) == vals.at_1, name
+    assert v.eval_root_of_unity(HALFPOWER["-1"]) == vals.at_minus1, name
+    assert v.eval_root_of_unity(HALFPOWER["zeta3"]) == vals.at_zeta3, name
+    assert v.eval_root_of_unity(HALFPOWER["zeta6"]) == vals.at_zeta6, name
+    assert v.eval_root_of_unity(HALFPOWER["i"]) == vals.at_i, name
+    return arf
+
+
+def test_five_point_identity_chain_on_corpus():
     for name, d in _five_point_inputs():
-        A = seifert_matrix_from_diagram(d)
-        bundle = classical_invariants(A, [3])
-        assert bundle.c == d.component_count, name
-        v = jones_via_bracket(d)
-        proper = d.is_proper()
-        arf = None
-        if bundle.c == 1:
-            arf = bundle.arf_sign
-        vals = jones_special_values(bundle, bundle.delta_p[3], None if not proper else (arf or _arf_from_bracket(v, bundle.c)))
-        assert v.eval_root_of_unity(HALFPOWER["1"]) == vals.at_1, name
-        assert v.eval_root_of_unity(HALFPOWER["-1"]) == vals.at_minus1, name
-        assert v.eval_root_of_unity(HALFPOWER["zeta3"]) == vals.at_zeta3, name
-        assert v.eval_root_of_unity(HALFPOWER["zeta6"]) == vals.at_zeta6, name
-        at_i = v.eval_root_of_unity(HALFPOWER["i"])
-        if not proper:
-            assert at_i.is_zero(), name
-        elif bundle.c == 1:
-            assert at_i == vals.at_i, name
-        else:
-            # links: magnitude (sqrt2)^(c-1); the Arf sign itself is only
-            # available through the oracle
-            mag = at_i.norm_sq()
-            assert mag == Cyclo24.from_int(2 ** (bundle.c - 1)), name
+        _check_five_points(name, d, seifert_matrix_from_diagram(d))
 
 
 def _seeded_links():
@@ -448,29 +486,17 @@ def _seeded_links():
 
 
 def test_seeded_links_match_both_diagram_oracles():
-    # the closed forms V(zeta6) = delta_3 i^(c-1) (i sqrt3)^(d_3) and
-    # Q(1/phi) = delta_5 sqrt5^(d_5) hold for links, det 0 among them
-    from singdet.reference import jones_zeta6_via_delta3
-
+    # the five closed forms, among them V(zeta6) = delta_3 i^(c-1) (i sqrt3)^(d_3),
+    # and Q(1/phi) = delta_5 sqrt5^(d_5) hold for links, det 0 among them
     count = singular = 0
+    arfs = set()
     for name, d in _seeded_links():
-        M = seifert_matrix_from_diagram(d).M
-        assert jones_via_bracket(d).eval_root_of_unity(HALFPOWER["zeta6"]) == jones_zeta6_via_delta3(M), name
-        assert q_via_skein(d).eval_golden_reciprocal() == q_at_golden_link(M), name
+        A = seifert_matrix_from_diagram(d)
+        arfs.add(_check_five_points(name, d, A))
+        assert q_via_skein(d).eval_golden_reciprocal() == q_at_golden_link(A.M), name
         count += 1
-        singular += det_exact(M.entries) == 0
-    assert count == 130 and singular > 0
-
-
-def _arf_from_bracket(v, c):
-    # for proper links the oracle's value at i determines the Arf sign
-    at_i = v.eval_root_of_unity(HALFPOWER["i"])
-    base = Cyclo24.sqrt2() ** (c - 1) * ((-1) ** ((c - 1) % 2))
-    if at_i == base:
-        return 1
-    if at_i == -base:
-        return -1
-    return 1
+        singular += det_exact(A.M.entries) == 0
+    assert count == 130 and singular > 0 and arfs == {None, 1, -1}
 
 
 def test_r2_slide_keeps_the_faces_a_fresh_walk_finds(monkeypatch):

@@ -196,6 +196,15 @@ def test_prime_factors_refuses_what_it_cannot_prove():
         prime_factors(3 * (2**89 - 1))  # a Mersenne prime, beyond the proof
 
 
+def test_is_prime_refuses_a_probable_prime_past_the_proven_bound():
+    # trial division to the square root takes hours at the bound and far
+    # longer at the Mersenne prime; the Miller-Rabin test answers at once
+    for n in (2**89 - 1, MILLER_RABIN_BOUND):
+        with pytest.raises(ValueError, match=f"cannot prove {n} prime.*{MILLER_RABIN_BOUND}"):
+            is_prime(n)
+    assert not is_prime((2**89 - 1) * (2**61 - 1))  # a composite is refuted as before
+
+
 def test_prime_factors_gives_up_past_the_rho_budget(monkeypatch):
     monkeypatch.setattr(numtheory, "RHO_BUDGET", 64)
     with pytest.raises(ValueError, match="did not split within 64 rho steps"):

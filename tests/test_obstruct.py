@@ -133,7 +133,7 @@ def test_prop36_equivalence_cyclic_dets_to_2000():
 
 
 def test_stoimenow_counterexample():
-    rep = stoimenow_check(P5175)
+    rep = stoimenow_check(P5175, lickorish_check(P5175))
     assert rep.q_value == Root5(0, -1)
     assert not rep.generator_exists
     assert rep.conjecture_value == Root5(0, 1)
@@ -154,7 +154,7 @@ def test_stoimenow_agreement_exists():
                     continue
                 if not smith_cokernel(M.entries).is_cyclic():
                     continue
-                rep = stoimenow_check(M)
+                rep = stoimenow_check(M, lickorish_check(M))
                 if rep.agrees:
                     found = True
                     break
@@ -167,10 +167,12 @@ def test_stoimenow_agreement_exists():
 
 def test_stoimenow_preconditions():
     with pytest.raises(ValueError):
-        stoimenow_check(IntegerSymmetricMatrix([[6, 3], [3, 6]]))  # det 27, no 5
+        M = IntegerSymmetricMatrix([[6, 3], [3, 6]])  # det 27, no 5
+        stoimenow_check(M, lickorish_check(M))
     with pytest.raises(ValueError):
         # non-cyclic: (Z/5)^2
-        stoimenow_check(IntegerSymmetricMatrix([[0, 5], [5, 0]]))
+        M = IntegerSymmetricMatrix([[0, 5], [5, 0]])
+        stoimenow_check(M, lickorish_check(M))
 
 
 def run_synthetic_sequences(rng, trials):

@@ -1,9 +1,10 @@
-"""Components and Seifert circles come from one tracer, and the braided
-Seifert matrix is read by annulus offsets.
+"""Seifert circles come from one tracer, components from the shadow
+strand walk, and the braided Seifert matrix is read by annulus offsets.
 
 `_trace` follows each arc from its head to the arc at the slot that a row
-of exits gives: straight through for the components, along the oriented
-smoothing for the Seifert circles.  `_seifert_matrix_braided` finds a
+of exits gives, along the oriented smoothing for the Seifert circles;
+`LinkDiagram.components` reads the `_strands` walks from the arcs' heads,
+straight through each crossing.  `_seifert_matrix_braided` finds a
 loop's neighbours as r + 1 and the next annulus's range of loops.  The
 code they replaced is kept below as the oracle: the circle tracing with its
 per-end `out_slot` map, the component tracing, and the matrix assembly that

@@ -8,7 +8,7 @@ import pytest
 
 from singdet.cli import main
 from singdet.exactlinalg import IntegerSymmetricMatrix, det_exact, smith_cokernel
-from singdet.obstruct import lickorish_generator_search, stoimenow_check
+from singdet.obstruct import lickorish_check, lickorish_generator_search, stoimenow_check
 
 # Seifert matrix [[1, 1], [0, 2500004]]: det 10 000 015 = 5 * 2000003, past
 # the search cutoff of 10^7.
@@ -38,7 +38,7 @@ def test_stoimenow_generator_matches_search_on_seeded_knots():
         if det % 5 != 0 or det > 5000 or not smith_cokernel(M.entries).is_cyclic():
             continue
         exists = lickorish_generator_search(M, [Fraction(2, det), Fraction(-2, det)])
-        assert stoimenow_check(M).generator_exists == exists, M.entries
+        assert stoimenow_check(M, lickorish_check(M)).generator_exists == exists, M.entries
         seen[exists] += 1
 
 
@@ -46,7 +46,7 @@ def test_stoimenow_past_the_search_cutoff(tmp_path, capsys):
     # pinned values: the search, run once with its cutoff raised, finds a
     # generator; the Lickorish pattern admits zeta = -1
     assert det_exact(BIG.entries) == 10_000_015
-    rep = stoimenow_check(BIG)
+    rep = stoimenow_check(BIG, lickorish_check(BIG))
     assert rep.generator_exists and rep.agrees and str(rep.q_value) == "-sqrt5"
     path = tmp_path / "big.txt"
     path.write_text(BIG_SEIFERT_TEXT)
@@ -57,4 +57,5 @@ def test_stoimenow_past_the_search_cutoff(tmp_path, capsys):
 def test_stoimenow_rejects_an_even_determinant():
     # Z/10 is cyclic with 5 | det, but H_1 of a knot has odd order
     with pytest.raises(ValueError, match="knots only"):
-        stoimenow_check(IntegerSymmetricMatrix([[10]]))
+        M = IntegerSymmetricMatrix([[10]])
+        stoimenow_check(M, lickorish_check(M))
