@@ -31,15 +31,17 @@ Every crossing list and every diagram object has one arc map, `_darts`: a
 partner list over the flat darts 4 ci + s.  A `LinkDiagram` builds it once,
 which checks the labels, and keeps it with its orientation, a flag per
 dart; its faces, planarity check, coloring, bracket and skein read that
-list, and untangling moves patch copies of the two lists.  Each kind of
-cycle on it has one walker.  A shadow strand, along e -> partner[e ^ 2],
-which leaves each crossing opposite where it entered, is a `_strands` walk,
-read by `_orient`, the components, `normalize_pd` and the skein; a face,
-along e -> partner[rotate(e)], is a `_cycles` orbit, read by the planarity
-check, untangling and the Goeritz matrix; a Seifert circle is a `_trace`
-cycle along the oriented smoothing.  Untangling also patches faces by local
-walks (`r2_slide`), and the bigon, twist region and contraction-order
-searches and the skein's splices work on the partner list itself.
+list, and untangling moves patch copies of the two lists.  Two walkers
+trace its cycles.  `_strands` follows e -> partner[e ^ turn], turning at
+each crossing by its entry in a turn list: a turn of 2 leaves the crossing
+opposite where it entered, along a shadow strand, which `_orient`, the
+components, `normalize_pd` and the skein read, and the oriented smoothing's
+turn, 1 at a positive crossing and 3 at a negative one, gives the Seifert
+circles that untangling reads.  `_face_walk` follows a face, along
+e -> partner[rotate(e)], for the planarity check, untangling and the
+Goeritz matrix.  Untangling also patches faces by local walks
+(`r2_slide`), and the bigon, twist region and contraction-order searches
+and the skein's splices work on the partner list itself.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -86,35 +88,23 @@ def _darts(crossings) -> list[int]:
     return partner
 
 
-def _cycles(step, starts, seen):
-    """The orbits of the dart permutation e -> step[e], one walked from each
-    of `starts` that `seen` does not mark yet.  Walked darts are marked in
-    seen, a flag per dart."""
-    for start in starts:
-        orbit = []
-        e = start
-        while not seen[e]:
-            seen[e] = True
-            orbit.append(e)
-            e = step[e]
-        if orbit:
-            yield orbit
-
-
-def _strands(partner, starts):
-    """The shadow strands of the arc map `partner`: the orbits of
-    e -> partner[e ^ 2], which leaves each crossing opposite where it
-    entered, one from each of `starts` not yet walked either way.  Each
-    dart's way back, e ^ 2, is marked as the dart is walked, since no strand
-    runs through both; `_cycles`, with a step list and a second marking
-    pass, made `_orient` about 1.7 times slower."""
+def _strands(partner, starts, turn):
+    """The walks of the arc map `partner` that turn at each crossing ci by
+    turn[ci]: the orbits of e -> partner[e ^ turn[e >> 2]], one from each of
+    `starts` not yet walked.  A walked dart and its exit are both marked,
+    since no walk runs through both.  A turn of 2 leaves each crossing
+    opposite where it entered, along the shadow strands, so a start is
+    skipped once walked either way; a turn of 1 at a positive crossing
+    (slots 0 -> 1, 3 -> 2) or 3 at a negative one (0 -> 3, 1 -> 2) follows
+    the oriented smoothing, along the Seifert circles."""
     seen = [False] * len(partner)
     for e in starts:
         walk = []
         while not seen[e]:
-            seen[e] = seen[e ^ 2] = True
+            out = e ^ turn[e >> 2]
+            seen[e] = seen[out] = True
             walk.append(e)
-            e = partner[e ^ 2]
+            e = partner[out]
         if walk:
             yield walk
 
@@ -136,30 +126,6 @@ def _piece_count(partner) -> int:
         if e < f:
             root[find(e >> 2)] = find(f >> 2)
     return sum(root[ci] == ci for ci in range(n))
-
-
-def _trace(d: LinkDiagram, exits):
-    """(cycles, corners, cycle_of): the cycles that follow each arc of d
-    along its orientation, from its head (ci, s) on to the arc at slot
-    exits[ci][s] of crossing ci.  A cycle lists its arcs and the crossings
-    it enters, from its least arc; cycle_of maps each arc to its cycle."""
-    heads = d._heads
-    cycles: list[list[int]] = []
-    corners: list[list[int]] = []
-    cycle_of: dict[int, int] = {}
-    for lab in sorted(heads):
-        if lab in cycle_of:
-            continue
-        arcs, at = [], []
-        while lab not in cycle_of:
-            cycle_of[lab] = len(cycles)
-            arcs.append(lab)
-            ci, s = heads[lab]
-            at.append(ci)
-            lab = d.crossings[ci][exits[ci][s]]
-        cycles.append(arcs)
-        corners.append(at)
-    return cycles, corners, cycle_of
 
 
 class LinkDiagram(Frozen):
@@ -199,7 +165,7 @@ class LinkDiagram(Frozen):
         """
         n = len(self._darts)
         is_in = [False] * n
-        for walk in _strands(self._darts, itertools.chain(range(0, n, 4), range(1, n, 2))):
+        for walk in _strands(self._darts, itertools.chain(range(0, n, 4), range(1, n, 2)), [2] * self.n):
             for e in walk:
                 is_in[e] = True
         if any(is_in[2::4]):
@@ -245,7 +211,8 @@ class LinkDiagram(Frozen):
         `_strands` walks from the arcs' heads, on first use."""
         t, heads = self.crossings, self._heads
         starts = (4 * ci + s for ci, s in map(heads.get, sorted(heads)))
-        return tuple(tuple(t[e >> 2][e & 3] for e in walk) for walk in _strands(self._darts, starts))
+        walks = _strands(self._darts, starts, [2] * self.n)
+        return tuple(tuple(t[e >> 2][e & 3] for e in walk) for walk in walks)
 
     @cached_property
     def _faces(self) -> list[list[End]]:
@@ -359,12 +326,22 @@ def _face_walk(partner) -> list[list[End]]:
     """Faces of the planar 4-valent map as orbits of e -> partner(rotate(e)).
 
     The orbit of dart (ci, s) walks the face containing the corner between
-    slots s and s+1 of crossing ci.  The walk is `_cycles` on the flat darts
-    4 ci + s, from every dart in order, so each face starts at its least
-    dart and the faces come out in the order of those.
+    slots s and s+1 of crossing ci.  The walk runs on the flat darts 4 ci + s,
+    from every dart in order, so each face starts at its least dart and the
+    faces come out in the order of those.
     """
-    step = [partner[e - (e & 3) + ((e + 1) & 3)] for e in range(len(partner))]
-    return [[divmod(e, 4) for e in orbit] for orbit in _cycles(step, range(len(step)), [False] * len(step))]
+    seen = [False] * len(partner)
+    faces = []
+    for start in range(len(partner)):
+        face = []
+        e = start
+        while not seen[e]:
+            seen[e] = True
+            face.append(divmod(e, 4))
+            e = partner[e - (e & 3) + ((e + 1) & 3)]
+        if face:
+            faces.append(face)
+    return faces
 
 
 def euler_ok(crossings) -> bool:
@@ -558,25 +535,27 @@ class _SeifertStructure(namedtuple("_SeifertStructure", "circles circle_of_arc c
 
 
 def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
-    """Trace the oriented smoothing of every crossing into Seifert circles.
+    """Walk the oriented smoothing of every crossing into Seifert circles.
 
-    A positive crossing's incoming ends, slots 0 and 3, exit at slots 1
-    and 2, so its exit row is (1, 0, 3, 2); a negative crossing's, slots 0
-    and 1, exit at 3 and 2, row (3, 2, 1, 0).  The circle through slots 0
-    and 1 (positive) or 0 and 3 (negative) is the crossing's first circle,
-    and the one entering at the other incoming end its second.
+    The circles are the `_strands` walks from the arcs' heads in sorted
+    label order, turning by 1 at a positive crossing, whose incoming ends,
+    slots 0 and 3, exit at slots 1 and 2, and by 3 at a negative one, whose
+    incoming ends, slots 0 and 1, exit at 3 and 2; each circle starts at its
+    least arc.  The circle entering at slot 0 is the crossing's first
+    circle, and the one entering at the other incoming end its second.
     """
-    signs = d.signs
-    circles, corners, circle_of = _trace(d, [(1, 0, 3, 2) if e == 1 else (3, 2, 1, 0) for e in signs])
+    t, heads, signs = d.crossings, d._heads, d.signs
+    starts = (4 * ci + s for ci, s in map(heads.get, sorted(heads)))
+    walks = list(_strands(d._darts, starts, [2 - sign for sign in signs]))
+    circles = [[t[e >> 2][e & 3] for e in walk] for walk in walks]
+    circle_of = {lab: k for k, arcs in enumerate(circles) for lab in arcs}
     edges = []
-    for t, e in zip(d.crossings, signs):
-        u, v, w = (circle_of[t[s]] for s in ((0, 1, 3) if e == 1 else (0, 3, 1)))
-        if u != v:
-            raise AssertionError("smoothing strand changed circles")
+    for tup, sign in zip(t, signs):
+        u, w = circle_of[tup[0]], circle_of[tup[3 if sign == 1 else 1]]
         if u == w:
             raise AssertionError("both smoothing strands on one circle")
         edges.append((u, w))
-    return _SeifertStructure(circles, circle_of, corners, edges)
+    return _SeifertStructure(circles, circle_of, [[e >> 2 for e in walk] for walk in walks], edges)
 
 
 def _chain_order(struct: _SeifertStructure) -> list[int] | None:
@@ -981,7 +960,7 @@ def _shadow_components(crossings, partner):
     for e, lab in enumerate(labels):
         first.setdefault(lab, e)
     comps = []
-    for walk in _strands(partner, (first[lab] for lab in sorted(first))):
+    for walk in _strands(partner, (first[lab] for lab in sorted(first)), [2] * len(crossings)):
         arcs = [labels[e] for e in walk]
         if arcs[:0:-1] < arcs[1:]:
             walk = [e ^ 2 for e in reversed(walk)]
@@ -1130,7 +1109,7 @@ def normalize_pd(tuples: list[tuple[int, int, int, int]]) -> LinkDiagram:
     """
     partner = _darts(tuples)
     out = list(tuples)
-    for walk in _strands(partner, range(len(partner))):
+    for walk in _strands(partner, range(len(partner)), [2] * len(tuples)):
         for e in walk:
             if e & 3 == 2:
                 a, b, c, d = tuples[e >> 2]

@@ -65,6 +65,11 @@ class SignedUnknottingConstraint(namedtuple("SignedUnknottingConstraint", "p bas
         For p = 1 (mod 8) the bound requires delta = +1; for p = 5 (mod 8) it
         requires delta = (-1)^bound.  Neither rule depends on how the bound
         splits into u+ and u-, so when it is violated the bound improves by one.
+        At p = 3 (mod 4) the bound is never raised, so a `signed_p ...
+        admissible at bound: none` line can stand beside an unraised
+        `improved_p` (corpus 3_1 at p = 11, 4_1 at p = 3 and 7).  The fix is
+        ROADMAP item 2; it waits for a benchmark change, since it moves
+        output digests in `perfbench/reference.json`.
         """
         w = self.base_bound
         return w + 1 if self.p % 4 == 1 and not self._sign_rule_holds(w, 0) else w

@@ -34,6 +34,7 @@ from singdet.diagrams import (
     r1_kink,
     r2_slide,
 )
+from test_seifert_trace import old_components
 
 
 # -- the parent's arc map and orientation, verbatim -----------------------------
@@ -114,8 +115,7 @@ def oracle_facts(crossings):
     partner = [4 * ci + s for ci, s in map(d._partner, ends)]
     is_in = [d._is_in[e] for e in ends]
     signs = tuple(1 if d._is_in[(ci, 3)] else -1 for ci in range(len(crossings)))
-    components = tuple(map(tuple, diagrams._trace(d, [(2, 3, 0, 1)] * len(crossings))[0]))
-    return partner, is_in, d._heads, signs, components
+    return partner, is_in, d._heads, signs, old_components(d)
 
 
 def facts(d):

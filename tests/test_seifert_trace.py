@@ -1,19 +1,19 @@
-"""Seifert circles come from one tracer, components from the shadow
-strand walk, and the braided Seifert matrix is read by annulus offsets.
+"""Seifert circles and components come from one strand walker, and the
+braided Seifert matrix is read by annulus offsets.
 
-`_trace` follows each arc from its head to the arc at the slot that a row
-of exits gives, along the oriented smoothing for the Seifert circles;
-`LinkDiagram.components` reads the `_strands` walks from the arcs' heads,
-straight through each crossing.  `_seifert_matrix_braided` finds a
-loop's neighbours as r + 1 and the next annulus's range of loops.  The
-code they replaced is kept below as the oracle: the circle tracing with its
-per-end `out_slot` map, the component tracing, and the matrix assembly that
-scans every loop for each loop's neighbours.  Every Seifert structure and
-every braided matrix that `seifert_matrix_from_diagram` makes must equal
-the oracle's, as must the components of each diagram it traces.  Inputs:
-seeded braid closures of 2 to 6 strands and up to 40 letters (all but one
-braided as drawn), every connected corpus diagram (untangled first where
-needed) and seeded pretzels.
+`seifert_structure` reads the `_strands` walks from the arcs' heads that
+turn along the oriented smoothing at each crossing, and
+`LinkDiagram.components` the ones that go straight through.
+`_seifert_matrix_braided` finds a loop's neighbours as r + 1 and the next
+annulus's range of loops.  The code they replaced is kept below as the
+oracle: the circle tracing with its per-end `out_slot` map, the component
+tracing, and the matrix assembly that scans every loop for each loop's
+neighbours.  Every Seifert structure and every braided matrix that
+`seifert_matrix_from_diagram` makes must equal the oracle's, as must the
+components of each diagram it traces.  Inputs: seeded braid closures of 2
+to 6 strands and up to 40 letters (all but one braided as drawn), every
+connected corpus diagram (untangled first where needed), seeded pretzels,
+and seeded grid diagrams, links and knots of up to 54 crossings.
 """
 
 import random
@@ -21,6 +21,7 @@ import random
 from singdet import diagrams
 from singdet.corpus import load_corpus
 from singdet.diagrams import braid_closure_pd, pretzel_pd, seifert_matrix_from_diagram
+from test_grid_diagrams import grid_diagrams, grid_knots
 
 
 def old_structure(d):
@@ -179,3 +180,15 @@ def test_corpus_and_pretzels_trace_and_assemble_as_the_oracles(monkeypatch):
         checked_untangling(d, monkeypatch, seen)
     assert seen["matrices"] == len(diagrams_in)
     assert seen["structures"] >= 400  # one per untangling step, plus one per diagram
+
+
+def test_grid_diagrams_trace_and_assemble_as_the_oracles(monkeypatch):
+    """Grid diagrams are neither braid closures nor pretzels: their Seifert
+    circles need Vogel moves that no twist region lines up."""
+    seen = new_seen()
+    diagrams_in = grid_diagrams(80, 40, (6, 14)) + grid_knots(6, 40, (16, 22), (20, 60))
+    for d in diagrams_in:
+        checked_untangling(d, monkeypatch, seen)
+    assert seen["matrices"] == len(diagrams_in) == 86
+    assert sum(d.component_count > 1 for d in diagrams_in) >= 50 and max(d.n for d in diagrams_in) >= 50
+    assert seen["structures"] >= 600  # one per untangling step, plus one per diagram
