@@ -39,8 +39,9 @@ components, `normalize_pd` and the skein read, and the oriented smoothing's
 turn, 1 at a positive crossing and 3 at a negative one, gives the Seifert
 circles that untangling reads.  `_face_walk` follows a face, along
 e -> partner[rotate(e)], for the planarity check, untangling and the
-Goeritz matrix.  Untangling also patches faces by local walks
-(`r2_slide`), and the bigon, twist region and contraction-order searches
+Goeritz matrix.  Untangling reads each of its second Reidemeister moves
+(`r2_slide`) off a face that the move's two arcs share, and patches faces
+by local walks; the bigon, twist region and contraction-order searches
 and the skein's splices work on the partner list itself.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
@@ -146,8 +147,8 @@ class LinkDiagram(Frozen):
 
     @classmethod
     def _derived(cls, crossings, free_loops: int, darts, is_in) -> LinkDiagram:
-        """A diagram whose partner list and orientation the caller derived
-        from a validated one (`r2_slide`); nothing is checked here."""
+        """A diagram whose partner list the caller derived (`r2_slide`, and
+        `normalize_pd`, which runs `_orient` after); nothing is checked."""
         d = object.__new__(cls)
         d.__dict__.update(crossings=crossings, free_loops=free_loops, _darts=darts, _is_in=is_in)
         return d
@@ -546,16 +547,23 @@ def seifert_structure(d: LinkDiagram) -> _SeifertStructure:
     """
     t, heads, signs = d.crossings, d._heads, d.signs
     starts = (4 * ci + s for ci, s in map(heads.get, sorted(heads)))
-    walks = list(_strands(d._darts, starts, [2 - sign for sign in signs]))
-    circles = [[t[e >> 2][e & 3] for e in walk] for walk in walks]
-    circle_of = {lab: k for k, arcs in enumerate(circles) for lab in arcs}
+    circles, circle_of, corners = [], {}, []
+    for k, walk in enumerate(_strands(d._darts, starts, [2 - sign for sign in signs])):
+        arcs, cis = [], []
+        for e in walk:
+            lab = t[e >> 2][e & 3]
+            arcs.append(lab)
+            cis.append(e >> 2)
+            circle_of[lab] = k
+        circles.append(arcs)
+        corners.append(cis)
     edges = []
     for tup, sign in zip(t, signs):
         u, w = circle_of[tup[0]], circle_of[tup[3 if sign == 1 else 1]]
         if u == w:
             raise AssertionError("both smoothing strands on one circle")
         edges.append((u, w))
-    return _SeifertStructure(circles, circle_of, [[e >> 2 for e in walk] for walk in walks], edges)
+    return _SeifertStructure(circles, circle_of, corners, edges)
 
 
 def _chain_order(struct: _SeifertStructure) -> list[int] | None:
@@ -1105,16 +1113,22 @@ def normalize_pd(tuples: list[tuple[int, int, int, int]]) -> LinkDiagram:
     `_strands` on the tuples' `_darts`, that enters at the least dart not
     yet walked in either direction; the walk enters every crossing it meets
     at one slot and leaves at the opposite one.  A tuple is rotated by two
-    when its walk leaves through slot 0.
+    when its walk leaves through slot 0, which moves its dart 4 ci + s to
+    4 ci + (s + 2) % 4 in the one partner list; `_orient` then runs on it.
     """
     partner = _darts(tuples)
-    out = list(tuples)
+    turn = [0] * len(tuples)  # 2 where the tuple is rotated
     for walk in _strands(partner, range(len(partner)), [2] * len(tuples)):
         for e in walk:
             if e & 3 == 2:
-                a, b, c, d = tuples[e >> 2]
-                out[e >> 2] = (c, d, a, b)
-    return LinkDiagram(tuple(out))
+                turn[e >> 2] = 2
+    out = tuple((t[2], t[3], t[0], t[1]) if r else t for t, r in zip(tuples, turn))
+    darts = [0] * len(partner)
+    for e, f in enumerate(partner):
+        darts[e ^ turn[e >> 2]] = f ^ turn[f >> 2]
+    diagram = LinkDiagram._derived(out, 0, darts, None)
+    diagram.__dict__["_is_in"] = diagram._orient()
+    return diagram
 
 
 def pretzel_pd(*twists: int) -> LinkDiagram:
@@ -1225,80 +1239,65 @@ def r1_kink(d: LinkDiagram, arc: int, positive: bool) -> LinkDiagram:
 def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
     """Insert a second Reidemeister pair sliding arc_over across arc_under.
 
-    Valid diagram only when the arcs cobound a face.  The two chiralities
-    differ by which new crossing comes first along arc_under; the Euler
-    count picks the planar one.  Vogel untangling inserts its moves here.
+    Each arc is split at its head end, which gets a fresh label, and two
+    crossings are appended: arc_over runs a1 -> a2 -> a3 over both and
+    arc_under b1 -> b2 -> b3 under both, through the second one first
+    (border 0) or the first (border 1); the first has sign flip.  The move
+    is read off a face that both arcs border, from the senses in which it
+    walks them (`_faces_flanking`): border = (s_over != s_under) and
+    flip = -s_under, the least (border, s_under) where there are several.
+    Arcs that share no face take border 0 and flip +1, which is planar when
+    the slide joins two pieces of a split diagram, that is, when it leaves
+    fewer pieces (`_piece_count`).  Any other pair, or a non-planar d,
+    raises DiagramError.  Vogel untangling inserts its moves here.
 
-    The result is derived from d without a validating build: each arc is
-    split at its head end (found through d._heads), which gets a fresh
-    label, and two crossings are appended.  The candidate's partners at the
-    cut ends and the new darts are paired by label; d's partner list and
-    orientation are copied with only those darts patched, old ends keeping
-    their direction and new ones following `make_crossing`, as
-    `LinkDiagram` would orient them.  When d is planar and the arcs flank a
-    common face, d's faces decide the Euler count without a walk of the
-    whole candidate (`_slid_faces`): the candidate has the same pieces, so
-    it is planar iff it has two more faces.  Only the accepted candidate is
-    built, and it keeps its faces for the next move.
+    The result is derived from d without a validating build: d's partner
+    list and orientation are copied with only the cut ends and the new
+    darts patched, paired by label and oriented by `make_crossing` as
+    `LinkDiagram` would, and d's faces are patched (`_slid_faces`).
     """
     if arc_over == arc_under:
         raise DiagramError("need two distinct arcs")
     heads = d._heads
-    if arc_over not in heads or arc_under not in heads:
+    if arc_over not in heads or arc_under not in heads or not d._planar:
         raise DiagramError("arcs do not cobound a face")
+    over, under = _faces_flanking(d, arc_over), _faces_flanking(d, arc_under)
+    shared = [(s_over != s_under, s_under) for f, s_over in over for g, s_under in under if f == g]
+    border, s_under = min(shared, default=(False, -1))
+    flip = -s_under
     fresh = max(heads) + 1
     a1, a2, a3 = arc_over, fresh, fresh + 1
     b1, b2, b3 = arc_under, fresh + 2, fresh + 3
-    base = list(d.crossings)
+    crossings = list(d.crossings)
     cut = []  # the two ends of each split arc, tail then head
     for old, new in ((a1, a3), (b1, b3)):
         ci, s = heads[old]
-        base[ci] = base[ci][:s] + (new,) + base[ci][s + 1:]
+        crossings[ci] = crossings[ci][:s] + (new,) + crossings[ci][s + 1:]
         cut += (d._darts[4 * ci + s], 4 * ci + s)
-    new_darts = range(4 * d.n, 4 * d.n + 8)
-    faces = d._faces if d._planar else None
-    if faces is not None:
-        over, under = _faces_flanking(d, arc_over), _faces_flanking(d, arc_under)
-        if not over & under:
-            faces = None
-    for border in ((b2, b3, b1, b2), (b1, b2, b2, b3)):
-        for flip in (1, -1):
-            u1_in, u1_out, u2_in, u2_out = border
-            x1 = make_crossing(u1_in, u1_out, a1, a2, flip)
-            x2 = make_crossing(u2_in, u2_out, a2, a3, -flip)
-            crossings = tuple(base) + (x1, x2)
-            by_label: dict[int, list[int]] = {}
-            for e in itertools.chain(cut, new_darts):
-                by_label.setdefault(crossings[e >> 2][e & 3], []).append(e)
-            local = {}  # the candidate's partner at each cut end and new dart
-            for e, f in by_label.values():
-                local[e], local[f] = f, e
-            if faces is not None:
-                slid = _slid_faces(d, faces, over | under, local)
-                planar = len(slid) == len(faces) + 2
-            else:
-                partner = _darts(crossings)
-                slid = _face_walk(partner)
-                planar = _euler_ok_faces(len(crossings), slid, _piece_count(partner))
-            if not planar:
-                continue
-            darts = d._darts + [0] * 8
-            for e, f in local.items():
-                darts[e] = f
-            is_in = d._is_in + [into for sign in (flip, -flip) for into in (True, sign < 0, False, sign > 0)]
-            cand = LinkDiagram._derived(crossings, d.free_loops, darts, is_in)
-            cand.__dict__.update(_faces=slid, _planar=True)
-            return cand
-    raise DiagramError("arcs do not cobound a face")
+    u1_in, u1_out, u2_in, u2_out = (b1, b2, b2, b3) if border else (b2, b3, b1, b2)
+    crossings += (make_crossing(u1_in, u1_out, a1, a2, flip), make_crossing(u2_in, u2_out, a2, a3, -flip))
+    by_label: dict[int, list[int]] = {}
+    for e in itertools.chain(cut, range(4 * d.n, 4 * d.n + 8)):
+        by_label.setdefault(crossings[e >> 2][e & 3], []).append(e)
+    darts = d._darts + [0] * 8
+    for e, f in by_label.values():
+        darts[e], darts[f] = f, e
+    if not shared and _piece_count(darts) == d._pieces:
+        raise DiagramError("arcs do not cobound a face")
+    is_in = d._is_in + [into for sign in (flip, -flip) for into in (True, sign < 0, False, sign > 0)]
+    slid = LinkDiagram._derived(tuple(crossings), d.free_loops, darts, is_in)
+    slid.__dict__.update(_faces=_slid_faces(d, {f for f, _ in over + under}, darts), _planar=True)
+    return slid
 
 
-def _faces_flanking(d: LinkDiagram, arc: int) -> set[End]:
-    """The faces of d on the two sides of an arc, by least end: the orbits
-    whose walk steps onto one of the arc's darts."""
+def _faces_flanking(d: LinkDiagram, arc: int) -> list[tuple[End, int]]:
+    """The faces of d on the two sides of an arc, by least end, each with
+    the sense in which it walks the arc: -1 for the face at the corner
+    before the arc's head end, +1 for the one before its tail end."""
     partner = d._darts
     ci, s = d._heads[arc]
-    flanking = set()
-    for end in (4 * ci + s, partner[4 * ci + s]):
+    flanking = []
+    for end, sense in ((4 * ci + s, -1), (partner[4 * ci + s], 1)):
         e = start = end - (end & 3) + ((end - 1) & 3)
         least = e
         while True:
@@ -1306,30 +1305,27 @@ def _faces_flanking(d: LinkDiagram, arc: int) -> set[End]:
             if e == start:
                 break
             least = min(least, e)
-        flanking.add(divmod(least, 4))
+        flanking.append((divmod(least, 4), sense))
     return flanking
 
 
-def _slid_faces(d: LinkDiagram, faces, touched: set[End], local: dict[int, int]) -> list[list[End]]:
-    """face_orbits(crossings) for an R2 candidate of `r2_slide`, from the
-    faces of d: the candidate differs from d only at its two appended
-    crossings and at the cut ends of the arcs they split, whose partners
-    `local` gives, so the faces of d that flank those arcs (`touched`, by
-    least end) are replaced by the orbits through the new crossings, and
-    the other faces stay as they are.  Each orbit starts at its least dart,
-    and the faces are listed in the order of their least darts, as
-    `face_orbits` lists them."""
-    partner = d._darts
+def _slid_faces(d: LinkDiagram, touched: set[End], darts: list[int]) -> list[list[End]]:
+    """The faces of the diagram that `r2_slide` derives from d, whose
+    partner list is `darts`, as `face_orbits` lists them: it differs from d
+    only at its two appended crossings and at the cut ends of the arcs they
+    split, so the faces of d that flank those arcs (`touched`, by least
+    end) are replaced by the orbits through the new crossings, and the
+    other faces stay as they are.  Each orbit starts at its least dart, and
+    the faces are listed in the order of their least darts."""
     seen: set[int] = set()
-    slid = [f for f in faces if f[0] not in touched]
+    slid = [f for f in d._faces if f[0] not in touched]
     for start in range(4 * d.n, 4 * d.n + 8):
         if start in seen:
             continue
         orbit = [start]
         e = start
         while True:
-            r = e - (e & 3) + ((e + 1) & 3)
-            e = local[r] if r in local else partner[r]
+            e = darts[e - (e & 3) + ((e + 1) & 3)]
             if e == start:
                 break
             orbit.append(e)

@@ -7,9 +7,12 @@
 - `parse_pd` checks planarity with a face walk that it does not keep.
 - `normalize_pd` orients each component with one straight-through shadow
   walk; the constraint propagation it replaced is kept below as the oracle.
+  It builds one arc map and renames the darts of the tuples it rotates.
 - `r2_slide` across two pieces of a split diagram joins them, so a derived
   diagram counts its own pieces.
 - Vogel untangling traces the Seifert circles once per move, plus once.
+- Each untangling move patches its faces once (`_slid_faces`), and
+  `r2_slide` builds no arc map and walks no face.
 """
 
 import contextlib
@@ -84,6 +87,24 @@ def test_untangling_traces_the_seifert_circles_once_per_move_plus_once(monkeypat
     assert counts == {"seifert_structure": moves + 1, "_vogel_move": moves}
 
 
+def test_each_untangling_move_patches_its_faces_once_and_walks_none(monkeypatch):
+    d = parse_pd(pd_text(load_corpus()["p5_17_5"].diagram))
+    counts = count_calls(monkeypatch, "_slid_faces", "_vogel_move", "_darts", "_face_walk")
+    walked = []
+    slide = diagrams.r2_slide
+
+    def watched(*args):
+        before = counts["_darts"], counts["_face_walk"]
+        out = slide(*args)
+        walked.append((counts["_darts"], counts["_face_walk"]) != before)
+        return out
+
+    monkeypatch.setattr(diagrams, "r2_slide", watched)
+    seifert_matrix_from_diagram(d)
+    assert counts["_vogel_move"] == counts["_slid_faces"] == len(walked) == 156
+    assert not any(walked)
+
+
 def test_parse_keeps_no_faces():
     for text in (TREFOIL_PD, pd_text(load_corpus()["p3_3_3"].diagram), "X(2,1,1,2) X(3,3,4,4)"):
         d = parse_pd(text)
@@ -155,6 +176,17 @@ def test_normalize_pd_equals_the_propagation_oracle():
         assert outcome(normalize_pd, tuples) == outcome(propagated, tuples), tuples
         checked += 1
     assert checked >= 2000
+
+
+def test_normalize_pd_builds_one_arc_map_and_derives_the_rotated_one(monkeypatch):
+    rng = random.Random(1902)
+    for tuples in shadow_sets(rng):
+        d = normalize_pd(tuples)
+        built = LinkDiagram(d.crossings)
+        assert (d._darts, d._is_in) == (built._darts, built._is_in), tuples
+    counts = count_calls(monkeypatch, "_darts")
+    pretzel_pd(3, 3, 3)
+    assert counts == {"_darts": 1}
 
 
 # --------------------------------------------------------- r2_slide on pieces
