@@ -495,15 +495,12 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
         raise DiagramError("empty diagram")
     crossings, free, kept, partner = _reidemeister_reduce(diagram.crossings, diagram.free_loops, diagram._darts)
     k = diagram.writhe - sum(diagram.sign(ci) for ci in kept)
-    if crossings:
-        states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-        for ci in _contraction_order(partner):
-            states = _place_crossing(states, crossings[ci])
-        total: dict[int, int] = {}
-        _add_product(total, states[()], _bracket_delta_powers(free)[-1])
-        loops = _over_delta(total)
-    else:
-        loops = _bracket_delta_powers(free - 1)[-1]
+    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    for ci in _contraction_order(partner):
+        states = _place_crossing(states, crossings[ci])
+    total: dict[int, int] = {}
+    _add_product(total, states[()], _bracket_delta_powers(free)[-1])
+    loops = _over_delta(total)
     return {e + 3 * k: -c if k % 2 else c for e, c in loops.items()}
 
 

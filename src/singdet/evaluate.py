@@ -52,8 +52,6 @@ def alexander_poly(A: SeifertData) -> LaurentPolynomial:
     interpolation (`_interpolate_int`).
     """
     n = A.n
-    if n == 0:
-        return LaurentPolynomial.one()
     at = transpose(A.A)
     values = [det_exact([[at[i][j] - y * A.A[i][j] for j in range(n)] for i in range(n)])
               for y in range(n + 1)]

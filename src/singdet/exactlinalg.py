@@ -14,20 +14,21 @@ form with the link's component count and Gordon-Litherland correction).
 The diagram layer builds them without importing any per-prime route.
 
 The per-prime layer reads each symmetric matrix M through one memoized
-congruence core (`congruence_core`).  On a sparse M, most of whose entries
-are zero, `_split_unimodular_blocks` splits M over Z as B + R, B an
+congruence core (`congruence_core`).  Every M, sparse or dense, goes
+through `_split_unimodular_blocks`, which splits it over Z as B + R, B an
 orthogonal sum of unimodular 1x1 and 2x2 blocks: unit pivots are taken in
 the order of their Markowitz cost when queued (Markowitz, Management
 Science 3 (1957)), and each exact Schur update touches only the pivot
-rows' supports.  A dense M is all residue, R = M.  B is unimodular, so R
-presents the linking form of M: det, the signature, mu, d_p, delta_p and
-the Wall summands all read the core.  Vogel-untangled Seifert matrices are
-about 98% zeros and almost all unimodular, so R has a few rows at most,
-and every kernel that reads R is one dense loop over its rows: the
-fraction-free symmetric Bareiss pass that gives sign M and det M,
-`corank_mod_p`, the F_p elimination of `seifert` and `padic_jordan`.
-`det_exact` is one Bareiss elimination of the whole matrix, symmetric or
-not, and shares nothing with the core: it is the core's independent check.
+rows' supports.  The rows no pivot removes form R, all of M when M has no
+unit pivot.  B is unimodular, so R presents the linking form of M: det,
+the signature, mu, d_p, delta_p and the Wall summands all read the core.
+Vogel-untangled Seifert matrices are about 98% zeros and almost all
+unimodular, so R has a few rows at most, and every kernel that reads R is
+one dense loop over its rows: the fraction-free symmetric Bareiss pass
+that gives sign M and det M, `corank_mod_p`, the F_p elimination of
+`seifert` and `padic_jordan`.  `det_exact` is one Bareiss elimination of
+the whole matrix, symmetric or not, and shares nothing with the core: it
+is the core's independent check.
 """
 
 from __future__ import annotations
@@ -230,14 +231,6 @@ def det_exact(rows) -> int:
     return _bareiss_det([[x if type(x) is int else _int_entry(x) for x in row] for row in rows])
 
 
-def _is_sparse(rows) -> bool:
-    """Most entries are zero.  Only then does the unimodular split pay: on
-    a dense matrix a pivot's Schur update touches about as many entries as
-    a Bareiss step does, and building the sparse rows costs more than the
-    small dense matrices it would save on."""
-    return 2 * sum([row.count(0) for row in rows]) > len(rows) ** 2
-
-
 def _bareiss_det(a: list[list[int]]) -> int:
     """Determinant of a dense integer matrix (consumed) by fraction-free
     Bareiss elimination: every division is exact by Sylvester's identity."""
@@ -292,7 +285,8 @@ class CongruenceCore(namedtuple("CongruenceCore", "sign det R det_B")):
 
 
 def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
-    """Congruence M = B_1 + ... + B_k + R over Z with unimodular blocks B.
+    """Congruence M = B_1 + ... + B_k + R over Z with unimodular blocks B,
+    for any symmetric integer matrix M, sparse or dense.
 
     The pivots are a diagonal a_ii = +-1 (sign a_ii), or a pair (i, j) with
     a_ij = +-1 and D = a_ii a_jj - 1 = +-1 (sign 0 when D = -1, the block
@@ -303,7 +297,7 @@ def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
     row; every row an elimination touches queues its +-1 entries again at
     their new cost, and a popped candidate is taken if it is still a unit
     pivot.  Returns (the blocks' total signature, R dense in the original
-    index order).
+    index order); a matrix with no unit pivot is returned whole as R.
     """
     from heapq import heappop, heappush  # on first use, not at package load
 
@@ -400,16 +394,13 @@ def _symmetric_bareiss(a: list[list[int]]) -> tuple[int, int]:
 def _congruence_split(rows) -> CongruenceCore:
     """The congruence core of the symmetric integer matrix rows.
 
-    A sparse M goes through `_split_unimodular_blocks`; a dense M is all
-    residue (R = M, B empty).  Each block of B has determinant +-1, so its
-    determinant is (-1)^(its negative eigenvalues), and det B =
-    (-1)^((n - r - sign B)/2), r the size of R.  One `_symmetric_bareiss` pass on R gives sign R and
+    Every M goes through `_split_unimodular_blocks`, whatever its density.
+    Each block of B has determinant +-1, so its determinant is
+    (-1)^(its negative eigenvalues), and det B = (-1)^((n - r - sign B)/2),
+    r the size of R.  One `_symmetric_bareiss` pass on R gives sign R and
     det R.
     """
-    if _is_sparse(rows):
-        sig_b, a = _split_unimodular_blocks(rows)
-    else:
-        sig_b, a = 0, [list(row) for row in rows]
+    sig_b, a = _split_unimodular_blocks(rows)
     det_b = (-1) ** ((len(rows) - len(a) - sig_b) // 2)
     R = tuple(map(tuple, a))
     sig_r, det_r = _symmetric_bareiss(a)
@@ -551,16 +542,15 @@ def smith_cokernel(rows) -> CokernelDecomposition:
         torsion *= x
     order = 0 if free else torsion
     prime_parts: dict[int, list[int]] = {}
-    if torsion > 1:
-        for p in factorize(torsion):
-            ks = [0] * (n - len(finite))
-            for x in finite:
-                k = 0
-                while x % p == 0:
-                    x //= p
-                    k += 1
-                ks.append(k)
-            prime_parts[p] = sorted(ks)
+    for p in factorize(torsion):
+        ks = [0] * (n - len(finite))
+        for x in finite:
+            k = 0
+            while x % p == 0:
+                x //= p
+                k += 1
+            ks.append(k)
+        prime_parts[p] = sorted(ks)
     return CokernelDecomposition(
         prime_parts={p: tuple(v) for p, v in prime_parts.items()},
         free_rank=free,

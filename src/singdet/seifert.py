@@ -146,7 +146,7 @@ def signature(M: IntegerSymmetricMatrix) -> int:
     matrix), which is the signature of the link M presents.
 
     sign(M) is the signature of its congruence core: that of the
-    unimodular blocks split off a sparse M plus that of the residual block,
+    unimodular blocks split off M plus that of the residual block,
     from integer congruence moves only.
     """
     return congruence_core(M).sign - _correction(M)

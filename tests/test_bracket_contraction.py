@@ -39,6 +39,7 @@ from singdet.exactlinalg import det_of
 from singdet.obstruct import improved_bound
 from singdet.rings import HALFPOWER, LaurentPolynomial
 from singdet.seifert import signature
+from test_q_reduce import seeded_braid_word
 
 
 def _delta_powers(nmax):
@@ -96,13 +97,6 @@ def state_sum_bracket(diagram):
 
 def assert_brackets_agree(d, label):
     assert kauffman_bracket(d) == state_sum_bracket(d), label
-
-
-def seeded_braid_word(rng, strands, length):
-    while True:
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
-        if {abs(k) for k in word} == set(range(1, strands)):
-            return word
 
 
 def disjoint_union(d1, d2, free_loops=0):

@@ -30,6 +30,7 @@ from singdet.diagrams import (
     reverse_component,
 )
 from singdet.rings import Cyclo24, LaurentPolynomial
+from test_q_reduce import seeded_braid_word
 
 DELTA = {2: -1, -2: -1}
 
@@ -123,13 +124,6 @@ def assert_matches_oracle(d, label, bracket_too=True):
     assert jones_via_bracket(d, budget=d.n) == normalized(expected, d.writhe), label
     if bracket_too:
         assert kauffman_bracket(d) == expected, label
-
-
-def seeded_braid_word(rng, strands, length):
-    while True:
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
-        if {abs(k) for k in word} == set(range(1, strands)):
-            return word
 
 
 def over_only_components(d, crossings):

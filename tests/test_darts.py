@@ -29,7 +29,7 @@ from singdet.diagrams import (
     pretzel_pd,
 )
 from test_arc_map import _arc_ends
-from test_q_reduce import _join_labels, _smooth_unoriented, _smoothing_joins, _union_labels
+from test_q_reduce import _join_labels, _smooth_unoriented, _smoothing_joins, _union_labels, seeded_braid_word
 
 
 def at_map_contraction_order(crossings):
@@ -112,13 +112,6 @@ def relabelled(crossings, other):
     pairs = [(a, b) for t, u in zip(crossings, other) for a, b in zip(t, u)]
     return (len(crossings) == len(other) and all(rename.setdefault(a, b) == b for a, b in pairs)
             and len(set(rename.values())) == len(rename))
-
-
-def seeded_braid_word(rng, strands, length):
-    while True:
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
-        if {abs(k) for k in word} == set(range(1, strands)):
-            return word
 
 
 def disjoint_union(c1, c2):

@@ -44,16 +44,16 @@ from test_arc_map import _arc_ends
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
 
-def count_calls(monkeypatch, *names):
+def count_calls(monkeypatch, *names, module=diagrams):
     counts = dict.fromkeys(names, 0)
     for name in names:
-        fn = getattr(diagrams, name)
+        fn = getattr(module, name)
 
         def wrapper(*args, _name=name, _fn=fn):
             counts[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(diagrams, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     return counts
 
 

@@ -103,6 +103,11 @@ def test_smith_cokernel_goldens():
     z = smith_cokernel([[0, 0], [0, 0]])
     assert z.free_rank == 2 and z.order_or_zero == 0
 
+    for rows, factors in (([], ()), ([[1]], (1,))):  # trivial cokernels: no prime part
+        t = smith_cokernel(rows)
+        assert t.invariant_factors == factors and t.order_or_zero == 1
+        assert t.prime_parts == {} and t.free_rank == 0 and t.is_cyclic()
+
     c = smith_cokernel([[22, 17], [17, 22]])
     assert c.order_or_zero == 195 and c.is_cyclic()
     assert c.d_p(3) == c.d_p(5) == c.d_p(13) == 1

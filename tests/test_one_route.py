@@ -2,7 +2,8 @@
 
 `det_exact` is one Bareiss elimination and never enters the congruence
 core, so the tests that compare it with `det_of` compare two routes, not
-the core with itself; only `congruence_core` calls `_congruence_split`.
+the core with itself; only `congruence_core` calls `_congruence_split`,
+and it splits every matrix, dense or sparse, once.
 In the CLI, `_matrix_from_diagram` alone turns a diagram into a matrix,
 so swapping the route it takes is a change to that one function.
 """
@@ -13,11 +14,13 @@ import os
 import random
 
 import singdet.exactlinalg as exactlinalg
+from singdet.cli import _presentation
 from singdet.corpus import load_corpus
 from singdet.diagrams import seifert_matrix_from_diagram
-from singdet.exactlinalg import _is_sparse, det_exact
-
-PKG = os.path.join(os.path.dirname(__file__), "..", "src", "singdet")
+from singdet.exactlinalg import IntegerSymmetricMatrix, congruence_core, det_exact
+from test_diagram_facts import count_calls
+from test_sparse_kernels import _is_sparse
+from test_startup import PKG, read
 
 
 def leibniz_det(rows) -> int:
@@ -71,15 +74,25 @@ def calls_by_function(source: str, callee: str) -> list[str]:
             if any(isinstance(n, ast.Name) and n.id == callee for n in ast.walk(node))]
 
 
-def read(module: str) -> str:
-    with open(os.path.join(PKG, module)) as fh:
-        return fh.read()
-
-
 def test_only_congruence_core_runs_the_split():
     callers = [(m, f) for m in sorted(os.listdir(PKG)) if m.endswith(".py")
                for f in calls_by_function(read(m), "_congruence_split")]
     assert callers == [("exactlinalg.py", "congruence_core")]
+
+
+def test_every_presentation_goes_through_the_split_once_whatever_its_density(monkeypatch):
+    """The core has no density fork: each corpus presentation, dense or
+    sparse, is split once, and a dense matrix with a unit pivot leaves a
+    smaller R than itself."""
+    presentations = {name: _presentation(e) for name, e in load_corpus().items()}
+    assert sum(not _is_sparse(M.entries) for M in presentations.values()) >= 20
+    counts = count_calls(monkeypatch, "_split_unimodular_blocks", module=exactlinalg)
+    for name, M in presentations.items():
+        before = counts["_split_unimodular_blocks"]
+        congruence_core(M)
+        congruence_core(M)
+        assert counts["_split_unimodular_blocks"] == before + 1, name
+    assert congruence_core(IntegerSymmetricMatrix([[0, 1], [1, 0]])).R == ()
 
 
 def test_one_cli_function_turns_a_diagram_into_a_matrix():

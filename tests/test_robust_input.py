@@ -17,20 +17,12 @@ from singdet.corpus import load_corpus, parse_entry
 from singdet.diagrams import DiagramError, parse_pd
 from singdet.exactlinalg import parse_matrix
 from singdet.numtheory import prime_factors
+from test_cli_input import one_line_error
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 # an explicit alphabet: Hypothesis needs no Unicode tables for it
 noise = st.text("0123456789 -+xX(),:O\n\t", max_size=16)
-
-
-def one_line_error(capsys, *argv) -> str:
-    assert main(list(argv)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("singdet: "), captured.err
-    return lines[0]
 
 
 @pytest.mark.parametrize("pd", ["O X(1,1,2,2)", TREFOIL_PD + " X(7,7,8,8)"])

@@ -28,15 +28,11 @@ from singdet.seifert import (
     mu_of,
     signature,
 )
+from test_linkform import rand_even_sym
 
 P777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
 EX29 = IntegerSymmetricMatrix([[0, 17, 0, 0], [17, 0, 0, 0], [0, 0, 6, 3], [0, 0, 3, 10]])
 P5175 = IntegerSymmetricMatrix([[22, 17], [17, 22]])
-
-
-def rand_even_sym(rng, n, spread=3):
-    A = [[rng.randrange(-spread, spread + 1) for _ in range(n)] for _ in range(n)]
-    return IntegerSymmetricMatrix([[A[i][j] + A[j][i] for j in range(n)] for i in range(n)])
 
 
 def test_mu_of():

@@ -1,8 +1,8 @@
 """The unimodular split and the sparse kernels that read it.
 
 `det_of`, `signature` and the F_p elimination behind `delta_p` and
-`d_p_of` read one congruence M = B + R, B unimodular, split off a sparse M
-on unit pivots; a dense loop finishes R.  `det_exact` is one Bareiss
+`d_p_of` read one congruence M = B + R, B unimodular, split off M on
+unit pivots; a dense loop finishes R.  `det_exact` is one Bareiss
 elimination of the whole matrix, and `det_of` is compared with it on the
 seeded symmetric family, on Vogel matrices and on both Goeritz shades of
 the corpus diagrams; `det_exact` itself is compared on the non-symmetric
@@ -11,9 +11,9 @@ rationals.  The dense sign and F_p routines that the kernels replaced live
 on here as oracles (`_dense_sign`, `_dense_unit_block_class_mod_p`), and
 each kernel is compared with its oracle on the same inputs.  On the
 seeded symmetric family, mu and the Wall summands read from R are also
-compared with the same kernels run on the whole of M.  The split is also
-called directly on dense inputs, which the kernels themselves send
-straight to the dense loop.
+compared with the same kernels run on the whole of M.  The split runs on
+every symmetric input, sparse or dense; the family keeps both kinds, by
+the rule `_is_sparse`, so that both are covered.
 """
 
 import functools
@@ -28,7 +28,6 @@ from singdet.diagrams import LinkDiagram, goeritz_from_diagram, seifert_matrix_f
 from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
     SeifertData,
-    _is_sparse,
     _split_unimodular_blocks,
     corank_mod_p,
     det_exact,
@@ -41,6 +40,11 @@ from singdet.reference import congruence, random_unimodular
 from singdet.seifert import _unit_block_class_mod_p, mu_of, signature
 
 PRIMES = (3, 5, 7, 11, 13, 999_999_999_959)
+
+
+def _is_sparse(rows) -> bool:
+    """Most entries are zero."""
+    return 2 * sum([row.count(0) for row in rows]) > len(rows) ** 2
 
 
 def _fraction_det(rows) -> int:
@@ -214,7 +218,7 @@ def test_the_seeded_families_cover_the_cases():
         assert sum(all(a[i][i] % 2 for i in range(len(a))) for a in family) >= 100
     assert sum(any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i))
                for a in _family(False)) >= 400
-    # the hidden pairs mostly stay sparse, so the split runs and takes them
+    # the hidden pairs mostly stay sparse, and the split takes them
     hidden = _family(True)[600:]
     assert sum(_is_sparse(a) and len(_split_unimodular_blocks(a)[1]) < len(a) for a in hidden) >= 120
     assert sum(all(a[i][i] % 2 == 0 for i in range(len(a))) for a in hidden) >= 75
