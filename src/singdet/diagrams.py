@@ -585,7 +585,7 @@ def _chain_order(struct: _SeifertStructure) -> list[int] | None:
     return order if len(order) == s else None
 
 
-def _braided_data(d: LinkDiagram, struct: _SeifertStructure):
+def _braided_data(struct: _SeifertStructure):
     """Per-annulus linear band lists plus per-circle cyclic corner positions,
     or None when the diagram is not in coherently nested (braided) form."""
     chain = _chain_order(struct)
@@ -636,7 +636,7 @@ def seifert_matrix_from_diagram(d: LinkDiagram) -> SeifertData:
     work = d
     struct = seifert_structure(d)
     for _ in range(4 * d.n + 10 * len(struct.circles) ** 2 + 40):
-        data = _braided_data(work, struct)
+        data = _braided_data(struct)
         if data is not None:
             if work is not d:
                 checked = LinkDiagram(work.crossings, work.free_loops)

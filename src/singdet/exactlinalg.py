@@ -4,8 +4,9 @@ Determinants (fraction-free), Smith-normal-form cokernels, the congruence
 core and the p-adic Jordan kernel (`padic_jordan`) that feeds the
 linking-form classifier.  All arithmetic is arbitrary precision; there is
 no floating point anywhere in this package's math.  The rational and
-unimodular matrices and the p-adic normal forms that the tests check
-these kernels against live in `reference`.
+unimodular matrices that the verify suites check these kernels with live
+in `reference`; the p-adic normal forms that the tests check
+`padic_jordan` against live in `tests/oracles.py`.
 
 The matrix types live here too: `IntegerSymmetricMatrix` and, beside it,
 the presentation records `SeifertData` (an unsymmetrized Seifert matrix A
@@ -168,8 +169,9 @@ class SpanningSurfaceData(IntegerSymmetricMatrix):
     signature is sign(R) - e, and e mod 8 enters delta_p.  A symmetrized
     Seifert matrix M is the case mu = mu_of(M), e = 0; the per-prime
     functions take either.  Both are always given: `goeritz_from_diagram`
-    reads them off the diagram; `reference.oddity(R)`, which gives e only
-    for odd det R, serves hand-built presentations in the tests.
+    reads them off the diagram; `oddity(R)` in `tests/oracles.py`, which
+    gives e only for odd det R, serves hand-built presentations in the
+    tests.
     """
 
     _fields = ("entries", "mu", "e")

@@ -70,33 +70,26 @@ class WallDecomposition(Frozen):
         return "\n".join(f"{p} {k} {t}" for p, k, t in self.summands)
 
 
-def _summands_at(M: IntegerSymmetricMatrix, p: int, alpha: int) -> list[tuple[int, int, str]]:
-    """Wall summands at p from the non-unit pivots p^e * u of the p-adic
-    Jordan kernel: Z/p^e with value 1/(p^e u), type A iff (u|p) = 1.  The
-    kernel runs on the residual block R of the congruence core of M, which
-    presents the same form (det R = +-det M, so alpha is the same)."""
-    return [(p, e, "A" if legendre(u, p) == 1 else "B")
-            for e, u in padic_jordan(congruence_core(M).R, p, alpha)]
-
-
 def wall_decompose(pres: LinkingFormPresentation) -> WallDecomposition:
     """Orthogonal A/B decomposition of the linking form presented by M.
 
     Requires odd |det M|.  Per prime p | det M, the p-adic Jordan kernel
     (exactlinalg.padic_jordan) diagonalizes the residual block R of the
-    congruence core of M over Z/p^(alpha+1), alpha = ord_p(det M); each
-    pivot p^e * u with e >= 1 is one Z/p^e summand, of type A when
-    (u|p) = 1 and B otherwise.  Unit pivots are never read, and R is an
-    integer presentation of the form, not the mod-p unit block, so this
-    route shares no elimination with the definition route.
+    congruence core of M over Z/p^(alpha+1), alpha = ord_p(det M); R
+    presents the same form (det R = +-det M, so alpha is the same).  Each
+    pivot p^e * u with e >= 1 is one Z/p^e summand, with value 1/(p^e u),
+    of type A when (u|p) = 1 and B otherwise.  Unit pivots are never read,
+    and R is an integer presentation of the form, not the mod-p unit
+    block, so this route shares no elimination with the definition route.
     """
     det = det_of(pres.M)
     if det % 2 == 0:
         raise ValueError("only odd-order forms are classified here")
-    summands = []
-    for p in prime_factors(det):
-        summands += _summands_at(pres.M, p, ord_int(det, p))
-    return WallDecomposition(summands)
+    R = congruence_core(pres.M).R
+    return WallDecomposition(
+        (p, e, "A" if legendre(u, p) == 1 else "B")
+        for p in prime_factors(det)
+        for e, u in padic_jordan(R, p, ord_int(det, p)))
 
 
 @_memo_on_matrix
@@ -127,14 +120,15 @@ def delta_from_wall(M: IntegerSymmetricMatrix, p: int) -> int:
 
     Derived from the definition by the Jacobi minor identity applied to the
     p-adically normalized presentation; computed here entirely through the
-    linking-form decomposition at p alone, independently of the mod-p
-    reduction used by the definition route.
+    summands at p of the Wall decomposition of M (`wall_of`, computed once
+    per matrix), independently of the mod-p reduction used by the
+    definition route.
     """
     det = det_of(M)
     if det == 0 or det % 2 == 0:
         raise ValueError("requires odd nonzero determinant")
     alpha, q = p_part(abs(det), p)
-    summands = _summands_at(M, p, alpha)
-    sign = legendre(q, p) * (-1) ** (sum(t == "B" for _, _, t in summands) % 2)
-    e = ((p - 1) // 2) * (alpha + len(summands) + (q - 1) // 2)
+    W = wall_of(M)
+    sign = legendre(q, p) * (-1) ** b_total(W, p)
+    e = ((p - 1) // 2) * (alpha + sum(r == p for r, _, _ in W.summands) + (q - 1) // 2)
     return sign * (-1) ** (e % 2)

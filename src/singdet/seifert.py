@@ -17,7 +17,8 @@ The per-prime layer reads det M first: at an odd prime p that does not
 divide it, M is nondegenerate over F_p, so d_p = 0 and delta_p is one
 Legendre symbol of det M.  Only at a prime dividing det M does the dense
 F_p elimination run, on the residual block of the congruence core.  The
-reduction of all of M that checks this path lives in `reference`.
+reduction of all of M that checks this path, `delta_p_reduced`, lives in
+`reference`, where `verify invariance` runs it.
 """
 
 from __future__ import annotations

@@ -32,13 +32,10 @@ from singdet.numtheory import legendre
 from singdet.obstruct import improved_bound, lickorish_check, stoimenow_check
 from singdet.reference import (
     RationalSymmetricMatrix,
-    alexander_at_minus1,
     congruence,
     delta_p_reduced,
-    inverse_ord_normalize,
     jacobi_minor_identity,
     mat_inverse_q,
-    ord_p,
     q_golden_closed_form,
     random_unimodular,
     stabilize,
@@ -51,10 +48,10 @@ from singdet.seifert import (
     signature,
 )
 
-P777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
-EX29 = IntegerSymmetricMatrix([[0, 17, 0, 0], [17, 0, 0, 0], [0, 0, 6, 3], [0, 0, 3, 10]])
+from oracles import alexander_at_minus1, inverse_ord_normalize, ord_p
+from test_seifert import EX29, P5175, P777
+
 M553 = IntegerSymmetricMatrix([[-2, 0, -1, 0], [0, -6, 9, 3], [-1, 9, -8, -3], [0, 3, -3, 0]])
-P5175 = IntegerSymmetricMatrix([[22, 17], [17, 22]])
 
 
 class Budget:
@@ -270,7 +267,7 @@ def test_criterion6_synthetic_sequences():
 # ----------------------------------------------------------- criterion 7
 
 def test_criterion7_prop36_machine_equivalence():
-    from singdet.reference import lickorish_direct
+    from oracles import lickorish_direct
 
     with Budget("criterion 7: generator search == sign pattern, det <= 2000", 120):
         rng = random.Random(2027)

@@ -199,21 +199,11 @@ def test_codes_orient_or_fail_as_the_parent_does():
 
 # -- the builds -----------------------------------------------------------------
 
-def counted_darts(monkeypatch):
-    counts = {"_darts": 0}
-    darts = diagrams._darts
-
-    def wrapper(crossings):
-        counts["_darts"] += 1
-        return darts(crossings)
-
-    monkeypatch.setattr(diagrams, "_darts", wrapper)
-    return counts
-
-
 def test_a_diagram_builds_its_map_once_and_a_derived_one_never(monkeypatch):
+    from test_diagram_facts import count_calls  # it imports _arc_ends from here
+
     d = load_corpus()["5_2"].diagram
-    counts = counted_darts(monkeypatch)
+    counts = count_calls(monkeypatch, "_darts")
     built = LinkDiagram(d.crossings)
     assert counts == {"_darts": 1}
     assert built._heads and built.arcs and built.signs and built._pieces == 1 and built._planar
@@ -230,9 +220,11 @@ BRAID_15 = ([1, -2, 1, 3, -2, 1, -3, 2, 2, -1, 3, -2, 1, 3, -2], 4)
 
 
 def cli_builds(monkeypatch, tmp_path, command, pd):
+    from test_diagram_facts import count_calls  # it imports _arc_ends from here
+
     path = tmp_path / "input.txt"
     path.write_text(f"pd: {pd}\n")
-    counts = counted_darts(monkeypatch)
+    counts = count_calls(monkeypatch, "_darts")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, str(path)]) == 0
     monkeypatch.undo()

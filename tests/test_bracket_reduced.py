@@ -30,6 +30,8 @@ from singdet.diagrams import (
     reverse_component,
 )
 from singdet.rings import Cyclo24, LaurentPolynomial
+from test_bracket_contraction import disjoint_union
+from test_diagram_facts import count_calls
 from test_q_reduce import seeded_braid_word
 
 DELTA = {2: -1, -2: -1}
@@ -212,12 +214,6 @@ def scrambled(d, rng, moves):
     return d
 
 
-def disjoint_union(d1, d2, free_loops=0):
-    shift = max(d1.arcs, default=0)
-    moved = tuple(tuple(lab + shift for lab in t) for t in d2.crossings)
-    return LinkDiagram(d1.crossings + moved, d1.free_loops + d2.free_loops + free_loops)
-
-
 def test_scrambled_corpus_diagrams_mirrors_and_split_diagrams_match():
     rng = random.Random(2302)
     corpus = load_corpus()
@@ -235,17 +231,10 @@ def test_scrambled_corpus_diagrams_mirrors_and_split_diagrams_match():
 
 
 def placed_crossings(monkeypatch, d):
-    count = [0]
-    place_crossing = diagrams._place_crossing
-
-    def counted(states, labels):
-        count[0] += 1
-        return place_crossing(states, labels)
-
-    monkeypatch.setattr(diagrams, "_place_crossing", counted)
+    counts = count_calls(monkeypatch, "_place_crossing")
     kauffman_bracket(d)
     monkeypatch.undo()
-    return count[0]
+    return counts["_place_crossing"]
 
 
 def test_the_contraction_places_only_the_crossings_left(monkeypatch):

@@ -24,7 +24,7 @@ from singdet import diagrams, exactlinalg
 from singdet.corpus import load_corpus
 from singdet.diagrams import DiagramError, End, LinkDiagram, face_orbits, parse_pd, pd_text, pretzel_pd, r1_kink
 from singdet.exactlinalg import IntegerSymmetricMatrix, SpanningSurfaceData
-from test_arc_map import _arc_ends
+from test_arc_map import _arc_ends, corpus_diagrams
 
 TWO_TREFOILS = ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) "
                 "X(11,14,12,15) X(13,16,14,11) X(15,12,16,13)")
@@ -148,11 +148,6 @@ def assert_checkerboard(d, colors, label):
     for ci in range(d.n):
         c = [colors[(ci, s)] for s in range(4)]
         assert c[0] == c[2] != c[1] == c[3], (label, ci, c)
-
-
-def corpus_diagrams():
-    return {name: e.diagram for name, e in sorted(load_corpus().items())
-            if e.diagram is not None and e.diagram.n}
 
 
 def test_split_diagrams_color_piece_by_piece_and_goeritz_refuses_them():

@@ -9,7 +9,8 @@ import pytest
 from singdet.cli import main
 from singdet.exactlinalg import parse_matrix
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
+from test_cli_input import CORPUS_DIR
+
 TREFOIL = os.path.join(CORPUS_DIR, "3_1.txt")
 
 

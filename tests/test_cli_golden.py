@@ -24,7 +24,8 @@ from singdet.cli import main
 from singdet.corpus import parse_entry
 from singdet.diagrams import pd_text
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
+from test_cli_input import CORPUS_DIR
+
 
 # corpus file stem -> (invariants digest, obstruct digest)
 GOLDEN = {

@@ -12,14 +12,19 @@ import random
 
 import pytest
 
+import singdet.linkform as linkform
 import singdet.seifert as seifert
 from singdet.cli import main
+from singdet.corpus import load_corpus
 from singdet.diagrams import pretzel_pd, q_via_skein, seifert_matrix_from_diagram
-from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, corank_mod_p
+from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, corank_mod_p, det_of
+from singdet.linkform import delta_from_wall, wall_of
 from singdet.reference import congruence, random_unimodular
 from singdet.seifert import d_p_of, delta_p, mu_of
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
+from test_cli_input import CORPUS_DIR
+from test_diagram_facts import count_calls
+
 PRIMES = (3, 5, 7, 11, 13)
 
 
@@ -94,6 +99,19 @@ def test_cli_computes_mu_once_per_matrix(monkeypatch, capsys, command):
     # a second run parses a new matrix object, which computes again
     assert main([command, path]) == 0
     assert len(calls) == 2
+
+
+def test_the_jordan_kernel_runs_once_per_prime_of_det(monkeypatch):
+    """The Wall route reads every delta_p off the one Wall decomposition of
+    M, so the p-adic Jordan kernel runs once per prime of det, and never for
+    a prime that does not divide it."""
+    M = load_corpus()["example_d17"].matrix
+    assert abs(det_of(M)) == 3 * 17**3
+    counts = count_calls(monkeypatch, "padic_jordan", module=linkform)
+    for p in (3, 5, 7, 11, 13, 17):
+        delta_from_wall(M, p)
+    wall_of(M)
+    assert counts == {"padic_jordan": 2}
 
 
 def test_memo_lives_on_the_matrix_object(monkeypatch):

@@ -16,7 +16,8 @@ from singdet.exactlinalg import congruence_core, corank_mod_p
 from singdet.reference import delta_p_reduced
 from singdet.seifert import d_p_of, delta_p
 
-PRIMES = (3, 5, 7, 11, 13)
+from test_computed_once import PRIMES
+
 
 
 def seeded_goeritz_matrices(count: int = 12):

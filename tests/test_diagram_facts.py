@@ -40,11 +40,12 @@ from singdet.diagrams import (
     seifert_matrix_from_diagram,
 )
 from test_arc_map import _arc_ends
-
-TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+from test_cli_input import TREFOIL_PD
 
 
 def count_calls(monkeypatch, *names, module=diagrams):
+    """Calls of each function `module.name` (a method, when module is a
+    class) made from now until the patches are undone, by name."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         fn = getattr(module, name)

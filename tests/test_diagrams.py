@@ -27,12 +27,12 @@ from singdet.diagrams import (
 from singdet.evaluate import alexander_poly, q_at_golden_link
 from singdet.exactlinalg import det_exact, det_of
 from singdet.numtheory import prime_factors
-from singdet.reference import delta_p_gl
 from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial
 from singdet.seifert import d_p_of, delta_p, mu_of, signature
+from oracles import delta_p_gl
+from test_cli_input import TREFOIL_PD
 from test_grid_diagrams import grid_knots
 
-TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
 # published Jones polynomials (standard tables), keyed by 2*exponent
 PUBLISHED_JONES = {
@@ -442,7 +442,7 @@ def _check_five_points(name, d, A):
     """The bracket of d at the five points against the closed forms from its
     Seifert matrix A; properness and the Arf sign come from A + A^t over F2,
     so V(i) is checked exactly for links too.  Returns the Arf sign."""
-    from singdet.reference import classical_invariants, jones_special_values
+    from oracles import classical_invariants, jones_special_values
 
     bundle = classical_invariants(A, [3])
     assert bundle.c == d.component_count, name

@@ -10,17 +10,17 @@ from singdet.evaluate import (
     q_at_golden_link,
 )
 from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, det_exact
-from singdet.reference import (
+from singdet.reference import q_at_golden, q_golden_closed_form
+from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial, Root5
+from singdet.seifert import mu_of, signature
+
+from oracles import (
     JonesSpecialValues,
     alexander_at_minus1,
     classical_invariants,
     jones_special_values,
     jones_zeta6_via_delta3,
-    q_at_golden,
-    q_golden_closed_form,
 )
-from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial, Root5
-from singdet.seifert import mu_of, signature
 
 
 def approx_equal(z1, z2, tol=1e-9):

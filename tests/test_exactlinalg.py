@@ -20,21 +20,24 @@ from singdet.numtheory import legendre, ord_int
 from singdet.reference import (
     RationalSymmetricMatrix,
     UnimodularTransform,
-    _integer_normalize,
     adjugate,
     congruence,
     cyclic_generator,
     det_q,
-    format_matrix,
-    inverse_ord_normalize,
     jacobi_minor_identity,
-    load_symmetric_matrix,
     mat_inverse_q,
     mat_mul,
     minor,
     mod_p_block_reduce,
-    ord_p,
     random_unimodular,
+)
+
+from oracles import (
+    _integer_normalize,
+    format_matrix,
+    inverse_ord_normalize,
+    load_symmetric_matrix,
+    ord_p,
     rational_normalize,
 )
 

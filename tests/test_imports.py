@@ -1,6 +1,8 @@
 """No module of the package imports a name it never uses, the Wall route
-reaches no module but the two it is built on, and the diagram oracles and
-the corpus loader reach none of the routes they are checked against."""
+reaches no module but the two it is built on, the diagram oracles and
+the corpus loader reach none of the routes they are checked against, and
+`reference` holds only what the rest of the package runs: the oracles
+that only the tests read live in `tests/oracles.py`."""
 
 import ast
 import os
@@ -111,3 +113,43 @@ def test_the_corpus_loader_reaches_no_route(sources):
     """Loading a corpus entry parses a diagram or a matrix and builds its
     presentation, with no per-prime route on the way."""
     assert reached("corpus", sources) == {"diagrams", "rings", "exactlinalg", "numtheory"}
+
+
+def definitions(source: str) -> dict[str, ast.AST]:
+    return {node.name: node for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def reference_closure(sources: dict[str, str]) -> set[str]:
+    """The top-level definitions of `reference` that the other modules
+    import from it, and those that these name, transitively."""
+    defs = definitions(sources["reference"])
+    todo = [alias.name for module, text in sources.items() if module != "reference"
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, "reference"), (0, "singdet.reference"))
+            for alias in node.names]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [ref for node in ast.walk(defs[name])
+                     if (ref := getattr(node, "id", None) or getattr(node, "attr", None)) in defs]
+    return seen
+
+
+def test_the_check_follows_the_reference_definitions():
+    planted = {
+        "reference": "def kept():\n    return helper()\n\ndef helper():\n    pass\n\n"
+                     "class Run:\n    pass\n\ndef tested():\n    return kept()\n",
+        "cli": "def suite():\n    from .reference import kept\n",
+        "obstruct": "from singdet.reference import Run\n",
+    }
+    assert reference_closure(planted) == {"kept", "helper", "Run"}
+
+
+def test_reference_holds_only_what_the_package_runs(sources):
+    """Every definition of `reference` is reached from what the verify
+    suites and the generator search import; a route that only the tests
+    read belongs in `tests/oracles.py`."""
+    assert sorted(set(definitions(sources["reference"])) - reference_closure(sources)) == []

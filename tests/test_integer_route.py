@@ -28,7 +28,8 @@ from singdet.reference import congruence, random_unimodular
 from singdet.rings import LaurentPolynomial
 from singdet.seifert import signature
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
+from test_cli_input import CORPUS_DIR
+
 
 
 def _fraction_ldl_sign(M):

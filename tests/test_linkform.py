@@ -14,8 +14,10 @@ from singdet.linkform import (
     delta_from_wall,
     wall_decompose,
 )
-from singdet.reference import congruence, eval_form, isometric, mat_vec, r_pk, r_total, random_unimodular
+from singdet.reference import congruence, eval_form, mat_vec, random_unimodular
 from singdet.seifert import delta_p
+
+from oracles import isometric, r_pk, r_total
 
 
 def rand_even_sym(rng, n, spread=3):

@@ -16,7 +16,8 @@ from singdet.linkform import WallDecomposition, wall_of
 from singdet.rings import LaurentPolynomial
 from singdet.seifert import d_p_of, signature
 
-PRIMES = (3, 5, 7, 11, 13)
+from test_computed_once import PRIMES
+
 
 
 def corpus_diagrams(max_crossings=14):

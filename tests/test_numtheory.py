@@ -14,8 +14,9 @@ from singdet.numtheory import (
     p_part,
     prime_factors,
 )
-from singdet.reference import PAdicValuation, is_qr_mod, legendre_fraction, ord_p
 from fractions import Fraction
+
+from oracles import PAdicValuation, is_qr_mod, legendre_fraction, ord_p
 
 
 def odd_primes_upto(n):

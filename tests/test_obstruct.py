@@ -17,21 +17,13 @@ from singdet.obstruct import (
     stoimenow_check,
     wendt_bound,
 )
-from singdet.reference import (
-    congruence,
-    crossing_change_pair,
-    lickorish_direct,
-    q_value_bound,
-    random_unimodular,
-    stabilize,
-    traczyk_value,
-)
+from singdet.reference import congruence, random_unimodular, stabilize
 from singdet.rings import Cyclo24, Root5
 from singdet.seifert import d_p_of, delta_p, mu_of
 
-P777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
-EX29 = IntegerSymmetricMatrix([[0, 17, 0, 0], [17, 0, 0, 0], [0, 0, 6, 3], [0, 0, 3, 10]])
-P5175 = IntegerSymmetricMatrix([[22, 17], [17, 22]])
+from oracles import crossing_change_pair, lickorish_direct, q_value_bound, traczyk_value
+from test_seifert import EX29, P5175, P777
+
 TREFOIL_R = IntegerSymmetricMatrix([[-2, 1], [1, -2]])
 TREFOIL_L = IntegerSymmetricMatrix([[2, 1], [1, 2]])
 

@@ -24,14 +24,9 @@ from singdet.exactlinalg import (
 )
 from singdet.linkform import LinkingFormPresentation, WallDecomposition, wall_decompose
 from singdet.numtheory import legendre, ord_int, prime_factors
-from singdet.reference import (
-    congruence,
-    eval_form,
-    inverse_ord_normalize,
-    legendre_fraction,
-    mat_inverse_q,
-    random_unimodular,
-)
+from singdet.reference import congruence, eval_form, mat_inverse_q, random_unimodular
+
+from oracles import inverse_ord_normalize, legendre_fraction
 
 
 def reference_wall(M):

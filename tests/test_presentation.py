@@ -30,11 +30,12 @@ from singdet.diagrams import (
     seifert_matrix_from_diagram,
 )
 from singdet.exactlinalg import SpanningSurfaceData, congruence_core
-from singdet.reference import delta_p_gl, format_matrix
 from singdet.seifert import delta_p, signature
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
-PRIMES = (3, 5, 7, 11, 13)
+from oracles import delta_p_gl, format_matrix
+from test_cli_input import CORPUS_DIR
+from test_computed_once import PRIMES
+
 BIG = ("p777m", "p5_17_5")
 PICKS = {
     "shade 0": lambda pair: pair[0],

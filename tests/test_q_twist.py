@@ -32,6 +32,7 @@ from singdet.diagrams import (
 )
 from singdet.evaluate import q_at_golden_link
 from singdet.rings import LaurentPolynomial
+from test_diagram_facts import count_calls
 from test_q_reduce import _join_labels, _smooth_unoriented, random_moves, seeded_braid_word, unreduced_q
 
 
@@ -182,24 +183,13 @@ def test_the_reduction_leaves_no_kink_and_no_second_reidemeister_bigon():
     assert moved >= 500 and clasps >= 500
 
 
-def counted_calls(monkeypatch, names, call):
-    """Calls of the `diagrams` functions `names` made by call()."""
-    counts = dict.fromkeys(names, 0)
-    with monkeypatch.context() as m:
-        for name in counts:
-            def wrapper(*args, _name=name, _fn=getattr(diagrams, name)):
-                counts[_name] += 1
-                return _fn(*args)
-
-            m.setattr(diagrams, name, wrapper)
-        call()
-    return counts
-
-
 def skein_counts(monkeypatch, d):
     """Calls of `_face_walk`, which every face walk goes through, and
     `_q_affine` (one per skein node) made by q_via_skein(d)."""
-    return counted_calls(monkeypatch, ("_face_walk", "_q_affine"), lambda: q_via_skein(d, budget=d.n))
+    counts = count_calls(monkeypatch, "_face_walk", "_q_affine")
+    q_via_skein(d, budget=d.n)
+    monkeypatch.undo()
+    return counts
 
 
 def test_large_pretzels_take_few_nodes_and_no_face_walk(monkeypatch):
@@ -250,7 +240,11 @@ def test_a_skein_or_bracket_call_builds_no_dart_map(monkeypatch):
     call."""
     for build, args, nodes in WORK_INPUTS:
         d = build(*args)
-        assert counted_calls(monkeypatch, ("_darts", "_q_affine"), lambda: q_via_skein(d)) == \
-            {"_darts": 0, "_q_affine": nodes}, args
-        assert counted_calls(monkeypatch, ("_darts",), lambda: diagrams.kauffman_bracket(d)) == {"_darts": 0}, args
+        counts = count_calls(monkeypatch, "_darts", "_q_affine")
+        q_via_skein(d)
+        assert counts == {"_darts": 0, "_q_affine": nodes}, args
+        counts = count_calls(monkeypatch, "_darts")
+        diagrams.kauffman_bracket(d)
+        assert counts == {"_darts": 0}, args
+        monkeypatch.undo()
     assert sum(nodes for _, _, nodes in WORK_INPUTS) == 135

@@ -17,9 +17,8 @@ from singdet.corpus import load_corpus, parse_entry
 from singdet.diagrams import DiagramError, parse_pd
 from singdet.exactlinalg import parse_matrix
 from singdet.numtheory import prime_factors
-from test_cli_input import one_line_error
+from test_cli_input import CORPUS_DIR, TREFOIL_PD, one_line_error
 
-TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 # an explicit alphabet: Hypothesis needs no Unicode tables for it
 noise = st.text("0123456789 -+xX(),:O\n\t", max_size=16)
@@ -44,9 +43,8 @@ def test_non_planar_pd_code_is_rejected(tmp_path, capsys):
 
 
 def test_two_corpus_files_naming_one_entry_are_rejected(tmp_path, capsys):
-    bundle = os.path.join(os.path.dirname(__file__), "..", "src", "singdet", "corpus")
-    for fn in os.listdir(bundle):
-        with open(os.path.join(bundle, fn)) as fh:
+    for fn in os.listdir(CORPUS_DIR):
+        with open(os.path.join(CORPUS_DIR, fn)) as fh:
             (tmp_path / fn).write_text(fh.read())
     assert len(load_corpus(str(tmp_path))) == 39
     (tmp_path / "3_1.txt").write_text((tmp_path / "3_1.txt").read_text().replace("name: 3_1", "name: 4_1"))

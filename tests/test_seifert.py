@@ -9,24 +9,21 @@ from singdet.exactlinalg import (
     det_exact,
 )
 from singdet.numtheory import legendre
-from singdet.reference import (
-    arf_sign_from_det,
-    classical_invariants,
-    congruence,
-    crossing_change_pair,
-    delta_p_gl,
-    delta_p_reduced,
-    gl_stabilize,
-    load_seifert_data,
-    oddity,
-    random_unimodular,
-    stabilize,
-)
+from singdet.reference import congruence, delta_p_reduced, random_unimodular, stabilize
 from singdet.seifert import (
     d_p_of,
     delta_p,
     mu_of,
     signature,
+)
+from oracles import (
+    arf_sign_from_det,
+    classical_invariants,
+    crossing_change_pair,
+    delta_p_gl,
+    gl_stabilize,
+    load_seifert_data,
+    oddity,
 )
 from test_linkform import rand_even_sym
 

@@ -39,6 +39,8 @@ from singdet.numtheory import legendre, ord_int, prime_factors
 from singdet.reference import congruence, random_unimodular
 from singdet.seifert import _unit_block_class_mod_p, mu_of, signature
 
+from test_diagram_facts import count_calls
+
 PRIMES = (3, 5, 7, 11, 13, 999_999_999_959)
 
 
@@ -322,22 +324,12 @@ def test_integral_entries_of_other_types_are_accepted():
 
 def test_p5_17_5_untangles_with_one_build_per_move_and_keeps_the_kernel_values(monkeypatch):
     d = diagrams.parse_pd(diagrams.pd_text(load_corpus()["p5_17_5"].diagram))
-    counts = {"moves": 0, "builds": 0, "walks": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(diagrams, "_vogel_move", counted("moves", diagrams._vogel_move))
-    monkeypatch.setattr(diagrams, "_face_walk", counted("walks", diagrams._face_walk))
-    monkeypatch.setattr(LinkDiagram, "__init__",
-                        counted("builds", LinkDiagram.__init__))
+    counts = count_calls(monkeypatch, "_vogel_move", "_face_walk")
+    builds = count_calls(monkeypatch, "__init__", module=LinkDiagram)
     M = seifert_matrix_from_diagram(d).M
-    assert counts["moves"] >= 150
-    assert counts["builds"] <= counts["moves"]
-    assert counts["walks"] <= counts["moves"]
+    assert counts["_vogel_move"] >= 150
+    assert builds["__init__"] <= counts["_vogel_move"]
+    assert counts["_face_walk"] <= counts["_vogel_move"]
     # the kernels on the 314x314 Vogel matrix of P(5,17,5) keep the values of
     # the dense routines, which take about 3 s to compute them
     assert M.n == 314 and _is_sparse(M.entries)

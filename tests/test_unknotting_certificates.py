@@ -19,7 +19,8 @@ from singdet.diagrams import _darts, _reidemeister_reduce, braid_closure_pd, sei
 from singdet.obstruct import improved_bound, signed_obstruction, wendt_bound
 from singdet.seifert import signature
 
-PRIMES = (3, 5, 7, 11, 13)
+from test_computed_once import PRIMES
+
 MAX_SWITCHES = 2
 
 

@@ -22,16 +22,12 @@ from singdet.exactlinalg import (
 )
 from singdet.linkform import LinkingFormPresentation, WallDecomposition
 from singdet.obstruct import LickorishReport, SignedUnknottingConstraint, StoimenowReport
-from singdet.reference import (
-    JonesSpecialValues,
-    LinkInvariantBundle,
-    PAdicValuation,
-    RationalSymmetricMatrix,
-    UnimodularTransform,
-)
+from singdet.reference import RationalSymmetricMatrix, UnimodularTransform
 from singdet.rings import Cyclo24, LaurentPolynomial, Root5
 
-TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+from oracles import JonesSpecialValues, LinkInvariantBundle, PAdicValuation
+from test_cli_input import TREFOIL_PD
+
 E = [[-2, 1], [1, -2]]
 
 # class name -> a function that builds a new object from the same arguments;
@@ -50,9 +46,9 @@ MAKE = {
     "SignedUnknottingConstraint": lambda: SignedUnknottingConstraint(3, 1, -1),
     "LickorishReport": lambda: LickorishReport((1,), {3: (1, 1, {1: True, -1: False})}),
     "StoimenowReport": lambda: StoimenowReport(Root5(0, -1), False, Root5(0, 1), False),
-    "CorpusEntry": lambda: CorpusEntry("3_1", parse_pd(TREFOIL), None, None),
-    "LinkDiagram": lambda: LinkDiagram(parse_pd(TREFOIL).crossings),
-    "_SeifertStructure": lambda: seifert_structure(parse_pd(TREFOIL)),
+    "CorpusEntry": lambda: CorpusEntry("3_1", parse_pd(TREFOIL_PD), None, None),
+    "LinkDiagram": lambda: LinkDiagram(parse_pd(TREFOIL_PD).crossings),
+    "_SeifertStructure": lambda: seifert_structure(parse_pd(TREFOIL_PD)),
     "RationalSymmetricMatrix": lambda: RationalSymmetricMatrix(E),
     "UnimodularTransform": lambda: UnimodularTransform([[1, 1], [0, 1]]),
     "PAdicValuation": lambda: PAdicValuation(1),

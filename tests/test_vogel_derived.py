@@ -39,6 +39,7 @@ from singdet.diagrams import (
     seifert_structure,
 )
 from test_checkerboard import _arc_face_incidences, _face_of_quadrant
+from test_diagram_facts import count_calls
 from test_grid_diagrams import grid_diagrams
 
 
@@ -150,19 +151,11 @@ def test_slides_off_a_common_face_are_derived_or_refused():
 
 
 def test_p5_17_5_orients_twice_and_reads_no_arc_face_incidences(monkeypatch):
-    counts = {"orient": 0, "incidences": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     text = pd_text(load_corpus()["p5_17_5"].diagram)
-    monkeypatch.setattr(LinkDiagram, "_orient", counted("orient", LinkDiagram._orient))
+    counts = count_calls(monkeypatch, "_orient", module=LinkDiagram)
     assert seifert_matrix_from_diagram(parse_pd(text)).A is not None
     # once at parse and once for the validated build of the braided diagram
-    assert counts == {"orient": 2, "incidences": 0}
+    assert counts == {"_orient": 2}
 
 
 # ------------------------------------------------------------ the R2 rule
