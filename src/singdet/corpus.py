@@ -12,9 +12,11 @@ File format (one link per file):
     matrix:           <- symmetrized matrix M directly (entries without a
     ...                  geometric A use this instead of seifert:)
 
-Every entry carries at least one of pd/seifert/matrix.  Values bundled here
-are cross-checked by the test suite itself (dual-route identities), never
-trusted from outside.
+Every entry carries at least one of pd/seifert/matrix, and at most one of
+seifert/matrix: an entry with both would take det, the signature and the
+per-prime lines from one and the Alexander polynomial from the other, so
+it is refused.  Values bundled here are cross-checked by the test suite
+itself (dual-route identities), never trusted from outside.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ def parse_entry(text: str, fallback_name: str = "") -> CorpusEntry:
             current.append(line)
         else:
             raise ValueError(f"unparsed corpus line: {line!r}")
+    if "seifert" in blocks and "matrix" in blocks:
+        raise ValueError(f"corpus entry {name!r} gives both a 'seifert:' and a 'matrix:' block")
     diagram = parse_pd(pd_line) if pd_line is not None else None
     seifert = SeifertData(parse_matrix("\n".join(blocks["seifert"]))) if "seifert" in blocks else None
     matrix = (

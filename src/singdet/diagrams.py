@@ -37,12 +37,12 @@ each crossing by its entry in a turn list: a turn of 2 leaves the crossing
 opposite where it entered, along a shadow strand, which `_orient`, the
 components, `normalize_pd` and the skein read, and the oriented smoothing's
 turn, 1 at a positive crossing and 3 at a negative one, gives the Seifert
-circles that untangling reads.  `_face_walk` follows a face, along
-e -> partner[rotate(e)], for the planarity check, untangling and the
-Goeritz matrix.  Untangling reads each of its second Reidemeister moves
-(`r2_slide`) off a face that the move's two arcs share, and patches faces
-by local walks; the bigon, twist region and contraction-order searches
-and the skein's splices work on the partner list itself.
+circles that untangling reads.  `_face_orbit` walks one face, along
+e -> partner[rotate(e)], for every face walk: `_face_walk`'s list of faces
+(planarity, untangling, Goeritz) and untangling's local walks, which read
+each second Reidemeister move (`r2_slide`) off a face its two arcs share
+and patch the faces it changes.  The bigon, twist region and
+contraction-order searches and the skein's splices read the partner list.
 
 PD convention: a crossing X(a, b, c, d) lists the four arc labels
 counterclockwise starting from the incoming under-strand, so the under
@@ -323,25 +323,29 @@ def face_orbits(crossings) -> list[list[End]]:
     return _face_walk(_darts(crossings))
 
 
-def _face_walk(partner) -> list[list[End]]:
-    """Faces of the planar 4-valent map as orbits of e -> partner(rotate(e)).
+def _face_orbit(partner, start: int) -> list[int]:
+    """The flat darts of the face through dart `start` in walk order: the
+    orbit of e -> partner(rotate(e)), rotate turning to the next slot, so
+    dart (ci, s) walks the corner between slots s and s+1 of crossing ci."""
+    orbit = [start]
+    e = partner[start - (start & 3) + ((start + 1) & 3)]
+    while e != start:
+        orbit.append(e)
+        e = partner[e - (e & 3) + ((e + 1) & 3)]
+    return orbit
 
-    The orbit of dart (ci, s) walks the face containing the corner between
-    slots s and s+1 of crossing ci.  The walk runs on the flat darts 4 ci + s,
-    from every dart in order, so each face starts at its least dart and the
-    faces come out in the order of those.
-    """
-    seen = [False] * len(partner)
+
+def _face_walk(partner) -> list[list[End]]:
+    """Faces of the planar 4-valent map as (crossing, slot) lists: the
+    `_face_orbit` of each dart not yet walked, in order, so each face starts
+    at its least dart and the faces come out in the order of those."""
+    seen: set[int] = set()
     faces = []
     for start in range(len(partner)):
-        face = []
-        e = start
-        while not seen[e]:
-            seen[e] = True
-            face.append(divmod(e, 4))
-            e = partner[e - (e & 3) + ((e + 1) & 3)]
-        if face:
-            faces.append(face)
+        if start not in seen:
+            orbit = _face_orbit(partner, start)
+            seen.update(orbit)
+            faces.append([divmod(e, 4) for e in orbit])
     return faces
 
 
@@ -918,9 +922,8 @@ def _reidemeister_reduce(crossings: list[tuple], free: int, partner: list[int], 
             alive[c] = False
         free += _splice(partner, labels, through, todo)
     kept = [ci for ci in range(len(alive)) if alive[ci]]
-    if len(kept) < len(alive):
-        index = {ci: k for k, ci in enumerate(kept)}
-        partner = [4 * index[p >> 2] + (p & 3) for ci in kept for p in partner[4 * ci:4 * ci + 4]]
+    index = {ci: k for k, ci in enumerate(kept)}
+    partner = [4 * index[p >> 2] + (p & 3) for ci in kept for p in partner[4 * ci:4 * ci + 4]]
     return [tuple(labels[4 * ci:4 * ci + 4]) for ci in kept], free, kept, partner
 
 
@@ -1015,7 +1018,7 @@ def _q_affine(crossings: list[tuple], free: int, memo: dict, partner, cut=()) ->
     smoothed (`_reidemeister_reduce`), one shadow walk per node."""
     crossings, free, _, partner = _reidemeister_reduce(crossings, free, partner, cut)
     if not crossings:
-        return _q_unknot_power(free - 1) if free else LaurentPolynomial.one()
+        return _q_unknot_power(free - 1)
     comps = _shadow_components(crossings, partner)
     key = _q_canonical_key(crossings, free, comps)
     hit = memo.get(key)
@@ -1290,19 +1293,14 @@ def r2_slide(d: LinkDiagram, arc_over: int, arc_under: int) -> LinkDiagram:
 def _faces_flanking(d: LinkDiagram, arc: int) -> list[tuple[End, int]]:
     """The faces of d on the two sides of an arc, by least end, each with
     the sense in which it walks the arc: -1 for the face at the corner
-    before the arc's head end, +1 for the one before its tail end."""
+    before the arc's head end, +1 for the one before its tail end.  Each
+    is the least dart of the `_face_orbit` through that corner."""
     partner = d._darts
     ci, s = d._heads[arc]
     flanking = []
     for end, sense in ((4 * ci + s, -1), (partner[4 * ci + s], 1)):
-        e = start = end - (end & 3) + ((end - 1) & 3)
-        least = e
-        while True:
-            e = partner[e - (e & 3) + ((e + 1) & 3)]
-            if e == start:
-                break
-            least = min(least, e)
-        flanking.append((divmod(least, 4), sense))
+        corner = end - (end & 3) + ((end - 1) & 3)
+        flanking.append((divmod(min(_face_orbit(partner, corner)), 4), sense))
     return flanking
 
 
@@ -1311,21 +1309,15 @@ def _slid_faces(d: LinkDiagram, touched: set[End], darts: list[int]) -> list[lis
     partner list is `darts`, as `face_orbits` lists them: it differs from d
     only at its two appended crossings and at the cut ends of the arcs they
     split, so the faces of d that flank those arcs (`touched`, by least
-    end) are replaced by the orbits through the new crossings, and the
-    other faces stay as they are.  Each orbit starts at its least dart, and
-    the faces are listed in the order of their least darts."""
+    end) are replaced by the `_face_orbit`s through the new crossings, and
+    the other faces stay as they are.  Each orbit is turned to start at its
+    least dart, and the faces are listed in the order of their least darts."""
     seen: set[int] = set()
     slid = [f for f in d._faces if f[0] not in touched]
     for start in range(4 * d.n, 4 * d.n + 8):
         if start in seen:
             continue
-        orbit = [start]
-        e = start
-        while True:
-            e = darts[e - (e & 3) + ((e + 1) & 3)]
-            if e == start:
-                break
-            orbit.append(e)
+        orbit = _face_orbit(darts, start)
         seen.update(orbit)
         k = orbit.index(min(orbit))
         slid.append([divmod(e, 4) for e in orbit[k:] + orbit[:k]])

@@ -375,7 +375,7 @@ def _symmetric_bareiss(a: list[list[int]]) -> tuple[int, int]:
     sig, prev = 0, 1
     while a:
         m = len(a)
-        i = 0 if a[0][0] else next((i for i in range(m) if a[i][i]), None)
+        i = next((i for i in range(m) if a[i][i]), None)
         if i is None:
             ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if ij is None:
@@ -602,10 +602,9 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
             a[i] = [(x + y) % mod for x, y in zip(a[i], a[j])]
             for row in a:
                 row[i] = (row[i] + row[j]) % mod
-        if i:
-            a[0], a[i] = a[i], a[0]
-            for row in a:
-                row[0], row[i] = row[i], row[0]
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[i] = row[i], row[0]
         top = a[0]
         u = top[0] // pe
         if e:

@@ -158,8 +158,6 @@ class Cyclo24(Frozen):
 
     def _as_monomial(self) -> tuple[int, int, int, int] | None:
         """Decompose as m * i^a * sqrt3^b * sqrt2^c with a,b,c in {0,1}."""
-        if self.is_zero():
-            return (0, 0, 0, 0)
         coords = self.coords
         for a, b, c, basis, idx in _monomial_basis():
             m, r = divmod(coords[idx], basis[idx])

@@ -13,14 +13,22 @@ v_p(det B) - (r - 1) w.
 
 `oddity` gives the Gordon-Litherland correction of a hand-built
 `SpanningSurfaceData` of odd determinant.
+
+`rational_pd` and `lens_plumbing` give two presentations of one 3-manifold
+that share no code: the 2-bridge knot K(p/q), whose double branched cover
+is the lens space L(p, q), and the linear plumbing of L(p, q), read off
+p/q by arithmetic alone.  The reports never build a diagram, so the
+builder stays here, as `grid_pd` does in its test module.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from singdet.diagrams import LinkDiagram, normalize_pd
 from singdet.evaluate import alexander_poly
 from singdet.exactlinalg import (
     Frozen,
@@ -580,3 +588,50 @@ def q_value_bound(value: Root5, c: int) -> int | None:
     if sign == (-1) ** ((a + c) % 2):
         return a - c + 2
     return None
+
+
+# ------------------------------------------------------------- lens spaces
+
+def rational_pd(p: int, q: int) -> LinkDiagram:
+    """The 2-bridge knot or link K(p/q), for p > q > 0 coprime, as the
+    plat closure of the 4-braid s2^a1 s1^-a2 s2^a3 ..., where
+    [a1, ..., ak] is the continued fraction of p/q of odd length (an even
+    one ends a, 1 in place of a + 1), with caps and cups on positions
+    (1, 2) and (3, 4).  A crossing between positions i and i+1 has labels
+    (li, lj) above and (ni, nj) below; it is the shadow (li, ni, nj, lj)
+    in the s2 columns and that shadow turned by one slot in the s1
+    columns, under strand on slots 0 and 2, for `normalize_pd` to orient.
+    Its double branched cover is L(p, q) (Schubert 1956)."""
+    a = []
+    while q:
+        a.append(p // q)
+        p, q = q, p % q
+    if len(a) % 2 == 0:
+        a[-1:] = [a[-1] - 1, 1]
+    fresh = itertools.count(3).__next__
+    current = [1, 1, 2, 2]  # the caps join positions 1, 2 and 3, 4
+    tuples = []
+    for k, ak in enumerate(a):
+        i = 1 - k % 2  # s2 in the even columns, s1 in the odd ones
+        for _ in range(ak):
+            li, lj = current[i], current[i + 1]
+            ni, nj = fresh(), fresh()
+            shadow = (li, ni, nj, lj)
+            tuples.append(shadow[1:] + shadow[:1] if i == 0 else shadow)
+            current[i], current[i + 1] = ni, nj
+    cups = {current[1]: current[0], current[3]: current[2]}
+    return normalize_pd([tuple(cups.get(lab, lab) for lab in t) for t in tuples])
+
+
+def lens_plumbing(p: int, q: int) -> IntegerSymmetricMatrix:
+    """The linear plumbing of L(p, q), for p > q > 0 coprime: diagonal
+    b1, ..., bk and -1 next to it, from the Hirzebruch-Jung continued
+    fraction p/q = b1 - 1/(b2 - ...) with every b_i >= 2.  Its determinant
+    is p, and it presents the linking form of L(p, q)."""
+    b = []
+    while q:
+        b.append(-(-p // q))
+        p, q = q, b[-1] * q - p
+    n = len(b)
+    return IntegerSymmetricMatrix([[b[i] if i == j else -(abs(i - j) == 1) for j in range(n)]
+                                   for i in range(n)])

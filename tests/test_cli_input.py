@@ -91,6 +91,16 @@ def test_cli_rejects_a_repeated_seifert_block(tmp_path, capsys):
     assert "'seifert:'" in line and "entries" not in line
 
 
+def test_cli_rejects_an_entry_with_both_a_seifert_and_a_matrix_block(tmp_path, capsys):
+    """One entry, two presentations: det 3 from the matrix beside an
+    Alexander polynomial of 1 from the Seifert block would contradict."""
+    path = tmp_path / "both.txt"
+    path.write_text("name: both\nmatrix:\n2\n2 1\n1 2\nseifert:\n2\n0 1\n0 0\n")
+    for command in ("invariants", "obstruct"):
+        line = one_line_error(capsys, command, str(path))
+        assert "'seifert:'" in line and "'matrix:'" in line
+
+
 def test_cli_rejects_mismatched_pd_brackets(tmp_path, capsys):
     with pytest.raises(DiagramError, match=r"X\(1,4,2,5\]"):
         parse_pd("X(1,4,2,5] X(3,6,4,1) X(5,2,6,3)")

@@ -13,11 +13,15 @@
 - Vogel untangling traces the Seifert circles once per move, plus once.
 - Each untangling move patches its faces once (`_slid_faces`), and
   `r2_slide` builds no arc map and walks no face.
+- Every face walk goes through `_face_orbit`, and an untangling move walks
+  only its own faces: the two on each side of its arcs and the faces
+  through its new crossings.
 """
 
 import contextlib
 import io
 import random
+import sys
 
 import pytest
 
@@ -104,6 +108,26 @@ def test_each_untangling_move_patches_its_faces_once_and_walks_none(monkeypatch)
     seifert_matrix_from_diagram(d)
     assert counts["_vogel_move"] == counts["_slid_faces"] == len(walked) == 156
     assert not any(walked)
+
+
+@pytest.mark.parametrize("name,moves", [("p3_3_3", 12), ("p777m", 90), ("p5_17_5", 156)])
+def test_an_untangling_move_walks_only_its_own_faces(monkeypatch, name, moves):
+    """One walk of the input's n + 2 faces, then per move 4 flanking orbits
+    (two faces beside each of its two arcs) and 5 orbits through its new
+    darts; no other face walk."""
+    d = parse_pd(pd_text(load_corpus()[name].diagram))
+    orbit, callers = diagrams._face_orbit, {}
+
+    def counted(partner, start):
+        caller = sys._getframe(1).f_code.co_name
+        callers[caller] = callers.get(caller, 0) + 1
+        return orbit(partner, start)
+
+    monkeypatch.setattr(diagrams, "_face_orbit", counted)
+    counts = count_calls(monkeypatch, "_vogel_move")
+    seifert_matrix_from_diagram(d)
+    assert counts["_vogel_move"] == moves
+    assert callers == {"_face_walk": d.n + 2, "_faces_flanking": 4 * moves, "_slid_faces": 5 * moves}
 
 
 def test_parse_keeps_no_faces():
