@@ -112,9 +112,8 @@ def cmd_invariants(args) -> int:
         if det % 2 != 0:
             w = wall_of(M)
             pairs.append(("wall", "; ".join(f"{p} {k} {t}" for p, k, t in w.summands) or "trivial"))
-            # mu = 1 (a knot) means M is invertible mod 2, so det is odd
-            if mu_of(M) == 1:
-                pairs.append(("V(zeta6)[closed form]", jones_zeta6_closed_form(M)))
+            # odd det makes M invertible mod 2, so mu = 1: a knot
+            pairs.append(("V(zeta6)[closed form]", jones_zeta6_closed_form(M)))
         pairs.append(("Q(golden)[delta_5 route]", q_at_golden_link(M)))
     _emit(pairs, args.format)
     return 0
@@ -133,7 +132,7 @@ def cmd_obstruct(args) -> int:
         pairs.append((f"improved_{p}", f"u >= {con.improved_bound()}"))
         splits = [
             f"(u+={up},u-={w - up})"
-            for up in range(max(w, 0) + 1)
+            for up in range(w + 1)
             if con.consistent(up, w - up)
         ]
         pairs.append((f"signed_{p}", f"delta={con.delta:+d} rule={con.parity_rule} "

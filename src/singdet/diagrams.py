@@ -389,9 +389,9 @@ def _bracket_delta_powers(nmax: int) -> list[dict[int, int]]:
 
 # A-smoothing joins slots (0,1),(2,3) with A-exponent +1; B joins (0,3),(1,2) with -1.
 _SMOOTHINGS = (((0, 1), (2, 3), 1), ((0, 3), (1, 2), -1))
-# delta^k for the k loops that placing one crossing closes; each runs through
-# one of the crossing's at most four arcs
-_LOOP_FACTORS = _bracket_delta_powers(4)
+# delta^k for the k loops that placing one crossing closes: each of a
+# smoothing's two joins closes at most one
+_LOOP_FACTORS = _bracket_delta_powers(2)
 
 
 def _contraction_order(partner) -> list[int]:
@@ -799,13 +799,12 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
             eta = -1
         if eta == d.sign(ci):
             e += eta
+        # a crossing joining a shaded face to itself (i == j) adds -2 eta + 2 eta
         i, j = findex[quads[0]], findex[quads[1]]
-        if i != j:
-            full[i][j] -= eta
-            full[j][i] -= eta
-            full[i][i] += eta
-            full[j][j] += eta
-        # a crossing joining a shaded face to itself contributes nothing
+        full[i][j] -= eta
+        full[j][i] -= eta
+        full[i][i] += eta
+        full[j][j] += eta
     # drop the first shaded face's row and column
     R = IntegerSymmetricMatrix([row[1:] for row in full[1:]])
     return SpanningSurfaceData(R, d.component_count, e)

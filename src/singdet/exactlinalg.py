@@ -45,8 +45,6 @@ Rows = tuple[tuple[int, ...], ...]
 def _int_entry(x) -> int:
     """x as an int; a ValueError, not a silent truncation, when x is not
     integral (an integral Fraction is accepted)."""
-    if type(x) is int:
-        return x
     i = int(x)
     if i != x:
         raise ValueError(f"entry {x!r} is not an integer")
@@ -149,9 +147,7 @@ class SeifertData(Frozen):
 
     def __init__(self, A):
         rows = _freeze(A)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("Seifert matrix must be square")
+        _check_square(rows)
         object.__setattr__(self, "A", rows)
         M = IntegerSymmetricMatrix([tuple(x + y for x, y in zip(row, col)) for row, col in zip(rows, zip(*rows))])
         object.__setattr__(self, "M", M)
@@ -230,7 +226,7 @@ def det_exact(rows) -> int:
     non-integral entry is a ValueError.
     """
     _check_square(rows)
-    return _bareiss_det([[x if type(x) is int else _int_entry(x) for x in row] for row in rows])
+    return _bareiss_det([list(row) for row in _freeze(rows)])
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -459,7 +455,7 @@ def smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list
     sizes used here.
     """
     n = _check_square(rows)
-    a = [[x if type(x) is int else _int_entry(x) for x in row] for row in rows]
+    a = [list(row) for row in _freeze(rows)]
     U = identity(n)
     V = identity(n)
 
@@ -534,8 +530,8 @@ def smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list
 
 def smith_cokernel(rows) -> CokernelDecomposition:
     """Invariant-factor decomposition of coker(M) for a square integer matrix."""
-    n = _check_square(rows)
     d, _, _ = smith_normal_form(rows)
+    n = len(d)
     factors = [d[i][i] for i in range(n)]
     free = sum(1 for x in factors if x == 0)
     finite = [x for x in factors if x != 0]

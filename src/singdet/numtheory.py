@@ -80,7 +80,7 @@ def legendre(a: int, p: int) -> int:
 def ord_int(n: int, p: int) -> int:
     """ord_p of a nonzero integer (raises on 0)."""
     if n == 0:
-        raise ValueError("ord_int(0) is infinite; use ord_p")
+        raise ValueError("0 has no p-adic valuation")
     k = 0
     while n % p == 0:
         n //= p
@@ -93,8 +93,6 @@ def p_part(n: int, p: int) -> tuple[int, int]:
 
     Returns the exponent alpha and the p-free part q (sign preserved in q).
     """
-    if n == 0:
-        raise ValueError("0 has no p-part split")
     a = ord_int(n, p)
     return a, n // p**a
 

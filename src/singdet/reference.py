@@ -186,8 +186,8 @@ def cyclic_generator(rows) -> list[int]:
     sum of Z/d_i, so the preimage of the standard generator of the largest
     factor is the matching column of U^{-1}.
     """
-    n = _check_square(rows)
     d, u, _ = smith_normal_form(rows)
+    n = len(d)
     factors = [d[i][i] for i in range(n)]
     if any(f == 0 for f in factors):
         raise ValueError("cokernel is infinite")

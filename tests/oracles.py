@@ -18,7 +18,12 @@ v_p(det B) - (r - 1) w.
 that share no code: the 2-bridge knot K(p/q), whose double branched cover
 is the lens space L(p, q), and the linear plumbing of L(p, q), read off
 p/q by arithmetic alone.  The reports never build a diagram, so the
-builder stays here, as `grid_pd` does in its test module.
+builder stays here, as `grid_pd` does in its test module.  `montesinos_pd`
+and `star_plumbing` do the same for a Montesinos knot and the
+Seifert-fibred space that is its double branched cover.
+
+`fox_coloring_dimension` reads d_p off a diagram's Fox colorings, a route
+that builds no surface.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from singdet.exactlinalg import (
     det_of,
     identity,
     parse_matrix,
+    rank_mod_p,
     smith_normal_form,
     transpose,
 )
@@ -623,15 +629,106 @@ def rational_pd(p: int, q: int) -> LinkDiagram:
     return normalize_pd([tuple(cups.get(lab, lab) for lab in t) for t in tuples])
 
 
+def _hirzebruch_jung(p: int, q: int) -> list[int]:
+    """b1, ..., bk with p/q = b1 - 1/(b2 - ...) and b_i >= 2 after the
+    first, for q != 0 of either sign: b1 = ceil(p/q) is any integer."""
+    b = []
+    while q:
+        b.append(-(-p // q))
+        p, q = q, b[-1] * q - p
+    return b
+
+
 def lens_plumbing(p: int, q: int) -> IntegerSymmetricMatrix:
     """The linear plumbing of L(p, q), for p > q > 0 coprime: diagonal
     b1, ..., bk and -1 next to it, from the Hirzebruch-Jung continued
     fraction p/q = b1 - 1/(b2 - ...) with every b_i >= 2.  Its determinant
     is p, and it presents the linking form of L(p, q)."""
-    b = []
-    while q:
-        b.append(-(-p // q))
-        p, q = q, b[-1] * q - p
+    b = _hirzebruch_jung(p, q)
     n = len(b)
     return IntegerSymmetricMatrix([[b[i] if i == j else -(abs(i - j) == 1) for j in range(n)]
                                    for i in range(n)])
+
+
+# -------------------------------------------------------- Montesinos knots
+
+def montesinos_pd(fractions) -> LinkDiagram:
+    """The Montesinos link of the rational tangles beta/alpha in fractions
+    (anything `Fraction` takes), set side by side as `pretzel_pd`'s columns
+    are: the tangle 1/a is a column of a half-twists, so every beta = 1
+    gives `pretzel_pd`'s crossings exactly.
+
+    A tangle is built from the outside in.  Euclid's quotients of
+    alpha/|beta| count, in turn, twists on the tangle's top ends and on its
+    right ends; each is a crossing shaped as the column's, (NW, SW, SE, NE)
+    with the under strand on slots 0 and 2, turned by one slot when
+    beta < 0.  The innermost tangle is the infinity tangle )( after top
+    twists and the zero tangle after right ones, so the last crossing's
+    inner ends are the tangle's own left or lower ends."""
+    k = len(fractions)
+    fresh = itertools.count(1).__next__
+    tops = [fresh() for _ in range(k)]  # arc joining tangle i's top-left corner
+    bots = [fresh() for _ in range(k)]
+    tuples = []
+    for i, f in enumerate(map(Fraction, fractions)):
+        quotients = []
+        p, q = f.denominator, abs(f.numerator)
+        while q:
+            quotients.append(p // q)
+            p, q = q, p % q
+        moves = [m % 2 for m, c in enumerate(quotients) for _ in range(c)]
+        nw, ne, sw, se = tops[i], tops[(i + 1) % k], bots[i], bots[(i + 1) % k]
+        for j, right in enumerate(moves):
+            last = j == len(moves) - 1
+            if right:  # a crossing right of the rest, on its NE and SE ends
+                inner = (nw, sw) if last else (fresh(), fresh())
+                shadow = (*inner, se, ne)
+                ne, se = inner
+            else:  # a crossing above the rest, on its NW and NE ends
+                inner = (sw, se) if last else (fresh(), fresh())
+                shadow = (nw, *inner, ne)
+                nw, ne = inner
+            tuples.append(shadow if f > 0 else shadow[1:] + shadow[:1])
+    return normalize_pd(tuples)
+
+
+def star_plumbing(e: int, fractions) -> IntegerSymmetricMatrix:
+    """The star plumbing of the Seifert-fibred space M(e; beta_1/alpha_1,
+    ...), the double branched cover of `montesinos_pd(fractions)` when
+    e = 0: a centre of weight e and, for each beta/alpha, a linear chain
+    from the Hirzebruch-Jung fraction of alpha/beta, -1 between neighbours
+    as in `lens_plumbing` (Montesinos 1973; Neumann, Trans. AMS 268
+    (1981)).  Its determinant is alpha_1 ... alpha_k (e - sum beta_i/alpha_i)
+    up to sign."""
+    weights, edges = [e], []
+    for f in map(Fraction, fractions):
+        prev = 0  # the centre, joined by +1 to each chain's first vertex
+        for b in _hirzebruch_jung(f.denominator, f.numerator):
+            edges.append((prev, len(weights), -1 if prev else 1))
+            prev = len(weights)
+            weights.append(b)
+    M = [[0] * len(weights) for _ in weights]
+    for i, b in enumerate(weights):
+        M[i][i] = b
+    for i, j, x in edges:
+        M[i][j] = M[j][i] = x
+    return IntegerSymmetricMatrix(M)
+
+
+# ------------------------------------------------------------ Fox colorings
+
+def fox_coloring_dimension(d: LinkDiagram, p: int) -> int:
+    """Dimension over F_p of the Fox p-colorings of d, a route to d_p that
+    builds no surface: one color per PD label, and at each crossing
+    (a, b, c, e) the over strand keeps its color, x_b = x_e, and
+    2 x_b = x_a + x_c.  It is 1 + dim H_1(Sigma; F_p), Sigma the double
+    branched cover (Przytycki 1998)."""
+    index = {lab: i for i, lab in enumerate(sorted({lab for t in d.crossings for lab in t}))}
+    rows = []
+    for a, b, c, e in d.crossings:
+        for terms in (((b, 1), (e, -1)), ((b, 2), (a, -1), (c, -1))):
+            row = [0] * len(index)
+            for lab, x in terms:
+                row[index[lab]] += x
+            rows.append(row)
+    return len(index) - rank_mod_p(rows, p)

@@ -233,7 +233,9 @@ def torus_knot_jones(p, q):
 
 
 @pytest.mark.parametrize("p,qs", [(2, range(3, 52, 2)),
-                                  (3, [q for q in range(2, 41) if gcd(3, q) == 1])])
+                                  (3, [q for q in range(2, 41) if gcd(3, q) == 1]),
+                                  (4, range(5, 27, 2)),
+                                  (5, [q for q in range(6, 21) if q % 5])])
 def test_positive_torus_knots_match_the_closed_form(p, qs):
     for q in qs:
         d = braid_closure_pd(list(range(1, p)) * q, p)

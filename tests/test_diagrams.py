@@ -31,7 +31,7 @@ from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial
 from singdet.seifert import d_p_of, delta_p, mu_of, signature
 from oracles import delta_p_gl
 from test_cli_input import TREFOIL_PD
-from test_grid_diagrams import grid_knots
+from test_grid_diagrams import grid_diagrams, grid_knots
 
 
 # published Jones polynomials (standard tables), keyed by 2*exponent
@@ -497,6 +497,17 @@ def test_seeded_links_match_both_diagram_oracles():
         count += 1
         singular += det_exact(A.M.entries) == 0
     assert count == 130 and singular > 0 and arfs == {None, 1, -1}
+
+
+def test_seeded_grid_links_match_both_diagram_oracles():
+    # grid links are neither closures nor twist regions; V(i) is exact, with
+    # the Arf sign of the proper ones read off A + A^t over F2
+    arfs = {None: 0, 1: 0, -1: 0}
+    for d in grid_diagrams(120, 43, (5, 10), lambda d: d.component_count >= 2 and d.n <= 16):
+        A = seifert_matrix_from_diagram(d)
+        arfs[_check_five_points(d.crossings, d, A)] += 1
+        assert q_via_skein(d, budget=d.n).eval_golden_reciprocal() == q_at_golden_link(A.M), d.crossings
+    assert arfs == {None: 47, 1: 69, -1: 4}
 
 
 def test_r2_slide_keeps_the_faces_a_fresh_walk_finds(monkeypatch):
