@@ -6,11 +6,13 @@ value at zeta_6 from det, the F_3-dimension and the Wall parity at 3
 (`linkform`), and Q(1/phi) from delta_5 and d_5 (`seifert`).  Their values
 live in the rings of `rings`, where the diagram oracles of `diagrams`,
 which import none of these routes, land too, so the two compare exactly.
+The Alexander polynomial is read off one integer determinant by Kronecker
+substitution (`alexander_poly`).
 """
 
 from __future__ import annotations
 
-from .exactlinalg import IntegerSymmetricMatrix, SeifertData, det_exact, det_of, transpose
+from .exactlinalg import IntegerSymmetricMatrix, SeifertData, det_exact, det_of
 from .linkform import b_total, wall_of
 from .numtheory import nu, p_part
 from .rings import Cyclo24, LaurentPolynomial, Root5
@@ -47,38 +49,25 @@ def q_at_golden_link(M: IntegerSymmetricMatrix) -> Root5:
 def alexander_poly(A: SeifertData) -> LaurentPolynomial:
     """Conway-normalized Alexander polynomial det(-t^(1/2) A + t^(-1/2) A^t).
 
-    Computed as x^(-n) P(x^2) for P(y) = det(A^t - y A): P is evaluated at
-    y = 0..n by the integer determinant and rebuilt by integer Newton
-    interpolation (`_interpolate_int`).
+    Computed as x^(-n) P(x^2) for P(y) = det(A^t - y A), read off one
+    integer determinant by Kronecker substitution: P(2^b) written in
+    balanced base-2^b digits gives P's coefficients, lowest first.  Each
+    |c_k| is at most max |P| on |y| = 1 (Cauchy), which is at most
+    H = prod_i ||(|a_ji| + |a_ij|)_j||_2 (Hadamard), and 2^(b-1) > H keeps
+    every coefficient inside one digit.
     """
-    n = A.n
-    at = transpose(A.A)
-    values = [det_exact([[at[i][j] - y * A.A[i][j] for j in range(n)] for i in range(n)])
-              for y in range(n + 1)]
-    coeffs = _interpolate_int(values)
+    n, a = A.n, A.A
+    sq = 1
+    for i in range(n):
+        sq *= sum((abs(a[j][i]) + abs(x)) ** 2 for j, x in enumerate(a[i]))
+    b = sq.bit_length() // 2 + 3
+    y = 1 << b
+    rest = det_exact([[a[j][i] - y * x for j, x in enumerate(a[i])] for i in range(n)])
+    coeffs = []
+    for _ in range(n + 1):
+        c = (rest + (y >> 1)) % y - (y >> 1)
+        coeffs.append(c)
+        rest = (rest - c) >> b
+    if rest:
+        raise AssertionError("the Kronecker decode left digits above degree n")
     return LaurentPolynomial({2 * j - n: c for j, c in enumerate(coeffs) if c})
-
-
-def _interpolate_int(values: list[int]) -> list[int]:
-    """Coefficients, lowest first, of the integer polynomial P of degree
-    below len(values) with P(y) = values[y] at y = 0, 1, 2, ...
-
-    The forward differences give Delta^k P(0) = k! * c_k, where the c_k are
-    P's coefficients in the falling-factorial basis y(y-1)...(y-k+1), which
-    are integers because P's are; Horner's rule in that basis expands P.
-    Raises AssertionError when k! does not divide a difference (no integer
-    polynomial takes these values).
-    """
-    c, diffs, fact = [], list(values), 1
-    for k in range(len(values)):
-        fact *= max(k, 1)
-        q, r = divmod(diffs[0], fact)
-        if r:
-            raise AssertionError("interpolation of an integer polynomial failed")
-        c.append(q)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    out: list[int] = []
-    for k in reversed(range(len(c))):  # out = out * (y - k) + c_k
-        out = [hi - k * lo for hi, lo in zip([0] + out, out + [0])]
-        out[0] += c[k]
-    return out

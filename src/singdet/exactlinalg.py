@@ -371,8 +371,10 @@ def _symmetric_bareiss(a: list[list[int]]) -> tuple[int, int]:
     sig, prev = 0, 1
     while a:
         m = len(a)
-        i = next((i for i in range(m) if a[i][i]), None)
-        if i is None:
+        for i in range(m):
+            if a[i][i]:
+                break
+        else:
             ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if ij is None:
                 return sig, 0

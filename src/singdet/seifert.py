@@ -86,8 +86,10 @@ def _eliminate_mod_p(entries, p: int) -> tuple[int, int]:
     unit_det = 1
     while a:
         m = len(a)
-        i = next((i for i in range(m) if a[i][i]), None)
-        if i is None:
+        for i in range(m):
+            if a[i][i]:
+                break
+        else:
             ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if ij is None:
                 break  # zero active block: its size is the corank d_p

@@ -22,8 +22,12 @@ builder stays here, as `grid_pd` does in its test module.  `montesinos_pd`
 and `star_plumbing` do the same for a Montesinos knot and the
 Seifert-fibred space that is its double branched cover.
 
-`fox_coloring_dimension` reads d_p off a diagram's Fox colorings, a route
-that builds no surface.
+`fox_coloring_dimension` reads d_p off a diagram's Fox colorings, and
+`fox_alexander_poly` the Alexander polynomial off the Fox-calculus matrix
+of its Wirtinger presentation: two routes that build no surface.  The
+second shares no kernel with `alexander_poly`: its determinants are Fraction
+eliminations, rebuilt into a polynomial by Lagrange over Q
+(`lagrange_coeffs`).
 """
 
 from __future__ import annotations
@@ -732,3 +736,102 @@ def fox_coloring_dimension(d: LinkDiagram, p: int) -> int:
                 row[index[lab]] += x
             rows.append(row)
     return len(index) - rank_mod_p(rows, p)
+
+
+# ------------------------------------------------- Alexander matrix (Fox calculus)
+
+def lagrange_coeffs(pts) -> list[int]:
+    """Coefficients, lowest first, of the polynomial through the points
+    (x, y), by Lagrange over Q; they must be integers."""
+    n = len(pts)
+    coeffs = [Fraction(0)] * n
+    for k, (xk, yk) in enumerate(pts):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(pts):
+            if j == k:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                new[d] -= c * xj
+                new[d + 1] += c
+            basis = new
+            denom *= xk - xj
+        for d, c in enumerate(basis):
+            coeffs[d] += c * yk / denom
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
+
+
+def _det_fraction(a: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square matrix (consumed) by Gaussian elimination
+    over Q, skipping the zero entries of each pivot row."""
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        top = a[k]
+        det *= top[k]
+        support = [j for j in range(k + 1, len(a)) if top[j]]
+        for row in a[k + 1:]:
+            if row[k]:
+                f = row[k] / top[k]
+                for j in support:
+                    row[j] -= f * top[j]
+    return det
+
+
+def fox_alexander_matrix(d: LinkDiagram) -> list[dict[int, tuple[int, int]]]:
+    """The Alexander matrix of the Wirtinger presentation of d, one sparse
+    row per crossing, entry u + v t stored as (u, v) under its arc's index.
+
+    The generators are the Wirtinger arcs, the PD labels joined through
+    each over-crossing; the relation at a crossing with over arc k and
+    under arcs i in, j out is x_j = x_k x_i x_k^-1 when it is positive and
+    x_j = x_k^-1 x_i x_k when negative.  Its Fox derivatives, with every
+    generator sent to t (times -t for a negative crossing), give the row
+    1 - t at k, t at i and -1 at j, or -1 at i and t at j (Crowell-Fox,
+    Introduction to Knot Theory (1963), ch. VII)."""
+    root: dict[int, int] = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    for _, b, _, e in d.crossings:
+        root[find(b)] = find(e)
+    index = {r: i for i, r in enumerate(sorted({find(x) for t in d.crossings for x in t}))}
+    rows = []
+    for ci, (a, b, c, e) in enumerate(d.crossings):
+        under = ((a, (0, 1)), (c, (-1, 0))) if d.sign(ci) > 0 else ((a, (-1, 0)), (c, (0, 1)))
+        row: dict[int, tuple[int, int]] = {}
+        for lab, (u, v) in ((b, (1, -1)), *under):
+            k = index[find(lab)]
+            u0, v0 = row.get(k, (0, 0))
+            row[k] = (u0 + u, v0 + v)
+        rows.append(row)
+    return rows
+
+
+def fox_alexander_poly(d: LinkDiagram) -> list[int]:
+    """Coefficients, lowest first, of the minor of `fox_alexander_matrix(d)`
+    without its last row and column, which is +-t^k Delta(t) for a knot.
+    Its entries have degree at most 1, so the minor, of size m, has degree
+    at most m: it is evaluated at t = 0..m by `_det_fraction` and rebuilt
+    by `lagrange_coeffs`."""
+    rows = fox_alexander_matrix(d)
+    m = len(rows) - 1
+    pts = []
+    for t in range(m + 1):
+        a = [[Fraction(0)] * m for _ in range(m)]
+        for i, row in enumerate(rows[:m]):
+            for k, (u, v) in row.items():
+                if k < m:
+                    a[i][k] = Fraction(u + v * t)
+        pts.append((t, _det_fraction(a)))
+    return lagrange_coeffs(pts)

@@ -4,6 +4,7 @@ routes they replace.
 `d_p_of` reads d_p from the F_p elimination that `delta_p` runs; `mu_of`
 and that elimination are memoized on the matrix object, so the memo lives
 exactly as long as the matrix.  The Q skein frees its memo on return.
+`alexander_poly` takes one determinant per matrix.
 """
 
 import gc
@@ -12,11 +13,13 @@ import random
 
 import pytest
 
+import singdet.evaluate as evaluate
 import singdet.linkform as linkform
 import singdet.seifert as seifert
 from singdet.cli import main
 from singdet.corpus import load_corpus
 from singdet.diagrams import pretzel_pd, q_via_skein, seifert_matrix_from_diagram
+from singdet.evaluate import alexander_poly
 from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, corank_mod_p, det_of
 from singdet.linkform import delta_from_wall, wall_of
 from singdet.reference import congruence, random_unimodular
@@ -112,6 +115,19 @@ def test_the_jordan_kernel_runs_once_per_prime_of_det(monkeypatch):
         delta_from_wall(M, p)
     wall_of(M)
     assert counts == {"padic_jordan": 2}
+
+
+def test_alexander_poly_takes_one_determinant_per_matrix(monkeypatch):
+    """The polynomial is read off det(A^t - 2^b A) alone: one `det_exact`
+    call per matrix, whatever its size."""
+    matrices = ([SeifertData([]), SeifertData([[3]])]
+                + [e.seifert for _, e in sorted(load_corpus().items()) if e.seifert is not None]
+                + [seifert_matrix_from_diagram(pretzel_pd(*t)) for t in ((3, -3, 3), (-5, -3, 3))])
+    counts = count_calls(monkeypatch, "det_exact", module=evaluate)
+    for A in matrices:
+        alexander_poly(A)
+    assert (len(matrices), max(A.n for A in matrices)) == (14, 42)
+    assert counts == {"det_exact": 14}
 
 
 def test_memo_lives_on_the_matrix_object(monkeypatch):

@@ -1,5 +1,6 @@
 import cmath
 import random
+from math import comb
 
 import pytest
 
@@ -210,6 +211,19 @@ def test_alexander_goldens():
     # figure eight: -t + 3 - 1/t
     fig8 = alexander_poly(SeifertData([[1, 1], [0, -1]]))
     assert fig8 == LaurentPolynomial({2: -1, 0: 3, -2: -1})
+
+
+def test_alexander_coefficients_near_the_digit_bound():
+    """For A = k*I, det(A^t - yA) = k^n (1 - y)^n: the coefficients alternate
+    in sign, and the middle one, |k|^n C(n, n/2), comes within a factor
+    about sqrt(n) of the Hadamard bound (2|k|)^n that sets the digit width."""
+    for k in (0, 1, -1, 2, -3, 40, -1000):
+        for n in range(13):
+            A = SeifertData([[k * (i == j) for j in range(n)] for i in range(n)])
+            want = LaurentPolynomial({2 * j - n: k**n * comb(n, j) * (-1) ** j for j in range(n + 1)})
+            assert alexander_poly(A) == want, (k, n)
+    for a in (1, -1, 7, -40):
+        assert alexander_poly(SeifertData([[a]])) == LaurentPolynomial({-1: a, 1: -a})
 
 
 def geometric_seifert(rng, g):

@@ -1,9 +1,10 @@
 """The report path runs on integers only.
 
 `signature` is a fraction-free symmetric elimination and `alexander_poly`
-rebuilds P(y) = det(A^t - yA) by integer Newton interpolation.  The
+reads P(y) = det(A^t - yA) off one integer determinant at y = 2^b.  The
 Fraction routes they replaced live on here as oracles: `_fraction_ldl_sign`
-(the congruent LDL over Q) and `_lagrange_coeffs` (Lagrange over Q).
+(the congruent LDL over Q) and `_lagrange_alexander` (P at y = 0..n,
+interpolated by Lagrange over Q).
 """
 
 import contextlib
@@ -22,12 +23,13 @@ import singdet.seifert as seifert
 from singdet.cli import main
 from singdet.corpus import load_corpus
 from singdet.diagrams import goeritz_from_diagram, pretzel_pd, seifert_matrix_from_diagram
-from singdet.evaluate import _interpolate_int, alexander_poly
+from singdet.evaluate import alexander_poly
 from singdet.exactlinalg import IntegerSymmetricMatrix, SeifertData, det_exact, transpose
 from singdet.reference import congruence, random_unimodular
 from singdet.rings import LaurentPolynomial
 from singdet.seifert import signature
 
+from oracles import lagrange_coeffs
 from test_cli_input import CORPUS_DIR
 
 
@@ -66,28 +68,6 @@ def _fraction_ldl_sign(M):
     return sig
 
 
-def _lagrange_coeffs(pts):
-    """Coefficients of the interpolating polynomial by Lagrange over Q."""
-    n = len(pts)
-    coeffs = [Fraction(0)] * n
-    for k, (xk, yk) in enumerate(pts):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == k:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xj
-                new[d + 1] += c
-            basis = new
-            denom *= xk - xj
-        for d, c in enumerate(basis):
-            coeffs[d] += c * yk / denom
-    assert all(c.denominator == 1 for c in coeffs)
-    return [int(c) for c in coeffs]
-
-
 def _lagrange_alexander(A):
     n = A.n
     if n == 0:
@@ -95,7 +75,7 @@ def _lagrange_alexander(A):
     at = transpose(A.A)
     pts = [(y, det_exact([[at[i][j] - y * A.A[i][j] for j in range(n)] for i in range(n)]))
            for y in range(n + 1)]
-    return LaurentPolynomial({2 * j - n: c for j, c in enumerate(_lagrange_coeffs(pts)) if c})
+    return LaurentPolynomial({2 * j - n: c for j, c in enumerate(lagrange_coeffs(pts)) if c})
 
 
 def _seeded_symmetric(count=360, seed=1968):
@@ -194,18 +174,21 @@ def test_alexander_equals_the_lagrange_route_on_seeded_seifert_matrices(genus):
         assert alexander_poly(A) == _lagrange_alexander(A), A.A
 
 
+def test_alexander_equals_the_lagrange_route_on_dense_matrices_with_large_entries():
+    rng = random.Random(4701)
+    family = [SeifertData([[rng.randrange(-40, 41) for _ in range(n)] for _ in range(n)])
+              for n in (rng.randrange(0, 11) for _ in range(200))]
+    for A in family:
+        assert alexander_poly(A) == _lagrange_alexander(A), A.A
+    assert max(A.n for A in family) == 10
+    assert sum(A.n == 0 for A in family) >= 5
+
+
 def test_alexander_equals_the_lagrange_route_on_the_corpus():
     entries = [e for e in load_corpus().values() if e.seifert is not None]
     assert len(entries) >= 9
     for e in entries:
         assert alexander_poly(e.seifert) == _lagrange_alexander(e.seifert), e.name
-
-
-def test_interpolation_rejects_values_no_integer_polynomial_takes():
-    with pytest.raises(AssertionError, match="interpolation"):
-        _interpolate_int([0, 1, 3])  # y(y+1)/2
-    assert _interpolate_int([5]) == [5]
-    assert _interpolate_int([1, 0, 1]) == [1, -2, 1]
 
 
 def _fraction_exponent_str(poly):
