@@ -152,32 +152,38 @@ def cmd_obstruct(args) -> int:
 
 # ------------------------------------------------------------ verify suites
 #
-# The suites import `random` and the reference routes inside their bodies,
-# so that the two report commands load neither.
+# Each suite takes the report callback and the verify arguments, whose seed
+# or corpus folder it reads.  The suites import `random` and the reference
+# routes inside their bodies, so that the two report commands load neither.
 
-def _suite_examples(report, root: str | None) -> bool:
+def _suite_examples(report, args) -> bool:
     """Golden values from the worked examples (the erratum case is listed
     under its mathematically consistent value; see the acceptance tests),
-    read from the corpus folder root, or `load_corpus`'s default for None."""
+    read from the corpus folder `args.corpus`, or `load_corpus`'s default
+    for None."""
     ok = True
-    c = load_corpus(root)
+    c = load_corpus(args.corpus)
 
-    def entry(name):
+    def entry(name, block):
+        """The given block (matrix, seifert or diagram) of a corpus entry."""
         if name not in c:
             raise ValueError(f"corpus has no entry {name!r}")
-        return c[name]
+        value = getattr(c[name], block)
+        if value is None:
+            raise ValueError(f"corpus entry {name!r} has no {block} block")
+        return value
 
     m777 = IntegerSymmetricMatrix([[0, 7], [7, 0]])
     ok &= report("d_7(P(7,-7,7)) == 2", d_p_of(m777, 7) == 2)
     ok &= report("delta_7(P(7,-7,7)) == -1 (erratum: stated +1)", delta_p(m777, 7) == -1)
-    m17 = entry("example_d17").matrix
+    m17 = entry("example_d17", "matrix")
     ok &= report("d_17 == 3", d_p_of(m17, 17) == 3)
     ok &= report("delta_17 == -1", delta_p(m17, 17) == -1)
     ok &= report("improved bound u >= 4", improved_bound(m17, 17) == 4)
-    m553 = entry("m12n553").matrix
+    m553 = entry("m12n553", "matrix")
     ok &= report("12n553 cokernel exponents (0,1,1,2)",
                  smith_cokernel(m553.entries).exponents(3) == (0, 1, 1, 2))
-    m195 = entry("p5_17_5").seifert.M
+    m195 = entry("p5_17_5", "seifert").M
     ok &= report("det(P(5,17,5)) == 195", det_exact(m195.entries) == 195)
     ok &= report("delta_5 == -1", delta_p(m195, 5) == -1)
     ok &= report("delta_13 == +1", delta_p(m195, 13) == 1)
@@ -186,11 +192,11 @@ def _suite_examples(report, root: str | None) -> bool:
     ok &= report("no admissible Lickorish generator", rep.admissible_zeta == ())
     ok &= report("Stoimenow counterexample", not stoimenow_check(m195, rep).agrees)
     for name, vm1, vz6 in (("hopf_plus", "-2*i", "-i"), ("hopf_minus", "2*i", "i")):
-        v = jones_via_bracket(entry(name).diagram)
+        v = jones_via_bracket(entry(name, "diagram"))
         ok &= report(f"V_{name}(-1) == {vm1}", str(v.eval_root_of_unity(HALFPOWER["-1"])) == vm1)
         ok &= report(f"V_{name}(zeta6) == {vz6}", str(v.eval_root_of_unity(HALFPOWER["zeta6"])) == vz6)
-    vt = jones_via_bracket(entry("t2_4").diagram).eval_root_of_unity(HALFPOWER["i"])
-    vs = jones_via_bracket(entry("t2_4_rev").diagram).eval_root_of_unity(HALFPOWER["i"])
+    vt = jones_via_bracket(entry("t2_4", "diagram")).eval_root_of_unity(HALFPOWER["i"])
+    vs = jones_via_bracket(entry("t2_4_rev", "diagram")).eval_root_of_unity(HALFPOWER["i"])
     ok &= report("V_T(2,4)(i) and reversed split +-sqrt2",
                  {str(vt), str(vs)} == {"sqrt2", "-sqrt2"})
     return ok
@@ -203,11 +209,11 @@ def _random_even_symmetric(rng, max_g: int = 3):
     return IntegerSymmetricMatrix([[A[i][j] + A[j][i] for j in range(n)] for i in range(n)])
 
 
-def _suite_prop35(report, seed: int) -> bool:
+def _suite_prop35(report, args) -> bool:
     import random
 
     count = 500
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     done = 0
     while done < count:
         M = _random_even_symmetric(rng)
@@ -220,38 +226,13 @@ def _suite_prop35(report, seed: int) -> bool:
     return report(f"definition == Wall closed form on {count} matrices x 5 primes", True)
 
 
-def _suite_jacobi(report, seed: int) -> bool:
-    import random
-
-    from .reference import RationalSymmetricMatrix, jacobi_minor_identity
-
-    count = 1000
-    rng = random.Random(seed)
-    done = 0
-    while done < count:
-        n = rng.randrange(2, 6)
-        A = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        M = [[A[i][j] + A[j][i] for j in range(n)] for i in range(n)]
-        if det_exact(M) == 0:
-            continue
-        done += 1
-        k = rng.randrange(0, n + 1)
-        I = tuple(sorted(rng.sample(range(n), k)))
-        J = tuple(sorted(rng.sample(range(n), k)))
-        lhs, rhs = jacobi_minor_identity(RationalSymmetricMatrix(M), I, J)
-        if lhs != rhs:
-            return report(f"jacobi mismatch: {M} {I} {J}", False)
-    return report(f"general Jacobi identity on {count} random minors", True)
-
-
-def _suite_invariance(report, seed: int) -> bool:
+def _suite_invariance(report, args) -> bool:
     import random
 
     from .reference import congruence, delta_p_reduced, random_unimodular, stabilize
 
     count = 1000
-    rng = random.Random(seed)
-    ok = True
+    rng = random.Random(args.seed)
     M = _random_even_symmetric(rng, max_g=2)
     for trial in range(count):
         if trial % 50 == 0:
@@ -265,15 +246,14 @@ def _suite_invariance(report, seed: int) -> bool:
             return report("delta_p not invariant under stabilization", False)
         if delta_p_reduced(M, p, rng) != base:
             return report("delta_p depends on the reduction path", False)
-    ok &= report(f"delta_p invariance: {count} congruences/stabilizations/reductions", True)
-    return ok
+    return report(f"delta_p invariance: {count} congruences/stabilizations/reductions", True)
 
 
-def _suite_endtoend(report, root: str | None) -> bool:
+def _suite_endtoend(report, args) -> bool:
     from .reference import q_golden_closed_form
 
     ok = True
-    knots = sorted(corpus_knots(max(9, Q_BUDGET), root).items())
+    knots = sorted(corpus_knots(max(9, Q_BUDGET), args.corpus).items())
     if not any(0 < e.diagram.n <= 9 for _, e in knots):
         raise ValueError("corpus has no knot of 1 to 9 crossings")
     matrices = {name: _matrix_from_diagram(e.diagram) for name, e in knots}
@@ -295,13 +275,11 @@ def _suite_endtoend(report, root: str | None) -> bool:
     return ok
 
 
-# each suite reads the seed or the corpus folder of the verify arguments
 SUITES = {
-    "examples": lambda report, args: _suite_examples(report, args.corpus),
-    "prop35": lambda report, args: _suite_prop35(report, args.seed),
-    "jacobi": lambda report, args: _suite_jacobi(report, args.seed),
-    "invariance": lambda report, args: _suite_invariance(report, args.seed),
-    "endtoend": lambda report, args: _suite_endtoend(report, args.corpus),
+    "examples": _suite_examples,
+    "prop35": _suite_prop35,
+    "invariance": _suite_invariance,
+    "endtoend": _suite_endtoend,
 }
 
 

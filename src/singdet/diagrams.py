@@ -991,13 +991,15 @@ _Z = LaurentPolynomial({2: 1})
 @cache
 def _twist_coefficients(k: int):
     """(a_k, b_k, c_k) with Q(D_k) = a_k Q(T_1) + b_k Q(T_0) + c_k Q(E) for a
-    twist region of k crossings (see `q_via_skein`)."""
+    twist region of k crossings (see `q_via_skein`), by the three-term
+    recurrence run up from k = 0 and 1 in a loop, so that a long region
+    costs no recursion depth."""
     one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
-    if k < 2:
-        return (zero, one, zero) if k == 0 else (one, zero, zero)
-    a1, b1, c1 = _twist_coefficients(k - 1)
-    a0, b0, c0 = _twist_coefficients(k - 2)
-    return _Z * a1 - a0, _Z * b1 - b0, _Z * (c1 + one) - c0
+    prev, cur = (zero, one, zero), (one, zero, zero)
+    for _ in range(k - 1):
+        (a0, b0, c0), (a1, b1, c1) = prev, cur
+        prev, cur = cur, (_Z * a1 - a0, _Z * b1 - b0, _Z * (c1 + one) - c0)
+    return prev if k == 0 else cur
 
 
 def _twist_expand(crossings: list[tuple], free: int, partner, region, memo: dict) -> LaurentPolynomial:

@@ -3,10 +3,11 @@
 Determinants (fraction-free), Smith-normal-form cokernels, the congruence
 core and the p-adic Jordan kernel (`padic_jordan`) that feeds the
 linking-form classifier.  All arithmetic is arbitrary precision; there is
-no floating point anywhere in this package's math.  The rational and
-unimodular matrices that the verify suites check these kernels with live
-in `reference`; the p-adic normal forms that the tests check
-`padic_jordan` against live in `tests/oracles.py`.
+no floating point anywhere in this package's math.  The unimodular
+transforms that `verify invariance` checks these kernels with live in
+`reference`; the rational matrices (`RationalSymmetricMatrix`) and the
+p-adic normal forms that the tests check `padic_jordan` against live in
+`tests/oracles.py`.
 
 The matrix types live here too: `IntegerSymmetricMatrix` and, beside it,
 the presentation records `SeifertData` (an unsymmetrized Seifert matrix A

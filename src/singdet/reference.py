@@ -10,13 +10,13 @@ check that `verify` runs lives here: `delta_p_reduced` is `seifert.delta_p`
 by the integer-lifted reduction of all of M with randomized pivots (the
 path-independence oracle), `congruence(M, T)` is T M T^t, and
 `q_golden_closed_form` is Q(1/phi) of a knot from its Wall invariants at 5.
-The routes that only the tests read, among them the p-adic normal forms
-and `oddity`, live in `tests/oracles.py`; `tests/test_imports.py` keeps
-every definition here reachable from what the package imports.
+The routes that only the tests read, among them the p-adic normal forms,
+`oddity` and the Jacobi minor identity on `RationalSymmetricMatrix`, live
+in `tests/oracles.py`; `tests/test_imports.py` keeps every definition here
+reachable from what the package imports.
 
 Fraction appears only at the API boundary, where a rational value is the
-answer: `mat_inverse_q`, `det_q`, `jacobi_minor_identity`,
-`RationalSymmetricMatrix` and `eval_form`; each computes on integers and
+answer: `mat_inverse_q` and `eval_form`; each computes on integers and
 builds its Fractions last.
 """
 
@@ -30,7 +30,6 @@ from .exactlinalg import (
     Frozen,
     IntegerSymmetricMatrix,
     _check_square,
-    _check_symmetric,
     _freeze,
     det_exact,
     det_of,
@@ -45,24 +44,6 @@ from .seifert import _delta_from_unit_block, d_p_of
 
 
 # ------------------------------------------- rational and unimodular matrices
-
-def _freeze_q(entries) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
-
-
-class RationalSymmetricMatrix(Frozen):
-    """Exact square symmetric matrix over Q."""
-
-    _fields = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", _freeze_q(entries))
-        _check_symmetric(self.entries)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
 
 class UnimodularTransform(Frozen):
     """Integer matrix with determinant +-1 (a basis change)."""
@@ -100,11 +81,6 @@ def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
-def minor(rows, I, J):
-    """Submatrix with rows I and columns J, indices kept in original order."""
-    return [[rows[i][j] for j in J] for i in I]
-
-
 def _clear_denominators(rows) -> tuple[list[list[int]], int]:
     """(B, L) with B = L * rows an integer matrix, L the least common
     denominator of the entries."""
@@ -139,44 +115,12 @@ def adjugate(rows) -> tuple[list[list[int]], int]:
     return [row[n:] for row in a], prev
 
 
-def det_q(rows) -> Fraction:
-    """Exact determinant of a rational matrix: det_exact of the matrix
-    cleared of its common denominator L, over L^n."""
-    n = _check_square(rows)
-    b, L = _clear_denominators(rows)
-    return Fraction(det_exact(b), L**n)
-
-
 def mat_inverse_q(rows) -> list[list[Fraction]]:
     """Exact inverse over Q, from the adjugate of the matrix cleared of its
     common denominator; raises ZeroDivisionError on singular input."""
     b, L = _clear_denominators(rows)
     D, d = adjugate(b)
     return [[Fraction(L * x, d) for x in row] for row in D]
-
-
-def jacobi_minor_identity(
-    M: RationalSymmetricMatrix, I: tuple[int, ...], J: tuple[int, ...]
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the general Jacobi minor identity (1-based index sums).
-
-    lhs = det M[I;J]; rhs = (-1)^(sum I + sum J) det(M) det(M^{-1}[I^c;J^c]).
-    Indices are passed 0-based; the sign uses the 1-based convention.
-    """
-    n = M.m
-    I, J = tuple(sorted(I)), tuple(sorted(J))
-    if len(I) != len(J):
-        raise ValueError("index sets must have equal size")
-    d = det_q(M.entries)
-    if d == 0:
-        raise ValueError("matrix must be invertible")
-    lhs = det_q(minor(M.entries, I, J))
-    inv = mat_inverse_q(M.entries)
-    Ic = [i for i in range(n) if i not in I]
-    Jc = [j for j in range(n) if j not in J]
-    sign = (-1) ** (sum(i + 1 for i in I) + sum(j + 1 for j in J))
-    rhs = sign * d * det_q(minor(inv, Ic, Jc))
-    return lhs, rhs
 
 
 def cyclic_generator(rows) -> list[int]:

@@ -11,6 +11,12 @@ clearing precision is fixed in advance by the Jordan bound: no pivot of a
 nonsingular block B of size r and least entry valuation w exceeds
 v_p(det B) - (r - 1) w.
 
+`jacobi_minor_identity` gives both sides of the general Jacobi minor
+identity on a `RationalSymmetricMatrix`, through the Fraction determinant
+`det_q` of the minors.  The tests check it on random draws; `verify
+prop35` checks what the package derives from it, the Wall closed form of
+delta_p (`linkform.delta_from_wall`), against the definition.
+
 `oddity` gives the Gordon-Litherland correction of a hand-built
 `SpanningSurfaceData` of odd determinant.
 
@@ -44,6 +50,8 @@ from singdet.exactlinalg import (
     IntegerSymmetricMatrix,
     SeifertData,
     SpanningSurfaceData,
+    _check_square,
+    _check_symmetric,
     det_exact,
     det_of,
     identity,
@@ -56,10 +64,10 @@ from singdet.linkform import WallDecomposition
 from singdet.numtheory import check_odd_prime, is_prime, legendre, ord_int, prime_factors
 from singdet.obstruct import lickorish_generator_search
 from singdet.reference import (
-    RationalSymmetricMatrix,
     UnimodularTransform,
     _clear_denominators,
     adjugate,
+    mat_inverse_q,
     mat_mul,
 )
 from singdet.rings import HALFPOWER, Cyclo24, Root5
@@ -79,6 +87,63 @@ def format_matrix(rows) -> str:
 
 def load_symmetric_matrix(text: str) -> IntegerSymmetricMatrix:
     return IntegerSymmetricMatrix(parse_matrix(text))
+
+
+# ------------------------------------------ rational matrices and minors
+
+def _freeze_q(entries) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(x) for x in row) for row in entries)
+
+
+class RationalSymmetricMatrix(Frozen):
+    """Exact square symmetric matrix over Q."""
+
+    _fields = ("entries",)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", _freeze_q(entries))
+        _check_symmetric(self.entries)
+
+    @property
+    def m(self) -> int:
+        return len(self.entries)
+
+
+def minor(rows, I, J):
+    """Submatrix with rows I and columns J, indices kept in original order."""
+    return [[rows[i][j] for j in J] for i in I]
+
+
+def det_q(rows) -> Fraction:
+    """Exact determinant of a rational matrix: det_exact of the matrix
+    cleared of its common denominator L, over L^n."""
+    n = _check_square(rows)
+    b, L = _clear_denominators(rows)
+    return Fraction(det_exact(b), L**n)
+
+
+def jacobi_minor_identity(
+    M: RationalSymmetricMatrix, I: tuple[int, ...], J: tuple[int, ...]
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the general Jacobi minor identity (1-based index sums).
+
+    lhs = det M[I;J]; rhs = (-1)^(sum I + sum J) det(M) det(M^{-1}[I^c;J^c]).
+    Indices are passed 0-based; the sign uses the 1-based convention.
+    """
+    n = M.m
+    I, J = tuple(sorted(I)), tuple(sorted(J))
+    if len(I) != len(J):
+        raise ValueError("index sets must have equal size")
+    d = det_q(M.entries)
+    if d == 0:
+        raise ValueError("matrix must be invertible")
+    lhs = det_q(minor(M.entries, I, J))
+    inv = mat_inverse_q(M.entries)
+    Ic = [i for i in range(n) if i not in I]
+    Jc = [j for j in range(n) if j not in J]
+    sign = (-1) ** (sum(i + 1 for i in I) + sum(j + 1 for j in J))
+    rhs = sign * d * det_q(minor(inv, Ic, Jc))
+    return lhs, rhs
 
 
 # -------------------------------------------------------- p-adic normal forms

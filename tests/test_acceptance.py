@@ -31,10 +31,8 @@ from singdet.linkform import delta_from_wall
 from singdet.numtheory import legendre
 from singdet.obstruct import improved_bound, lickorish_check, stoimenow_check
 from singdet.reference import (
-    RationalSymmetricMatrix,
     congruence,
     delta_p_reduced,
-    jacobi_minor_identity,
     mat_inverse_q,
     q_golden_closed_form,
     random_unimodular,
@@ -48,7 +46,13 @@ from singdet.seifert import (
     signature,
 )
 
-from oracles import alexander_at_minus1, inverse_ord_normalize, ord_p
+from oracles import (
+    RationalSymmetricMatrix,
+    alexander_at_minus1,
+    inverse_ord_normalize,
+    jacobi_minor_identity,
+    ord_p,
+)
 from test_seifert import EX29, P5175, P777
 
 M553 = IntegerSymmetricMatrix([[-2, 0, -1, 0], [0, -6, 9, 3], [-1, 9, -8, -3], [0, 3, -3, 0]])

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -117,8 +118,9 @@ def test_cli_verify_suites_pass_and_are_stable():
     assert a.returncode == 0 and a.stdout == b.stdout
     assert "VERIFY PASS" in a.stdout
 
+    # the Jacobi identity is checked by the tests alone (tests/oracles.py)
     proc = run_cli("verify", "jacobi", "--seed", "5")
-    assert proc.returncode == 0
+    assert proc.returncode == 2 and proc.stdout == ""
 
 
 def test_cli_rejects_bad_prime():
@@ -143,3 +145,15 @@ def test_cli_corpus_flag(tmp_path):
     # entries it must fail loudly rather than silently pass
     assert proc.returncode != 0
     assert "'example_d17'" in proc.stderr
+
+
+def test_cli_corpus_entry_without_its_block(tmp_path):
+    """An entry that lacks the block a suite reads is malformed input: one
+    error line naming the entry and the block, exit status 2."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    (corpus / "example_d17.txt").write_text(
+        "name: example_d17\npd: X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n")
+    proc = run_cli("verify", "examples", "--corpus", str(corpus))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "singdet: corpus entry 'example_d17' has no matrix block\n"

@@ -18,25 +18,25 @@ from singdet.exactlinalg import (
 )
 from singdet.numtheory import legendre, ord_int
 from singdet.reference import (
-    RationalSymmetricMatrix,
     UnimodularTransform,
     adjugate,
     congruence,
     cyclic_generator,
-    det_q,
-    jacobi_minor_identity,
     mat_inverse_q,
     mat_mul,
-    minor,
     mod_p_block_reduce,
     random_unimodular,
 )
 
 from oracles import (
+    RationalSymmetricMatrix,
     _integer_normalize,
+    det_q,
     format_matrix,
     inverse_ord_normalize,
+    jacobi_minor_identity,
     load_symmetric_matrix,
+    minor,
     ord_p,
     rational_normalize,
 )

@@ -248,3 +248,14 @@ def test_a_skein_or_bracket_call_builds_no_dart_map(monkeypatch):
         assert counts == {"_darts": 0}, args
         monkeypatch.undo()
     assert sum(nodes for _, _, nodes in WORK_INPUTS) == 135
+
+
+def test_a_long_twist_region_costs_no_recursion_depth():
+    """T(2, 505) is one twist region of 505 crossings; its recurrence runs
+    in a loop, so the skein gives Q(1/phi) where a recursion would exceed
+    the interpreter's depth limit."""
+    d = braid_closure_pd([1] * 505, 2)
+    shade = next(g for g in (goeritz_from_diagram(d, s) for s in (0, 1)) if g.n == 1)
+    want = q_at_golden_link(shade)
+    assert str(want) == "sqrt5"
+    assert q_via_skein(d, budget=505).eval_golden_reciprocal() == want

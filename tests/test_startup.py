@@ -84,8 +84,7 @@ def test_only_the_verify_suites_and_the_generator_search_import_the_reference_ro
                "def f():\n    def g():\n        from . import reference\n    from .reference import x\n")
     assert reference_importers(planted, "m") == {"m.<module>", "m.f", "m.g"}
     found = set().union(*(reference_importers(read(m), m[:-3]) for m in MODULES if m != "reference.py"))
-    assert found == {"cli._suite_jacobi", "cli._suite_invariance", "cli._suite_endtoend",
-                     "obstruct._generator_form_value"}
+    assert found == {"cli._suite_invariance", "cli._suite_endtoend", "obstruct._generator_form_value"}
 
 
 SCRIPT = """

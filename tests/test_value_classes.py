@@ -22,10 +22,10 @@ from singdet.exactlinalg import (
 )
 from singdet.linkform import LinkingFormPresentation, WallDecomposition
 from singdet.obstruct import LickorishReport, SignedUnknottingConstraint, StoimenowReport
-from singdet.reference import RationalSymmetricMatrix, UnimodularTransform
+from singdet.reference import UnimodularTransform
 from singdet.rings import Cyclo24, LaurentPolynomial, Root5
 
-from oracles import JonesSpecialValues, LinkInvariantBundle, PAdicValuation
+from oracles import JonesSpecialValues, LinkInvariantBundle, PAdicValuation, RationalSymmetricMatrix
 from test_cli_input import TREFOIL_PD
 
 E = [[-2, 1], [1, -2]]

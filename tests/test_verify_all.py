@@ -27,8 +27,6 @@ PASS  V_hopf_minus(zeta6) == i
 PASS  V_T(2,4)(i) and reversed split +-sqrt2
 == suite invariance (seed 0)
 PASS  delta_p invariance: 1000 congruences/stabilizations/reductions
-== suite jacobi (seed 0)
-PASS  general Jacobi identity on 1000 random minors
 == suite prop35 (seed 0)
 PASS  definition == Wall closed form on 500 matrices x 5 primes
 VERIFY PASS
