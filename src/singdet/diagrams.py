@@ -27,6 +27,10 @@ expands the whole twist region through it in one step, by a three-term
 recurrence in its number of crossings, so a column of k half-twists costs
 one node where the plain skein spends k.
 
+Both oracles compute on the one sparse Laurent-polynomial kernel of
+`rings`, `_add_product` and `_power`: the bracket on plain dicts, the skein
+through `LaurentPolynomial`'s arithmetic.
+
 Every crossing list and every diagram object has one arc map, `_darts`: a
 partner list over the flat darts 4 ci + s.  A `LinkDiagram` builds it once,
 which checks the labels, and keeps it with its orientation, a flag per
@@ -64,7 +68,7 @@ from collections import namedtuple
 from functools import cache, cached_property
 
 from .exactlinalg import Frozen, IntegerSymmetricMatrix, SeifertData, SpanningSurfaceData
-from .rings import LaurentPolynomial
+from .rings import LaurentPolynomial, _add_product, _power
 
 End = tuple[int, int]  # (crossing index, slot)
 
@@ -370,28 +374,12 @@ def _euler_ok_faces(n: int, faces, pieces: int) -> bool:
 BRACKET_BUDGET = 16  # default crossing budget of the Jones polynomial
 
 
-def _add_product(acc: dict[int, int], p: dict[int, int], q: dict[int, int], shift: int = 0) -> None:
-    """acc += p * q * A^shift, on dicts A-exponent -> coefficient."""
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            acc[e1 + e2 + shift] = acc.get(e1 + e2 + shift, 0) + c1 * c2
-
-
-def _bracket_delta_powers(nmax: int) -> list[dict[int, int]]:
-    """(-A^2 - A^-2)^k for k = 0..nmax as dicts A-exponent -> coefficient."""
-    out = [{0: 1}]
-    for _ in range(nmax):
-        cur: dict[int, int] = {}
-        _add_product(cur, out[-1], {2: -1, -2: -1})
-        out.append(cur)
-    return out
-
-
+_DELTA = LaurentPolynomial({-2: -1, 2: -1})  # the loop value -A^2 - A^-2
 # A-smoothing joins slots (0,1),(2,3) with A-exponent +1; B joins (0,3),(1,2) with -1.
 _SMOOTHINGS = (((0, 1), (2, 3), 1), ((0, 3), (1, 2), -1))
 # delta^k for the k loops that placing one crossing closes: each of a
 # smoothing's two joins closes at most one
-_LOOP_FACTORS = _bracket_delta_powers(2)
+_LOOP_FACTORS = tuple(_power(_DELTA, k).coeffs for k in range(3))
 
 
 def _contraction_order(partner) -> list[int]:
@@ -435,10 +423,9 @@ def _place_crossing(states: dict[tuple, dict[int, int]], labels: tuple) -> dict[
     of its strand.  A smoothing's join (a, b) links the far ends
     mate.pop(a, a) and mate.pop(b, b), where a label not open yet is its
     own far end, and closes a loop when a's far end is b.  Each state
-    branches on the two smoothings; a branch that closes no loop adds its
-    polynomial shifted by the smoothing's exponent, and only one that
-    closes loops multiplies by their factor.  Equal matchings merge and
-    zero terms drop.
+    branches on the two smoothings, and a branch adds its polynomial times
+    A^x delta^loops, x the smoothing's exponent, by `rings._add_product`.
+    Equal matchings merge and zero terms drop.
     """
     nxt: dict[tuple, dict[int, int]] = {}
     for key, poly in states.items():
@@ -454,17 +441,8 @@ def _place_crossing(states: dict[tuple, dict[int, int]], labels: tuple) -> dict[
                 else:
                     mate[far_a], mate[far_b] = far_b, far_a
             acc = nxt.setdefault(tuple(sorted((a, b) for a, b in mate.items() if a < b)), {})
-            if loops:
-                _add_product(acc, poly, _LOOP_FACTORS[loops], x)
-            else:
-                for e, c in poly.items():
-                    acc[e + x] = acc.get(e + x, 0) + c
-    out = {}
-    for key, poly in nxt.items():
-        poly = {e: c for e, c in poly.items() if c}
-        if poly:
-            out[key] = poly
-    return out
+            _add_product(acc, poly.items(), _LOOP_FACTORS[loops], x)
+    return {key: kept for key, poly in nxt.items() if (kept := {e: c for e, c in poly.items() if c})}
 
 
 def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
@@ -491,9 +469,10 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     Placing a crossing (`_place_crossing`) branches on its two smoothings,
     joins the strands through it, and multiplies by delta = -A^2 - A^-2 for
     every loop that closes.  When every crossing is placed, the free loops,
-    those of the input and those the moves closed, are folded in and the sum
-    is divided by delta once.  The cost follows the number of matchings on
-    the widest frontier (Burton, arXiv:1712.05776), not 2^n.
+    those of the input and those the moves closed, are folded in as one
+    power of delta (`rings._power`) and the sum is divided by delta once.
+    The cost follows the number of matchings on the widest frontier
+    (Burton, arXiv:1712.05776), not 2^n.
     """
     if diagram.n == diagram.free_loops == 0:
         raise DiagramError("empty diagram")
@@ -503,7 +482,7 @@ def kauffman_bracket(diagram: LinkDiagram) -> dict[int, int]:
     for ci in _contraction_order(partner):
         states = _place_crossing(states, crossings[ci])
     total: dict[int, int] = {}
-    _add_product(total, states[()], _bracket_delta_powers(free)[-1])
+    _add_product(total, states[()].items(), _power(_DELTA, free).coeffs)
     loops = _over_delta(total)
     return {e + 3 * k: -c if k % 2 else c for e, c in loops.items()}
 
@@ -513,17 +492,11 @@ def jones_via_bracket(diagram: LinkDiagram, budget: int = BRACKET_BUDGET) -> Lau
     via the normalized bracket, substituting A = t^(-1/4)."""
     if diagram.n > budget:
         raise DiagramError(f"crossing budget exceeded: {diagram.n} > {budget}")
-    br = kauffman_bracket(diagram)
-    w = diagram.writhe
-    out: dict[int, int] = {}
-    for e, c in br.items():
-        ee = e - 3 * w  # multiply by (-A)^(-3w)
-        cc = c * (-1) ** (w % 2)
-        if ee % 2:
-            raise AssertionError("bracket exponent parity broken")
-        key = -ee // 2  # exponent of t^(1/2)
-        out[key] = out.get(key, 0) + cc
-    return LaurentPolynomial(out)
+    br, w = kauffman_bracket(diagram), diagram.writhe
+    if any((e - 3 * w) % 2 for e in br):
+        raise AssertionError("bracket exponent parity broken")
+    # times (-A)^(-3w); A^e = t^(-e/4) has doubled exponent -e/2
+    return LaurentPolynomial({(3 * w - e) // 2: -c if w % 2 else c for e, c in br.items()})
 
 
 # ------------------------------------------------------------- Seifert circles
@@ -813,16 +786,12 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
 # ------------------------------------------------------------------ Q by skein
 
 Q_BUDGET = 12  # default crossing budget of the Q skein
+_Q_LOOP = LaurentPolynomial({-2: 2, 0: -1})  # the unknot's factor 2 z^-1 - 1
 
 
-@cache
 def _q_unknot_power(k: int) -> LaurentPolynomial:
     """(2 z^-1 - 1)^k, the Q value of a (k+1)-component unlink."""
-    out = LaurentPolynomial.one()
-    base = LaurentPolynomial({-2: 2, 0: -1})
-    for _ in range(k):
-        out = out * base
-    return out
+    return _power(_Q_LOOP, k)
 
 
 def _smoothing(ci: int, mode: int):

@@ -13,6 +13,10 @@ and the closed forms take their exact values.
   their evaluations into the two rings; ``HALFPOWER`` gives t^(1/2) at
   the five evaluation points as a power of zeta.
 
+Both diagram oracles compute on one sparse Laurent-polynomial kernel:
+`_add_product`, the only sparse product loop, and `_power`, the only power
+routine, which gives each oracle's unlink values.
+
 Equality is coordinatewise and exact.  `Cyclo24.to_complex` and
 `Root5.to_float` are the tests' float shadow; no route here reads them.
 This module reads no invariant of a matrix, so the diagram oracles that
@@ -252,26 +256,40 @@ class Root5(Frozen):
         return f"{self.a}{sign}{btxt}"
 
 
+def _add_product(acc: dict[int, int], p, q, shift: int = 0) -> None:
+    """acc += p * q * x^shift; acc maps exponent -> coefficient, p and q are
+    sized collections of (exponent, coefficient) pairs with distinct
+    exponents.  The longer is the inner loop: loop factors and z are short."""
+    if len(p) < len(q):
+        p, q = q, p
+    for e2, c2 in q:
+        e2 += shift
+        for e1, c1 in p:
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+
+
 class LaurentPolynomial(Frozen):
     """Finitely supported Laurent polynomial; exponents may be half-integers,
     stored doubled (key = 2 * exponent).  coeffs is the sorted tuple of
-    (doubled exponent, coefficient) pairs."""
+    (doubled exponent, coefficient) pairs.  The constructor checks that
+    each is an integer; `+`, `-` and `*` build their results by `_of`."""
 
     _fields = ("coeffs",)
 
     def __init__(self, coeffs):
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = coeffs
         d: dict[int, int] = {}
-        for e2, c in items:
+        for e2, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
             if c:
                 e2 = e2 if type(e2) is int else _int_entry(e2)
                 d[e2] = d.get(e2, 0) + (c if type(c) is int else _int_entry(c))
-        object.__setattr__(
-            self, "coeffs", tuple(sorted((e, c) for e, c in d.items() if c))
-        )
+        object.__setattr__(self, "coeffs", tuple(sorted((e, c) for e, c in d.items() if c)))
+
+    @classmethod
+    def _of(cls, pairs) -> "LaurentPolynomial":
+        """Unchecked: integer terms with distinct exponents, zeros dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(sorted((e, c) for e, c in pairs if c)))
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -281,23 +299,23 @@ class LaurentPolynomial(Frozen):
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
+    def _plus(self, o: "LaurentPolynomial", sign: int) -> "LaurentPolynomial":
+        acc = dict(self.coeffs)
+        _add_product(acc, o.coeffs, ((0, sign),))
+        return LaurentPolynomial._of(acc.items())
+
     def __add__(self, o: "LaurentPolynomial") -> "LaurentPolynomial":
-        d = dict(self.coeffs)
-        for e, c in o.coeffs:
-            d[e] = d.get(e, 0) + c
-        return LaurentPolynomial(d)
+        return self._plus(o, 1)
 
     def __sub__(self, o: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + o * -1
+        return self._plus(o, -1)
 
     def __mul__(self, o):
         if isinstance(o, int):
-            return LaurentPolynomial({e: c * o for e, c in self.coeffs})
-        d: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in o.coeffs:
-                d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(d)
+            return LaurentPolynomial._of((e, c * o) for e, c in self.coeffs)
+        acc: dict[int, int] = {}
+        _add_product(acc, self.coeffs, o.coeffs)
+        return LaurentPolynomial._of(acc.items())
 
     __rmul__ = __mul__
 
@@ -357,6 +375,16 @@ class LaurentPolynomial(Frozen):
 
     def __str__(self) -> str:
         return self.to_str()
+
+
+@functools.cache
+def _power(base: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """base^k for k >= 0 by k products, kept for the process: the oracles'
+    unlink values are powers of their loop values."""
+    out = LaurentPolynomial.one()
+    for _ in range(k):
+        out = out * base
+    return out
 
 
 # half powers t^(1/2) at the five evaluation points, as powers of zeta_24

@@ -34,6 +34,11 @@ of its Wirtinger presentation: two routes that build no surface.  The
 second shares no kernel with `alexander_poly`: its determinants are Fraction
 eliminations, rebuilt into a polynomial by Lagrange over Q
 (`lagrange_coeffs`).
+
+`laurent_add`, `laurent_sub` and `laurent_mul` are `LaurentPolynomial`'s
+`+`, `-` and `*` built through the public constructor, which checks and
+merges every term: the reference for the package's sparse kernel
+(`rings._add_product`, `rings._power`) and its unchecked results.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from singdet.reference import (
     mat_inverse_q,
     mat_mul,
 )
-from singdet.rings import HALFPOWER, Cyclo24, Root5
+from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial, Root5
 from singdet.seifert import d_p_of, delta_p, mu_of, signature
 
 
@@ -900,3 +905,27 @@ def fox_alexander_poly(d: LinkDiagram) -> list[int]:
                     a[i][k] = Fraction(u + v * t)
         pts.append((t, _det_fraction(a)))
     return lagrange_coeffs(pts)
+
+
+# ------------------------------------------------------- Laurent arithmetic
+
+def laurent_add(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
+    d = dict(p.coeffs)
+    for e, c in q.coeffs:
+        d[e] = d.get(e, 0) + c
+    return LaurentPolynomial(d)
+
+
+def laurent_sub(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
+    return laurent_add(p, laurent_mul(q, -1))
+
+
+def laurent_mul(p: LaurentPolynomial, q) -> LaurentPolynomial:
+    """p * q for a polynomial or an int q."""
+    if isinstance(q, int):
+        return LaurentPolynomial({e: c * q for e, c in p.coeffs})
+    d: dict[int, int] = {}
+    for e1, c1 in p.coeffs:
+        for e2, c2 in q.coeffs:
+            d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return LaurentPolynomial(d)
