@@ -26,11 +26,12 @@ unit pivot.  B is unimodular, so R presents the linking form of M: det,
 the signature, mu, d_p, delta_p and the Wall summands all read the core.
 Vogel-untangled Seifert matrices are about 98% zeros and almost all
 unimodular, so R has a few rows at most, and every kernel that reads R is
-one dense loop over its rows: the fraction-free symmetric Bareiss pass
-that gives sign M and det M, `corank_mod_p`, the F_p elimination of
-`seifert` and `padic_jordan`.  `det_exact` is one Bareiss elimination of
-the whole matrix, symmetric or not, and shares nothing with the core: it
-is the core's independent check.
+one dense loop over its rows that pops each pivot and updates the rows
+left in place: the fraction-free symmetric Bareiss pass that gives sign M
+and det M, `rank_mod_p`, the F_p elimination of `seifert` and
+`padic_jordan`.  `det_exact` is one Bareiss elimination of the whole
+matrix, symmetric or not, and shares nothing with the core: it is the
+core's independent check.
 """
 
 from __future__ import annotations
@@ -423,26 +424,23 @@ def det_of(M: IntegerSymmetricMatrix) -> int:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p by forward Gaussian elimination (pivot rows are
-    neither normalized nor cleared above: the rank needs neither)."""
-    n = len(rows)
+    """Rank over F_p, the number of pivot rows that forward elimination
+    pops: rows left with a nonzero entry in the pivot column are updated in
+    place, and pivot rows are neither normalized nor cleared above."""
     a = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(len(a[0]) if n else 0):
-        piv = next((i for i in range(rank, n) if a[i][col]), None)
-        if piv is None:
+    for col in range(len(a[0]) if a else 0):
+        for i, row in enumerate(a):
+            if row[col]:
+                break
+        else:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
+        top = a.pop(i)
         inv = pow(top[col], -1, p)
-        for i in range(rank + 1, n):
-            f = a[i][col] * inv % p
+        for row in a:
+            f = row[col] * inv % p
             if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+                row[:] = [(x - f * y) % p for x, y in zip(row, top)]
+    return len(rows) - len(a)
 
 
 def corank_mod_p(rows, p: int) -> int:
@@ -567,13 +565,14 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
 
     Symmetric elimination over Z/p^(alpha+1), alpha = ord_p(det M) (Conway-
     Sloane, SPLAG ch. 15 sec. 7).  Each step pivots on an active entry of
-    least valuation, preferring the diagonal; an off-diagonal minimum a_ij
-    is first moved onto the diagonal by one shear, a_ii + 2a_ij + a_jj,
+    least valuation e, preferring the diagonal; an off-diagonal minimum
+    a_ij is first moved onto the diagonal by one shear, a_ii + 2a_ij + a_jj,
     which keeps valuation e because p is odd.  The pivot's row and column
-    are then cleared by shears reduced mod p^(alpha+1).  Each pivot is
-    p^e * u with u a unit; only pivots with e >= 1 are returned, and they
-    give the Jordan constituents of the p-part of coker(M): the summand
-    Z/p^e carries the form 1/(p^e u), of Legendre class (u|p).
+    are then popped, and each row left is sheared in place mod p^(alpha+1).
+    Each pivot is p^e * u with u a unit; only pivots with e >= 1 are
+    returned, and they give the Jordan constituents of the p-part of
+    coker(M): the summand Z/p^e carries the form 1/(p^e u), of Legendre
+    class (u|p).
 
     Valuations never fall from one pivot to the next, so the scan for the
     least one resumes at the previous level.  Working mod p^(alpha+1) is
@@ -589,8 +588,10 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
     while a:
         m = len(a)
         step = pe * p
-        i = next((i for i in range(m) if a[i][i] % step), None)
-        if i is None:
+        for i in range(m):
+            if a[i][i] % step:
+                break
+        else:
             ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j] % step), None)
             if ij is None:
                 e, pe = e + 1, step
@@ -601,23 +602,15 @@ def padic_jordan(entries, p: int, alpha: int) -> list[tuple[int, int]]:
             a[i] = [(x + y) % mod for x, y in zip(a[i], a[j])]
             for row in a:
                 row[i] = (row[i] + row[j]) % mod
-        a[0], a[i] = a[i], a[0]
-        for row in a:
-            row[0], row[i] = row[i], row[0]
-        top = a[0]
-        u = top[0] // pe
+        top = a.pop(i)
+        u = top.pop(i) // pe
         if e:
             pivots.append((e, u % p))
         uinv = pow(u, -1, mod)
-        rest = top[1:]
-        below = []
-        for row in a[1:]:
-            if row[0]:
-                c = -(row[0] // pe) * uinv % mod
-                below.append([(x + c * y) % mod for x, y in zip(row[1:], rest)])
-            else:
-                below.append(row[1:])
-        a = below
+        for row in a:
+            c = -(row.pop(i) // pe) * uinv % mod
+            if c:
+                row[:] = [(x + c * y) % mod for x, y in zip(row, top)]
     if sum(k for k, _ in pivots) != alpha:
         raise AssertionError(f"Jordan exponents {pivots} do not sum to ord_{p}(det) = {alpha}")
     return pivots

@@ -39,6 +39,12 @@ eliminations, rebuilt into a polynomial by Lagrange over Q
 `+`, `-` and `*` built through the public constructor, which checks and
 merges every term: the reference for the package's sparse kernel
 (`rings._add_product`, `rings._power`) and its unchecked results.
+
+`rank_mod_p_swapping` and `padic_jordan_swapping` are the package's two
+kernels as they were before they popped their pivots in place: each swaps
+its pivot row (and column) to the front of the active block, and the
+Jordan kernel rebuilds the block below it.  They are the reference for
+`exactlinalg.rank_mod_p` and `exactlinalg.padic_jordan`.
 """
 
 from __future__ import annotations
@@ -929,3 +935,89 @@ def laurent_mul(p: LaurentPolynomial, q) -> LaurentPolynomial:
         for e2, c2 in q.coeffs:
             d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
     return LaurentPolynomial(d)
+
+
+# ------------------------------------------ kernels that swap their pivots
+
+def rank_mod_p_swapping(rows, p: int) -> int:
+    """Rank over F_p by forward Gaussian elimination (pivot rows are
+    neither normalized nor cleared above: the rank needs neither)."""
+    n = len(rows)
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if n else 0):
+        piv = next((i for i in range(rank, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, n):
+            f = a[i][col] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
+        rank += 1
+        if rank == n:
+            break
+    return rank
+
+
+def padic_jordan_swapping(entries, p: int, alpha: int) -> list[tuple[int, int]]:
+    """Non-unit pivots (e, u mod p) of a p-adic diagonalization of M.
+
+    Symmetric elimination over Z/p^(alpha+1), alpha = ord_p(det M) (Conway-
+    Sloane, SPLAG ch. 15 sec. 7).  Each step pivots on an active entry of
+    least valuation, preferring the diagonal; an off-diagonal minimum a_ij
+    is first moved onto the diagonal by one shear, a_ii + 2a_ij + a_jj,
+    which keeps valuation e because p is odd.  The pivot's row and column
+    are then cleared by shears reduced mod p^(alpha+1).  Each pivot is
+    p^e * u with u a unit; only pivots with e >= 1 are returned, and they
+    give the Jordan constituents of the p-part of coker(M): the summand
+    Z/p^e carries the form 1/(p^e u), of Legendre class (u|p).
+
+    Valuations never fall from one pivot to the next, so the scan for the
+    least one resumes at the previous level.  Working mod p^(alpha+1) is
+    exact here: the error p^(alpha+1)E perturbs each pivot p^e u only by a
+    multiple of p^(e+1).  Raises AssertionError unless the returned
+    exponents sum to alpha.
+    """
+    check_odd_prime(p)
+    mod = p ** (alpha + 1)
+    a = [[x % mod for x in row] for row in entries]
+    pivots = []
+    e, pe = 0, 1  # current valuation level and p^e
+    while a:
+        m = len(a)
+        step = pe * p
+        i = next((i for i in range(m) if a[i][i] % step), None)
+        if i is None:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j] % step), None)
+            if ij is None:
+                e, pe = e + 1, step
+                if e > alpha:
+                    raise AssertionError(f"active block vanishes mod {p}^{alpha + 1}")
+                continue
+            i, j = ij
+            a[i] = [(x + y) % mod for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] = (row[i] + row[j]) % mod
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[i] = row[i], row[0]
+        top = a[0]
+        u = top[0] // pe
+        if e:
+            pivots.append((e, u % p))
+        uinv = pow(u, -1, mod)
+        rest = top[1:]
+        below = []
+        for row in a[1:]:
+            if row[0]:
+                c = -(row[0] // pe) * uinv % mod
+                below.append([(x + c * y) % mod for x, y in zip(row[1:], rest)])
+            else:
+                below.append(row[1:])
+        a = below
+    if sum(k for k, _ in pivots) != alpha:
+        raise AssertionError(f"Jordan exponents {pivots} do not sum to ord_{p}(det) = {alpha}")
+    return pivots
