@@ -109,10 +109,10 @@ def cmd_invariants(args) -> int:
         for p in args.primes:
             pairs.append((f"d_{p}", d_p_of(M, p)))
             pairs.append((f"delta_{p}", f"{delta_p(M, p):+d}"))
-        if det % 2 != 0:
+        # mu = 1 (a knot) means M is invertible mod 2, so det is odd and nonzero
+        if mu_of(M) == 1:
             w = wall_of(M)
             pairs.append(("wall", "; ".join(f"{p} {k} {t}" for p, k, t in w.summands) or "trivial"))
-            # odd det makes M invertible mod 2, so mu = 1: a knot
             pairs.append(("V(zeta6)[closed form]", jones_zeta6_closed_form(M)))
         pairs.append(("Q(golden)[delta_5 route]", q_at_golden_link(M)))
     _emit(pairs, args.format)
@@ -220,10 +220,10 @@ def _suite_prop35(report, args) -> bool:
         if det_of(M) % 2 == 0:
             continue
         done += 1
-        for p in (3, 5, 7, 11, 13):
+        for p in DEFAULT_PRIMES:
             if delta_p(M, p) != delta_from_wall(M, p):
                 return report(f"dual route mismatch at p={p}: {M.entries}", False)
-    return report(f"definition == Wall closed form on {count} matrices x 5 primes", True)
+    return report(f"definition == Wall closed form on {count} matrices x {len(DEFAULT_PRIMES)} primes", True)
 
 
 def _suite_invariance(report, args) -> bool:
@@ -237,7 +237,7 @@ def _suite_invariance(report, args) -> bool:
     for trial in range(count):
         if trial % 50 == 0:
             M = _random_even_symmetric(rng, max_g=2)
-        p = rng.choice((3, 5, 7, 11, 13))
+        p = rng.choice(DEFAULT_PRIMES)
         base = delta_p(M, p)
         T = random_unimodular(M.n, rng)
         if delta_p(congruence(M, T), p) != base:

@@ -753,6 +753,8 @@ def goeritz_from_diagram(d: LinkDiagram, shade: int = 1) -> SpanningSurfaceData:
     sign(R) - e.  Of the orientation only the signs and the component count
     are read.
     """
+    if shade not in (0, 1):
+        raise DiagramError(f"shade {shade} is not a checkerboard color: use 0 or 1")
     if not d.is_connected():
         raise DiagramError("diagram must be connected")
     if d.n == 0:
@@ -1139,6 +1141,10 @@ def braid_closure_pd(word: list[int], strands: int) -> LinkDiagram:
     """
     if strands < 2:
         raise ValueError("need at least 2 strands")
+    bad = next((k for k in word if not 0 < abs(k) < strands), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} is not a generator: a {strands}-strand word "
+                         f"uses +-1 to +-{strands - 1}")
     used = {abs(k) for k in word}
     if used != set(range(1, strands)):
         raise ValueError("closure would be split: unused strand positions")

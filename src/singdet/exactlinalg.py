@@ -29,7 +29,10 @@ unimodular, so R has a few rows at most, and every kernel that reads R is
 one dense loop over its rows that pops each pivot and updates the rows
 left in place: the fraction-free symmetric Bareiss pass that gives sign M
 and det M, `rank_mod_p`, the F_p elimination of `seifert` and
-`padic_jordan`.  `det_exact` is one Bareiss elimination of the whole
+`padic_jordan`.  The Bareiss pass and the F_p elimination share one pivot
+step (`_pop_pivot`); `padic_jordan` keeps its own scan by valuation level,
+so the Wall route shares no pivot step with the definition route that it
+checks.  `det_exact` is one Bareiss elimination of the whole
 matrix, symmetric or not, and shares nothing with the core: it is the
 core's independent check.
 """
@@ -38,8 +41,9 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from math import prod
 
-from .numtheory import check_odd_prime, factorize
+from .numtheory import check_odd_prime, ord_int, prime_factors
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -357,37 +361,52 @@ def _split_unimodular_blocks(entries) -> tuple[int, list[list[int]]]:
     return sig, [[rows[i].get(j, 0) for j in left_idx] for i in left_idx]
 
 
+def _pop_pivot(a: list[list[int]]) -> tuple[list[int], int, list[int]] | None:
+    """The pivot step of the symmetric eliminations `_symmetric_bareiss`
+    and `seifert._eliminate_mod_p`: pops the pivot's row and column off the
+    active block a, in place, and returns (the row, the pivot, the column),
+    the pivot dropped from both; None when a is all zero, or empty.
+
+    A nonzero active diagonal entry a_ii is the pivot; if the whole active
+    diagonal is zero, row/column j is first added to row/column i for the
+    first nonzero a_ij, so that the diagonal picks up 2*a_ij.  Only row
+    and column i change, and both are popped here: over F_p the caller
+    reduces whatever it reads of them, and 2*a_ij is a unit for odd p.
+    """
+    m = len(a)
+    for i in range(m):
+        if a[i][i]:
+            break
+    else:
+        ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+        if ij is None:
+            return None
+        i, j = ij
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] += row[j]
+    top = a.pop(i)
+    return top, top.pop(i), [row.pop(i) for row in a]
+
+
 def _symmetric_bareiss(a: list[list[int]]) -> tuple[int, int]:
     """(sign, det) of a symmetric integer matrix a (consumed), by integer
-    congruence moves only.
+    congruence moves only: it shares its pivot step, `_pop_pivot`, with
+    `seifert._eliminate_mod_p`.
 
-    A nonzero active diagonal entry is the pivot; if the whole active
-    diagonal is zero, row/column j is first added to row/column i, so that
-    the diagonal picks up 2*a_ij.  Each pivot D_k is then a leading
-    principal minor of the moved matrix, so every division is exact
-    (Sylvester's identity), the signature is the sum of sign(D_k * D_(k-1))
-    with D_0 = 1, and det is the last pivot.  An all-zero active block
-    (kernel directions, which add nothing to the signature) ends the loop
-    with det 0.
+    Each pivot D_k is a leading principal minor of the matrix that the
+    shears have moved, so every division is exact (Sylvester's identity),
+    the signature is the sum of sign(D_k * D_(k-1)) with D_0 = 1, and det
+    is the last pivot.  An all-zero active block (kernel directions, which
+    add nothing to the signature) ends the loop with det 0.
     """
     sig, prev = 0, 1
     while a:
-        m = len(a)
-        for i in range(m):
-            if a[i][i]:
-                break
-        else:
-            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if ij is None:
-                return sig, 0
-            i, j = ij
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-        top = a.pop(i)
-        piv = top.pop(i)
+        step = _pop_pivot(a)
+        if step is None:
+            return sig, 0
+        top, piv, col = step
         sig += 1 if (piv > 0) == (prev > 0) else -1
-        col = [row.pop(i) for row in a]
         a = [[(piv * x - c * y) // prev for x, y in zip(row, top)] for row, c in zip(a, col)]
         prev = piv
     return sig, prev
@@ -532,28 +551,16 @@ def smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list
 def smith_cokernel(rows) -> CokernelDecomposition:
     """Invariant-factor decomposition of coker(M) for a square integer matrix."""
     d, _, _ = smith_normal_form(rows)
-    n = len(d)
-    factors = [d[i][i] for i in range(n)]
-    free = sum(1 for x in factors if x == 0)
+    factors = [d[i][i] for i in range(len(d))]
     finite = [x for x in factors if x != 0]
-    torsion = 1
-    for x in finite:
-        torsion *= x
-    order = 0 if free else torsion
-    prime_parts: dict[int, list[int]] = {}
-    for p in factorize(torsion):
-        ks = [0] * (n - len(finite))
-        for x in finite:
-            k = 0
-            while x % p == 0:
-                x //= p
-                k += 1
-            ks.append(k)
-        prime_parts[p] = sorted(ks)
+    free = len(factors) - len(finite)
+    torsion = prod(finite)
+    prime_parts = {p: tuple(sorted([0] * free + [ord_int(x, p) for x in finite]))
+                   for p in prime_factors(torsion)}
     return CokernelDecomposition(
-        prime_parts={p: tuple(v) for p, v in prime_parts.items()},
+        prime_parts=prime_parts,
         free_rank=free,
-        order_or_zero=order,
+        order_or_zero=0 if free else torsion,
         invariant_factors=tuple(factors),
     )
 

@@ -13,9 +13,11 @@ and the closed forms take their exact values.
   their evaluations into the two rings; ``HALFPOWER`` gives t^(1/2) at
   the five evaluation points as a power of zeta.
 
-Both diagram oracles compute on one sparse Laurent-polynomial kernel:
-`_add_product`, the only sparse product loop, and `_power`, the only power
-routine, which gives each oracle's unlink values.
+Both rings' products and powers, and both diagram oracles, run on one
+kernel: `_add_product`, the only product loop, `_power`, the only power
+routine, which gives each oracle's unlink values, and `_zeta_sum`, the
+only reduction of powers of zeta into the basis, which `Cyclo24`'s
+product and conjugate and `LaurentPolynomial.eval_root_of_unity` share.
 
 Equality is coordinatewise and exact.  `Cyclo24.to_complex` and
 `Root5.to_float` are the tests' float shadow; no route here reads them.
@@ -48,6 +50,17 @@ def _zeta_power_table() -> list[tuple[int, ...]]:
 
 
 _ZPOW = _zeta_power_table()
+
+
+def _zeta_sum(terms) -> "Cyclo24":
+    """The sum of c * zeta^k over the (k, c) pairs of terms, k any integer:
+    the only reduction into the basis, read from the table of powers."""
+    out = [0] * _DIM
+    for k, c in terms:
+        for t, z in enumerate(_ZPOW[k % 24]):
+            if z:
+                out[t] += c * z
+    return Cyclo24(out)
 
 
 class Cyclo24(Frozen):
@@ -111,42 +124,23 @@ class Cyclo24(Frozen):
     def __mul__(self, other):
         if isinstance(other, int):
             return Cyclo24(tuple(a * other for a in self.coords))
-        out = [0] * _DIM
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                k = i + j
-                if k < _DIM:
-                    out[k] += a * b
-                else:
-                    zk = _ZPOW[k]
-                    for t in range(_DIM):
-                        out[t] += a * b * zk[t]
-        return Cyclo24(tuple(out))
+        acc: dict[int, int] = {}
+        _add_product(acc, self._terms(), other._terms())
+        return _zeta_sum(acc.items())
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Cyclo24":
         if k < 0:
             raise ValueError("negative powers only for roots of unity")
-        out = Cyclo24.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k)
+
+    def _terms(self) -> list[tuple[int, int]]:
+        """The nonzero coordinates as (power of zeta, coefficient) pairs."""
+        return [(j, a) for j, a in enumerate(self.coords) if a]
 
     def conj(self) -> "Cyclo24":
-        out = Cyclo24.zero()
-        for j, a in enumerate(self.coords):
-            if a:
-                out = out + Cyclo24.zeta_pow(-j) * a
-        return out
+        return _zeta_sum((-j, a) for j, a in self._terms())
 
     def norm_sq(self) -> "Cyclo24":
         return self * self.conj()
@@ -323,15 +317,8 @@ class LaurentPolynomial(Frozen):
         return not self.coeffs
 
     def eval_root_of_unity(self, halfpower_as_zeta24: int) -> Cyclo24:
-        """Value when t^(1/2) = zeta_24^e; keys are exponents of t^(1/2).
-        The terms are summed on coordinates, read from the table of powers
-        of zeta, and one Cyclo24 is built from the sum."""
-        out = [0] * _DIM
-        for e2, c in self.coeffs:
-            for t, z in enumerate(_ZPOW[halfpower_as_zeta24 * e2 % 24]):
-                if z:
-                    out[t] += c * z
-        return Cyclo24(out)
+        """Value when t^(1/2) = zeta_24^e; keys are exponents of t^(1/2)."""
+        return _zeta_sum((halfpower_as_zeta24 * e2, c) for e2, c in self.coeffs)
 
     def eval_golden_reciprocal(self) -> Root5:
         """Value at z = (sqrt5-1)/2 = 1/phi, phi = (1+sqrt5)/2, for
@@ -378,10 +365,11 @@ class LaurentPolynomial(Frozen):
 
 
 @functools.cache
-def _power(base: LaurentPolynomial, k: int) -> LaurentPolynomial:
-    """base^k for k >= 0 by k products, kept for the process: the oracles'
-    unlink values are powers of their loop values."""
-    out = LaurentPolynomial.one()
+def _power(base, k: int):
+    """base^k for k >= 0 by k products, kept for the process, in either
+    ring: the oracles' unlink values are powers of their loop values, and
+    `Cyclo24.__pow__` is this routine."""
+    out = type(base).one()
     for _ in range(k):
         out = out * base
     return out

@@ -27,6 +27,7 @@ from .exactlinalg import (
     IntegerSymmetricMatrix,
     SpanningSurfaceData,
     _memo_on_matrix,
+    _pop_pivot,
     congruence_core,
     corank_mod_p,
 )
@@ -72,37 +73,22 @@ def _unit_block_class_mod_p(M: IntegerSymmetricMatrix, p: int) -> tuple[int, int
 
 def _eliminate_mod_p(entries, p: int) -> tuple[int, int]:
     """(corank, product of the pivots mod p) over F_p of a symmetric integer
-    matrix, at an odd prime p: one dense symmetric elimination shaped like
-    `_symmetric_bareiss`, run on a residual block R of a few rows.
+    matrix, at an odd prime p: one dense symmetric elimination that shares
+    the pivot step `_pop_pivot` with `_symmetric_bareiss`, run on a
+    residual block R of a few rows.
 
-    A nonzero active diagonal entry is the pivot; if the whole active
-    diagonal is zero, row/column j is first added to row/column i for the
-    first nonzero a_ij, so that the diagonal picks up 2*a_ij, a unit since
-    p is odd (odd diagonal entries are valid for the same reason).  The
-    other rows are Schur-updated mod p; the all-zero block left at the end
-    has the corank as its size.
+    Odd diagonal entries are valid pivots, since p is odd.  The other rows
+    are Schur-updated mod p; the all-zero block left at the end has the
+    corank as its size.
     """
     a = [[x % p for x in row] for row in entries]
     unit_det = 1
-    while a:
-        m = len(a)
-        for i in range(m):
-            if a[i][i]:
-                break
-        else:
-            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if ij is None:
-                break  # zero active block: its size is the corank d_p
-            i, j = ij
-            a[i] = [(x + y) % p for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] = (row[i] + row[j]) % p
-        top = a.pop(i)
-        piv = top.pop(i)
+    while (step := _pop_pivot(a)) is not None:
+        top, piv, col = step
         unit_det = unit_det * piv % p
         inv = pow(piv, -1, p)
-        for row in a:
-            c = row.pop(i) * inv % p
+        for row, c in zip(a, col):
+            c = c * inv % p
             if c:
                 row[:] = [(x - c * y) % p for x, y in zip(row, top)]
     return len(a), unit_det

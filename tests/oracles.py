@@ -45,6 +45,14 @@ kernels as they were before they popped their pivots in place: each swaps
 its pivot row (and column) to the front of the active block, and the
 Jordan kernel rebuilds the block below it.  They are the reference for
 `exactlinalg.rank_mod_p` and `exactlinalg.padic_jordan`.
+
+`cyclo24_mul`, `cyclo24_pow`, `cyclo24_conj` and `eval_root_of_unity` are
+the Z[zeta24] arithmetic as it was before it ran on the Laurent kernel
+(`rings._add_product`, `rings._power`, `rings._zeta_sum`): a nested
+coordinate loop, square-and-multiply and two sums of their own.
+`symmetric_bareiss_own_step` and `eliminate_mod_p_own_step` are the two
+symmetric eliminations as they were before they shared one pivot step
+(`exactlinalg._pop_pivot`), the F_p one reducing its shear mod p.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ from singdet.reference import (
     mat_inverse_q,
     mat_mul,
 )
-from singdet.rings import HALFPOWER, Cyclo24, LaurentPolynomial, Root5
+from singdet.rings import _DIM, _ZPOW, HALFPOWER, Cyclo24, LaurentPolynomial, Root5
 from singdet.seifert import d_p_of, delta_p, mu_of, signature
 
 
@@ -1021,3 +1029,137 @@ def padic_jordan_swapping(entries, p: int, alpha: int) -> list[tuple[int, int]]:
     if sum(k for k, _ in pivots) != alpha:
         raise AssertionError(f"Jordan exponents {pivots} do not sum to ord_{p}(det) = {alpha}")
     return pivots
+
+
+# ------------------------------------ Z[zeta24] arithmetic with its own loops
+
+def cyclo24_mul(x: Cyclo24, other) -> Cyclo24:
+    """x * other by one nested loop over the coordinates, reducing each
+    product past zeta^7 by the table of powers."""
+    if isinstance(other, int):
+        return Cyclo24(tuple(a * other for a in x.coords))
+    out = [0] * _DIM
+    for i, a in enumerate(x.coords):
+        if not a:
+            continue
+        for j, b in enumerate(other.coords):
+            if not b:
+                continue
+            k = i + j
+            if k < _DIM:
+                out[k] += a * b
+            else:
+                zk = _ZPOW[k]
+                for t in range(_DIM):
+                    out[t] += a * b * zk[t]
+    return Cyclo24(tuple(out))
+
+
+def cyclo24_pow(x: Cyclo24, k: int) -> Cyclo24:
+    """x^k by square-and-multiply."""
+    if k < 0:
+        raise ValueError("negative powers only for roots of unity")
+    out = Cyclo24.one()
+    base = x
+    while k:
+        if k & 1:
+            out = cyclo24_mul(out, base)
+        base = cyclo24_mul(base, base)
+        k >>= 1
+    return out
+
+
+def cyclo24_conj(x: Cyclo24) -> Cyclo24:
+    """The complex conjugate, summed one power of zeta at a time."""
+    out = Cyclo24.zero()
+    for j, a in enumerate(x.coords):
+        if a:
+            out = out + Cyclo24.zeta_pow(-j) * a
+    return out
+
+
+def eval_root_of_unity(poly: LaurentPolynomial, halfpower_as_zeta24: int) -> Cyclo24:
+    """Value when t^(1/2) = zeta_24^e; keys are exponents of t^(1/2).
+    The terms are summed on coordinates, read from the table of powers
+    of zeta, and one Cyclo24 is built from the sum."""
+    out = [0] * _DIM
+    for e2, c in poly.coeffs:
+        for t, z in enumerate(_ZPOW[halfpower_as_zeta24 * e2 % 24]):
+            if z:
+                out[t] += c * z
+    return Cyclo24(out)
+
+
+# ------------------------------------ symmetric eliminations with their own pivot steps
+
+def symmetric_bareiss_own_step(a: list[list[int]]) -> tuple[int, int]:
+    """(sign, det) of a symmetric integer matrix a (consumed), by integer
+    congruence moves only.
+
+    A nonzero active diagonal entry is the pivot; if the whole active
+    diagonal is zero, row/column j is first added to row/column i, so that
+    the diagonal picks up 2*a_ij.  Each pivot D_k is then a leading
+    principal minor of the moved matrix, so every division is exact
+    (Sylvester's identity), the signature is the sum of sign(D_k * D_(k-1))
+    with D_0 = 1, and det is the last pivot.  An all-zero active block
+    (kernel directions, which add nothing to the signature) ends the loop
+    with det 0.
+    """
+    sig, prev = 0, 1
+    while a:
+        m = len(a)
+        for i in range(m):
+            if a[i][i]:
+                break
+        else:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if ij is None:
+                return sig, 0
+            i, j = ij
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        top = a.pop(i)
+        piv = top.pop(i)
+        sig += 1 if (piv > 0) == (prev > 0) else -1
+        col = [row.pop(i) for row in a]
+        a = [[(piv * x - c * y) // prev for x, y in zip(row, top)] for row, c in zip(a, col)]
+        prev = piv
+    return sig, prev
+
+
+def eliminate_mod_p_own_step(entries, p: int) -> tuple[int, int]:
+    """(corank, product of the pivots mod p) over F_p of a symmetric integer
+    matrix, at an odd prime p.
+
+    A nonzero active diagonal entry is the pivot; if the whole active
+    diagonal is zero, row/column j is first added to row/column i for the
+    first nonzero a_ij, so that the diagonal picks up 2*a_ij, a unit since
+    p is odd (odd diagonal entries are valid for the same reason).  The
+    other rows are Schur-updated mod p; the all-zero block left at the end
+    has the corank as its size.
+    """
+    a = [[x % p for x in row] for row in entries]
+    unit_det = 1
+    while a:
+        m = len(a)
+        for i in range(m):
+            if a[i][i]:
+                break
+        else:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if ij is None:
+                break  # zero active block: its size is the corank d_p
+            i, j = ij
+            a[i] = [(x + y) % p for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] = (row[i] + row[j]) % p
+        top = a.pop(i)
+        piv = top.pop(i)
+        unit_det = unit_det * piv % p
+        inv = pow(piv, -1, p)
+        for row in a:
+            c = row.pop(i) * inv % p
+            if c:
+                row[:] = [(x - c * y) % p for x, y in zip(row, top)]
+    return len(a), unit_det

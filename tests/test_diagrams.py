@@ -221,6 +221,9 @@ def test_goeritz_trefoil():
     S0 = goeritz_from_diagram(parse_pd(TREFOIL_PD), 0)
     assert {det, abs(det_exact(S0.entries))} == {3}
     assert S.mu >= 1 and S0.mu >= 1
+    for shade in (2, -1):
+        with pytest.raises(DiagramError, match=f"shade {shade} is not a checkerboard color"):
+            goeritz_from_diagram(parse_pd(TREFOIL_PD), shade)
 
 
 def test_goeritz_delta_agreement_both_shades():
@@ -341,6 +344,9 @@ def test_braid_closure_validation():
         braid_closure_pd([1], 3)  # strand 3 never used: split
     with pytest.raises(ValueError):
         braid_closure_pd([1, 1], 1)
+    for word, bad in (([1, 0, 2], 0), ([1, 2, 5], 5)):
+        with pytest.raises(ValueError, match=f"letter {bad} is not a generator"):
+            braid_closure_pd(word, 3)
 
 
 def test_braid_closure_components():
