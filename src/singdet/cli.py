@@ -127,25 +127,15 @@ def cmd_obstruct(args) -> int:
     pairs = [("input", entry.name)]
     for p in args.primes:
         con = signed_obstruction(M, p)
-        w = con.base_bound
-        pairs.append((f"wendt_{p}", f"u >= {w}"))
+        pairs.append((f"wendt_{p}", f"u >= {con.base_bound}"))
         pairs.append((f"improved_{p}", f"u >= {con.improved_bound()}"))
-        splits = [
-            f"(u+={up},u-={w - up})"
-            for up in range(w + 1)
-            if con.consistent(up, w - up)
-        ]
-        pairs.append((f"signed_{p}", f"delta={con.delta:+d} rule={con.parity_rule} "
-                                     f"admissible at bound: {' '.join(splits) or 'none'}"))
+        pairs.append((f"signed_{p}", con.text()))
     # mu = 1 (a knot) means M is invertible mod 2, so det is odd and nonzero
     if mu_of(M) == 1:
         rep = lickorish_check(M)
-        zs = ",".join(f"{z:+d}" for z in rep.admissible_zeta) or "none"
-        pairs.append(("lickorish", f"admissible zeta: {zs}"))
-        # Stoimenow needs 5 | det and cyclic H_1, i.e. d_p <= 1 at every p | det
-        if 5 in rep.per_prime and all(dp <= 1 for dp, _, _ in rep.per_prime.values()):
-            srep = stoimenow_check(M, rep)
-            pairs.append(("stoimenow", srep.text()))
+        pairs.append(("lickorish", rep.text()))
+        if rep.stoimenow_applies:
+            pairs.append(("stoimenow", stoimenow_check(M, rep).text()))
     _emit(pairs, args.format)
     return 0
 

@@ -214,8 +214,3 @@ def _brent_rho(n: int, steps: int) -> tuple[int | None, int]:
         if 1 < g < n:
             return g, steps
     return None, steps
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}, n != 0."""
-    return {p: ord_int(n, p) for p in prime_factors(n)}

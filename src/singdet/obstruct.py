@@ -1,7 +1,9 @@
 """Unknotting-number obstructions from singular determinants.
 
 All obstructions report constraints; none of them ever asserts an
-unknotting number (the underlying results are one-directional).
+unknotting number (the underlying results are one-directional).  Every
+decision behind `singdet obstruct` is made here, and each report formats
+its own line (`text()`): the CLI only prints them.
 """
 
 from __future__ import annotations
@@ -25,39 +27,48 @@ class SignedUnknottingConstraint(namedtuple("SignedUnknottingConstraint", "p bas
     """The sign condition a minimal unknotting sequence must satisfy.
 
     For a link whose unknotting number attains d_p - c + 1, with u+ positive
-    and u- negative crossing changes, delta_p obeys a rule depending on
-    p mod 8: p=1: delta=+1; p=3: delta=(-1)^(u-); p=5: delta=(-1)^u;
-    p=7: delta=(-1)^(u+).
+    and u- negative crossing changes, delta_p = (-1)^(a*u+ + b*u-), where
+    RULES maps p mod 8 to the rule's name and (a, b): p=1: delta=+1;
+    p=3: delta=(-1)^(u-); p=5: delta=(-1)^u; p=7: delta=(-1)^(u+).
     """
 
     __slots__ = ()
 
     RULES = {
-        1: "delta_must_be_plus",
-        3: "delta_eq_parity_u_minus",
-        5: "delta_eq_parity_u",
-        7: "delta_eq_parity_u_plus",
+        1: ("delta_must_be_plus", (0, 0)),
+        3: ("delta_eq_parity_u_minus", (0, 1)),
+        5: ("delta_eq_parity_u", (1, 1)),
+        7: ("delta_eq_parity_u_plus", (1, 0)),
     }
 
     @property
     def parity_rule(self) -> str:
         """The name of the rule that p mod 8 selects."""
-        return self.RULES[self.p % 8]
-
-    def consistent(self, u_plus: int, u_minus: int) -> bool:
-        """Can (u_plus, u_minus) be a minimal sequence at the bound?
-
-        The split must sum to the bound (sequences whose d_p fails to drop
-        at every step are not minimal and are rejected here).
-        """
-        if u_plus < 0 or u_minus < 0 or u_plus + u_minus != self.base_bound:
-            return False
-        return self._sign_rule_holds(u_plus, u_minus)
+        return self.RULES[self.p % 8][0]
 
     def _sign_rule_holds(self, u_plus: int, u_minus: int) -> bool:
-        """delta = (-1)^k with k read from p mod 8 (the rule in the class doc)."""
-        k = {1: 0, 3: u_minus, 5: u_plus + u_minus, 7: u_plus}[self.p % 8]
-        return self.delta == (-1) ** (k % 2)
+        """delta = (-1)^(a*u+ + b*u-), (a, b) from RULES."""
+        a, b = self.RULES[self.p % 8][1]
+        return self.delta == (-1) ** ((a * u_plus + b * u_minus) % 2)
+
+    def splits(self) -> list[tuple[int, int]]:
+        """The splits (u+, u-) of the bound that the sign rule admits, u+
+        ascending; none when the bound is negative.
+
+        Only splits that sum to the bound count: sequences whose d_p fails
+        to drop at every step are not minimal.
+        """
+        w = self.base_bound
+        return [(u, w - u) for u in range(w + 1) if self._sign_rule_holds(u, w - u)]
+
+    def consistent(self, u_plus: int, u_minus: int) -> bool:
+        """Can (u_plus, u_minus) be a minimal sequence at the bound?"""
+        return (u_plus, u_minus) in self.splits()
+
+    def text(self) -> str:
+        """The `signed_p` line of `singdet obstruct`."""
+        splits = " ".join(f"(u+={u},u-={v})" for u, v in self.splits()) or "none"
+        return f"delta={self.delta:+d} rule={self.parity_rule} admissible at bound: {splits}"
 
     def improved_bound(self) -> int:
         """The sign rule excludes the bound itself for p = 1 (mod 4) half the time.
@@ -76,20 +87,19 @@ class SignedUnknottingConstraint(namedtuple("SignedUnknottingConstraint", "p bas
 
 
 class LickorishReport(namedtuple("LickorishReport", "admissible_zeta per_prime")):
-    """The admissible zeta, and per prime p -> (d_p, delta_p, {zeta: ok})."""
+    """The admissible zeta, and the signed constraint at each prime p | det."""
 
     __slots__ = ()
 
+    @property
+    def stoimenow_applies(self) -> bool:
+        """5 | det and H_1 cyclic: d_p, the base bound as mu = 1, is at most 1
+        at every prime p | det."""
+        return 5 in self.per_prime and all(con.base_bound <= 1 for con in self.per_prime.values())
+
     def text(self) -> str:
-        lines = []
-        for p, (dp, dl, ok) in sorted(self.per_prime.items()):
-            lines.append(
-                f"p={p}: d_p={dp} delta_p={dl:+d} zeta=+1:{'ok' if ok[1] else 'fail'}"
-                f" zeta=-1:{'ok' if ok[-1] else 'fail'}"
-            )
-        zs = ",".join(f"{z:+d}" for z in self.admissible_zeta) or "none"
-        lines.append(f"admissible zeta: {zs}")
-        return "\n".join(lines)
+        """The `lickorish` line of `singdet obstruct`."""
+        return "admissible zeta: " + (",".join(f"{z:+d}" for z in self.admissible_zeta) or "none")
 
 
 class StoimenowReport(namedtuple("StoimenowReport", "q_value generator_exists conjecture_value agrees")):
@@ -161,24 +171,21 @@ def lickorish_check(M: IntegerSymmetricMatrix) -> LickorishReport:
     """Which crossing-change signs zeta admit unknotting number one.
 
     For each zeta, admissibility means: for every prime p | det, the signed
-    constraint at p admits one crossing change of sign zeta, that is d_p = 1
-    and the mod-8 sign pattern holds (p=1: delta=+1; p=3: delta=zeta;
-    p=5: delta=-1; p=7: delta=-zeta).  Equivalent to the existence of a
-    generator h with lambda(h,h) = 2*zeta*(-1)^((det-1)/2)/det (Prop. 3.6).
-    When |det| = 1 no prime divides it and both signs are admissible.
+    constraint at p admits the single change of sign zeta among its splits,
+    (1, 0) for zeta = +1 and (0, 1) for zeta = -1; that is d_p = 1 and the
+    mod-8 sign pattern holds (p=1: delta=+1; p=3: delta=zeta; p=5: delta=-1;
+    p=7: delta=-zeta).  Equivalent to the existence of a generator h with
+    lambda(h,h) = 2*zeta*(-1)^((det-1)/2)/det (Prop. 3.6).  When |det| = 1
+    no prime divides it and both signs are admissible.
     """
     if mu_of(M) != 1:
         raise ValueError("defined for knots only (mu = 1)")
     det = det_of(M)
     if det == 0:
         raise ValueError("knot determinant cannot vanish")
-    per = {}
-    for p in prime_factors(det):
-        # mu = 1, so Wendt's bound is d_p; consistent() requires it to be 1
-        con = signed_obstruction(M, p)
-        admits = {z: con.consistent(int(z == 1), int(z == -1)) for z in (1, -1)}
-        per[p] = (con.base_bound, con.delta, admits)
-    zs = tuple(z for z in (1, -1) if all(ok[z] for _, _, ok in per.values()))
+    per = {p: signed_obstruction(M, p) for p in prime_factors(det)}
+    splits = [con.splits() for con in per.values()]
+    zs = tuple(z for z, change in ((1, (1, 0)), (-1, (0, 1))) if all(change in s for s in splits))
     return LickorishReport(zs, per)
 
 
@@ -192,12 +199,11 @@ def stoimenow_check(M: IntegerSymmetricMatrix, rep: LickorishReport) -> Stoimeno
     attains one iff lickorish_check admits some zeta.  H_1 is cyclic iff
     d_p <= 1 at every prime p | det (an odd det has d_2 = 0).  An even det
     means mu > 1, which lickorish_check rejects with ValueError.  rep is
-    lickorish_check(M), the report this reads.
+    lickorish_check(M), the report this reads; ValueError unless
+    rep.stoimenow_applies.
     """
-    if 5 not in rep.per_prime:
-        raise ValueError("requires determinant divisible by 5")
-    if any(dp > 1 for dp, _, _ in rep.per_prime.values()):
-        raise ValueError("requires finite cyclic first homology")
+    if not rep.stoimenow_applies:
+        raise ValueError("requires 5 | det and finite cyclic first homology")
     qval = q_at_golden_link(M)
     exists = bool(rep.admissible_zeta)
     conj = Root5(0, -1) if exists else Root5(0, 1)

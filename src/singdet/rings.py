@@ -205,25 +205,12 @@ class Root5(Frozen):
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def from_int(cls, n: int) -> "Root5":
-        return cls(n, 0)
-
-    @classmethod
     def sqrt5_pow(cls, k: int) -> "Root5":
         if k < 0:
             raise ValueError("negative powers not in the ring")
         if k % 2 == 0:
             return cls(5 ** (k // 2), 0)
         return cls(0, 5 ** ((k - 1) // 2))
-
-    def __add__(self, o: "Root5") -> "Root5":
-        return Root5(self.a + o.a, self.b + o.b)
-
-    def __neg__(self) -> "Root5":
-        return Root5(-self.a, -self.b)
-
-    def __sub__(self, o: "Root5") -> "Root5":
-        return self + (-o)
 
     def __mul__(self, o):
         if isinstance(o, int):
